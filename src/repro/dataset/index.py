@@ -80,7 +80,7 @@ from repro.errors import SchemaError, SnapshotIndexError
 from repro.parsing.pipeline import PARSER_VERSION
 from repro.telemetry import get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
-from repro.yamlio.deserialize import snapshot_from_yaml
+from repro.yamlio.deserialize import try_read_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -709,14 +709,6 @@ def fresh_index(store: DatasetStore, map_name: MapName) -> SnapshotIndex | None:
     return index
 
 
-def _parse_source(path: str) -> tuple[MapSnapshot | None, str]:
-    """Pool worker: one YAML file → (snapshot, "") or (None, error text)."""
-    try:
-        return snapshot_from_yaml(Path(path).read_text(encoding="utf-8")), ""
-    except SchemaError as exc:
-        return None, str(exc)
-
-
 def build_index(
     store: DatasetStore,
     map_name: MapName,
@@ -826,7 +818,7 @@ def build_index(
             for ref, outcome in zip(
                 to_parse,
                 executor.map(
-                    _parse_source,
+                    try_read_snapshot,
                     [str(ref.path) for ref in to_parse],
                     chunksize=chunksize,
                 ),
@@ -834,7 +826,7 @@ def build_index(
                 parsed[_epoch(ref.timestamp)] = outcome
     else:
         for ref in to_parse:
-            parsed[_epoch(ref.timestamp)] = _parse_source(str(ref.path))
+            parsed[_epoch(ref.timestamp)] = try_read_snapshot(str(ref.path))
 
     for ref, previous_row in plan:
         key = _epoch(ref.timestamp)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.constants import MapName
@@ -36,7 +35,7 @@ from repro.dataset.workers import resolve_workers
 from repro.errors import SchemaError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot
-from repro.yamlio.deserialize import snapshot_from_yaml
+from repro.yamlio.deserialize import read_snapshot, try_read_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +100,7 @@ def iter_snapshots(
             return
     for ref in _refs_in_window(store, map_name, start, end):
         try:
-            snapshot = snapshot_from_yaml(ref.path.read_text(encoding="utf-8"))
+            snapshot = read_snapshot(ref.path)
         except SchemaError as exc:
             if on_error is None:
                 raise
@@ -135,7 +134,7 @@ def latest_snapshot(
     refs = list(store.iter_refs(map_name, "yaml"))
     for ref in reversed(refs):
         try:
-            snapshot = snapshot_from_yaml(ref.path.read_text(encoding="utf-8"))
+            snapshot = read_snapshot(ref.path)
         except SchemaError as exc:
             logger.warning("skipping unreadable %s: %s", ref.path.name, exc)
             continue
@@ -203,7 +202,7 @@ def load_all(
             for ref, (snapshot, error_message) in zip(
                 refs,
                 executor.map(
-                    _deserialize_file, [str(ref.path) for ref in refs], chunksize=chunksize
+                    try_read_snapshot, [str(ref.path) for ref in refs], chunksize=chunksize
                 ),
             ):
                 if snapshot is None:
@@ -283,11 +282,3 @@ def _refs_in_window(
         if end is not None and ref.timestamp >= end:
             continue
         yield ref
-
-
-def _deserialize_file(path: str) -> tuple[MapSnapshot | None, str]:
-    """Pool worker: one YAML file → (snapshot, "") or (None, error text)."""
-    try:
-        return snapshot_from_yaml(Path(path).read_text(encoding="utf-8")), ""
-    except SchemaError as exc:
-        return None, str(exc)

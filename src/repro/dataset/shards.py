@@ -252,15 +252,11 @@ def compact_map_shards(
     if only is not None:
         for key in only:
             parse_shard_key(key)
-        live_keys = [
-            key
-            for key in only
-            if any(True for _ in store.iter_shard_refs(map_name, "yaml", key))
-        ]
-    else:
-        live_keys = store.shard_keys(map_name, "yaml")
+    live_keys = store.shard_keys(map_name, "yaml") if only is None else only
     for key in live_keys:
         refs = list(store.iter_shard_refs(map_name, "yaml", key))
+        if not refs:
+            continue  # the day's files are gone; nothing to index
         fingerprint = shard_fingerprint(refs)
         index_path = store.shard_index_path(map_name, key)
         entry = manifest.shards.get(key)

@@ -67,12 +67,13 @@ class TestRoundTrip:
 
     def test_index_path_reads_no_yaml(self, store, monkeypatch):
         build_index(store, MAP)
-        from repro.dataset import loader as loader_module
+        from repro.yamlio import deserialize
 
-        def forbidden(text):
+        def forbidden(document):
             raise AssertionError("a fresh index must not parse YAML")
 
-        monkeypatch.setattr(loader_module, "snapshot_from_yaml", forbidden)
+        # Every YAML read path, fast reader or yaml.load, ends here.
+        monkeypatch.setattr(deserialize, "snapshot_from_document", forbidden)
         assert len(load_all(store, MAP)) == FILES
 
     def test_window_matches_yaml_path(self, store):

@@ -118,6 +118,20 @@ class TestCompaction:
         assert full.built == ["2022-09-14"]
         assert verify_shards(store, MAP) is not None
 
+    def test_only_lists_each_touched_shard_once(self, tmp_path, reference_yaml, monkeypatch):
+        store = build_corpus(tmp_path, reference_yaml)
+        listed = []
+        iter_shard_refs = store.iter_shard_refs
+
+        def counting(map_name, kind, key):
+            listed.append(key)
+            return iter_shard_refs(map_name, kind, key)
+
+        monkeypatch.setattr(store, "iter_shard_refs", counting)
+        stats = compact_map_shards(store, MAP, only=["2022-09-12", "2022-09-20"])
+        assert stats.built == ["2022-09-12"]
+        assert listed == ["2022-09-12", "2022-09-20"]
+
     def test_only_rejects_bad_keys(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
         with pytest.raises(DatasetError):

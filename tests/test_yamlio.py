@@ -137,12 +137,24 @@ class TestLibyamlEquivalence:
         monkeypatch.setattr(serialize, "_DUMPER", yaml.SafeDumper)
         assert snapshot_to_yaml(_snapshot()) == accelerated
 
+    @staticmethod
+    def _force_fallback(monkeypatch):
+        """Send every document to ``yaml.load``, whatever its layout.
+
+        Canonical text would otherwise never reach ``_LOADER``: the fast
+        reader builds its document first.
+        """
+        from repro.yamlio import deserialize
+
+        monkeypatch.setattr(deserialize, "fast_document", lambda text: None)
+
     def test_load_matches_pure_python(self, monkeypatch):
         import yaml
 
         from repro.yamlio import deserialize
 
         text = snapshot_to_yaml(_snapshot())
+        self._force_fallback(monkeypatch)
         accelerated = snapshot_from_yaml(text)
         monkeypatch.setattr(deserialize, "_LOADER", yaml.SafeLoader)
         assert snapshot_from_yaml(text) == accelerated
@@ -152,11 +164,13 @@ class TestLibyamlEquivalence:
 
         from repro.yamlio import deserialize
 
-        with pytest.raises(SchemaError):
-            snapshot_from_yaml("links: [unclosed")
+        text = snapshot_to_yaml(_snapshot()).replace("links:", "links: [unclosed", 1)
+        self._force_fallback(monkeypatch)
+        with pytest.raises(SchemaError, match="invalid YAML"):
+            snapshot_from_yaml(text)
         monkeypatch.setattr(deserialize, "_LOADER", yaml.SafeLoader)
-        with pytest.raises(SchemaError):
-            snapshot_from_yaml("links: [unclosed")
+        with pytest.raises(SchemaError, match="invalid YAML"):
+            snapshot_from_yaml(text)
 
 
 class TestCompactness:
