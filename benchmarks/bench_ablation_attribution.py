@@ -25,7 +25,7 @@ from repro.errors import MissingLabelError
 from repro.layout.renderer import MapRenderer
 from repro.parsing.algorithm1 import extract_objects
 from repro.parsing.algorithm2 import attribute_objects
-from repro.parsing.pipeline import parse_svg
+from repro.parsing.pipeline import ParseOptions, parse_svg
 from repro.svgdoc.reader import read_svg_tags
 
 
@@ -105,7 +105,7 @@ def test_ablation_label_threshold_sweep(benchmark, simulator, europe_svg):
                 svg,
                 MapName.EUROPE,
                 REFERENCE_DATE,
-                label_distance_threshold=threshold,
+                options=ParseOptions(label_distance_threshold=threshold),
             )
             return "ok"
         except MissingLabelError:

@@ -265,24 +265,18 @@ def main(argv: list[str] | None = None) -> int:
             total = 0.0
             matched = 0
             for batch in engine.scan().batches():
-                a_loads, b_loads = batch.a_loads, batch.b_loads
-                if hasattr(a_loads, "sum"):  # numpy backend
-                    total += float(a_loads.sum()) + float(b_loads.sum())
-                else:  # memoryview backend
-                    total += sum(a_loads) + sum(b_loads)
+                total += float(batch.a_loads.sum()) + float(batch.b_loads.sum())
                 matched += len(batch)
             hot = len(engine.scan(ScanPredicate(min_load=90.0)))
             return matched, hot, total
 
         engine = open_query(store, map_name)
         scan_series_fps = 0.0
-        scan_backend = None
         if engine is None:
             identical = False
             print("ERROR: query engine found no fresh index", file=sys.stderr)
         else:
             with engine:
-                scan_backend = engine.backend
                 repeats = 20 if args.quick else 10
                 scan_pass(engine)  # warm the mapping outside the clock
                 (matched, hot, total), scan_series_fps = timed(
@@ -355,7 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         "index_build_fps": round(index_build_fps, 2),
         "load_index_fps": round(load_index_fps, 2),
         "scan_series_fps": round(scan_series_fps, 2),
-        "scan_backend": scan_backend,
         "speedup_fast_path": round(serial_fps / dom_fps, 2),
         "speedup_parallel": round(parallel_fps / serial_fps, 2),
         "speedup_incremental": round(incremental_fps / serial_fps, 2),

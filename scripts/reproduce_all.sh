@@ -25,8 +25,7 @@ echo "== 1b/4 concurrency suites under the lock sanitizer =="
 # same-lock re-entry observed at runtime.  The overhead line is
 # informational — see docs/static-analysis.md for the measured numbers.
 python3 -m pytest tests/test_server.py tests/test_server_feed.py \
-    tests/test_server_asgi.py tests/test_dataset_ingest.py \
-    -q --repro-tsan
+    tests/test_dataset_ingest.py -q --repro-tsan
 python3 - <<'PY'
 from repro.devtools.sanitizer import measure_overhead
 

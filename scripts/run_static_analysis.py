@@ -4,7 +4,7 @@
 Drives every static check the repository defines, in order:
 
 1. the project-native invariant linter (``repro-weather check``,
-   rules REP001–REP012) — always available, always fatal on findings,
+   rules REP002–REP012) — always available, always fatal on findings,
    with per-rule finding counts printed for the concurrency pack;
 2. the ``# type: ignore`` budget — the count under ``src/repro`` may
    only decrease; the ceiling lives in ``pyproject.toml`` under

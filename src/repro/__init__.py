@@ -38,7 +38,7 @@ internal and may change between releases; see the README's
 
 from __future__ import annotations
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 #: name → (module, attribute) for every lazily exported public name.
 _EXPORTS: dict[str, tuple[str, str]] = {
@@ -84,10 +84,8 @@ _EXPORTS: dict[str, tuple[str, str]] = {
     "resolve_read_handle": ("repro.dataset.handles", "resolve_read_handle"),
     # http read api
     "ServeOptions": ("repro.server", "ServeOptions"),
-    "ServerConfig": ("repro.server", "ServerConfig"),
     "WeatherServer": ("repro.server", "WeatherServer"),
     "GenerationWatcher": ("repro.server", "GenerationWatcher"),
-    "create_asgi_app": ("repro.server", "create_asgi_app"),
     "create_server": ("repro.server", "create_server"),
     "serve": ("repro.server", "serve"),
     # ingestion daemon

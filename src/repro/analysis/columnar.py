@@ -66,8 +66,7 @@ def _column(raw, dtype) -> numpy.ndarray:
     """Zero-copy numpy view over one columnar source column.
 
     ``SnapshotIndex`` columns are ``array.array`` buffers, the mapped
-    engine's are already numpy views (numpy backend) or ``memoryview``
-    casts (stdlib backend); all reach numpy without copying.
+    engine's are already numpy views; both reach numpy without copying.
     """
     if isinstance(raw, numpy.ndarray):
         return raw

@@ -13,7 +13,7 @@ Subcommands::
     render     render one snapshot SVG to stdout or a file
     upgrade    replay the Figure 6 case study
     metrics    render a saved telemetry snapshot (Prometheus or JSON)
-    check      run the project's static-analysis rule pack (REP001–REP012)
+    check      run the project's static-analysis rule pack (REP002–REP012)
 
 ``process``, ``index build``, and ``export`` accept ``--metrics-out PATH``
 to dump the run's telemetry registry as a JSON snapshot, which ``metrics``
@@ -369,9 +369,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.errors import QueryError
 
     store = open_store(args.dataset)
-    engine = resolve_read_handle(
-        store, args.map, backend=args.backend, use_mmap=not args.no_mmap
-    )
+    engine = resolve_read_handle(store, args.map)
     if engine is None:
         print(
             f"no fresh index for {args.map.value}; "
@@ -409,8 +407,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             source = "mmap" if engine.mapped else "buffered"
             print(
                 f"{args.map.value}: {len(result):,} matching links over "
-                f"{result.snapshot_count:,} snapshots "
-                f"({engine.backend} backend, {source} source)"
+                f"{result.snapshot_count:,} snapshots ({source} source)"
             )
             peak = count = 0.0
             total = 0
@@ -448,27 +445,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         options = ServeOptions(
             host=args.host,
             port=args.port,
-            backend=args.backend,
-            use_mmap=not args.no_mmap,
             cache_entries=args.cache_entries,
             watch_interval=args.watch_interval,
             feed_ring_size=args.feed_ring_size,
-            asgi=args.asgi,
         )
     except ServerError as exc:
         print(f"cannot start server: {exc}", file=sys.stderr)
         return 1
-    if options.asgi:
-        from repro.server.asgi import serve_asgi
-
-        try:
-            serve_asgi(store, options)
-        except ServerError as exc:
-            print(f"cannot start server: {exc}", file=sys.stderr)
-            return 1
-        except KeyboardInterrupt:
-            print("shutting down", file=sys.stderr)
-        return 0
     try:
         server = create_server(store, options)
     except (ServerError, OSError) as exc:
@@ -477,8 +460,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[0], server.server_address[1]
     print(f"serving on http://{host}:{port}/ (Ctrl-C to stop)", file=sys.stderr)
     print(
-        "stable surface under /v1 (unversioned paths answer with a "
-        "Deprecation header); live feed at /v1/maps/<map>/events",
+        "stable surface under /v1; live feed at /v1/maps/<map>/events",
         file=sys.stderr,
     )
     try:
@@ -1025,17 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep links whose busier direction is at most this load (%%)",
     )
     query.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "memoryview"),
-        default="auto",
-        help="column-view backend (default: numpy when available)",
-    )
-    query.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="read the index with buffered I/O instead of mapping it",
-    )
-    query.add_argument(
         "--limit", type=int, default=20,
         help="matching links to print in table format (default 20)",
     )
@@ -1065,17 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free one (default 8080)",
     )
     serve.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "memoryview"),
-        default="auto",
-        help="column-view backend (default: numpy when available)",
-    )
-    serve.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="read indexes with buffered I/O instead of mapping them",
-    )
-    serve.add_argument(
         "--cache-entries", type=int, default=256,
         help="response-cache capacity in entries (default 256)",
     )
@@ -1086,12 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--feed-ring-size", type=int, default=256,
         help="per-map feed replay-ring capacity (default 256)",
-    )
-    serve.add_argument(
-        "--asgi",
-        action="store_true",
-        help="serve through the ASGI adapter under uvicorn "
-        "(pip install repro[asgi])",
     )
     serve.set_defaults(handler=cmd_serve)
 

@@ -60,7 +60,7 @@ from repro.dataset.store import (
 )
 from repro.dataset.workers import AUTO_WORKERS, default_workers, resolve_workers
 from repro.errors import DatasetError
-from repro.parsing.pipeline import PARSER_VERSION, ParseOptions, resolve_parse_options
+from repro.parsing.pipeline import PARSER_VERSION, ParseOptions
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
 __all__ = [
@@ -181,7 +181,7 @@ def _process_batch(
     map_value: str,
     strict: bool,
     items: Sequence[tuple[str, str]],
-    options: ParseOptions = ParseOptions(),
+    options: ParseOptions | None = None,
 ) -> tuple[list[_WorkerResult], dict]:
     """Pool worker: read, hash, and extract one batch of SVG files.
 
@@ -279,8 +279,6 @@ def process_map_parallel(
     use_manifest: bool = True,
     update_index: bool = True,
     options: ParseOptions | None = None,
-    *,
-    fast_path: bool | None = None,
 ) -> ProcessingStats:
     """Process one map's SVGs into YAML twins — in parallel, incrementally.
 
@@ -307,12 +305,10 @@ def process_map_parallel(
             :data:`~repro.parsing.pipeline.PARSER_VERSION` bump discards
             it — exactly the YAML skip-cache's invalidation rules.
         options: parse configuration shipped (pickled) to every worker.
-        fast_path: deprecated — use ``options=ParseOptions(fast_path=...)``.
 
     Returns:
         Per-map counts mirroring a Table 2 row.
     """
-    opts = resolve_parse_options(options, fast_path=fast_path)
     workers = resolve_workers(workers, default=AUTO_WORKERS)
     if chunk_size < 1:
         raise DatasetError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -362,7 +358,7 @@ def process_map_parallel(
                         map_name.value,
                         strict,
                         [(ref.timestamp.isoformat(), str(ref.path)) for ref in batch],
-                        opts,
+                        options,
                     )
                     for batch in batches
                 )
@@ -374,7 +370,7 @@ def process_map_parallel(
                         map_name.value,
                         strict,
                         [(ref.timestamp.isoformat(), str(ref.path)) for ref in batch],
-                        opts,
+                        options,
                     )
                     for batch in batches
                 ]
@@ -434,11 +430,8 @@ def process_all_parallel(
     overwrite: bool = False,
     update_index: bool = True,
     options: ParseOptions | None = None,
-    *,
-    fast_path: bool | None = None,
 ) -> dict[MapName, ProcessingStats]:
     """Run :func:`process_map_parallel` over several maps, one shared config."""
-    opts = resolve_parse_options(options, fast_path=fast_path)
     results: dict[MapName, ProcessingStats] = {}
     for map_name in maps if maps is not None else list(MapName):
         results[map_name] = process_map_parallel(
@@ -449,6 +442,6 @@ def process_all_parallel(
             strict=strict,
             overwrite=overwrite,
             update_index=update_index,
-            options=opts,
+            options=options,
         )
     return results

@@ -47,8 +47,6 @@ def resolve_read_handle(
     store: DatasetStore,
     map_name: MapName,
     *,
-    backend: str = "auto",
-    use_mmap: bool = True,
     require_fresh: bool = True,
 ) -> ReadHandle | None:
     """Open one map's query engine with the store's own layout.
@@ -64,20 +62,8 @@ def resolve_read_handle(
     if not store.persistent:
         return None
     if isinstance(store, ShardedDatasetStore):
-        return open_sharded_query(
-            store,
-            map_name,
-            backend=backend,
-            use_mmap=use_mmap,
-            require_fresh=require_fresh,
-        )
-    return open_query(
-        store,
-        map_name,
-        backend=backend,
-        use_mmap=use_mmap,
-        require_fresh=require_fresh,
-    )
+        return open_sharded_query(store, map_name, require_fresh=require_fresh)
+    return open_query(store, map_name, require_fresh=require_fresh)
 
 
 def read_generation(

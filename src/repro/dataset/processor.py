@@ -37,7 +37,6 @@ from repro.parsing.pipeline import (
     StageTimings,
     observe_stage,
     parse_svg,
-    resolve_parse_options,
 )
 from repro.telemetry import get_registry
 from repro.yamlio.serialize import snapshot_to_yaml
@@ -114,7 +113,6 @@ def process_svg_bytes(
     strict: bool = False,
     options: ParseOptions | None = None,
     *,
-    fast_path: bool | None = None,
     timings: StageTimings | None = None,
 ) -> ProcessOutcome:
     """Extract one SVG document into its YAML twin — pure and picklable.
@@ -126,11 +124,9 @@ def process_svg_bytes(
 
     Args:
         options: parse configuration (fast path, attribution, threshold).
-        fast_path: deprecated — use ``options=ParseOptions(fast_path=...)``.
         timings: accumulate per-stage wall time, including the YAML
             emission this function adds on top of :func:`parse_svg`.
     """
-    opts = resolve_parse_options(options, fast_path=fast_path)
     files, failures, _ = file_metrics()
     try:
         parsed = parse_svg(
@@ -138,7 +134,7 @@ def process_svg_bytes(
             map_name=map_name,
             timestamp=timestamp,
             strict=strict,
-            options=opts,
+            options=options,
             timings=timings,
         )
     except (SvgError, ParseError) as exc:
@@ -167,7 +163,6 @@ def process_map(
     workers: int | str | None = None,
     options: ParseOptions | None = None,
     *,
-    fast_path: bool | None = None,
     timings: StageTimings | None = None,
 ) -> ProcessingStats:
     """Process every stored SVG of one map into its YAML twin.
@@ -184,7 +179,6 @@ def process_map(
             index).  ``None`` or ``1`` keeps the simple serial loop
             below; ``0`` or ``"auto"`` means one worker per CPU core.
         options: parse configuration shared by every file.
-        fast_path: deprecated — use ``options=ParseOptions(fast_path=...)``.
         timings: accumulate per-stage wall time over the run (serial loop
             only — worker-process timings travel through the telemetry
             registry instead).
@@ -192,7 +186,6 @@ def process_map(
     Returns:
         Per-map counts mirroring a Table 2 row.
     """
-    opts = resolve_parse_options(options, fast_path=fast_path)
     if workers is not None and workers != 1:
         from repro.dataset.engine import process_map_parallel
 
@@ -202,7 +195,7 @@ def process_map(
             workers=workers,
             strict=strict,
             overwrite=overwrite,
-            options=opts,
+            options=options,
         )
     registry = get_registry()
     files, _, yaml_bytes_counter = file_metrics(registry)
@@ -225,7 +218,7 @@ def process_map(
                 map_name,
                 ref.timestamp,
                 strict=strict,
-                options=opts,
+                options=options,
                 timings=timings,
             )
             if not outcome.ok:

@@ -11,10 +11,8 @@ file is memory-mapped and each column is exposed *in place*:
 * the mapping is **shared and read-only** — many worker processes scan
   one page cache copy of ``index.bin`` with no per-process heaps, the
   design that makes an HTTP serving layer cheap under fan-out;
-* every column is a **zero-copy view** over the mapping — a numpy
-  ``frombuffer`` view where numpy is available, a pure-stdlib
-  ``memoryview.cast`` otherwise.  Both backends implement the same scans
-  and are tested against each other element for element;
+* every column is a **zero-copy** numpy ``frombuffer`` view over the
+  mapping;
 * the small **scan planner** does predicate pushdown: time ranges bind
   to a row window by bisecting the timestamp column, node / link
   identity filters compare interned ids, and load thresholds compare
@@ -26,20 +24,21 @@ keeps serving its *generation* even while a newer one lands on disk —
 the mapped inode stays alive until the engine is closed.
 :meth:`MappedIndex.check_generation` detects the supersession and raises
 :class:`~repro.errors.StaleIndexError` so long-lived readers know to
-reopen.  On hosts without ``mmap`` (and with ``use_mmap=False``) the
-same engine runs over one plain buffered read of the file.
+reopen.  On hosts where ``mmap`` is missing or fails the same engine
+runs over one plain buffered read of the file.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from importlib import import_module
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterator, Sequence
+
+import numpy
 
 try:  # pragma: no cover - exercised only on mmap-less platforms
     _mmap: Any = import_module("mmap")
@@ -58,18 +57,13 @@ from repro.parsing.pipeline import PARSER_VERSION
 from repro.telemetry import get_registry
 
 __all__ = [
-    "BACKENDS",
     "ColumnBatch",
     "LinkRecord",
     "MappedIndex",
     "ScanPredicate",
     "ScanResult",
     "open_query",
-    "resolve_backend",
 ]
-
-#: Recognised backend requests: ``auto`` picks numpy when importable.
-BACKENDS = ("auto", "numpy", "memoryview")
 
 #: Column attributes in file order (mirrors ``index._COLUMNS``).
 _COLUMN_ATTRIBUTES = (
@@ -88,36 +82,6 @@ _COLUMN_ATTRIBUTES = (
     "link_a_loads",
     "link_b_loads",
 )
-
-
-def resolve_backend(backend: str) -> str:
-    """Resolve a backend request to the one that will actually run.
-
-    ``"auto"`` prefers numpy (vectorised predicate masks) and falls back
-    to the pure-stdlib ``memoryview`` backend when numpy is not
-    importable.  Asking for ``"numpy"`` explicitly on a host without it
-    is an error, not a silent downgrade.
-
-    Raises:
-        QueryError: unknown backend name, or ``"numpy"`` requested where
-            numpy cannot be imported.
-    """
-    if backend not in BACKENDS:
-        raise QueryError(
-            f"unknown query backend {backend!r}; one of: {', '.join(BACKENDS)}"
-        )
-    if backend == "memoryview":
-        return backend
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        if backend == "numpy":
-            raise QueryError(
-                "the numpy query backend was requested but numpy is not "
-                "importable; use backend='memoryview'"
-            ) from None
-        return "memoryview"
-    return "numpy"
 
 
 def _epoch(when: datetime) -> int:
@@ -258,14 +222,12 @@ class MappedIndex:
         layout: IndexLayout,
         *,
         path: Path | None = None,
-        backend: str = "auto",
         generation: tuple[int, int, int] | None = None,
         mapped: bool = False,
     ) -> None:
         self._buffer = buffer
         self._layout = layout
         self.path = path
-        self.backend = resolve_backend(backend)
         self.generation = generation
         self.mapped = mapped
         self.map_name = layout.map_name
@@ -277,28 +239,18 @@ class MappedIndex:
         self.closed = False
         self._name_ids: dict[str, int] | None = None
         self._link_offsets: Any = None
-        if self.backend == "numpy":
-            import numpy
-
-            for attribute in _COLUMN_ATTRIBUTES:
-                spec = layout.columns[attribute]
-                setattr(
-                    self,
-                    attribute,
-                    numpy.frombuffer(
-                        buffer,
-                        dtype=numpy.dtype(spec.typecode),
-                        count=spec.count,
-                        offset=spec.offset,
-                    ),
-                )
-        else:
-            view = memoryview(buffer)
-            for attribute in _COLUMN_ATTRIBUTES:
-                spec = layout.columns[attribute]
-                setattr(
-                    self, attribute, view[spec.offset : spec.end].cast(spec.typecode)
-                )
+        for attribute in _COLUMN_ATTRIBUTES:
+            spec = layout.columns[attribute]
+            setattr(
+                self,
+                attribute,
+                numpy.frombuffer(
+                    buffer,
+                    dtype=numpy.dtype(spec.typecode),
+                    count=spec.count,
+                    offset=spec.offset,
+                ),
+            )
 
     # -- opening -----------------------------------------------------------
 
@@ -307,17 +259,14 @@ class MappedIndex:
         cls,
         path: Path,
         *,
-        backend: str = "auto",
-        use_mmap: bool = True,
         verify: bool = False,
     ) -> "MappedIndex":
         """Map (or, fallback, read) one ``index.bin`` into an engine.
 
+        Hosts without a working ``mmap`` get one buffered read of the
+        file instead; the engine behaves identically over either.
+
         Args:
-            backend: ``"auto"`` / ``"numpy"`` / ``"memoryview"``.
-            use_mmap: set ``False`` to force the buffered-read fallback
-                (the path Windows-like hosts without a working ``mmap``
-                take automatically).
             verify: also check the trailing SHA-256 — one full pass over
                 the mapping, so it is opt-in; the structural layout
                 checks always run.
@@ -330,14 +279,13 @@ class MappedIndex:
                 (or read through :meth:`SnapshotIndex.load`, which
                 swaps).
         """
-        effective_backend = resolve_backend(backend)
         buffer: Any
         try:
             with path.open("rb") as handle:
                 stat = os.fstat(handle.fileno())
                 generation = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
                 mapped = False
-                if use_mmap and _mmap is not None and stat.st_size > 0:
+                if _mmap is not None and stat.st_size > 0:
                     try:
                         buffer = _mmap.mmap(
                             handle.fileno(), 0, access=_mmap.ACCESS_READ
@@ -370,15 +318,9 @@ class MappedIndex:
             1,
             map=layout.map_name.value,
             source="mmap" if mapped else "buffered",
-            backend=effective_backend,
         )
         return cls(
-            buffer,
-            layout,
-            path=path,
-            backend=effective_backend,
-            generation=generation,
-            mapped=mapped,
+            buffer, layout, path=path, generation=generation, mapped=mapped
         )
 
     def close(self) -> None:
@@ -400,8 +342,8 @@ class MappedIndex:
             try:
                 buffer.close()
             except BufferError:
-                # Exported views (numpy arrays, memoryview casts) still
-                # reference the map; the mapping is released when they go.
+                # Exported numpy views still reference the map; the
+                # mapping is released when they go.
                 pass
 
     def __enter__(self) -> "MappedIndex":
@@ -477,17 +419,12 @@ class MappedIndex:
         """Prefix sums of ``link_counts``: row → first link element."""
         self._require_open()
         if self._link_offsets is None:
-            if self.backend == "numpy":
-                import numpy
-
-                self._link_offsets = numpy.concatenate(
-                    (
-                        numpy.zeros(1, dtype=numpy.int64),
-                        numpy.cumsum(self.link_counts, dtype=numpy.int64),
-                    )
+            self._link_offsets = numpy.concatenate(
+                (
+                    numpy.zeros(1, dtype=numpy.int64),
+                    numpy.cumsum(self.link_counts, dtype=numpy.int64),
                 )
-            else:
-                self._link_offsets = list(accumulate(self.link_counts, initial=0))
+            )
         return self._link_offsets
 
     def link_slice(self, rows: range) -> tuple[int, int]:
@@ -510,9 +447,7 @@ class MappedIndex:
         Time bounds bisect the timestamp column down to a row window,
         the window binds a contiguous link-element slice through the
         prefix offsets, and the per-link filters reduce that slice to
-        the matching elements — vectorised boolean masks on the numpy
-        backend, a tight loop over the casts on the stdlib one.  Both
-        return identical selections.
+        the matching elements with vectorised boolean masks.
         """
         self._require_open()
         if predicate is None:
@@ -522,20 +457,17 @@ class MappedIndex:
             "repro_query_scan",
             "Predicate-pushdown scan wall time",
             map=self.map_name.value,
-            backend=self.backend,
         ):
             rows = self.rows_in_window(predicate.start, predicate.end)
             lo, hi = self.link_slice(rows)
             selected: Any
             if not predicate.filters_links:
                 selected = range(lo, hi)
-            elif self.backend == "numpy":
-                selected = self._select_numpy(predicate, lo, hi)
             else:
-                selected = self._select_python(predicate, lo, hi)
+                selected = self._select(predicate, lo, hi)
         registry.counter(
             "repro_query_scans_total", "Scans executed by the query engine"
-        ).inc(1, map=self.map_name.value, backend=self.backend)
+        ).inc(1, map=self.map_name.value)
         registry.counter(
             "repro_query_rows_scanned_total",
             "Snapshot rows covered by query-engine scans",
@@ -549,9 +481,7 @@ class MappedIndex:
             selected=selected,
         )
 
-    def _select_numpy(self, predicate: ScanPredicate, lo: int, hi: int) -> Any:
-        import numpy
-
+    def _select(self, predicate: ScanPredicate, lo: int, hi: int) -> Any:
         a_nodes = self.link_a_nodes[lo:hi]
         b_nodes = self.link_b_nodes[lo:hi]
         mask = numpy.ones(hi - lo, dtype=bool)
@@ -575,49 +505,6 @@ class MappedIndex:
             if predicate.max_load is not None:
                 mask &= peak <= predicate.max_load
         return numpy.flatnonzero(mask).astype(numpy.int64) + lo
-
-    def _select_python(
-        self, predicate: ScanPredicate, lo: int, hi: int
-    ) -> list[int]:
-        a_nodes = self.link_a_nodes
-        b_nodes = self.link_b_nodes
-        a_loads = self.link_a_loads
-        b_loads = self.link_b_loads
-        node_id = -1
-        first = second = -1
-        if predicate.node is not None:
-            resolved = self.name_id(predicate.node)
-            if resolved is None:
-                return []
-            node_id = resolved
-        if predicate.link is not None:
-            maybe_first = self.name_id(predicate.link[0])
-            maybe_second = self.name_id(predicate.link[1])
-            if maybe_first is None or maybe_second is None:
-                return []
-            first, second = maybe_first, maybe_second
-        min_load = predicate.min_load
-        max_load = predicate.max_load
-        selected: list[int] = []
-        for j in range(lo, hi):
-            a, b = a_nodes[j], b_nodes[j]
-            if node_id >= 0 and a != node_id and b != node_id:
-                continue
-            if first >= 0 and not (
-                (a == first and b == second) or (a == second and b == first)
-            ):
-                continue
-            if min_load is not None or max_load is not None:
-                peak = a_loads[j]
-                other = b_loads[j]
-                if other > peak:
-                    peak = other
-                if min_load is not None and peak < min_load:
-                    continue
-                if max_load is not None and peak > max_load:
-                    continue
-            selected.append(j)
-        return selected
 
 
 def sys_byteorder() -> str:
@@ -669,11 +556,7 @@ class ScanResult:
     def row_of(self, element: int) -> int:
         """The snapshot row one absolute link element belongs to."""
         offsets = self.index.link_offsets()
-        if self.index.backend == "numpy":
-            import numpy
-
-            return int(numpy.searchsorted(offsets, element, side="right")) - 1
-        return bisect_right(offsets, element) - 1
+        return int(numpy.searchsorted(offsets, element, side="right")) - 1
 
     def batches(self, size: int = 65536) -> Iterator[ColumnBatch]:
         """The matches as aligned column chunks of at most ``size``.
@@ -694,58 +577,21 @@ class ScanResult:
 
     def _batch_for(self, chunk: Any) -> ColumnBatch:
         engine = self.index
+        gather: Any = chunk
+        elements = chunk
         if isinstance(chunk, range):
-            gather: Any = slice(chunk.start, chunk.stop)
-        elif engine.backend == "numpy":
-            gather = chunk
-        else:
-            gather = list(chunk)
-        if engine.backend == "numpy":
-            import numpy
-
-            offsets = engine.link_offsets()
-            if isinstance(gather, slice):
-                rows = (
-                    numpy.searchsorted(
-                        offsets,
-                        numpy.arange(gather.start, gather.stop, dtype=numpy.int64),
-                        side="right",
-                    )
-                    - 1
-                )
-                a_nodes = engine.link_a_nodes[gather]
-                a_labels = engine.link_a_labels[gather]
-                a_loads = engine.link_a_loads[gather]
-                b_nodes = engine.link_b_nodes[gather]
-                b_labels = engine.link_b_labels[gather]
-                b_loads = engine.link_b_loads[gather]
-            else:
-                rows = numpy.searchsorted(offsets, gather, side="right") - 1
-                a_nodes = engine.link_a_nodes[gather]
-                a_labels = engine.link_a_labels[gather]
-                a_loads = engine.link_a_loads[gather]
-                b_nodes = engine.link_b_nodes[gather]
-                b_labels = engine.link_b_labels[gather]
-                b_loads = engine.link_b_loads[gather]
-            timestamps = engine.timestamps[rows] if len(rows) else rows
-            return ColumnBatch(
-                rows=rows, timestamps=timestamps,
-                a_nodes=a_nodes, a_labels=a_labels, a_loads=a_loads,
-                b_nodes=b_nodes, b_labels=b_labels, b_loads=b_loads,
-            )
-        elements = list(gather) if not isinstance(gather, slice) else list(
-            range(gather.start, gather.stop)
-        )
-        rows_list = [self.row_of(j) for j in elements]
+            gather = slice(chunk.start, chunk.stop)
+            elements = numpy.arange(chunk.start, chunk.stop, dtype=numpy.int64)
+        rows = numpy.searchsorted(engine.link_offsets(), elements, side="right") - 1
         return ColumnBatch(
-            rows=rows_list,
-            timestamps=[engine.timestamps[row] for row in rows_list],
-            a_nodes=[engine.link_a_nodes[j] for j in elements],
-            a_labels=[engine.link_a_labels[j] for j in elements],
-            a_loads=[engine.link_a_loads[j] for j in elements],
-            b_nodes=[engine.link_b_nodes[j] for j in elements],
-            b_labels=[engine.link_b_labels[j] for j in elements],
-            b_loads=[engine.link_b_loads[j] for j in elements],
+            rows=rows,
+            timestamps=engine.timestamps[rows] if len(rows) else rows,
+            a_nodes=engine.link_a_nodes[gather],
+            a_labels=engine.link_a_labels[gather],
+            a_loads=engine.link_a_loads[gather],
+            b_nodes=engine.link_b_nodes[gather],
+            b_labels=engine.link_b_labels[gather],
+            b_loads=engine.link_b_loads[gather],
         )
 
     def directed_loads(self) -> list[float]:
@@ -785,8 +631,6 @@ def open_query(
     store: DatasetStore,
     map_name: MapName,
     *,
-    backend: str = "auto",
-    use_mmap: bool = True,
     require_fresh: bool = True,
 ) -> MappedIndex | None:
     """Open a map's index for querying, but only if it can serve truthfully.
@@ -805,7 +649,7 @@ def open_query(
     )
     path = store.index_path(map_name)
     try:
-        engine = MappedIndex.open(path, backend=backend, use_mmap=use_mmap)
+        engine = MappedIndex.open(path)
     except SnapshotIndexError:
         cache.inc(1, map=map_name.value, outcome="miss")
         return None

@@ -52,7 +52,6 @@ from repro.dataset.query import (
     MappedIndex,
     ScanPredicate,
     ScanResult,
-    resolve_backend,
 )
 from repro.dataset.store import (
     ShardedDatasetStore,
@@ -408,16 +407,8 @@ class ShardedMappedIndex:
         self,
         map_name: MapName,
         shards: Sequence[tuple[str, Path, int]],
-        *,
-        backend: str = "auto",
-        use_mmap: bool = True,
     ) -> None:
         self.map_name = map_name
-        #: Requested (not yet resolved) backend; validated eagerly so a
-        #: typo fails at open time, not at first scan.
-        self._requested_backend = backend
-        self._resolved_backend = resolve_backend(backend)
-        self._use_mmap = use_mmap
         self._slots: list[_ShardSlot] = []
         for key, path, rows in shards:
             start = int(parse_shard_key(key).timestamp())
@@ -432,14 +423,6 @@ class ShardedMappedIndex:
             )
         self._open_lock = threading.Lock()
         self.closed = False
-
-    @property
-    def backend(self) -> str:
-        """The column backend the shard engines use (uniform by build)."""
-        for slot in self._slots:
-            if slot.engine is not None:
-                return slot.engine.backend
-        return self._resolved_backend
 
     @property
     def mapped(self) -> bool:
@@ -483,11 +466,7 @@ class ShardedMappedIndex:
             return engine
         with self._open_lock:
             if slot.engine is None:
-                opened = MappedIndex.open(
-                    slot.path,
-                    backend=self._requested_backend,
-                    use_mmap=self._use_mmap,
-                )
+                opened = MappedIndex.open(slot.path)
                 if (
                     opened.map_name != self.map_name
                     or opened.parser_version != PARSER_VERSION
@@ -622,8 +601,6 @@ def open_sharded_query(
     store: ShardedDatasetStore,
     map_name: MapName,
     *,
-    backend: str = "auto",
-    use_mmap: bool = True,
     require_fresh: bool = True,
 ) -> ShardedMappedIndex | None:
     """Open a sharded map for querying, but only if every shard is fresh.
@@ -650,6 +627,4 @@ def open_sharded_query(
         (key, store.shard_index_path(map_name, key), entry.rows)
         for key, entry in entries
     ]
-    return ShardedMappedIndex(
-        map_name, shards, backend=backend, use_mmap=use_mmap
-    )
+    return ShardedMappedIndex(map_name, shards)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.constants import MapName
 from repro.dataset.store import DatasetStore
 from repro.errors import ParseError, ReproError, SchemaError, SvgError
-from repro.parsing.pipeline import ParseOptions, parse_svg, resolve_parse_options
+from repro.parsing.pipeline import ParseOptions, parse_svg
 from repro.rng import stable_uniform
 from repro.topology.graph import isolated_routers
 from repro.yamlio.deserialize import snapshot_from_yaml
@@ -96,8 +96,6 @@ def validate_map(
     cross_check_fraction: float = 0.1,
     seed: int = 0,
     options: ParseOptions | None = None,
-    *,
-    fast_path: bool | None = None,
 ) -> ValidationReport:
     """Validate one map's stored files.
 
@@ -109,9 +107,7 @@ def validate_map(
         seed: selects which snapshots get cross-checked.
         options: parse configuration for the cross-check re-extraction
             (the fast and DOM paths produce identical results).
-        fast_path: deprecated — use ``options=ParseOptions(fast_path=...)``.
     """
-    opts = resolve_parse_options(options, fast_path=fast_path)
     report = ValidationReport(map_name=map_name)
     svg_stamps = set(store.timestamps(map_name, "svg"))
     report.svg_files = len(svg_stamps)
@@ -147,7 +143,7 @@ def validate_map(
                     store.read_bytes(map_name, ref.timestamp, "svg"),
                     map_name=map_name,
                     timestamp=ref.timestamp,
-                    options=opts,
+                    options=options,
                 )
             except (SvgError, ParseError) as exc:
                 report.cross_check_failures += 1
@@ -173,11 +169,8 @@ def validate_dataset(
     cross_check_fraction: float = 0.1,
     seed: int = 0,
     options: ParseOptions | None = None,
-    *,
-    fast_path: bool | None = None,
 ) -> dict[MapName, ValidationReport]:
     """Validate every map present in the dataset."""
-    opts = resolve_parse_options(options, fast_path=fast_path)
     reports: dict[MapName, ValidationReport] = {}
     for map_name in MapName:
         report = validate_map(
@@ -185,7 +178,7 @@ def validate_dataset(
             map_name,
             cross_check_fraction=cross_check_fraction,
             seed=seed,
-            options=opts,
+            options=options,
         )
         if report.yaml_files or report.svg_files:
             reports[map_name] = report

@@ -1,4 +1,4 @@
-"""REP009–REP012 — the concurrency invariant rule pack.
+"""REP009, REP011, REP012 — the concurrency invariant rule pack.
 
 The server (PR 8/9) and the ingestion daemon (PR 7) turned the paper's
 offline pipeline into a long-lived threaded system; these rules make its
@@ -24,13 +24,6 @@ locking contracts machine-checked instead of comment-enforced:
   its constructor, or a directive on a line that declares nothing, is a
   stale annotation and reported as ``REP000`` — the same ratchet that
   keeps ``noqa`` markers honest.
-
-* **REP010 — no blocking calls on the event loop.**  Inside ``async
-  def`` bodies in ``repro.server.asgi``, blocking primitives
-  (``time.sleep``, ``socket.*``, builtin ``open`` / ``Path`` file I/O,
-  ``Lock.acquire``, queue ``get``/``put`` without a timeout) must route
-  through ``asyncio.to_thread`` — one stray call stalls every
-  connection the loop is multiplexing.
 
 * **REP011 — acyclic lock order.**  Nested ``with``-lock statements
   across the whole package define a directed acquisition graph; a cycle
@@ -64,7 +57,6 @@ from repro.devtools.engine import (
 )
 
 __all__ = [
-    "AsyncBlockingRule",
     "GuardedByRule",
     "LockOrderRule",
     "QueueDisciplineRule",
@@ -270,81 +262,6 @@ class GuardedByRule(Rule):
                     )
                 )
         return findings
-
-
-# ---------------------------------------------------------------------------
-# REP010 — no blocking calls inside async def bodies
-# ---------------------------------------------------------------------------
-
-#: ``Path`` (or file-like) method names that hit the filesystem.
-_FILE_IO_ATTRS = frozenset(
-    {"read_text", "read_bytes", "write_text", "write_bytes"}
-)
-
-
-class AsyncBlockingRule(Rule):
-    rule_id = "REP010"
-    summary = "async bodies in repro.server.asgi never block the event loop"
-
-    def begin_module(self, module: SourceModule) -> None:
-        self._blocking_imports: set[str] = set()
-        if module.name != "repro.server.asgi":
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module in (
-                "time",
-                "socket",
-            ):
-                for alias in node.names:
-                    self._blocking_imports.add(alias.asname or alias.name)
-
-    def visit_Call(
-        self, node: ast.Call, module: SourceModule
-    ) -> Iterable[Finding]:
-        if module.name != "repro.server.asgi":
-            return ()
-        functions = _enclosing_functions(module, node)
-        if not functions or not isinstance(functions[0], ast.AsyncFunctionDef):
-            return ()
-        what = self._blocking_call(node)
-        if what is None:
-            return ()
-        return [
-            self.finding(
-                module,
-                node,
-                f"{what} inside `async def {functions[0].name}` blocks the "
-                f"event loop; route it through asyncio.to_thread",
-            )
-        ]
-
-    def _blocking_call(self, node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                return "file I/O (open)"
-            if func.id in self._blocking_imports:
-                return f"blocking call {func.id}()"
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        receiver = _terminal_name(func.value)
-        if func.attr == "sleep" and receiver == "time":
-            return "time.sleep"
-        if receiver == "socket":
-            return f"socket.{func.attr}"
-        if func.attr == "acquire":
-            return "Lock.acquire"
-        if func.attr in _FILE_IO_ATTRS:
-            return f"file I/O ({func.attr})"
-        if (
-            func.attr in ("get", "put")
-            and receiver is not None
-            and "queue" in receiver.lower()
-            and not any(kw.arg == "timeout" for kw in node.keywords)
-        ):
-            return f"queue {func.attr}() without a timeout"
-        return None
 
 
 # ---------------------------------------------------------------------------

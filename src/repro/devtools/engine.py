@@ -13,7 +13,7 @@ surface.  This module provides the machinery that machine-checks them:
   to the rules that care;
 * a :class:`Finding` record (rule id, path, line, column, severity,
   message) with stable ordering;
-* **suppressions** — ``# repro: noqa[REP001]`` (comma-separated ids) on
+* **suppressions** — ``# repro: noqa[REP005]`` (comma-separated ids) on
   the offending line, with unused suppressions reported as ``REP000``
   findings so stale annotations cannot linger;
 * **human and JSON reporters** (:func:`render_human`,
@@ -43,7 +43,7 @@ UNUSED_SUPPRESSION_RULE = "REP000"
 UNPARSEABLE_RULE = "REP999"
 
 #: Matches the suppression marker inside a comment token — the text
-#: after the hash reads ``repro: noqa[REP001]`` (ids comma-separated).
+#: after the hash reads ``repro: noqa[REP005]`` (ids comma-separated).
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]")
 
 #: Matches any ``repro:`` directive — ``guarded-by[_lock]``,

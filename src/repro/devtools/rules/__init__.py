@@ -2,7 +2,6 @@
 
 | id     | invariant                                                      |
 |--------|----------------------------------------------------------------|
-| REP001 | internal callers pass ``ParseOptions``, not deprecated kwargs  |
 | REP002 | telemetry instrument names: convention + documented            |
 | REP003 | no nondeterminism inside the byte-identical pure modules       |
 | REP004 | pool-submitted callables are module-level (picklable)          |
@@ -11,20 +10,19 @@
 | REP007 | no mutable default arguments                                   |
 | REP008 | ``repro.server`` never parses or materialises snapshots        |
 | REP009 | declared shared attributes only touched under their lock       |
-| REP010 | no blocking calls inside ``repro.server.asgi`` async bodies    |
 | REP011 | the package-wide static lock-order graph is acyclic            |
 | REP012 | daemon/feed queues bounded, puts have a backpressure path      |
 
 ``REP000`` (unused suppression or stale ``guarded-by`` declaration) and
-``REP999`` (unparseable file) are engine-reserved ids.  Each rule
-documents its rationale, examples, and suppression syntax in
-``docs/static-analysis.md``.
+``REP999`` (unparseable file) are engine-reserved ids.  ``REP001`` and
+``REP010`` are retired with the code they policed and are never
+reused.  Each rule documents its rationale, examples, and suppression
+syntax in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
 from repro.devtools.concurrency import (
-    AsyncBlockingRule,
     GuardedByRule,
     LockOrderRule,
     QueueDisciplineRule,
@@ -33,7 +31,6 @@ from repro.devtools.engine import Rule
 from repro.devtools.rules.api_surface import ApiSurfaceRule
 from repro.devtools.rules.defaults import MutableDefaultRule
 from repro.devtools.rules.determinism import DeterminismRule
-from repro.devtools.rules.options import ParseOptionsRule
 from repro.devtools.rules.pool import PicklableSubmitRule
 from repro.devtools.rules.raises import TypedRaiseRule
 from repro.devtools.rules.serving import ServingIsolationRule
@@ -41,12 +38,10 @@ from repro.devtools.rules.telemetry import TelemetryNameRule
 
 __all__ = [
     "ApiSurfaceRule",
-    "AsyncBlockingRule",
     "DeterminismRule",
     "GuardedByRule",
     "LockOrderRule",
     "MutableDefaultRule",
-    "ParseOptionsRule",
     "PicklableSubmitRule",
     "QueueDisciplineRule",
     "ServingIsolationRule",
@@ -59,7 +54,6 @@ __all__ = [
 def default_rules() -> list[Rule]:
     """Fresh instances of every rule, in id order."""
     return [
-        ParseOptionsRule(),
         TelemetryNameRule(),
         DeterminismRule(),
         PicklableSubmitRule(),
@@ -68,7 +62,6 @@ def default_rules() -> list[Rule]:
         MutableDefaultRule(),
         ServingIsolationRule(),
         GuardedByRule(),
-        AsyncBlockingRule(),
         LockOrderRule(),
         QueueDisciplineRule(),
     ]

@@ -133,17 +133,6 @@ class AnalysisError(ReproError, ValueError):
     observations).  Also a :class:`ValueError`."""
 
 
-class OptionsError(ReproError, TypeError):
-    """Contradictory parse-configuration arguments.
-
-    Raised when a caller mixes ``options=ParseOptions(...)`` with one of
-    the deprecated per-knob keywords it replaced — the request is
-    ambiguous, so neither side can win silently.  Also a
-    :class:`TypeError`, matching how the stdlib reports incompatible
-    argument combinations.
-    """
-
-
 class StatsMergeError(DatasetError, ValueError):
     """Two processing-stat accumulators that cannot be folded together.
 

@@ -10,9 +10,7 @@ way Table 2 does.
 Parsing behaviour is configured through one frozen :class:`ParseOptions`
 object (``fast_path``, ``accelerated``, ``label_distance_threshold``)
 accepted as ``options=`` by every entry point from :func:`parse_svg` up
-to the bulk engine and the CLI.  The historical individual keywords
-still work but are deprecated aliases, normalised into a
-:class:`ParseOptions` at the boundary with a ``DeprecationWarning``.
+to the bulk engine and the CLI.
 
 Every parse also feeds the process-wide metrics registry
 (:mod:`repro.telemetry`): per-stage wall time lands in the
@@ -24,14 +22,12 @@ callers that want their own scoped numbers.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
-from repro.errors import OptionsError
 from repro.parsing.algorithm1 import ExtractionResult, extract_objects
 from repro.parsing.algorithm2 import AttributedLink, attribute_objects
 from repro.parsing.checks import ParseReport, run_sanity_checks
@@ -57,10 +53,8 @@ PARSER_VERSION = 2
 class ParseOptions:
     """How to run the extraction pipeline — one object, passed everywhere.
 
-    Replaces the ``fast_path`` / ``accelerated`` /
-    ``label_distance_threshold`` keywords that used to be threaded
-    through every layer individually.  Frozen so a single instance can be
-    shared across threads and pickled to pool workers.
+    Frozen so a single instance can be shared across threads and pickled
+    to pool workers.
 
     Attributes:
         fast_path: run reader + Algorithm 1 as one fused streaming pass
@@ -81,49 +75,6 @@ class ParseOptions:
 
 #: The defaults every entry point shares.
 DEFAULT_PARSE_OPTIONS = ParseOptions()
-
-
-def resolve_parse_options(
-    options: ParseOptions | None = None,
-    *,
-    label_distance_threshold: float | None = None,
-    accelerated: bool | None = None,
-    fast_path: bool | None = None,
-    stacklevel: int = 3,
-) -> ParseOptions:
-    """Normalise an ``options=`` object and/or deprecated keywords.
-
-    The boundary every public entry point funnels through: without any
-    deprecated keyword the given options object (or the shared default)
-    comes back as-is; with deprecated keywords a single
-    ``DeprecationWarning`` is emitted — one warning per call, however
-    many aliases were passed — and an equivalent :class:`ParseOptions`
-    is built.  Mixing ``options=`` with a deprecated keyword is
-    ambiguous and raises :class:`~repro.errors.OptionsError` (a
-    :class:`TypeError`).
-    """
-    overrides: dict[str, object] = {}
-    if label_distance_threshold is not None:
-        overrides["label_distance_threshold"] = label_distance_threshold
-    if accelerated is not None:
-        overrides["accelerated"] = accelerated
-    if fast_path is not None:
-        overrides["fast_path"] = fast_path
-    if not overrides:
-        return options if options is not None else DEFAULT_PARSE_OPTIONS
-    names = ", ".join(sorted(overrides))
-    if options is not None:
-        raise OptionsError(
-            f"pass options=ParseOptions(...) or the deprecated "
-            f"keyword(s) {names}, not both"
-        )
-    warnings.warn(
-        f"the {names} keyword(s) are deprecated; pass "
-        f"options=ParseOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return replace(DEFAULT_PARSE_OPTIONS, **overrides)
 
 
 #: Per-stage histogram bounds: stages run sub-millisecond (checks) to
@@ -267,9 +218,6 @@ def parse_svg(
     strict: bool = True,
     options: ParseOptions | None = None,
     *,
-    label_distance_threshold: float | None = None,
-    accelerated: bool | None = None,
-    fast_path: bool | None = None,
     timings: StageTimings | None = None,
 ) -> ParsedMap:
     """Extract the topology from an SVG document.
@@ -282,11 +230,6 @@ def parse_svg(
         options: how to parse (fast path, attribution acceleration,
             label-distance threshold); defaults to
             :data:`DEFAULT_PARSE_OPTIONS`.
-        label_distance_threshold: deprecated — use
-            ``options=ParseOptions(label_distance_threshold=...)``.
-        accelerated: deprecated — use
-            ``options=ParseOptions(accelerated=...)``.
-        fast_path: deprecated — use ``options=ParseOptions(fast_path=...)``.
         timings: accumulate per-stage wall time into this object (the
             process-wide telemetry histogram is fed either way).
 
@@ -294,12 +237,7 @@ def parse_svg(
         MalformedSvgError: not an SVG, or invalid attribute values.
         ParseError subclasses: extraction or attribution failures.
     """
-    opts = resolve_parse_options(
-        options,
-        label_distance_threshold=label_distance_threshold,
-        accelerated=accelerated,
-        fast_path=fast_path,
-    )
+    opts = options if options is not None else DEFAULT_PARSE_OPTIONS
     metrics = _metrics()
     stage_hist = metrics.stage
 
@@ -369,9 +307,6 @@ def parse_svg_file(
     strict: bool = True,
     options: ParseOptions | None = None,
     *,
-    label_distance_threshold: float | None = None,
-    accelerated: bool | None = None,
-    fast_path: bool | None = None,
     timings: StageTimings | None = None,
 ) -> ParsedMap:
     """Extract the topology from an SVG file on disk.
@@ -379,17 +314,11 @@ def parse_svg_file(
     Accepts the same options as :func:`parse_svg`, so file- and
     bytes-based parsing behave identically.
     """
-    opts = resolve_parse_options(
-        options,
-        label_distance_threshold=label_distance_threshold,
-        accelerated=accelerated,
-        fast_path=fast_path,
-    )
     return parse_svg(
         Path(path).read_bytes(),
         map_name=map_name,
         timestamp=timestamp,
         strict=strict,
-        options=opts,
+        options=options,
         timings=timings,
     )

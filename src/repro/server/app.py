@@ -3,7 +3,7 @@
 Layering (thin-router → services → data access)::
 
     WeatherRequestHandler       transport only: read request, write bytes
-        └─ core.handle_request      route, validate, render (shared w/ ASGI)
+        └─ core.handle_request      route, validate, render
             └─ router.match_route       names the endpoint, extracts the slug
             └─ services.*_payload       dicts computed off the column views
                   └─ EngineCache        one generation-pinned handle per map
@@ -21,9 +21,7 @@ Request-path guarantees:
   rendering anything;
 * every non-2xx body is the unified error envelope
   ``{"error": {"code", "message", "map"?}}`` rendered through the typed
-  mapping in :mod:`repro.server.services`;
-* the deprecated unversioned paths serve the same bytes as their
-  ``/v1`` successors, plus a ``Deprecation`` header.
+  mapping in :mod:`repro.server.services`.
 
 SSE responses stream over ``Connection: close`` (self-delimiting for
 ``EventSource`` and curl alike); a stalled reader is evicted by the
@@ -49,14 +47,13 @@ from repro.server.core import (
 )
 from repro.server.engines import EngineCache
 from repro.server.feed import SSE_HEARTBEAT, GenerationWatcher, render_sse
-from repro.server.options import ServeOptions, ServerConfig, resolve_serve_options
+from repro.server.options import ServeOptions
 from repro.server.router import match_route
 from repro.telemetry import get_registry
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ServerConfig",
     "WeatherRequestHandler",
     "WeatherServer",
     "create_server",
@@ -76,11 +73,9 @@ class WeatherServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(
-        self,
-        store: DatasetStore,
-        options: ServeOptions | ServerConfig | None = None,
+        self, store: DatasetStore, options: ServeOptions | None = None
     ) -> None:
-        self.state = AppState(store, resolve_serve_options(options))
+        self.state = AppState(store, options)
         self.options = self.state.options
         super().__init__(
             (self.options.host, self.options.port), WeatherRequestHandler
@@ -199,52 +194,15 @@ class WeatherRequestHandler(BaseHTTPRequestHandler):
 
 
 def create_server(
-    store: DatasetStore,
-    options: ServeOptions | ServerConfig | None = None,
+    store: DatasetStore, options: ServeOptions | None = None
 ) -> WeatherServer:
     """Bind (but do not run) a :class:`WeatherServer` over one store."""
-    return WeatherServer(store, resolve_serve_options(options))
+    return WeatherServer(store, options)
 
 
-def serve(
-    store: DatasetStore,
-    options: ServeOptions | ServerConfig | None = None,
-    *,
-    host: str | None = None,
-    port: int | None = None,
-    backend: str | None = None,
-    use_mmap: bool | None = None,
-    cache_entries: int | None = None,
-    watch_interval: float | None = None,
-    feed_ring_size: int | None = None,
-    asgi: bool | None = None,
-) -> None:
-    """Run the read API until interrupted (the ``repro-weather serve`` body).
-
-    Accepts one frozen :class:`ServeOptions`; the individual keywords
-    (and a legacy :class:`ServerConfig`) still work but are deprecated,
-    and mixing them with ``options=`` raises
-    :class:`~repro.errors.OptionsError`.  With ``asgi=True`` the same
-    router, services, and feed run under uvicorn
-    (``pip install repro[asgi]``) instead of the threaded server.
-    """
-    resolved = resolve_serve_options(
-        options,
-        host=host,
-        port=port,
-        backend=backend,
-        use_mmap=use_mmap,
-        cache_entries=cache_entries,
-        watch_interval=watch_interval,
-        feed_ring_size=feed_ring_size,
-        asgi=asgi,
-    )
-    if resolved.asgi:
-        from repro.server.asgi import serve_asgi
-
-        serve_asgi(store, resolved)
-        return
-    server = create_server(store, resolved)
+def serve(store: DatasetStore, options: ServeOptions | None = None) -> None:
+    """Run the read API until interrupted (the ``repro-weather serve`` body)."""
+    server = create_server(store, options)
     bound_host, bound_port = server.server_address[0], server.server_address[1]
     logger.info(
         "serving weather map read API on http://%s:%s/", bound_host, bound_port

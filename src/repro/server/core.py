@@ -1,12 +1,10 @@
-"""Transport-neutral request handling shared by both HTTP surfaces.
+"""Transport-neutral request handling: the read API's single request path.
 
-The threaded :mod:`repro.server.app` and the async
-:mod:`repro.server.asgi` adapter are deliberately thin: each one turns
-its transport's request representation into a call to
-:func:`handle_request` here and writes back whatever comes out.  That
-single code path is what makes the two servers answer **byte-for-byte
-identically** — same JSON bodies, same ETags, same error envelopes,
-same SSE event bytes — which the conformance tests assert.
+The threaded :mod:`repro.server.app` transport is deliberately thin: it
+turns each HTTP request into a call to :func:`handle_request` here and
+writes back whatever comes out.  Routing, parameter validation, caching
+and rendering all live on this side, so they can be exercised without
+a socket.
 
 ``handle_request`` returns one of two shapes:
 
@@ -18,8 +16,8 @@ same SSE event bytes — which the conformance tests assert.
   watcher evicts it.
 
 The shared :class:`AppState` owns the engines, the response cache, and
-the generation watcher, so any number of transports can serve one
-store without disagreeing about the current generation.
+the generation watcher, so every worker thread agrees about the
+current generation.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ from repro.server import services
 from repro.server.cache import ResponseCache
 from repro.server.engines import EngineCache
 from repro.server.feed import FeedEvent, GenerationWatcher, Subscription
-from repro.server.options import ServeOptions, resolve_serve_options
-from repro.server.router import API_VERSION, RouteMatch, match_route
+from repro.server.options import DEFAULT_SERVE_OPTIONS, ServeOptions
+from repro.server.router import match_route
 from repro.telemetry import get_registry, snapshot_to_prometheus
 
 logger = logging.getLogger(__name__)
@@ -86,7 +84,6 @@ class Response:
     body: bytes
     content_type: str
     etag: str | None = None
-    extra_headers: tuple[tuple[str, str], ...] = ()
 
     def headers(self) -> list[tuple[str, str]]:
         """Every header to write, in emission order."""
@@ -96,7 +93,6 @@ class Response:
         ]
         if self.etag is not None:
             names.append(("ETag", self.etag))
-        names.extend(self.extra_headers)
         return names
 
 
@@ -116,18 +112,15 @@ class EventStream:
     subscription: Subscription
     replay: list[FeedEvent]
     heartbeat: float
-    extra_headers: tuple[tuple[str, str], ...] = ()
     status: int = 200
     content_type: str = "text/event-stream"
 
     def headers(self) -> list[tuple[str, str]]:
-        names = [
+        return [
             ("Content-Type", self.content_type),
             ("Cache-Control", "no-store"),
             ("X-Accel-Buffering", "no"),
         ]
-        names.extend(self.extra_headers)
-        return names
 
 
 class AppState:
@@ -136,13 +129,9 @@ class AppState:
     def __init__(
         self, store: DatasetStore, options: ServeOptions | None = None
     ) -> None:
-        self.options = resolve_serve_options(options, stacklevel=4)
+        self.options = options if options is not None else DEFAULT_SERVE_OPTIONS
         self.store = store
-        self.engines = EngineCache(
-            store,
-            backend=self.options.backend,
-            use_mmap=self.options.use_mmap,
-        )
+        self.engines = EngineCache(store)
         self.cache = ResponseCache(self.options.cache_entries)
         self.feed = GenerationWatcher(
             self.engines,
@@ -222,44 +211,18 @@ def _error_message(exc: BaseException) -> str:
 # -- rendering -------------------------------------------------------------
 
 
-def _json_response(
-    status: int,
-    payload: dict,
-    extra_headers: tuple[tuple[str, str], ...] = (),
-) -> Response:
+def _json_response(status: int, payload: dict) -> Response:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return Response(
-        status=status,
-        body=body,
-        content_type="application/json",
-        extra_headers=extra_headers,
-    )
+    return Response(status=status, body=body, content_type="application/json")
 
 
 def error_response(
-    exc: BaseException,
-    map_name: MapName | None = None,
-    extra_headers: tuple[tuple[str, str], ...] = (),
+    exc: BaseException, map_name: MapName | None = None
 ) -> Response:
     """The envelope for one typed error, through the services mapping."""
     status, code = services.error_status(exc)
     payload = services.error_body(code, _error_message(exc), map_name)
-    return _json_response(status, payload, extra_headers)
-
-
-def _deprecation_headers(match: RouteMatch, path: str) -> tuple[tuple[str, str], ...]:
-    """The headers a deprecated (unversioned) request carries."""
-    if match.versioned:
-        return ()
-    get_registry().counter(
-        "repro_server_deprecated_requests_total",
-        "Requests answered through the deprecated unversioned paths",
-    ).inc(1, endpoint=match.endpoint)
-    successor = f"/{API_VERSION}{path}"
-    return (
-        ("Deprecation", "true"),
-        ("Link", f'<{successor}>; rel="successor-version"'),
-    )
+    return _json_response(status, payload)
 
 
 # -- the shared request path ----------------------------------------------
@@ -280,20 +243,18 @@ def handle_request(
     match = match_route(path)
     if match is None:
         return error_response(UnknownEndpointError(f"no such path {path!r}"))
-    deprecation = _deprecation_headers(match, path)
     try:
         params = parse_params(raw_query, ENDPOINT_PARAMS[match.endpoint])
     except QueryError as exc:
-        return error_response(exc, extra_headers=deprecation)
+        return error_response(exc)
     if match.endpoint == "healthz":
-        return _json_response(200, {"status": "ok"}, deprecation)
+        return _json_response(200, {"status": "ok"})
     if match.endpoint == "metrics":
         text = snapshot_to_prometheus(get_registry().snapshot())
         return Response(
             status=200,
             body=text.encode("utf-8"),
             content_type="text/plain; version=0.0.4",
-            extra_headers=deprecation,
         )
     map_name: MapName | None = None
     if match.map_slug is not None:
@@ -301,20 +262,18 @@ def handle_request(
             map_name = MapName(match.map_slug)
         except ValueError:
             return error_response(
-                UnknownEndpointError(f"unknown map {match.map_slug!r}"),
-                extra_headers=deprecation,
+                UnknownEndpointError(f"unknown map {match.map_slug!r}")
             )
     try:
         if match.endpoint == "events":
             assert map_name is not None
-            return _serve_events(state, map_name, params, headers, deprecation)
+            return _serve_events(state, map_name, params, headers)
         if match.endpoint == "generation":
             assert map_name is not None
-            return _serve_generation(state, map_name, params, deprecation)
-        return _serve_cached(state, match.endpoint, map_name, params, headers,
-                             deprecation)
+            return _serve_generation(state, map_name, params)
+        return _serve_cached(state, match.endpoint, map_name, params, headers)
     except (QueryError, AnalysisError, SnapshotNotFoundError) as exc:
-        return error_response(exc, map_name, deprecation)
+        return error_response(exc, map_name)
 
 
 # -- the live feed endpoints ----------------------------------------------
@@ -325,7 +284,6 @@ def _serve_events(
     map_name: MapName,
     params: dict[str, str],
     headers: Mapping[str, str],
-    deprecation: tuple[tuple[str, str], ...],
 ) -> EventStream:
     """``GET /v1/maps/<m>/events`` — subscribe this connection to the feed.
 
@@ -345,7 +303,6 @@ def _serve_events(
         subscription=subscription,
         replay=replay,
         heartbeat=max(state.options.watch_interval * 3, 1.0),
-        extra_headers=deprecation,
     )
 
 
@@ -353,7 +310,6 @@ def _serve_generation(
     state: AppState,
     map_name: MapName,
     params: dict[str, str],
-    deprecation: tuple[tuple[str, str], ...],
 ) -> Response:
     """``GET /v1/maps/<m>/generation`` — the long-poll twin of the SSE feed.
 
@@ -399,7 +355,7 @@ def _serve_generation(
         )
     payload = dict(event.payload())
     payload["timed_out"] = timed_out
-    return _json_response(200, payload, deprecation)
+    return _json_response(200, payload)
 
 
 # -- the cached read endpoints --------------------------------------------
@@ -411,15 +367,12 @@ def _serve_cached(
     map_name: MapName | None,
     params: dict[str, str],
     headers: Mapping[str, str],
-    deprecation: tuple[tuple[str, str], ...],
 ) -> Response:
     """Serve one cacheable endpoint, retrying once across a hot-swap."""
     last_error: SnapshotIndexError | None = None
     for attempt in range(2):
         try:
-            return _serve_once(
-                state, endpoint, map_name, params, headers, deprecation
-            )
+            return _serve_once(state, endpoint, map_name, params, headers)
         except SnapshotIndexError as exc:  # includes StaleIndexError
             last_error = exc
             if map_name is not None:
@@ -431,7 +384,7 @@ def _serve_cached(
                 exc,
             )
     assert last_error is not None
-    return error_response(last_error, map_name, deprecation)
+    return error_response(last_error, map_name)
 
 
 def _serve_once(
@@ -440,7 +393,6 @@ def _serve_once(
     map_name: MapName | None,
     params: dict[str, str],
     headers: Mapping[str, str],
-    deprecation: tuple[tuple[str, str], ...],
 ) -> Response:
     canonical = tuple(sorted(params.items()))
     build: Callable[[], dict]
@@ -474,14 +426,12 @@ def _serve_once(
             body=b"",
             content_type=cached.content_type,
             etag=cached.etag,
-            extra_headers=deprecation,
         )
     return Response(
         status=200,
         body=cached.body,
         content_type=cached.content_type,
         etag=cached.etag,
-        extra_headers=deprecation,
     )
 
 

@@ -48,16 +48,8 @@ class PinnedEngine:
 class EngineCache:
     """Per-map read handles with generation-pinned hot-swap."""
 
-    def __init__(
-        self,
-        store: DatasetStore,
-        *,
-        backend: str = "auto",
-        use_mmap: bool = True,
-    ) -> None:
+    def __init__(self, store: DatasetStore) -> None:
         self._store = store
-        self._backend = backend
-        self._use_mmap = use_mmap
         self._lock = threading.Lock()
         self._pinned: dict[MapName, PinnedEngine] = {}  # repro: guarded-by[_lock]
 
@@ -92,11 +84,7 @@ class EngineCache:
                 # already swapped: the pin is the best truth available.
                 return pinned
             handle = resolve_read_handle(
-                self._store,
-                map_name,
-                backend=self._backend,
-                use_mmap=self._use_mmap,
-                require_fresh=False,
+                self._store, map_name, require_fresh=False
             )
             if handle is None:
                 if pinned is not None:

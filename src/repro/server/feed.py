@@ -76,7 +76,7 @@ class FeedEvent:
     checkpoint_ts: float
 
     def payload(self) -> dict:
-        """The JSON body shared by both transports."""
+        """The JSON body shared by the SSE and long-poll deliveries."""
         return {
             "map": self.map,
             "id": self.id,
@@ -86,11 +86,7 @@ class FeedEvent:
 
 
 def render_sse(event: FeedEvent) -> bytes:
-    """One event as Server-Sent-Events wire bytes.
-
-    Both transports (threaded and ASGI) emit exactly these bytes, which
-    is what the byte-for-byte parity conformance tests pin.
-    """
+    """One event as Server-Sent-Events wire bytes."""
     data = json.dumps(event.payload(), sort_keys=True, separators=(",", ":"))
     return (
         f"id: {event.id}\nevent: generation\ndata: {data}\n\n"

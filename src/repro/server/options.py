@@ -1,33 +1,19 @@
 """Frozen serving configuration — the ``ParseOptions`` pattern for the API.
 
-Every knob the read API grew — bind address, query-engine backend,
-response-cache size, and now the generation feed's watch interval and
-ring size plus the ASGI toggle — lives in one frozen
-:class:`ServeOptions` object, accepted by :func:`repro.server.serve`,
-:func:`repro.server.create_server`, and
-:func:`repro.server.asgi.create_asgi_app`, and built by the CLI.  The
-historical :class:`ServerConfig` (host/port/backend/use_mmap/
-cache_entries only) still works everywhere a :class:`ServeOptions` is
-accepted, but normalising it emits a single ``DeprecationWarning``;
-likewise the individual keyword aliases on :func:`repro.server.serve`.
-Mixing ``options=`` with a deprecated keyword is ambiguous and raises
-:class:`~repro.errors.OptionsError`, exactly like
-:func:`repro.parsing.pipeline.resolve_parse_options`.
+Every knob the read API has — bind address, response-cache size, and
+the generation feed's watch interval and ring size — lives in one
+frozen :class:`ServeOptions` object, accepted by
+:func:`repro.server.serve` and :func:`repro.server.create_server`, and
+built by the CLI.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.errors import OptionsError, ServerError
+from repro.errors import ServerError
 
-__all__ = [
-    "DEFAULT_SERVE_OPTIONS",
-    "ServeOptions",
-    "ServerConfig",
-    "resolve_serve_options",
-]
+__all__ = ["DEFAULT_SERVE_OPTIONS", "ServeOptions"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,28 +23,19 @@ class ServeOptions:
     Attributes:
         host: bind address.
         port: bind port (0 picks a free one).
-        backend: column-view backend for the query engines
-            (``"auto"`` / ``"numpy"`` / ``"memoryview"``).
-        use_mmap: map the index files instead of buffered reads.
         cache_entries: rendered-response LRU capacity.
         watch_interval: seconds between generation-watcher ticks — one
             ``stat()`` per map per tick, shared by every subscriber.
         feed_ring_size: per-map replay ring capacity (also the bound on
             each subscriber's delivery queue; a slower client is evicted
             rather than buffered without bound).
-        asgi: serve through the ASGI adapter under uvicorn
-            (``pip install repro[asgi]``) instead of the stdlib
-            threaded server.
     """
 
     host: str = "127.0.0.1"
     port: int = 8080
-    backend: str = "auto"
-    use_mmap: bool = True
     cache_entries: int = 256
     watch_interval: float = 5.0
     feed_ring_size: int = 256
-    asgi: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -79,108 +56,3 @@ class ServeOptions:
 
 #: The defaults every entry point shares.
 DEFAULT_SERVE_OPTIONS = ServeOptions()
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Deprecated PR-8 configuration object; use :class:`ServeOptions`.
-
-    Kept so existing embedders keep working: anywhere a
-    :class:`ServeOptions` is accepted, a :class:`ServerConfig` is
-    normalised into one (with the feed knobs at their defaults) behind a
-    ``DeprecationWarning``.
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 8080
-    backend: str = "auto"
-    use_mmap: bool = True
-    cache_entries: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.port <= 65535:
-            raise ServerError(f"port must lie in [0, 65535], got {self.port}")
-        if self.cache_entries < 1:
-            raise ServerError(
-                f"cache_entries must be >= 1, got {self.cache_entries}"
-            )
-
-    def to_serve_options(self) -> ServeOptions:
-        """The equivalent :class:`ServeOptions` (feed knobs at defaults)."""
-        return ServeOptions(
-            host=self.host,
-            port=self.port,
-            backend=self.backend,
-            use_mmap=self.use_mmap,
-            cache_entries=self.cache_entries,
-        )
-
-
-def resolve_serve_options(
-    options: ServeOptions | ServerConfig | None = None,
-    *,
-    host: str | None = None,
-    port: int | None = None,
-    backend: str | None = None,
-    use_mmap: bool | None = None,
-    cache_entries: int | None = None,
-    watch_interval: float | None = None,
-    feed_ring_size: int | None = None,
-    asgi: bool | None = None,
-    stacklevel: int = 3,
-) -> ServeOptions:
-    """Normalise an ``options=`` object and/or deprecated keywords.
-
-    The boundary every serving entry point funnels through: a
-    :class:`ServeOptions` (or ``None`` → the shared default) comes back
-    as-is; a legacy :class:`ServerConfig` is converted behind one
-    ``DeprecationWarning``; per-knob keywords likewise warn once per
-    call and build an equivalent object.  Mixing ``options=`` with a
-    keyword is ambiguous and raises
-    :class:`~repro.errors.OptionsError` (a :class:`TypeError`).
-    """
-    overrides: dict[str, object] = {}
-    if host is not None:
-        overrides["host"] = host
-    if port is not None:
-        overrides["port"] = port
-    if backend is not None:
-        overrides["backend"] = backend
-    if use_mmap is not None:
-        overrides["use_mmap"] = use_mmap
-    if cache_entries is not None:
-        overrides["cache_entries"] = cache_entries
-    if watch_interval is not None:
-        overrides["watch_interval"] = watch_interval
-    if feed_ring_size is not None:
-        overrides["feed_ring_size"] = feed_ring_size
-    if asgi is not None:
-        overrides["asgi"] = asgi
-    if isinstance(options, ServerConfig):
-        if overrides:
-            names = ", ".join(sorted(overrides))
-            raise OptionsError(
-                f"pass options=ServeOptions(...) or the deprecated "
-                f"keyword(s) {names}, not both"
-            )
-        warnings.warn(
-            "ServerConfig is deprecated; pass ServeOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return options.to_serve_options()
-    if not overrides:
-        return options if options is not None else DEFAULT_SERVE_OPTIONS
-    names = ", ".join(sorted(overrides))
-    if options is not None:
-        raise OptionsError(
-            f"pass options=ServeOptions(...) or the deprecated "
-            f"keyword(s) {names}, not both"
-        )
-    warnings.warn(
-        f"the {names} keyword(s) are deprecated; pass "
-        f"options=ServeOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return replace(DEFAULT_SERVE_OPTIONS, **overrides)

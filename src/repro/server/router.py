@@ -9,13 +9,9 @@ name doubles as the telemetry label on
 paths still resolve (to ``None``) rather than raising: unknown-path
 counts are worth having.
 
-The stable surface is **versioned**: every endpoint mounts under
-``/v1/...``.  The original unversioned paths from PR 8 keep answering
-with identical payloads, but are deprecated — the app layer adds a
-``Deprecation`` header and counts them in
-``repro_server_deprecated_requests_total``.  Endpoints born after the
-versioning (the live feed: ``events`` and ``generation``) exist only
-under ``/v1`` — there is no legacy spelling to honour.
+Every endpoint mounts under ``/v1/...``.  The one path outside it is
+``/metrics``, Prometheus's default scrape path, which answers beside
+``/v1/metrics`` with the same exposition.
 """
 
 from __future__ import annotations
@@ -28,17 +24,13 @@ __all__ = ["API_VERSION", "RouteMatch", "match_route"]
 #: The mount point of the current stable surface.
 API_VERSION = "v1"
 
-#: Endpoint names whose responses are cacheable (immutable given the
-#: generation token in the cache key).
-CACHEABLE_ENDPOINTS = frozenset(
-    {"maps", "snapshot", "series", "imbalance", "evolution"}
-)
+_PREFIX = f"/{API_VERSION}/"
 
-#: Endpoints that exist only under ``/v1`` (no deprecated alias).
-VERSIONED_ONLY_ENDPOINTS = frozenset({"events", "generation"})
+#: Endpoints with a fixed path under the mount.
+_FIXED = frozenset({"healthz", "metrics", "maps"})
 
 _MAP_VIEW = re.compile(
-    r"^/maps/(?P<map>[a-z0-9-]+)/"
+    r"^maps/(?P<map>[a-z0-9-]+)/"
     r"(?P<view>snapshot|series|imbalance|evolution|events|generation)$"
 )
 
@@ -51,31 +43,18 @@ class RouteMatch:
     #: The raw map slug from the path; the app layer resolves it to a
     #: :class:`~repro.constants.MapName` (404 on an unknown value).
     map_slug: str | None = None
-    #: Whether the request used the ``/v1`` mount.  ``False`` means the
-    #: deprecated unversioned alias: same payload, plus a
-    #: ``Deprecation`` header and a counter increment.
-    versioned: bool = False
 
 
 def match_route(path: str) -> RouteMatch | None:
     """Resolve a request path to its endpoint, ``None`` when unrouted."""
-    versioned = False
-    prefix = f"/{API_VERSION}"
-    if path == prefix or path.startswith(prefix + "/"):
-        versioned = True
-        path = path[len(prefix):] or "/"
-    if path == "/healthz":
-        return RouteMatch(endpoint="healthz", versioned=versioned)
     if path == "/metrics":
-        return RouteMatch(endpoint="metrics", versioned=versioned)
-    if path == "/maps":
-        return RouteMatch(endpoint="maps", versioned=versioned)
-    matched = _MAP_VIEW.match(path)
-    if matched is not None:
-        view = matched.group("view")
-        if not versioned and view in VERSIONED_ONLY_ENDPOINTS:
-            return None
-        return RouteMatch(
-            endpoint=view, map_slug=matched.group("map"), versioned=versioned
-        )
-    return None
+        return RouteMatch(endpoint="metrics")
+    if not path.startswith(_PREFIX):
+        return None
+    rest = path[len(_PREFIX):]
+    if rest in _FIXED:
+        return RouteMatch(endpoint=rest)
+    matched = _MAP_VIEW.match(rest)
+    if matched is None:
+        return None
+    return RouteMatch(endpoint=matched.group("view"), map_slug=matched.group("map"))

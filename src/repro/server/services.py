@@ -22,6 +22,8 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 from typing import Any, Iterator
 
+import numpy
+
 from repro.analysis.columnar import count_series, imbalance_samples
 from repro.analysis.imbalance import MINIMUM_ACTIVE_LOAD, ImbalanceResult
 from repro.analysis.timeseries import TimeSeries
@@ -115,8 +117,8 @@ def _single_engines(
 
 
 def _prefix_sum(counts: Any, row: int) -> int:
-    """Sum of a count column's first ``row`` entries (small windows)."""
-    return int(sum(counts[:row]))
+    """Sum of a count column's first ``row`` entries."""
+    return int(counts[:row].sum(dtype=numpy.int64))
 
 
 def _time_range(handle: ReadHandle) -> tuple[datetime, datetime] | None:

@@ -84,18 +84,18 @@ def built(store) -> SnapshotIndex:
     return built
 
 
-@pytest.fixture(scope="module", params=["heap", "numpy", "memoryview"])
+@pytest.fixture(scope="module", params=["heap", "mapped"])
 def index(request, store, built):
-    """Every ColumnSource: the in-heap index and both mapped backends.
+    """Every ColumnSource: the in-heap index and the mapped engine.
 
-    Each accessor test therefore runs three times — proving the
-    vectorised analyses are source-agnostic, exactly as the
-    ``ColumnSource`` union promises.
+    Each accessor test therefore runs twice — proving the vectorised
+    analyses are source-agnostic, exactly as the ``ColumnSource`` union
+    promises.
     """
     if request.param == "heap":
         yield built
         return
-    engine = MappedIndex.open(store.index_path(MAP), backend=request.param)
+    engine = MappedIndex.open(store.index_path(MAP))
     yield engine
     engine.close()
 

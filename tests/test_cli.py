@@ -14,6 +14,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["render", "--map", "mars"])
 
+    def test_serve_args(self):
+        args = build_parser().parse_args(["serve", "/tmp/x", "--port", "0"])
+        assert (args.host, args.port, args.cache_entries) == ("127.0.0.1", 0, 256)
+        assert (args.watch_interval, args.feed_ring_size) == (5.0, 256)
+        for removed in ("--backend", "--no-mmap", "--asgi"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "/tmp/x", removed])
+
     def test_generate_args(self):
         args = build_parser().parse_args(
             ["generate", "/tmp/x", "--start", "2022-01-01", "--end", "2022-01-02"]
@@ -289,15 +297,16 @@ class TestQueryCommand:
     def test_query_args(self):
         args = build_parser().parse_args(
             ["query", "/tmp/x", "--node", "fra-r1", "--min-load", "25",
-             "--link", "a", "b", "--backend", "memoryview", "--no-mmap"]
+             "--link", "a", "b"]
         )
         assert args.node == "fra-r1"
         assert args.min_load == 25.0
         assert args.link == ["a", "b"]
-        assert args.backend == "memoryview"
-        assert args.no_mmap is True
         assert args.limit == 20
         assert args.format == "table"
+        for removed in ("--backend", "--no-mmap"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["query", "/tmp/x", removed])
 
     def test_table_output(self, indexed_dataset, capsys):
         assert main(["query", str(indexed_dataset)]) == 0
@@ -316,8 +325,11 @@ class TestQueryCommand:
         assert len(lines) == 1 + 2  # loads 40 and 60 pass the threshold
         assert all("fra-r1" in line for line in lines[1:])
 
-    def test_no_mmap_runs_buffered(self, indexed_dataset, capsys):
-        assert main(["query", str(indexed_dataset), "--no-mmap"]) == 0
+    def test_no_mmap_runs_buffered(self, indexed_dataset, capsys, monkeypatch):
+        from repro.dataset import query
+
+        monkeypatch.setattr(query, "_mmap", None)
+        assert main(["query", str(indexed_dataset)]) == 0
         assert "buffered source" in capsys.readouterr().out
 
     def test_missing_index_fails_with_hint(self, tmp_path, capsys):

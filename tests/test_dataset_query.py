@@ -1,13 +1,12 @@
 """Tests for the zero-copy mmap query engine.
 
-The contracts under test: both column backends (numpy and the
-pure-stdlib memoryview casts) expose identical data and produce
-identical scan selections; every predicate-pushdown scan returns
-exactly what a brute-force walk over the reconstructed snapshots
-returns; and the mapping's lifecycle is safe — an open engine keeps
-serving its generation across an atomic index rebuild, detects the
-supersession as :class:`StaleIndexError`, and degrades to buffered
-I/O when asked to skip ``mmap``.
+The contracts under test: both data sources (the ``mmap`` mapping and
+the buffered-read fallback taken where ``mmap`` is unavailable) expose
+identical columns and produce identical scan selections; every
+predicate-pushdown scan returns exactly what a brute-force walk over the
+reconstructed snapshots returns; and the mapping's lifecycle is safe —
+an open engine keeps serving its generation across an atomic index
+rebuild and detects the supersession as :class:`StaleIndexError`.
 """
 
 from __future__ import annotations
@@ -20,13 +19,8 @@ import pytest
 from repro.constants import MapName
 from repro.dataset.index import SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import load_all
-from repro.dataset.query import (
-    BACKENDS,
-    MappedIndex,
-    ScanPredicate,
-    open_query,
-    resolve_backend,
-)
+from repro.dataset import query as query_module
+from repro.dataset.query import MappedIndex, ScanPredicate, open_query
 from repro.dataset.store import DatasetStore
 from repro.errors import (
     DatasetError,
@@ -42,7 +36,19 @@ T0 = datetime(2022, 3, 6, 22, 0, tzinfo=timezone.utc)
 MAP = MapName.EUROPE
 FILES = 6
 
-REAL_BACKENDS = tuple(b for b in BACKENDS if b != "auto")
+#: Where an engine's bytes come from: the mapping, or (``no-mmap``) the
+#: buffered read ``MappedIndex.open`` falls back to when ``mmap`` is
+#: unavailable.
+SOURCES = ("mmap", "no-mmap")
+
+
+def _open(path, source, monkeypatch):
+    with monkeypatch.context() as patch:
+        if source == "no-mmap":
+            patch.setattr(query_module, "_mmap", None)
+        engine = MappedIndex.open(path)
+    assert engine.mapped is (source == "mmap")
+    return engine
 
 
 def _snapshot(when: datetime, step: int) -> MapSnapshot:
@@ -139,32 +145,11 @@ def snapshots(store):
     return load_all(store, MAP, use_index=False)
 
 
-@pytest.fixture(params=REAL_BACKENDS)
-def engine(request, store):
-    engine = MappedIndex.open(store.index_path(MAP), backend=request.param)
+@pytest.fixture(params=SOURCES)
+def engine(request, store, monkeypatch):
+    engine = _open(store.index_path(MAP), request.param, monkeypatch)
     yield engine
     engine.close()
-
-
-class TestResolveBackend:
-    def test_auto_prefers_numpy_when_importable(self):
-        assert resolve_backend("auto") == "numpy"
-
-    def test_memoryview_is_always_honoured(self):
-        assert resolve_backend("memoryview") == "memoryview"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_backend("pandas")
-
-    def test_numpy_request_without_numpy_errors(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
-        with pytest.raises(QueryError):
-            resolve_backend("numpy")
-
-    def test_auto_without_numpy_downgrades(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert resolve_backend("auto") == "memoryview"
 
 
 class TestScanPredicateValidation:
@@ -205,12 +190,12 @@ class TestScanPredicateValidation:
 
 
 class TestBackendsAgree:
-    """The numpy views and the memoryview casts are the same data."""
+    """The mapped and the buffered engine are the same data."""
 
-    def test_columns_identical_to_loaded_index(self, store):
+    def test_columns_identical_to_loaded_index(self, store, monkeypatch):
         reference = SnapshotIndex.load(store.index_path(MAP))
-        for backend in REAL_BACKENDS:
-            with MappedIndex.open(store.index_path(MAP), backend=backend) as engine:
+        for source in SOURCES:
+            with _open(store.index_path(MAP), source, monkeypatch) as engine:
                 assert engine.names == reference.names
                 assert engine.labels == reference.labels
                 assert engine.map_name is MAP
@@ -225,9 +210,9 @@ class TestBackendsAgree:
                 ):
                     assert list(getattr(engine, attribute)) == list(
                         getattr(reference, attribute)
-                    ), f"{backend}:{attribute}"
+                    ), f"{source}:{attribute}"
 
-    def test_scans_select_the_same_elements(self, store):
+    def test_scans_select_the_same_elements(self, store, monkeypatch):
         predicates = [
             ScanPredicate(),
             ScanPredicate(node="fra-r1"),
@@ -236,8 +221,7 @@ class TestBackendsAgree:
             ScanPredicate(start=T0 + timedelta(hours=1), max_load=30.0),
         ]
         engines = [
-            MappedIndex.open(store.index_path(MAP), backend=backend)
-            for backend in REAL_BACKENDS
+            _open(store.index_path(MAP), source, monkeypatch) for source in SOURCES
         ]
         try:
             for predicate in predicates:
@@ -382,9 +366,10 @@ class TestLifecycle:
         with pytest.raises(QueryError):
             engine.check_generation()
 
-    def test_no_mmap_fallback_is_equivalent(self, store):
+    def test_no_mmap_fallback_is_equivalent(self, store, monkeypatch):
         mapped = MappedIndex.open(store.index_path(MAP))
-        buffered = MappedIndex.open(store.index_path(MAP), use_mmap=False)
+        monkeypatch.setattr(query_module, "_mmap", None)
+        buffered = MappedIndex.open(store.index_path(MAP))
         try:
             assert mapped.mapped is True
             assert buffered.mapped is False
@@ -395,8 +380,6 @@ class TestLifecycle:
             buffered.close()
 
     def test_missing_mmap_module_falls_back(self, store, monkeypatch):
-        from repro.dataset import query as query_module
-
         monkeypatch.setattr(query_module, "_mmap", None)
         with MappedIndex.open(store.index_path(MAP)) as engine:
             assert engine.mapped is False
@@ -418,8 +401,6 @@ class TestLifecycle:
         assert engine.closed
 
     def test_foreign_endian_index_rejected(self, store, monkeypatch):
-        from repro.dataset import query as query_module
-
         other = "big" if sys.byteorder == "little" else "little"
         monkeypatch.setattr(query_module, "sys_byteorder", lambda: other)
         with pytest.raises(SnapshotIndexError, match="endian"):
@@ -477,11 +458,10 @@ class TestTelemetry:
             engine = open_query(store, MAP)
             result = engine.scan(ScanPredicate(node="fra-r1"))
             engine.close()
-        labels = {"map": MAP.value, "backend": engine.backend}
         assert registry.get("repro_query_opens_total").value(
-            map=MAP.value, source="mmap", backend=engine.backend
+            map=MAP.value, source="mmap"
         ) == 1
-        assert registry.get("repro_query_scans_total").value(**labels) == 1
+        assert registry.get("repro_query_scans_total").value(map=MAP.value) == 1
         assert (
             registry.get("repro_query_rows_scanned_total").value(map=MAP.value)
             == FILES
@@ -489,7 +469,7 @@ class TestTelemetry:
         assert registry.get("repro_query_links_matched_total").value(
             map=MAP.value
         ) == len(result)
-        assert registry.get("repro_query_scan_seconds").count(**labels) == 1
+        assert registry.get("repro_query_scan_seconds").count(map=MAP.value) == 1
 
     def test_open_query_hits_the_index_cache_counter(self, store):
         registry = MetricsRegistry()

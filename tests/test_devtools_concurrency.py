@@ -1,11 +1,11 @@
-"""Tests for the REP009–REP012 concurrency rule pack.
+"""Tests for the REP009, REP011 and REP012 concurrency rule pack.
 
 Each rule gets minimal positive/negative fixtures laid out as a
 throwaway ``src/repro`` tree (the same harness as the core lint tests):
 guarded-by discipline with its constructor and locked-by-caller escape
-hatches, the REP000 staleness ratchet on guarded-by annotations, the
-async-blocking fence around ``repro.server.asgi``, a genuine two-function
-lock-order cycle, and queue discipline in the daemon modules.
+hatches, the REP000 staleness ratchet on guarded-by annotations, a
+genuine two-function lock-order cycle, and queue discipline in the
+daemon modules.
 """
 
 from __future__ import annotations
@@ -152,70 +152,6 @@ class TestRep000GuardedByStaleness:
         result = check_tree(root)
         assert rules_found(result) == [UNUSED_SUPPRESSION_RULE]
         assert "dangling guarded-by" in result.findings[0].message
-
-
-class TestRep010AsyncBlocking:
-    def test_blocking_calls_in_async_def_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/asgi.py": (
-                    "import time\n"
-                    "async def handler(path, lock):\n"
-                    "    time.sleep(0.1)\n"
-                    "    open('x')\n"
-                    "    lock.acquire()\n"
-                    "    return path.read_text()\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP010"] * 4
-        assert "asyncio.to_thread" in result.findings[0].message
-
-    def test_queue_ops_without_timeout_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/asgi.py": (
-                    "async def stream(event_queue):\n"
-                    "    event_queue.get()\n"
-                    "    event_queue.get(timeout=1.0)\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP010"]
-        assert "without a timeout" in result.findings[0].message
-
-    def test_to_thread_and_sync_defs_are_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/asgi.py": (
-                    "import asyncio\n"
-                    "import time\n"
-                    "async def handler(state):\n"
-                    "    await asyncio.to_thread(state.start)\n"
-                    "def warmup():\n"
-                    "    time.sleep(0.1)\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-    def test_other_server_modules_not_policed(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/feedish.py": (
-                    "import time\n"
-                    "async def tick():\n"
-                    "    time.sleep(0.1)\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
 
 
 LOCK_PAIR = (

@@ -70,36 +70,6 @@ def rules_found(result: CheckResult) -> list[str]:
     return [finding.rule for finding in result.findings]
 
 
-class TestRep001ParseOptions:
-    def test_deprecated_kwarg_on_entry_point_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "caller.py": (
-                    "def go(data):\n"
-                    "    return parse_svg(data, fast_path=True)\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP001"]
-        assert "fast_path" in result.findings[0].message
-
-    def test_options_object_and_boundary_are_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "caller.py": (
-                    "def go(data, opts):\n"
-                    "    resolve_parse_options(fast_path=True)\n"
-                    "    ParseOptions(fast_path=False)\n"
-                    "    return parse_svg(data, options=opts)\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-
 class TestRep002TelemetryNames:
     def test_bad_convention_and_missing_suffix_flagged(self, tmp_path):
         root = make_tree(
@@ -614,8 +584,11 @@ class TestEngineAndReporters:
         # Schema v2 carries the rule catalogue: id → one-line summary.
         assert payload["rules"]["REP007"]
         assert set(payload["counts"]) <= set(payload["rules"])
-        for rule_id in ("REP000", "REP009", "REP010", "REP011", "REP012"):
+        for rule_id in ("REP000", "REP009", "REP011", "REP012"):
             assert rule_id in payload["rules"]
+        # retired with the code they policed, and never reused
+        for rule_id in ("REP001", "REP010"):
+            assert rule_id not in payload["rules"]
         assert payload["suppressions_used"] == 0
         (finding,) = payload["findings"]
         assert finding["rule"] == "REP007"

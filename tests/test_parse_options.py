@@ -1,7 +1,7 @@
-"""Tests for the ParseOptions API redesign and its telemetry wiring.
+"""Tests for the ParseOptions API and its telemetry wiring.
 
-Contracts: the options object and the deprecated per-call kwargs produce
-identical results (the kwargs warning exactly once per call), options
+Contracts: ``options=`` is the only way to configure a parse (the
+per-knob keywords it replaced are gone from every entry point), options
 survive pickling into pool workers, and instrumented runs — serial or
 parallel, live registry or null sink — write byte-identical YAML.
 """
@@ -9,23 +9,22 @@ parallel, live registry or null sink — write byte-identical YAML.
 from __future__ import annotations
 
 import pickle
-import warnings
 from dataclasses import FrozenInstanceError
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
-from repro.dataset.engine import process_map_parallel
+from repro.dataset.engine import process_all_parallel, process_map_parallel
 from repro.dataset.processor import process_map, process_svg_bytes
 from repro.dataset.store import DatasetStore
-from repro.dataset.validate import validate_map
+from repro.dataset.validate import validate_dataset, validate_map
 from repro.layout.renderer import MapRenderer
 from repro.parsing.pipeline import (
     DEFAULT_PARSE_OPTIONS,
     ParseOptions,
     parse_svg,
-    resolve_parse_options,
+    parse_svg_file,
 )
 from repro.telemetry import MetricsRegistry, NullRegistry, use_registry
 
@@ -70,77 +69,44 @@ class TestParseOptions:
         assert pickle.loads(pickle.dumps(options)) == options
 
 
-class TestResolveParseOptions:
-    def test_no_arguments_yields_defaults(self):
-        assert resolve_parse_options() is DEFAULT_PARSE_OPTIONS
+    def test_omitted_options_use_the_defaults(self, svg):
+        default = parse_svg(svg, MAP, T0)
+        explicit = parse_svg(svg, MAP, T0, options=DEFAULT_PARSE_OPTIONS)
+        assert default.snapshot == explicit.snapshot
 
-    def test_options_passed_through(self):
-        options = ParseOptions(fast_path=False)
-        assert resolve_parse_options(options) is options
 
-    def test_deprecated_kwarg_warns_once_per_call(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            options = resolve_parse_options(fast_path=False, accelerated=False)
-        assert len(caught) == 1
-        assert "deprecated" in str(caught[0].message)
-        assert options == ParseOptions(fast_path=False, accelerated=False)
+class TestRemovedKeywords:
+    """The per-knob keywords ``options=`` replaced are gone, not aliased."""
 
-    def test_mixing_options_and_deprecated_kwargs_rejected(self):
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("fast_path", False), ("accelerated", False),
+         ("label_distance_threshold", 200.0)],
+    )
+    def test_parse_entry_points_reject_every_knob(self, svg, tmp_path, keyword, value):
+        path = tmp_path / "map.svg"
+        path.write_text(svg)
         with pytest.raises(TypeError):
-            resolve_parse_options(ParseOptions(), fast_path=False)
+            parse_svg(svg, MAP, T0, **{keyword: value})
+        with pytest.raises(TypeError):
+            parse_svg_file(path, MAP, T0, **{keyword: value})
 
-
-class TestDeprecatedCallPaths:
-    def test_parse_svg_kwargs_warn_and_match_options(self, svg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            via_options = parse_svg(
-                svg, MAP, T0, options=ParseOptions(fast_path=False)
-            )
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = parse_svg(svg, MAP, T0, fast_path=False)
-        assert via_options.snapshot == via_kwargs.snapshot
-
-    def test_parse_svg_threshold_kwarg_still_honoured(self, svg):
-        with pytest.warns(DeprecationWarning):
-            parsed = parse_svg(svg, MAP, T0, label_distance_threshold=200.0)
-        assert parsed.snapshot.links
-
-    def test_process_svg_bytes_kwarg_warns_and_matches(self, svg):
-        data = svg.encode()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            via_options = process_svg_bytes(
-                data, MAP, T0, options=ParseOptions(fast_path=False)
-            )
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = process_svg_bytes(data, MAP, T0, fast_path=False)
-        assert via_options.yaml_text == via_kwargs.yaml_text
-
-    def test_validate_map_kwarg_warns(self, svg, tmp_path):
+    def test_processing_entry_points_reject_fast_path(self, svg, tmp_path):
         store = build_corpus(tmp_path, svg)
-        process_map(store, MAP)
-        with pytest.warns(DeprecationWarning):
-            report = validate_map(store, MAP, fast_path=False)
-        assert report.yaml_files == 3
-
-    def test_engine_kwarg_warns(self, svg, tmp_path):
-        store = build_corpus(tmp_path, svg)
-        with pytest.warns(DeprecationWarning):
-            stats = process_map_parallel(store, MAP, workers=1, fast_path=False)
-        assert stats.processed == 3
+        for call in (
+            lambda: process_svg_bytes(svg.encode(), MAP, T0, fast_path=False),
+            lambda: process_map(store, MAP, fast_path=False),
+            lambda: process_map_parallel(store, MAP, workers=1, fast_path=False),
+            lambda: process_all_parallel(store, [MAP], workers=1, fast_path=False),
+            lambda: validate_map(store, MAP, fast_path=False),
+            lambda: validate_dataset(store, fast_path=False),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert yaml_tree(store) == {}
 
 
 class TestByteIdenticalOutputs:
-    def test_options_path_matches_deprecated_kwargs_path(self, svg, tmp_path):
-        """The ISSUE's acceptance criterion: identical YAML bytes."""
-        store_a = build_corpus(tmp_path / "a", svg)
-        store_b = build_corpus(tmp_path / "b", svg)
-        process_map(store_a, MAP, options=ParseOptions(fast_path=False))
-        with pytest.warns(DeprecationWarning):
-            process_map(store_b, MAP, fast_path=False)
-        assert yaml_tree(store_a) == yaml_tree(store_b)
-
     def test_null_registry_run_is_byte_identical(self, svg, tmp_path):
         """Telemetry never changes outputs."""
         store_a = build_corpus(tmp_path / "a", svg)

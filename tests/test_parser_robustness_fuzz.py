@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import MapName
 from repro.errors import ReproError
-from repro.parsing.pipeline import parse_svg
+from repro.parsing.pipeline import ParseOptions, parse_svg
 from repro.yamlio.serialize import snapshot_to_yaml
 
 
@@ -72,7 +72,10 @@ def _observed_outcome(document, fast_path: bool):
     """What a caller can see from one parse: the YAML or the typed error."""
     try:
         parsed = parse_svg(
-            document, MapName.ASIA_PACIFIC, strict=False, fast_path=fast_path
+            document,
+            MapName.ASIA_PACIFIC,
+            strict=False,
+            options=ParseOptions(fast_path=fast_path),
         )
     except ReproError as exc:
         return ("error", type(exc), str(exc))

@@ -13,7 +13,7 @@ from repro.constants import MapName, REFERENCE_DATE
 from repro.errors import IsolatedRouterError, MalformedSvgError
 from repro.layout.renderer import MapRenderer
 from repro.parsing.checks import run_sanity_checks
-from repro.parsing.pipeline import parse_svg
+from repro.parsing.pipeline import ParseOptions, parse_svg
 
 
 def _link_signatures(snapshot) -> Counter:
@@ -147,19 +147,18 @@ class TestFileParsing:
 
         path = tmp_path / "apac.svg"
         path.write_text(apac_svg, encoding="utf-8")
+        options = ParseOptions(label_distance_threshold=123.0, accelerated=False)
         from_file = parse_svg_file(
             path,
             MapName.ASIA_PACIFIC,
             apac_reference.timestamp,
-            label_distance_threshold=123.0,
-            accelerated=False,
+            options=options,
         )
         from_bytes = parse_svg(
             apac_svg.encode("utf-8"),
             MapName.ASIA_PACIFIC,
             apac_reference.timestamp,
-            label_distance_threshold=123.0,
-            accelerated=False,
+            options=options,
         )
         assert _link_signatures(from_file.snapshot) == _link_signatures(
             from_bytes.snapshot
@@ -179,14 +178,12 @@ class TestFileParsing:
         monkeypatch.setattr(pipeline, "parse_svg", recording)
         path = tmp_path / "apac.svg"
         path.write_text(apac_svg, encoding="utf-8")
-        with pytest.warns(DeprecationWarning):
-            result = pipeline.parse_svg_file(
-                path,
-                MapName.ASIA_PACIFIC,
-                strict=False,
-                label_distance_threshold=42.0,
-                accelerated=False,
-            )
+        result = pipeline.parse_svg_file(
+            path,
+            MapName.ASIA_PACIFIC,
+            strict=False,
+            options=ParseOptions(label_distance_threshold=42.0, accelerated=False),
+        )
         assert result == "sentinel"
         assert captured["strict"] is False
         assert captured["map_name"] == MapName.ASIA_PACIFIC

@@ -45,14 +45,14 @@ class TestEquivalence:
         from collections import Counter
 
         from repro.constants import MapName
-        from repro.parsing.pipeline import parse_svg
+        from repro.parsing.pipeline import ParseOptions, parse_svg
 
         fast = parse_svg(apac_svg, MapName.ASIA_PACIFIC, apac_reference.timestamp)
         slow = parse_svg(
             apac_svg,
             MapName.ASIA_PACIFIC,
             apac_reference.timestamp,
-            accelerated=False,
+            options=ParseOptions(accelerated=False),
         )
 
         def signatures(snapshot):

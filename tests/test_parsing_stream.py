@@ -14,7 +14,7 @@ from repro.constants import MapName
 from repro.errors import MalformedSvgError
 from repro.parsing import stream as stream_module
 from repro.parsing.algorithm1 import extract_objects
-from repro.parsing.pipeline import StageTimings, parse_svg
+from repro.parsing.pipeline import ParseOptions, StageTimings, parse_svg
 from repro.parsing.stream import stream_extract
 from repro.svgdoc import reader as reader_module
 from repro.svgdoc.reader import (
@@ -122,7 +122,7 @@ class TestFallbackTriggers:
         with pytest.raises(MalformedSvgError) as via_fast:
             parse_svg(bad, MapName.EUROPE)
         with pytest.raises(MalformedSvgError) as via_dom:
-            parse_svg(bad, MapName.EUROPE, fast_path=False)
+            parse_svg(bad, MapName.EUROPE, options=ParseOptions(fast_path=False))
         assert str(via_fast.value) == str(via_dom.value)
 
     def test_fast_path_never_touches_the_dom_reader(self, apac_svg, monkeypatch):
@@ -145,7 +145,7 @@ class TestDifferentialYaml:
             apac_svg,
             MapName.ASIA_PACIFIC,
             apac_reference.timestamp,
-            fast_path=False,
+            options=ParseOptions(fast_path=False),
         )
         assert snapshot_to_yaml(fast.snapshot) == snapshot_to_yaml(slow.snapshot)
 

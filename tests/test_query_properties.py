@@ -3,8 +3,7 @@
 For arbitrary valid snapshot series, every scan the planner can run —
 any combination of time window, node filter, link filter, and load
 bounds — must return precisely the link occurrences a brute-force walk
-over the original snapshots returns, in the same order, on **both**
-column backends.  The scan plan (bisected row window + pushed-down
+over the original snapshots returns, in the same order.  The scan plan (bisected row window + pushed-down
 filters) is an optimisation, never a semantics change.
 """
 
@@ -133,7 +132,7 @@ def corpus_and_predicate(draw):
 
 @given(corpus_and_predicate())
 @settings(max_examples=60, deadline=None)
-def test_scan_equals_object_path_on_both_backends(case):
+def test_scan_equals_object_path(case):
     series, predicate = case
     index = SnapshotIndex(series[0].map_name)
     for snapshot in series:
@@ -142,12 +141,9 @@ def test_scan_equals_object_path_on_both_backends(case):
     with tempfile.TemporaryDirectory() as scratch:
         path = DatasetStore(scratch).index_path(series[0].map_name)
         index.save(path)
-        with MappedIndex.open(path, backend="numpy") as vectorised:
-            got_numpy = scan_records(vectorised, predicate)
-        with MappedIndex.open(path, backend="memoryview") as stdlib:
-            got_stdlib = scan_records(stdlib, predicate)
-    assert got_numpy == expected
-    assert got_stdlib == expected
+        with MappedIndex.open(path) as engine:
+            got = scan_records(engine, predicate)
+    assert got == expected
 
 
 @given(corpus())

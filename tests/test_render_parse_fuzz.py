@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.constants import MapName
 from repro.layout.renderer import MapRenderer
-from repro.parsing.pipeline import StageTimings, parse_svg
+from repro.parsing.pipeline import ParseOptions, StageTimings, parse_svg
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
 from repro.yamlio.serialize import snapshot_to_yaml
 
@@ -105,7 +105,7 @@ def test_random_topology_round_trips(snapshot, seed):
 def test_faithful_mode_matches_accelerated(snapshot):
     svg = MapRenderer(seed=1).render(snapshot)
     fast = parse_svg(svg, MapName.EUROPE, NOW)
-    slow = parse_svg(svg, MapName.EUROPE, NOW, accelerated=False)
+    slow = parse_svg(svg, MapName.EUROPE, NOW, options=ParseOptions(accelerated=False))
     assert _signatures(fast.snapshot) == _signatures(slow.snapshot)
 
 
@@ -126,7 +126,7 @@ def test_fast_path_yaml_byte_identical_on_rendered_documents(snapshot, seed):
     svg = MapRenderer(seed=seed).render(snapshot)
     timings = StageTimings()
     streamed = parse_svg(svg, MapName.EUROPE, NOW, timings=timings)
-    faithful = parse_svg(svg, MapName.EUROPE, NOW, fast_path=False)
+    faithful = parse_svg(svg, MapName.EUROPE, NOW, options=ParseOptions(fast_path=False))
     assert timings.fast_path_hits == 1 and timings.fallbacks == 0
     assert snapshot_to_yaml(streamed.snapshot) == snapshot_to_yaml(
         faithful.snapshot

@@ -22,23 +22,20 @@ import json
 import threading
 import warnings
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from urllib.parse import quote
 
+import numpy
 import pytest
 
 from repro.constants import MapName
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.shards import ShardedMappedIndex, compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
-from repro.errors import OptionsError, ServerError
-from repro.server import (
-    ServeOptions,
-    ServerConfig,
-    create_server,
-    match_route,
-    resolve_serve_options,
-)
+from repro.errors import ServerError
+from repro.server import AppState, ServeOptions, create_server, match_route, serve
+from repro.server import services
 from repro.server.cache import CachedResponse, ResponseCache
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
@@ -123,50 +120,52 @@ def served(corpus_store):
 
 class TestRouting:
     def test_literal_routes(self):
-        assert match_route("/healthz").endpoint == "healthz"
-        assert match_route("/metrics").endpoint == "metrics"
-        match = match_route("/maps")
+        assert match_route("/v1/healthz").endpoint == "healthz"
+        assert match_route("/v1/metrics").endpoint == "metrics"
+        match = match_route("/v1/maps")
         assert match.endpoint == "maps" and match.map_slug is None
 
     def test_map_view_routes(self):
         for view in ("snapshot", "series", "imbalance", "evolution"):
-            match = match_route(f"/maps/asia-pacific/{view}")
+            match = match_route(f"/v1/maps/asia-pacific/{view}")
             assert match is not None
             assert match.endpoint == view
             assert match.map_slug == "asia-pacific"
-            assert match.versioned is False
 
     def test_v1_routes_are_versioned(self):
         for path in ("/v1/healthz", "/v1/metrics", "/v1/maps"):
-            match = match_route(path)
-            assert match is not None and match.versioned is True
+            assert match_route(path) is not None
+        for path in ("/healthz", "/maps"):
+            assert match_route(path) is None
         match = match_route("/v1/maps/asia-pacific/snapshot")
         assert match.endpoint == "snapshot"
         assert match.map_slug == "asia-pacific"
-        assert match.versioned is True
 
     def test_feed_routes_exist_only_under_v1(self):
-        events = match_route("/v1/maps/europe/events")
-        assert events.endpoint == "events" and events.versioned
-        generation = match_route("/v1/maps/europe/generation")
-        assert generation.endpoint == "generation" and generation.versioned
-        # the feed was born versioned: no deprecated unversioned alias
+        assert match_route("/v1/maps/europe/events").endpoint == "events"
+        assert match_route("/v1/maps/europe/generation").endpoint == "generation"
         assert match_route("/maps/europe/events") is None
         assert match_route("/maps/europe/generation") is None
+
+    def test_metrics_also_answers_at_the_root(self):
+        # Prometheus scrapes /metrics by default
+        assert match_route("/metrics").endpoint == "metrics"
 
     def test_unroutable_paths(self):
         for path in ("/", "/maps/", "/maps/europe", "/maps/europe/latest",
                      "/maps/EUROPE/snapshot", "/healthz/extra",
+                     "/healthz", "/maps", "/maps/europe/snapshot",
+                     "/v1/maps/EUROPE/snapshot", "/v1/maps/europe/latest",
                      "/v1", "/v1/", "/v2/maps", "/v1/v1/maps"):
             assert match_route(path) is None
 
 
 class TestEndpoints:
     def test_healthz(self, served):
-        assert served.get_json("/healthz") == {"status": "ok"}
+        assert served.get_json("/v1/healthz") == {"status": "ok"}
 
     def test_maps_lists_extent(self, served):
-        payload = served.get_json("/maps")
+        payload = served.get_json("/v1/maps")
         assert [entry["name"] for entry in payload["maps"]] == [MAP.value]
         entry = payload["maps"][0]
         assert entry["snapshots"] == len(DAYS) * PER_DAY
@@ -175,7 +174,7 @@ class TestEndpoints:
         assert entry["last"] == last.isoformat()
 
     def test_snapshot_serves_newest_row(self, served):
-        payload = served.get_json(f"/maps/{MAP.value}/snapshot")
+        payload = served.get_json(f"/v1/maps/{MAP.value}/snapshot")
         last = DAYS[-1] + timedelta(minutes=5 * (PER_DAY - 1))
         assert payload["timestamp"] == last.isoformat()
         assert payload["map"] == MAP.value
@@ -187,33 +186,33 @@ class TestEndpoints:
 
     def test_snapshot_at_pins_a_row(self, served):
         at = quote((T0 + timedelta(minutes=5)).isoformat())
-        payload = served.get_json(f"/maps/{MAP.value}/snapshot?at={at}")
+        payload = served.get_json(f"/v1/maps/{MAP.value}/snapshot?at={at}")
         assert payload["timestamp"] == (T0 + timedelta(minutes=5)).isoformat()
         # epoch seconds are accepted too, and floor to the row at or before
         epoch = int(T0.timestamp()) + 60
-        payload = served.get_json(f"/maps/{MAP.value}/snapshot?at={epoch}")
+        payload = served.get_json(f"/v1/maps/{MAP.value}/snapshot?at={epoch}")
         assert payload["timestamp"] == T0.isoformat()
 
     def test_series_normalises_direction(self, served):
-        snapshot = served.get_json(f"/maps/{MAP.value}/snapshot")
+        snapshot = served.get_json(f"/v1/maps/{MAP.value}/snapshot")
         link = snapshot["links"][0]
         a, b = link["node_a"], link["node_b"]
-        forward = served.get_json(f"/maps/{MAP.value}/series?link={a}:{b}")
+        forward = served.get_json(f"/v1/maps/{MAP.value}/series?link={a}:{b}")
         assert forward["link"] == {"a": a, "b": b}
         assert len(forward["points"]) >= len(DAYS) * PER_DAY
         times = [point["time"] for point in forward["points"]]
         assert times == sorted(times)
-        backward = served.get_json(f"/maps/{MAP.value}/series?link={b}:{a}")
+        backward = served.get_json(f"/v1/maps/{MAP.value}/series?link={b}:{a}")
         assert len(backward["points"]) == len(forward["points"])
         assert backward["points"][0]["a_to_b"] == forward["points"][0]["b_to_a"]
         assert backward["points"][0]["b_to_a"] == forward["points"][0]["a_to_b"]
 
     def test_series_honours_the_window(self, served):
-        snapshot = served.get_json(f"/maps/{MAP.value}/snapshot")
+        snapshot = served.get_json(f"/v1/maps/{MAP.value}/snapshot")
         link = snapshot["links"][0]
         day2 = DAYS[1]
         path = (
-            f"/maps/{MAP.value}/series?link={link['node_a']}:{link['node_b']}"
+            f"/v1/maps/{MAP.value}/series?link={link['node_a']}:{link['node_b']}"
             f"&start={int(day2.timestamp())}"
             f"&end={int((day2 + timedelta(days=1)).timestamp())}"
         )
@@ -225,20 +224,20 @@ class TestEndpoints:
         }
 
     def test_imbalance_summary(self, served):
-        payload = served.get_json(f"/maps/{MAP.value}/imbalance")
+        payload = served.get_json(f"/v1/maps/{MAP.value}/imbalance")
         assert payload["internal"]["count"] > 0
         assert 0.0 <= payload["internal"]["fraction_within"]["5.0"] <= 1.0
-        strict = served.get_json(f"/maps/{MAP.value}/imbalance?min_load=99.5")
+        strict = served.get_json(f"/v1/maps/{MAP.value}/imbalance?min_load=99.5")
         assert strict["minimum_load"] == 99.5
         assert strict["internal"]["count"] <= payload["internal"]["count"]
 
     def test_evolution_counts(self, served):
-        payload = served.get_json(f"/maps/{MAP.value}/evolution")
+        payload = served.get_json(f"/v1/maps/{MAP.value}/evolution")
         assert len(payload["routers"]["times"]) == len(DAYS) * PER_DAY
         assert len(payload["routers"]["values"]) == len(DAYS) * PER_DAY
         day2 = DAYS[1]
         windowed = served.get_json(
-            f"/maps/{MAP.value}/evolution"
+            f"/v1/maps/{MAP.value}/evolution"
             f"?start={int(day2.timestamp())}"
             f"&end={int((day2 + timedelta(days=1)).timestamp())}"
         )
@@ -264,84 +263,67 @@ class TestErrorMapping:
         assert "no such path" in error["message"]
 
     def test_unknown_map_is_404(self, served):
-        error = served.get_json("/maps/atlantis/snapshot", expect=404)["error"]
+        error = served.get_json("/v1/maps/atlantis/snapshot", expect=404)["error"]
         assert error["code"] == "unknown_endpoint"
         assert "atlantis" in error["message"]
 
     def test_unindexed_map_is_404(self, served):
         # europe exists as a map name but holds no data in this store
-        error = served.get_json("/maps/europe/snapshot", expect=404)["error"]
+        error = served.get_json("/v1/maps/europe/snapshot", expect=404)["error"]
         assert error["code"] == "snapshot_not_found"
         assert "europe" in error["message"]
         assert error["map"] == "europe"
 
     def test_unknown_parameter_is_400(self, served):
         error = served.get_json(
-            f"/maps/{MAP.value}/snapshot?bogus=1", expect=400
+            f"/v1/maps/{MAP.value}/snapshot?bogus=1", expect=400
         )["error"]
         assert error["code"] == "bad_query"
         assert "bogus" in error["message"]
 
     def test_repeated_parameter_is_400(self, served):
-        served.get_json(f"/maps/{MAP.value}/snapshot?at=1&at=2", expect=400)
+        served.get_json(f"/v1/maps/{MAP.value}/snapshot?at=1&at=2", expect=400)
 
     def test_bad_timestamp_is_400(self, served):
         error = served.get_json(
-            f"/maps/{MAP.value}/snapshot?at=yesterday", expect=400
+            f"/v1/maps/{MAP.value}/snapshot?at=yesterday", expect=400
         )["error"]
         assert "yesterday" in error["message"]
 
     def test_missing_link_is_400(self, served):
-        error = served.get_json(f"/maps/{MAP.value}/series", expect=400)["error"]
+        error = served.get_json(f"/v1/maps/{MAP.value}/series", expect=400)["error"]
         assert error["code"] == "bad_query"
         assert "link" in error["message"]
 
     def test_malformed_link_is_400(self, served):
-        served.get_json(f"/maps/{MAP.value}/series?link=lonely", expect=400)
+        served.get_json(f"/v1/maps/{MAP.value}/series?link=lonely", expect=400)
 
     def test_min_load_out_of_range_is_400(self, served):
-        served.get_json(f"/maps/{MAP.value}/imbalance?min_load=101", expect=400)
+        served.get_json(f"/v1/maps/{MAP.value}/imbalance?min_load=101", expect=400)
 
     def test_empty_evolution_window_is_400(self, served):
         early = int((T0 - timedelta(days=30)).timestamp())
         served.get_json(
-            f"/maps/{MAP.value}/evolution?start={early}&end={early + 60}",
+            f"/v1/maps/{MAP.value}/evolution?start={early}&end={early + 60}",
             expect=400,
         )
 
     def test_snapshot_before_corpus_is_404(self, served):
         early = int((T0 - timedelta(days=30)).timestamp())
-        served.get_json(f"/maps/{MAP.value}/snapshot?at={early}", expect=404)
+        served.get_json(f"/v1/maps/{MAP.value}/snapshot?at={early}", expect=404)
 
 
 class TestVersionedSurface:
-    """``/v1`` is the stable surface; unversioned paths still answer,
-    identically, but flag themselves deprecated."""
+    """``/v1`` is the only surface, plus Prometheus's ``/metrics``."""
 
-    PATHS = (
-        "/healthz",
-        "/maps",
-        f"/maps/{MAP.value}/snapshot",
-        f"/maps/{MAP.value}/evolution",
-        # even errors serve the same envelope on both surfaces
-        "/maps/atlantis/snapshot",
-    )
+    UNVERSIONED = ("/healthz", "/maps", f"/maps/{MAP.value}/snapshot")
 
-    def test_v1_and_legacy_payloads_are_identical(self, served):
-        for path in self.PATHS:
-            legacy_status, _, legacy_body = served.get(path)
-            v1_status, _, v1_body = served.get(f"/v1{path}")
-            assert v1_status == legacy_status, path
-            assert v1_body == legacy_body, path
-
-    def test_legacy_paths_carry_deprecation_headers(self, served):
-        status, headers, _ = served.get_full(f"/maps/{MAP.value}/snapshot")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert (
-            headers.get("Link")
-            == f'</v1/maps/{MAP.value}/snapshot>; rel="successor-version"'
-        )
+    def test_unversioned_paths_are_unknown_endpoints(self, served):
+        for path in self.UNVERSIONED:
+            status, headers, body = served.get_full(path)
+            assert status == 404, path
+            assert json.loads(body)["error"]["code"] == "unknown_endpoint"
+            assert "Deprecation" not in headers
 
     def test_v1_paths_are_not_deprecated(self, served):
         status, headers, _ = served.get_full(f"/v1/maps/{MAP.value}/snapshot")
@@ -349,29 +331,17 @@ class TestVersionedSurface:
         assert "Deprecation" not in headers
         assert "Link" not in headers
 
-    def test_etags_agree_across_surfaces(self, served):
-        path = f"/maps/{MAP.value}/snapshot"
-        _, legacy_etag, _ = served.get(path)
-        _, v1_etag, _ = served.get(f"/v1{path}")
-        assert legacy_etag == v1_etag
-        # a validator minted on one surface revalidates on the other
-        status, _, body = served.get(
-            f"/v1{path}", headers={"If-None-Match": legacy_etag}
-        )
-        assert status == 304 and body == b""
-
-    def test_deprecated_requests_are_counted(self, served):
-        served.get("/healthz")
-        status, _, body = served.get("/metrics")
-        assert status == 200
-        text = body.decode("utf-8")
-        assert "repro_server_deprecated_requests_total" in text
-        assert 'endpoint="healthz"' in text
+    def test_metrics_answers_at_the_root_and_under_v1(self, served):
+        for path in ("/metrics", "/v1/metrics"):
+            status, headers, body = served.get_full(path)
+            assert status == 200, path
+            assert "Deprecation" not in headers
+            assert "repro_server_requests_total" in body.decode("utf-8")
 
 
 class TestCaching:
     def test_etag_stable_across_identical_queries(self, served):
-        path = f"/maps/{MAP.value}/evolution"
+        path = f"/v1/maps/{MAP.value}/evolution"
         status_a, etag_a, body_a = served.get(path)
         status_b, etag_b, body_b = served.get(path)
         assert status_a == status_b == 200
@@ -379,7 +349,7 @@ class TestCaching:
         assert body_a == body_b
 
     def test_if_none_match_answers_304(self, served):
-        path = f"/maps/{MAP.value}/snapshot"
+        path = f"/v1/maps/{MAP.value}/snapshot"
         _, etag, _ = served.get(path)
         status, revalidated, body = served.get(
             path, headers={"If-None-Match": etag}
@@ -389,7 +359,7 @@ class TestCaching:
         assert body == b""
 
     def test_star_and_lists_revalidate(self, served):
-        path = f"/maps/{MAP.value}/snapshot"
+        path = f"/v1/maps/{MAP.value}/snapshot"
         _, etag, _ = served.get(path)
         status, _, _ = served.get(path, headers={"If-None-Match": "*"})
         assert status == 304
@@ -399,7 +369,7 @@ class TestCaching:
         assert status == 304
 
     def test_stale_etag_gets_a_full_response(self, served):
-        path = f"/maps/{MAP.value}/snapshot"
+        path = f"/v1/maps/{MAP.value}/snapshot"
         status, _, body = served.get(path, headers={"If-None-Match": '"stale"'})
         assert status == 200 and body
 
@@ -409,9 +379,9 @@ class TestCaching:
         store = build_corpus(tmp_path, reference_yaml)
         with running_server(store) as server:
             client = Client(server.server_address[1])
-            path = f"/maps/{MAP.value}/snapshot"
+            path = f"/v1/maps/{MAP.value}/snapshot"
             _, old_etag, _ = client.get(path)
-            before = client.get_json("/maps")["maps"][0]["snapshots"]
+            before = client.get_json("/v1/maps")["maps"][0]["snapshots"]
 
             # An ingest checkpoint lands: new day of data, shard compacted.
             new_day = DAYS[-1] + timedelta(days=1)
@@ -425,7 +395,7 @@ class TestCaching:
             )
             assert status == 200  # the old validator no longer matches
             assert new_etag != old_etag
-            assert client.get_json("/maps")["maps"][0]["snapshots"] == before + 1
+            assert client.get_json("/v1/maps")["maps"][0]["snapshots"] == before + 1
             client.close()
 
 
@@ -440,9 +410,9 @@ class TestHotSwap:
             failures: list[str] = []
             lock = threading.Lock()
             paths = (
-                f"/maps/{MAP.value}/snapshot",
-                f"/maps/{MAP.value}/evolution",
-                "/maps",
+                f"/v1/maps/{MAP.value}/snapshot",
+                f"/v1/maps/{MAP.value}/evolution",
+                "/v1/maps",
             )
 
             def reader(offset: int) -> None:
@@ -483,7 +453,7 @@ class TestHotSwap:
             assert not failures, failures[:3]
             assert statuses and all(status < 500 for status in statuses)
             final = Client(port)
-            payload = final.get_json(f"/maps/{MAP.value}/snapshot")
+            payload = final.get_json(f"/v1/maps/{MAP.value}/snapshot")
             expected = DAYS[-1] + timedelta(days=1, minutes=5 * 4)
             assert payload["timestamp"] == expected.isoformat()
             final.close()
@@ -500,7 +470,7 @@ class TestShardPruning:
             snapshot_keys = None
             day2 = DAYS[1]
             client.get_json(
-                f"/maps/{MAP.value}/evolution"
+                f"/v1/maps/{MAP.value}/evolution"
                 f"?start={int(day2.timestamp())}"
                 f"&end={int((day2 + timedelta(days=1)).timestamp())}"
             )
@@ -546,6 +516,14 @@ class TestCacheUnits:
         assert not cached.matches('"zzz"')
 
 
+class TestServiceUnits:
+    def test_prefix_sum_matches_the_loop_reference(self):
+        counts = numpy.array([3, 0, 7, 2**32 - 1, 2**32 - 1, 5], dtype=numpy.uint32)
+        for row in range(len(counts) + 1):
+            expected = sum(int(count) for count in counts[:row])
+            assert services._prefix_sum(counts, row) == expected
+
+
 class TestConfigUnits:
     def test_bad_port_rejected(self):
         with pytest.raises(ServerError):
@@ -563,31 +541,22 @@ class TestConfigUnits:
         with pytest.raises(ServerError):
             ServeOptions(feed_ring_size=0)
 
-    def test_options_pass_through_unwarned(self):
+    def test_options_pass_through_unwarned(self, tmp_path):
         options = ServeOptions(port=0, watch_interval=0.5)
+        store = ShardedDatasetStore(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_serve_options(options) is options
-            assert resolve_serve_options(None) == ServeOptions()
+            assert AppState(store, options).options is options
+            assert AppState(store).options == ServeOptions()
 
-    def test_server_config_converts_with_a_deprecation_warning(self):
-        config = ServerConfig(port=0, cache_entries=7)
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            resolved = resolve_serve_options(config)
-        assert resolved == ServeOptions(port=0, cache_entries=7)
+    def test_serve_options_fields(self):
+        assert {field.name for field in fields(ServeOptions)} == {
+            "host", "port", "cache_entries", "watch_interval", "feed_ring_size",
+        }
 
-    def test_deprecated_keywords_warn_once(self):
-        with pytest.warns(DeprecationWarning, match="port"):
-            resolved = resolve_serve_options(port=0, cache_entries=9)
-        assert resolved == ServeOptions(port=0, cache_entries=9)
-
-    def test_mixing_options_and_keywords_raises(self):
-        with pytest.raises(OptionsError, match="not both"):
-            resolve_serve_options(ServeOptions(), port=0)
-        with pytest.raises(OptionsError, match="not both"):
-            resolve_serve_options(ServerConfig(), port=0)
-        assert issubclass(OptionsError, TypeError)
-
-    def test_legacy_server_config_still_validates(self):
-        with pytest.raises(ServerError):
-            ServerConfig(port=70000)
+    def test_mixing_options_and_keywords_raises(self, tmp_path):
+        store = ShardedDatasetStore(tmp_path)
+        with pytest.raises(TypeError):
+            serve(store, ServeOptions(port=0), port=0)
+        with pytest.raises(TypeError):
+            create_server(store, port=0)
