@@ -80,6 +80,11 @@ python3 benchmarks/bench_serving.py --quick \
 python3 scripts/check_bench_regression.py "$ARTIFACTS/BENCH_serving.json" \
     --baseline BENCH_serving.json --tolerance 0.75
 
+echo "== 2e/4 cold start (informational: import time and RSS per entry point) =="
+# Gates nothing: the numbers move with the host.  docs/performance.md
+# ("Cold start") records a like-for-like before/after.
+python3 scripts/import_profile.py | tee "$ARTIFACTS/import_profile.txt"
+
 echo "== 3/4 demonstration dataset (1 hour, all four maps) =="
 DATASET="$ARTIFACTS/dataset"
 repro-weather generate "$DATASET" \

@@ -38,88 +38,75 @@ internal and may change between releases; see the README's
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
+
 __version__ = "2.0.0"
 
-#: name → (module, attribute) for every lazily exported public name.
-_EXPORTS: dict[str, tuple[str, str]] = {
+#: name → defining module for every lazily exported public name.
+_EXPORTS: dict[str, str] = {
     # constants
-    "COLLECTION_START": ("repro.constants", "COLLECTION_START"),
-    "MapName": ("repro.constants", "MapName"),
-    "REFERENCE_DATE": ("repro.constants", "REFERENCE_DATE"),
-    "SNAPSHOT_INTERVAL": ("repro.constants", "SNAPSHOT_INTERVAL"),
+    "COLLECTION_START": "repro.constants",
+    "MapName": "repro.constants",
+    "REFERENCE_DATE": "repro.constants",
+    "SNAPSHOT_INTERVAL": "repro.constants",
     # simulation
-    "BackboneSimulator": ("repro.simulation", "BackboneSimulator"),
-    "SimulationConfig": ("repro.simulation", "SimulationConfig"),
-    "default_config": ("repro.simulation", "default_config"),
+    "BackboneSimulator": "repro.simulation",
+    "SimulationConfig": "repro.simulation",
+    "default_config": "repro.simulation",
     # topology model
-    "Link": ("repro.topology.model", "Link"),
-    "LinkEnd": ("repro.topology.model", "LinkEnd"),
-    "MapSnapshot": ("repro.topology.model", "MapSnapshot"),
-    "Node": ("repro.topology.model", "Node"),
-    "NodeKind": ("repro.topology.model", "NodeKind"),
+    "Link": "repro.topology.model",
+    "LinkEnd": "repro.topology.model",
+    "MapSnapshot": "repro.topology.model",
+    "Node": "repro.topology.model",
+    "NodeKind": "repro.topology.model",
     # parsing pipeline
-    "ParseOptions": ("repro.parsing.pipeline", "ParseOptions"),
-    "parse_svg": ("repro.parsing.pipeline", "parse_svg"),
-    "parse_svg_file": ("repro.parsing.pipeline", "parse_svg_file"),
+    "ParseOptions": "repro.parsing.pipeline",
+    "parse_svg": "repro.parsing.pipeline",
+    "parse_svg_file": "repro.parsing.pipeline",
     # dataset substrate
-    "DatasetStore": ("repro.dataset.store", "DatasetStore"),
-    "InMemoryStore": ("repro.dataset.store", "InMemoryStore"),
-    "ShardedDatasetStore": ("repro.dataset.store", "ShardedDatasetStore"),
-    "StorageBackend": ("repro.dataset.store", "StorageBackend"),
-    "open_store": ("repro.dataset.store", "open_store"),
-    "load_all": ("repro.dataset.loader", "load_all"),
-    "iter_snapshots": ("repro.dataset.loader", "iter_snapshots"),
-    "latest_snapshot": ("repro.dataset.loader", "latest_snapshot"),
-    "process_map": ("repro.dataset.processor", "process_map"),
-    "process_svg_bytes": ("repro.dataset.processor", "process_svg_bytes"),
-    "process_map_parallel": ("repro.dataset.engine", "process_map_parallel"),
-    "validate_dataset": ("repro.dataset.validate", "validate_dataset"),
+    "DatasetStore": "repro.dataset.store",
+    "InMemoryStore": "repro.dataset.store",
+    "ShardedDatasetStore": "repro.dataset.store",
+    "StorageBackend": "repro.dataset.store",
+    "open_store": "repro.dataset.store",
+    "load_all": "repro.dataset.loader",
+    "iter_snapshots": "repro.dataset.loader",
+    "latest_snapshot": "repro.dataset.loader",
+    "process_map": "repro.dataset.processor",
+    "process_svg_bytes": "repro.dataset.processor",
+    "process_map_parallel": "repro.dataset.engine",
+    "validate_dataset": "repro.dataset.validate",
     # zero-copy query engine
-    "MappedIndex": ("repro.dataset.query", "MappedIndex"),
-    "ScanPredicate": ("repro.dataset.query", "ScanPredicate"),
-    "ScanResult": ("repro.dataset.query", "ScanResult"),
-    "open_query": ("repro.dataset.query", "open_query"),
-    "open_sharded_query": ("repro.dataset.shards", "open_sharded_query"),
-    "compact_map_shards": ("repro.dataset.shards", "compact_map_shards"),
-    "resolve_read_handle": ("repro.dataset.handles", "resolve_read_handle"),
+    "MappedIndex": "repro.dataset.query",
+    "ScanPredicate": "repro.dataset.query",
+    "ScanResult": "repro.dataset.query",
+    "open_query": "repro.dataset.query",
+    "open_sharded_query": "repro.dataset.shards",
+    "compact_map_shards": "repro.dataset.shards",
+    "resolve_read_handle": "repro.dataset.handles",
     # http read api
-    "ServeOptions": ("repro.server", "ServeOptions"),
-    "WeatherServer": ("repro.server", "WeatherServer"),
-    "GenerationWatcher": ("repro.server", "GenerationWatcher"),
-    "create_server": ("repro.server", "create_server"),
-    "serve": ("repro.server", "serve"),
+    "ServeOptions": "repro.server",
+    "WeatherServer": "repro.server",
+    "GenerationWatcher": "repro.server",
+    "create_server": "repro.server",
+    "serve": "repro.server",
     # ingestion daemon
-    "IngestConfig": ("repro.dataset.ingest", "IngestConfig"),
-    "IngestDaemon": ("repro.dataset.ingest", "IngestDaemon"),
-    "resume_ingest": ("repro.dataset.ingest", "resume_ingest"),
+    "IngestConfig": "repro.dataset.ingest",
+    "IngestDaemon": "repro.dataset.ingest",
+    "resume_ingest": "repro.dataset.ingest",
     # yaml twins
-    "snapshot_from_yaml": ("repro.yamlio.deserialize", "snapshot_from_yaml"),
-    "snapshot_to_yaml": ("repro.yamlio.serialize", "snapshot_to_yaml"),
+    "snapshot_from_yaml": "repro.yamlio.deserialize",
+    "snapshot_to_yaml": "repro.yamlio.serialize",
     # telemetry
-    "MetricsRegistry": ("repro.telemetry", "MetricsRegistry"),
-    "get_registry": ("repro.telemetry", "get_registry"),
-    "use_registry": ("repro.telemetry", "use_registry"),
-    "snapshot_to_prometheus": ("repro.telemetry", "snapshot_to_prometheus"),
+    "MetricsRegistry": "repro.telemetry",
+    "get_registry": "repro.telemetry",
+    "use_registry": "repro.telemetry",
+    "snapshot_to_prometheus": "repro.telemetry",
     # runtime lock sanitizer
-    "install_sanitizer": ("repro.devtools.sanitizer", "install_sanitizer"),
-    "uninstall_sanitizer": ("repro.devtools.sanitizer", "uninstall_sanitizer"),
+    "install_sanitizer": "repro.devtools.sanitizer",
+    "uninstall_sanitizer": "repro.devtools.sanitizer",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])
 
-
-def __getattr__(name: str):
-    """Resolve a public name on first touch (PEP 562 lazy export)."""
-    try:
-        module_name, attribute = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module_name), attribute)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

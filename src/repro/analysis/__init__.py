@@ -22,149 +22,77 @@ so it runs equally on simulator output and on YAML files read back from a
 collected dataset.
 """
 
-from repro.analysis.stats import cdf, ccdf, fraction_at_most, percentile_bands
-from repro.analysis.timeseries import TimeSeries, detect_steps
-from repro.analysis.infrastructure import (
-    InfrastructureEvolution,
-    infrastructure_evolution,
-    structural_events,
-)
-from repro.analysis.degrees import degree_ccdf, degree_statistics
-from repro.analysis.loads import (
-    HourOfDayBands,
-    LoadSamples,
-    WeeklyContrast,
-    collect_load_samples,
-    hour_of_day_bands,
-    load_cdfs,
-    weekly_contrast,
-)
-from repro.analysis.collection import (
-    CollectionQuality,
-    collection_quality,
-    distance_cdf,
-    inter_snapshot_distances,
-)
-from repro.analysis.capacity import (
-    PeeringVolume,
-    peering_volume,
-    total_egress_capacity_gbps,
-    total_egress_volume_gbps,
-    volume_gbps,
-)
-from repro.analysis.congestion import (
-    CongestionEpisode,
-    CongestionSummary,
-    congestion_rate_by_hour,
-    find_congestion,
-)
-from repro.analysis.imbalance import (
-    ImbalanceResult,
-    collect_imbalances,
-    imbalance_cdfs,
-    imbalance_values,
-)
-from repro.analysis.sites import (
-    SiteGrowth,
-    fastest_growing_sites,
-    site_census,
-    site_growth,
-)
-from repro.analysis.diversity import (
-    DiversityReport,
-    core_path_diversity,
-    edge_disjoint_paths,
-)
-from repro.analysis.columnar import (
-    ColumnSource,
-    DirectedLoadColumns,
-    LinkLifetime,
-    LoadMatrix,
-    NodeLifetime,
-    count_series,
-    directed_load_columns,
-    imbalance_samples,
-    link_lifetimes,
-    link_load_series,
-    load_matrix,
-    load_samples,
-    node_lifetimes,
-)
-from repro.analysis.upgrades import (
-    CorrelatedUpgrade,
-    DowngradeEvent,
-    GroupObservation,
-    UpgradeEvent,
-    correlate_with_peeringdb,
-    detect_downgrades,
-    detect_upgrades,
-    scan_all_peerings,
-    track_peering_group,
-)
+from __future__ import annotations
 
-__all__ = [
-    "cdf",
-    "ccdf",
-    "fraction_at_most",
-    "percentile_bands",
-    "TimeSeries",
-    "detect_steps",
-    "InfrastructureEvolution",
-    "infrastructure_evolution",
-    "structural_events",
-    "degree_ccdf",
-    "degree_statistics",
-    "HourOfDayBands",
-    "LoadSamples",
-    "WeeklyContrast",
-    "collect_load_samples",
-    "hour_of_day_bands",
-    "load_cdfs",
-    "weekly_contrast",
-    "CollectionQuality",
-    "collection_quality",
-    "distance_cdf",
-    "inter_snapshot_distances",
-    "PeeringVolume",
-    "peering_volume",
-    "total_egress_capacity_gbps",
-    "total_egress_volume_gbps",
-    "volume_gbps",
-    "CongestionEpisode",
-    "CongestionSummary",
-    "congestion_rate_by_hour",
-    "find_congestion",
-    "ColumnSource",
-    "DirectedLoadColumns",
-    "LinkLifetime",
-    "LoadMatrix",
-    "NodeLifetime",
-    "count_series",
-    "directed_load_columns",
-    "imbalance_samples",
-    "link_lifetimes",
-    "link_load_series",
-    "load_matrix",
-    "load_samples",
-    "node_lifetimes",
-    "DowngradeEvent",
-    "detect_downgrades",
-    "scan_all_peerings",
-    "ImbalanceResult",
-    "collect_imbalances",
-    "imbalance_cdfs",
-    "imbalance_values",
-    "SiteGrowth",
-    "fastest_growing_sites",
-    "site_census",
-    "site_growth",
-    "DiversityReport",
-    "core_path_diversity",
-    "edge_disjoint_paths",
-    "UpgradeEvent",
-    "CorrelatedUpgrade",
-    "GroupObservation",
-    "correlate_with_peeringdb",
-    "detect_upgrades",
-    "track_peering_group",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS: dict[str, str] = {
+    "cdf": "repro.analysis.stats",
+    "ccdf": "repro.analysis.stats",
+    "fraction_at_most": "repro.analysis.stats",
+    "percentile_bands": "repro.analysis.stats",
+    "TimeSeries": "repro.analysis.timeseries",
+    "detect_steps": "repro.analysis.timeseries",
+    "InfrastructureEvolution": "repro.analysis.infrastructure",
+    "infrastructure_evolution": "repro.analysis.infrastructure",
+    "structural_events": "repro.analysis.infrastructure",
+    "degree_ccdf": "repro.analysis.degrees",
+    "degree_statistics": "repro.analysis.degrees",
+    "HourOfDayBands": "repro.analysis.loads",
+    "LoadSamples": "repro.analysis.loads",
+    "WeeklyContrast": "repro.analysis.loads",
+    "collect_load_samples": "repro.analysis.loads",
+    "hour_of_day_bands": "repro.analysis.loads",
+    "load_cdfs": "repro.analysis.loads",
+    "weekly_contrast": "repro.analysis.loads",
+    "CollectionQuality": "repro.analysis.collection",
+    "collection_quality": "repro.analysis.collection",
+    "distance_cdf": "repro.analysis.collection",
+    "inter_snapshot_distances": "repro.analysis.collection",
+    "PeeringVolume": "repro.analysis.capacity",
+    "peering_volume": "repro.analysis.capacity",
+    "total_egress_capacity_gbps": "repro.analysis.capacity",
+    "total_egress_volume_gbps": "repro.analysis.capacity",
+    "volume_gbps": "repro.analysis.capacity",
+    "CongestionEpisode": "repro.analysis.congestion",
+    "CongestionSummary": "repro.analysis.congestion",
+    "congestion_rate_by_hour": "repro.analysis.congestion",
+    "find_congestion": "repro.analysis.congestion",
+    "ColumnSource": "repro.analysis.columnar",
+    "DirectedLoadColumns": "repro.analysis.columnar",
+    "LinkLifetime": "repro.analysis.columnar",
+    "LoadMatrix": "repro.analysis.columnar",
+    "NodeLifetime": "repro.analysis.columnar",
+    "count_series": "repro.analysis.columnar",
+    "directed_load_columns": "repro.analysis.columnar",
+    "imbalance_samples": "repro.analysis.columnar",
+    "link_lifetimes": "repro.analysis.columnar",
+    "link_load_series": "repro.analysis.columnar",
+    "load_matrix": "repro.analysis.columnar",
+    "load_samples": "repro.analysis.columnar",
+    "node_lifetimes": "repro.analysis.columnar",
+    "DowngradeEvent": "repro.analysis.upgrades",
+    "detect_downgrades": "repro.analysis.upgrades",
+    "scan_all_peerings": "repro.analysis.upgrades",
+    "ImbalanceResult": "repro.analysis.imbalance",
+    "collect_imbalances": "repro.analysis.imbalance",
+    "imbalance_cdfs": "repro.analysis.imbalance",
+    "imbalance_values": "repro.analysis.imbalance",
+    "SiteGrowth": "repro.analysis.sites",
+    "fastest_growing_sites": "repro.analysis.sites",
+    "site_census": "repro.analysis.sites",
+    "site_growth": "repro.analysis.sites",
+    "DiversityReport": "repro.analysis.diversity",
+    "core_path_diversity": "repro.analysis.diversity",
+    "edge_disjoint_paths": "repro.analysis.diversity",
+    "UpgradeEvent": "repro.analysis.upgrades",
+    "CorrelatedUpgrade": "repro.analysis.upgrades",
+    "GroupObservation": "repro.analysis.upgrades",
+    "correlate_with_peeringdb": "repro.analysis.upgrades",
+    "detect_upgrades": "repro.analysis.upgrades",
+    "track_peering_group": "repro.analysis.upgrades",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.analysis.timeseries import Step, TimeSeries, detect_steps
 from repro.constants import MapName
 from repro.errors import AnalysisError
-from repro.simulation.network import BackboneSimulator
 from repro.topology.model import MapSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.network import BackboneSimulator
 
 
 @dataclass(frozen=True)

@@ -28,24 +28,10 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from repro.analysis.upgrades import (
-    correlate_with_peeringdb,
-    detect_upgrades,
-    track_peering_group,
-)
 from repro.constants import MapName, REFERENCE_DATE
-from repro.dataset.catalog import DatasetCatalog
-from repro.dataset.collector import SimulatedCollector
-from repro.dataset.processor import process_map
 from repro.dataset.store import DatasetStore, ShardedDatasetStore, open_store
-from repro.dataset.summary import build_table1, build_table2, format_table1, format_table2
 from repro.errors import CliUsageError
-from repro.layout.renderer import MapRenderer
-from repro.parsing.pipeline import ParseOptions
-from repro.peeringdb.feed import SyntheticPeeringDB
-from repro.simulation.network import BackboneSimulator
 from repro.telemetry import get_registry, write_metrics_file
-from repro.yamlio.deserialize import snapshot_from_yaml
 
 
 def _parse_when(text: str) -> datetime:
@@ -101,6 +87,9 @@ def _new_store(path: str, sharded: bool) -> DatasetStore:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Simulate a collection campaign into a dataset directory."""
+    from repro.dataset.collector import SimulatedCollector
+    from repro.simulation.network import BackboneSimulator
+
     simulator = BackboneSimulator()
     store = _new_store(args.output, args.sharded)
     collector = SimulatedCollector(simulator, store)
@@ -122,6 +111,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_process(args: argparse.Namespace) -> int:
     """Run SVG→YAML extraction over a dataset directory."""
+    from repro.dataset.processor import process_map
+    from repro.parsing.pipeline import ParseOptions
+
     store = open_store(args.dataset)
     options = ParseOptions(fast_path=args.fast_path)
     for map_name in MapName:
@@ -474,6 +466,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     """Print time frames and snapshot-distance stats (Figures 2 and 3)."""
+    from repro.dataset.catalog import DatasetCatalog
+
     catalog = DatasetCatalog(open_store(args.dataset))
     for map_name in MapName:
         count = catalog.snapshot_count(map_name)
@@ -492,6 +486,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     """Print Table 1 (from stored YAMLs) and Table 2 for a dataset."""
+    from repro.dataset.summary import build_table1, build_table2, format_table1, format_table2
+    from repro.yamlio.deserialize import snapshot_from_yaml
+
     store = open_store(args.dataset)
     snapshots = {}
     for map_name in MapName:
@@ -511,6 +508,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     """Render one simulated snapshot to SVG."""
+    from repro.layout.renderer import MapRenderer
+    from repro.simulation.network import BackboneSimulator
+
     simulator = BackboneSimulator()
     when = _parse_when(args.when) if args.when else REFERENCE_DATE
     snapshot = simulator.snapshot(args.map, when)
@@ -525,6 +525,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_upgrade(args: argparse.Namespace) -> int:
     """Replay the Figure 6 AMS-IX upgrade case study."""
+    from repro.analysis.upgrades import (
+        correlate_with_peeringdb,
+        detect_upgrades,
+        track_peering_group,
+    )
+    from repro.peeringdb.feed import SyntheticPeeringDB
+    from repro.simulation.network import BackboneSimulator
+
     simulator = BackboneSimulator()
     scenario = simulator.upgrade
     start = scenario.added_at - timedelta(days=10)
@@ -605,6 +613,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     """Correlate the map's structural changes with the status feed."""
     from repro.analysis.infrastructure import infrastructure_evolution, structural_events
+    from repro.simulation.network import BackboneSimulator
     from repro.statusfeed.correlate import correlate_events
     from repro.statusfeed.feed import SyntheticStatusFeed
 
@@ -631,6 +640,7 @@ def cmd_changelog(args: argparse.Namespace) -> int:
     """Narrate a map's changes over a simulated window."""
     from repro.analysis.narrative import build_changelog
     from repro.peeringdb.feed import SyntheticPeeringDB
+    from repro.simulation.network import BackboneSimulator
     from repro.statusfeed.feed import SyntheticStatusFeed
 
     simulator = BackboneSimulator()
@@ -710,6 +720,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_crawl(args: argparse.Namespace) -> int:
     """Poll the simulated weathermap website like the paper's crawler."""
+    from repro.simulation.network import BackboneSimulator
     from repro.website.site import WeathermapWebsite
     from repro.website.webcollector import PollingCollector
 

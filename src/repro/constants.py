@@ -79,3 +79,14 @@ LOAD_MAX = 100
 #: Algorithm 2 attribution threshold: "the distance between the link end and
 #: its label is below a defined threshold (i.e., a few pixels)".
 LABEL_DISTANCE_THRESHOLD = 40.0
+
+#: Version of the extraction pipeline (:mod:`repro.parsing`).  Bump whenever
+#: a change alters the YAML a given SVG produces: the engine's manifest and
+#: the index headers record it, and whatever another version built is redone.
+#: Defined here so readers can compare versions without importing the parser;
+#: ``repro.parsing.pipeline.PARSER_VERSION`` is the same object.
+#:
+#: 2: stricter root width/height parsing (malformed unit suffixes now fail
+#:    instead of silently mis-parsing), so some previously-processed files
+#:    change outcome.
+PARSER_VERSION = 2

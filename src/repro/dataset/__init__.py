@@ -14,105 +14,87 @@ package provides:
   paper's unprocessable-file accounting,
 * :mod:`repro.dataset.engine` — the parallel + incremental bulk engine
   (process-pool fan-out and the per-map ``manifest.json`` skip cache),
+* :mod:`repro.dataset.ingest` — the long-lived ingestion daemon: bounded
+  queues, a write-ahead journal, crash-safe resume,
 * :mod:`repro.dataset.index` — the columnar snapshot index each map's
   YAML series is compacted into, so analyses never re-parse the corpus,
+* :mod:`repro.dataset.shards` — that index partitioned by UTC day, so
+  maintenance costs O(new shard) rather than O(archive),
 * :mod:`repro.dataset.query` — the zero-copy ``mmap`` query engine over
   that index: predicate-pushdown scans with no object materialisation,
 * :mod:`repro.dataset.handles` — layout-agnostic read handles: one place
   that picks flat vs sharded engines and names index generations,
 * :mod:`repro.dataset.workers` — worker-count resolution shared by every
   pool user (skips the pool where it cannot win),
+* :mod:`repro.dataset.loader` — stored datasets read back as
+  :class:`~repro.topology.model.MapSnapshot` streams (index first, YAML
+  otherwise),
+* :mod:`repro.dataset.validate` — schema, consistency and re-extraction
+  checks over a collected dataset,
+* :mod:`repro.dataset.archive` — per-map, per-month ``.tar.gz``
+  distribution bundles,
 * :mod:`repro.dataset.catalog` — index of what was collected (time frames,
   inter-snapshot distances),
 * :mod:`repro.dataset.summary` — the Table 1 and Table 2 builders.
+
+The names below import lazily (see :mod:`repro._lazy`): importing one
+submodule, such as the ingest daemon's, loads only what that submodule
+needs.
 """
 
-from repro.dataset.store import DatasetStore, SnapshotRef
-from repro.dataset.gaps import AvailabilityModel, CollectionSegment
-from repro.dataset.corruption import CorruptionInjector
-from repro.dataset.collector import CollectionStats, SimulatedCollector
-from repro.dataset.processor import ProcessingStats, process_map, process_svg_bytes
-from repro.dataset.engine import (
-    Manifest,
-    process_all_parallel,
-    process_map_parallel,
-)
-from repro.dataset.index import (
-    IndexBuildStats,
-    IndexStatus,
-    SnapshotIndex,
-    build_index,
-    fresh_index,
-    index_status,
-    load_index,
-)
-from repro.dataset.handles import ReadHandle, read_generation, resolve_read_handle
-from repro.dataset.query import (
-    ColumnBatch,
-    LinkRecord,
-    MappedIndex,
-    ScanPredicate,
-    ScanResult,
-    open_query,
-)
-from repro.dataset.workers import default_workers, resolve_workers
-from repro.dataset.catalog import DatasetCatalog, TimeFrame, time_frames_from
-from repro.dataset.loader import iter_snapshots, latest_snapshot, load_all
-from repro.dataset.validate import ValidationReport, validate_dataset, validate_map
-from repro.dataset.summary import (
-    Table1Row,
-    Table2Row,
-    build_table1,
-    build_table2,
-    format_table1,
-    format_table2,
-)
+from __future__ import annotations
 
-__all__ = [
-    "DatasetStore",
-    "SnapshotRef",
-    "AvailabilityModel",
-    "CollectionSegment",
-    "CorruptionInjector",
-    "CollectionStats",
-    "SimulatedCollector",
-    "ProcessingStats",
-    "process_map",
-    "process_svg_bytes",
-    "Manifest",
-    "process_all_parallel",
-    "process_map_parallel",
-    "IndexBuildStats",
-    "IndexStatus",
-    "SnapshotIndex",
-    "build_index",
-    "fresh_index",
-    "index_status",
-    "load_index",
-    "ColumnBatch",
-    "LinkRecord",
-    "MappedIndex",
-    "ReadHandle",
-    "ScanPredicate",
-    "ScanResult",
-    "open_query",
-    "read_generation",
-    "resolve_read_handle",
-    "default_workers",
-    "resolve_workers",
-    "DatasetCatalog",
-    "TimeFrame",
-    "time_frames_from",
-    "iter_snapshots",
-    "latest_snapshot",
-    "load_all",
-    "ValidationReport",
-    "validate_dataset",
-    "validate_map",
-    "Table1Row",
-    "Table2Row",
-    "build_table1",
-    "build_table2",
-    "format_table1",
-    "format_table2",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS: dict[str, str] = {
+    "DatasetStore": "repro.dataset.store",
+    "SnapshotRef": "repro.dataset.store",
+    "AvailabilityModel": "repro.dataset.gaps",
+    "CollectionSegment": "repro.dataset.gaps",
+    "CorruptionInjector": "repro.dataset.corruption",
+    "CollectionStats": "repro.dataset.collector",
+    "SimulatedCollector": "repro.dataset.collector",
+    "ProcessingStats": "repro.dataset.processor",
+    "process_map": "repro.dataset.processor",
+    "process_svg_bytes": "repro.dataset.processor",
+    "Manifest": "repro.dataset.engine",
+    "process_all_parallel": "repro.dataset.engine",
+    "process_map_parallel": "repro.dataset.engine",
+    "IndexBuildStats": "repro.dataset.index",
+    "IndexStatus": "repro.dataset.index",
+    "SnapshotIndex": "repro.dataset.index",
+    "build_index": "repro.dataset.index",
+    "fresh_index": "repro.dataset.index",
+    "index_status": "repro.dataset.index",
+    "load_index": "repro.dataset.index",
+    "ColumnBatch": "repro.dataset.query",
+    "LinkRecord": "repro.dataset.query",
+    "MappedIndex": "repro.dataset.query",
+    "ReadHandle": "repro.dataset.handles",
+    "ScanPredicate": "repro.dataset.query",
+    "ScanResult": "repro.dataset.query",
+    "open_query": "repro.dataset.query",
+    "read_generation": "repro.dataset.handles",
+    "resolve_read_handle": "repro.dataset.handles",
+    "default_workers": "repro.dataset.workers",
+    "resolve_workers": "repro.dataset.workers",
+    "DatasetCatalog": "repro.dataset.catalog",
+    "TimeFrame": "repro.dataset.catalog",
+    "time_frames_from": "repro.dataset.catalog",
+    "iter_snapshots": "repro.dataset.loader",
+    "latest_snapshot": "repro.dataset.loader",
+    "load_all": "repro.dataset.loader",
+    "ValidationReport": "repro.dataset.validate",
+    "validate_dataset": "repro.dataset.validate",
+    "validate_map": "repro.dataset.validate",
+    "Table1Row": "repro.dataset.summary",
+    "Table2Row": "repro.dataset.summary",
+    "build_table1": "repro.dataset.summary",
+    "build_table2": "repro.dataset.summary",
+    "format_table1": "repro.dataset.summary",
+    "format_table2": "repro.dataset.summary",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

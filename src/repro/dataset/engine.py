@@ -32,7 +32,7 @@ orthogonal ways while reproducing the serial accounting *exactly*:
   Re-runs skip unchanged files with one dict lookup and one ``stat()`` on
   the SVG — no per-file ``exists()``/``stat()`` round-trips on the YAML
   twin — while still reporting the same stats the original run did.
-  ``overwrite=True`` and :data:`~repro.parsing.pipeline.PARSER_VERSION`
+  ``overwrite=True`` and :data:`~repro.constants.PARSER_VERSION`
   bumps invalidate the whole manifest; an edited SVG invalidates just its
   own entry.
 """
@@ -49,7 +49,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
+from repro.dataset import index, shards
 from repro.dataset.processor import ProcessingStats, file_metrics, process_svg_bytes
 from repro.dataset.store import (
     DatasetStore,
@@ -60,7 +61,7 @@ from repro.dataset.store import (
 )
 from repro.dataset.workers import AUTO_WORKERS, default_workers, resolve_workers
 from repro.errors import DatasetError
-from repro.parsing.pipeline import PARSER_VERSION, ParseOptions
+from repro.parsing.pipeline import ParseOptions
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
 __all__ = [
@@ -111,7 +112,7 @@ class Manifest:
         }
 
     A stored ``parser_version`` different from the current
-    :data:`~repro.parsing.pipeline.PARSER_VERSION` discards every entry,
+    :data:`~repro.constants.PARSER_VERSION` discards every entry,
     so parser changes reprocess the whole corpus cleanly.
     """
 
@@ -302,7 +303,7 @@ def process_map_parallel(
         update_index: after processing, append the newly produced YAML
             snapshots to the map's columnar index (incrementally, like
             the manifest); ``overwrite`` rebuilds it from scratch, and a
-            :data:`~repro.parsing.pipeline.PARSER_VERSION` bump discards
+            :data:`~repro.constants.PARSER_VERSION` bump discards
             it — exactly the YAML skip-cache's invalidation rules.
         options: parse configuration shipped (pickled) to every worker.
 
@@ -394,15 +395,11 @@ def process_map_parallel(
         if isinstance(store, ShardedDatasetStore):
             # Sharded datasets compact per-day shard indexes — O(changed
             # shards), not O(corpus) — instead of the monolithic index.
-            from repro.dataset.shards import compact_map_shards  # import cycle
-
-            compact_map_shards(
+            shards.compact_map_shards(
                 store, map_name, rebuild=overwrite, workers=workers, on_error=on_error
             )
         else:
-            from repro.dataset.index import build_index  # breaks an import cycle
-
-            build_index(
+            index.build_index(
                 store,
                 map_name,
                 rebuild=overwrite,

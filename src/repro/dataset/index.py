@@ -15,7 +15,7 @@ Layout of ``<root>/<map>/index.bin``::
     SHA-256 over everything above                      (32 bytes)
 
 The header carries the format version's companion metadata: map name,
-:data:`~repro.parsing.pipeline.PARSER_VERSION` at build time, byte order,
+:data:`~repro.constants.PARSER_VERSION` at build time, byte order,
 the interned **string tables** (router/peering names and link-end labels),
 the per-section element counts, any *skipped* sources (unreadable YAML
 files, kept so the index can still answer for a corpus with corrupt
@@ -73,14 +73,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.store import DatasetStore, SnapshotRef, atomic_write_bytes
 from repro.dataset.workers import resolve_workers
 from repro.errors import SchemaError, SnapshotIndexError
-from repro.parsing.pipeline import PARSER_VERSION
 from repro.telemetry import get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
-from repro.yamlio.deserialize import try_read_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -807,6 +805,10 @@ def build_index(
             continue
         plan.append((ref, None))
         to_parse.append(ref)
+
+    # Imported here, not at module scope, so readers of an index never load
+    # the YAML stack; and before the pool forks, so workers inherit it.
+    from repro.yamlio.deserialize import try_read_snapshot
 
     parsed: dict[int, tuple[MapSnapshot | None, str]] = {}
     effective_workers = resolve_workers(workers)

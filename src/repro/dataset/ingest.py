@@ -54,6 +54,7 @@ from time import perf_counter, time
 from typing import BinaryIO, Sequence, TypeVar
 
 from repro.constants import MapName
+from repro.dataset import index, shards
 from repro.dataset.engine import Manifest, ManifestEntry, _skip_from_manifest
 from repro.dataset.processor import (
     ProcessingStats,
@@ -645,9 +646,7 @@ class IngestDaemon:
                 and touched_shards
                 and isinstance(self.store, ShardedDatasetStore)
             ):
-                from repro.dataset.shards import compact_map_shards
-
-                compact_map_shards(
+                shards.compact_map_shards(
                     self.store,
                     map_name,
                     only=sorted(touched_shards),
@@ -842,9 +841,7 @@ class IngestDaemon:
         if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
             return
         if isinstance(self.store, ShardedDatasetStore):
-            from repro.dataset.shards import compact_map_shards
-
-            compact_map_shards(
+            shards.compact_map_shards(
                 self.store,
                 map_name,
                 on_error=lambda ref, exc: logger.warning(
@@ -852,9 +849,7 @@ class IngestDaemon:
                 ),
             )
         elif had_pending:
-            from repro.dataset.index import build_index
-
-            build_index(
+            index.build_index(
                 self.store,
                 map_name,
                 on_error=lambda ref, exc: logger.warning(

@@ -45,7 +45,7 @@ try:  # pragma: no cover - exercised only on mmap-less platforms
 except ImportError:  # pragma: no cover
     _mmap = None
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.index import (
     IndexLayout,
     covers_refs,
@@ -53,7 +53,6 @@ from repro.dataset.index import (
 )
 from repro.dataset.store import DatasetStore
 from repro.errors import QueryError, SnapshotIndexError, StaleIndexError
-from repro.parsing.pipeline import PARSER_VERSION
 from repro.telemetry import get_registry
 
 __all__ = [

@@ -44,7 +44,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.index import SnapshotIndex, build_index, load_index_at
 from repro.dataset.query import (
     ColumnBatch,
@@ -60,7 +60,6 @@ from repro.dataset.store import (
     parse_shard_key,
 )
 from repro.errors import DatasetError, SnapshotIndexError
-from repro.parsing.pipeline import PARSER_VERSION
 from repro.telemetry import get_registry
 
 logger = logging.getLogger(__name__)

@@ -17,20 +17,23 @@ Two stages, exactly as in Section 4:
 accounting.
 """
 
-from repro.parsing.algorithm1 import ExtractedLink, ExtractionResult, extract_objects
-from repro.parsing.algorithm2 import AttributedLink, attribute_objects
-from repro.parsing.checks import ParseReport, run_sanity_checks
-from repro.parsing.pipeline import ParsedMap, parse_svg, parse_svg_file
+from __future__ import annotations
 
-__all__ = [
-    "ExtractedLink",
-    "ExtractionResult",
-    "extract_objects",
-    "AttributedLink",
-    "attribute_objects",
-    "ParseReport",
-    "run_sanity_checks",
-    "ParsedMap",
-    "parse_svg",
-    "parse_svg_file",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS: dict[str, str] = {
+    "ExtractedLink": "repro.parsing.algorithm1",
+    "ExtractionResult": "repro.parsing.algorithm1",
+    "extract_objects": "repro.parsing.algorithm1",
+    "AttributedLink": "repro.parsing.algorithm2",
+    "attribute_objects": "repro.parsing.algorithm2",
+    "ParseReport": "repro.parsing.checks",
+    "run_sanity_checks": "repro.parsing.checks",
+    "ParsedMap": "repro.parsing.pipeline",
+    "parse_svg": "repro.parsing.pipeline",
+    "parse_svg_file": "repro.parsing.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

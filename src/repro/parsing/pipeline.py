@@ -28,6 +28,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
+from repro.constants import PARSER_VERSION as PARSER_VERSION  # re-export, same object
 from repro.parsing.algorithm1 import ExtractionResult, extract_objects
 from repro.parsing.algorithm2 import AttributedLink, attribute_objects
 from repro.parsing.checks import ParseReport, run_sanity_checks
@@ -39,15 +40,6 @@ from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
 #: Timestamp used when the caller provides none.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
-#: Version of the extraction pipeline.  Bump whenever a change alters the
-#: YAML a given SVG produces — the incremental bulk engine
-#: (:mod:`repro.dataset.engine`) stores this in its manifest and
-#: reprocesses every file when it no longer matches.
-#:
-#: 2: stricter root width/height parsing (malformed unit suffixes now fail
-#:    instead of silently mis-parsing), so some previously-processed files
-#:    change outcome.
-PARSER_VERSION = 2
 
 @dataclass(frozen=True, slots=True)
 class ParseOptions:

@@ -12,30 +12,25 @@ tags positioned in the 2D image space.  This package provides:
   Algorithm 1.
 """
 
-from repro.svgdoc.colors import LoadColorScale, WEATHERMAP_SCALE
-from repro.svgdoc.elements import (
-    ArrowElement,
-    LabelBoxElement,
-    LabelTextElement,
-    LoadTextElement,
-    ObjectElement,
-    RawTag,
-    classify_tag,
-)
-from repro.svgdoc.reader import SvgTagStream, read_svg_tags
-from repro.svgdoc.writer import WeathermapSvgWriter
+from __future__ import annotations
 
-__all__ = [
-    "LoadColorScale",
-    "WEATHERMAP_SCALE",
-    "ArrowElement",
-    "LabelBoxElement",
-    "LabelTextElement",
-    "LoadTextElement",
-    "ObjectElement",
-    "RawTag",
-    "classify_tag",
-    "SvgTagStream",
-    "read_svg_tags",
-    "WeathermapSvgWriter",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS: dict[str, str] = {
+    "LoadColorScale": "repro.svgdoc.colors",
+    "WEATHERMAP_SCALE": "repro.svgdoc.colors",
+    "ArrowElement": "repro.svgdoc.elements",
+    "LabelBoxElement": "repro.svgdoc.elements",
+    "LabelTextElement": "repro.svgdoc.elements",
+    "LoadTextElement": "repro.svgdoc.elements",
+    "ObjectElement": "repro.svgdoc.elements",
+    "RawTag": "repro.svgdoc.elements",
+    "classify_tag": "repro.svgdoc.elements",
+    "SvgTagStream": "repro.svgdoc.reader",
+    "read_svg_tags": "repro.svgdoc.reader",
+    "WeathermapSvgWriter": "repro.svgdoc.writer",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

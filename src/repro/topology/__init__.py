@@ -9,36 +9,27 @@ parallel links between the same pair of nodes, and the internal/external link
 distinction the analysis relies on.
 """
 
-from repro.topology.model import (
-    Link,
-    LinkEnd,
-    MapSnapshot,
-    Node,
-    NodeKind,
-    ParallelGroup,
-)
-from repro.topology.graph import (
-    directed_parallel_groups,
-    node_degrees,
-    parallel_groups,
-    to_networkx,
-)
-from repro.topology.diff import SnapshotDiff, diff_snapshots
-from repro.topology.names import NameGenerator, PEERING_NAMES
+from __future__ import annotations
 
-__all__ = [
-    "Link",
-    "LinkEnd",
-    "MapSnapshot",
-    "Node",
-    "NodeKind",
-    "ParallelGroup",
-    "directed_parallel_groups",
-    "node_degrees",
-    "parallel_groups",
-    "to_networkx",
-    "SnapshotDiff",
-    "diff_snapshots",
-    "NameGenerator",
-    "PEERING_NAMES",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS: dict[str, str] = {
+    "Link": "repro.topology.model",
+    "LinkEnd": "repro.topology.model",
+    "MapSnapshot": "repro.topology.model",
+    "Node": "repro.topology.model",
+    "NodeKind": "repro.topology.model",
+    "ParallelGroup": "repro.topology.model",
+    "directed_parallel_groups": "repro.topology.graph",
+    "node_degrees": "repro.topology.graph",
+    "parallel_groups": "repro.topology.graph",
+    "to_networkx": "repro.topology.graph",
+    "SnapshotDiff": "repro.topology.diff",
+    "diff_snapshots": "repro.topology.diff",
+    "NameGenerator": "repro.topology.names",
+    "PEERING_NAMES": "repro.topology.names",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import defaultdict
-
-import networkx
+from typing import TYPE_CHECKING
 
 from repro.topology.model import MapSnapshot, ParallelGroup
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx
 
 
 def to_networkx(snapshot: MapSnapshot) -> networkx.MultiGraph:
@@ -15,6 +17,8 @@ def to_networkx(snapshot: MapSnapshot) -> networkx.MultiGraph:
     Parallel links become parallel edges, so graph-theoretic measures
     (degree, connectivity, path diversity) match the paper's counting.
     """
+    import networkx  # only this adapter uses it, and importing it is slow
+
     graph = networkx.MultiGraph(
         map_name=snapshot.map_name.value,
         timestamp=snapshot.timestamp.isoformat(),
