@@ -90,6 +90,24 @@ DATASET="$ARTIFACTS/dataset"
 repro-weather generate "$DATASET" \
     --start 2022-09-11T23:00:00 --end 2022-09-12T00:00:00
 repro-weather process "$DATASET" --metrics-out "$ARTIFACTS/metrics.json"
+# Every twin of a generated corpus must come from the direct YAML
+# emitter; a fallback to yaml.dump means the emitter's layout drifted.
+python3 - "$ARTIFACTS/metrics.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    metrics = json.load(handle)["metrics"]
+fallbacks = sum(
+    value
+    for metric in metrics
+    if metric["name"] == "repro_yaml_emit_total"
+    for labels, value in metric["series"]
+    if dict(labels).get("outcome") == "fallback"
+)
+print(f"YAML emitter fallbacks: {fallbacks:g}")
+sys.exit(1 if fallbacks else 0)
+PY
 repro-weather metrics "$ARTIFACTS/metrics.json" --format prom \
     --output "$ARTIFACTS/metrics.prom"
 repro-weather validate "$DATASET" --cross-check 0.5

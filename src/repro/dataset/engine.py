@@ -5,7 +5,7 @@ SVG files extracted into 541,813 YAML snapshots (Table 2), every file
 independent of every other.  This module scales that workload in two
 orthogonal ways while reproducing the serial accounting *exactly*:
 
-* **Process-pool fan-out** — SVG refs are chunked into batches and
+* **Process-pool fan-out** — SVG refs are cut into equal batches and
   dispatched to a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
   worker side is the pure function
   :func:`repro.dataset.processor.process_svg_bytes` (bytes → YAML text or
@@ -47,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.dataset import index, shards
@@ -76,7 +76,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: How many SVGs each pool task carries; amortises pickling and dispatch
+#: The most SVGs one pool task carries; amortises pickling and dispatch
 #: overhead without starving workers at the tail of a run.
 DEFAULT_CHUNK_SIZE = 16
 
@@ -224,9 +224,14 @@ def _process_batch(
     return results, local.snapshot()
 
 
-def _chunked(refs: Sequence[SnapshotRef], size: int) -> Iterable[Sequence[SnapshotRef]]:
-    for start in range(0, len(refs), size):
-        yield refs[start : start + size]
+def _batches(
+    refs: Sequence[SnapshotRef], chunk_size: int, workers: int
+) -> list[Sequence[SnapshotRef]]:
+    """Equal batches of at most ``chunk_size``, one per worker per round."""
+    per_round = chunk_size * workers
+    rounds = -(-len(refs) // per_round)
+    size = -(-len(refs) // (rounds * workers))
+    return [refs[start : start + size] for start in range(0, len(refs), size)]
 
 
 def _apply_result(
@@ -295,7 +300,8 @@ def process_map_parallel(
             :func:`~repro.dataset.workers.resolve_workers`, so one
             effective worker (including any request on a single-core
             machine) degenerates to an in-process loop — no pool spawned.
-        chunk_size: SVGs per pool task.
+        chunk_size: most SVGs per pool task; the pending files are cut
+            into equal batches, one per worker per round.
         strict: apply the whole-map sanity checks strictly.
         overwrite: ignore the manifest and re-process every file.
         use_manifest: maintain the incremental ``manifest.json``; disable
@@ -352,29 +358,21 @@ def process_map_parallel(
         skipped = stats.total
 
         if pending:
-            batches = list(_chunked(pending, chunk_size))
-            if workers == 1:
-                result_batches = (
-                    _process_batch(
-                        map_name.value,
-                        strict,
-                        [(ref.timestamp.isoformat(), str(ref.path)) for ref in batch],
-                        options,
-                    )
-                    for batch in batches
+            batches = _batches(pending, chunk_size, workers)
+            tasks = [
+                (
+                    map_name.value,
+                    strict,
+                    [(ref.timestamp.isoformat(), str(ref.path)) for ref in batch],
+                    options,
                 )
+                for batch in batches
+            ]
+            if workers == 1:
+                result_batches = (_process_batch(*task) for task in tasks)
             else:
                 executor = ProcessPoolExecutor(max_workers=min(workers, len(batches)))
-                futures = [
-                    executor.submit(
-                        _process_batch,
-                        map_name.value,
-                        strict,
-                        [(ref.timestamp.isoformat(), str(ref.path)) for ref in batch],
-                        options,
-                    )
-                    for batch in batches
-                ]
+                futures = [executor.submit(_process_batch, *task) for task in tasks]
                 result_batches = (future.result() for future in futures)
             try:
                 # Submission order == ref order, so the merge is deterministic.

@@ -1,32 +1,54 @@
-"""MapSnapshot → YAML document."""
+"""MapSnapshot → YAML document, written directly as text.
+
+:func:`snapshot_to_yaml` is the mirror image of
+:func:`~repro.yamlio.deserialize.fast_document`: it formats the layout
+that reader accepts line by line.  A name of printable ASCII without
+spaces is written plain when it is in the reader's plain class and
+PyYAML's resolver reads it back as a string, and single-quoted when it
+resolves to another type or starts with an indicator.  A load is written
+as ``repr(float)`` when that has a dot and no exponent.  Any other value
+(a name with a space, non-ASCII, empty or outside both rules; an int,
+bool, nan, inf or exponent load; a link line long enough to wrap) sends
+the document to :func:`_dump`, the ``yaml.dump`` call whose text the
+direct path reproduces byte for byte.  ``repro_yaml_emit_total{outcome}``
+counts the split.
+"""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import yaml
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 
+from repro.errors import SchemaError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot
+from repro.yamlio.deserialize import _PLAIN_CHAR, _RESOLVER, _STR_TAG
 
 #: libyaml's emitter when compiled in, the pure-Python one otherwise.  The
 #: two produce byte-identical documents for this schema (asserted by the
 #: test suite), so which one a machine uses never shows in the dataset.
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_STR_TAG = "tag:yaml.org,2002:str"
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-_INT_TAG = "tag:yaml.org,2002:int"
-_BOOL_TAG = "tag:yaml.org,2002:bool"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
-_MAP_TAG = "tag:yaml.org,2002:map"
+_WIDTH = 120
 
-_INF = float("inf")
+#: Printable ASCII without space: plain or single-quoted, never wrapped.
+_PRINTABLE = re.compile(r"[!-~]+")
+#: The subset written plain here: the fast reader's plain words.
+_PLAIN = re.compile(rf"(?!\.\.\.)[A-Za-z0-9_./+()]{_PLAIN_CHAR}*")
+#: A first character that rules out a plain scalar in a flow collection.
+_INDICATORS = "#,[]{}&*!|>'\"%@`?:"
+
+#: Name → flow token, or ``None`` for ``yaml.dump``; cleared at the cap so
+#: a long-lived process cannot grow with the archive.
+_CACHE_LIMIT = 65536
+_TOKENS: dict[str, str | None] = {}
 
 
-class _Unrepresentable(Exception):
-    """A value outside the fast emitter's type set — use yaml.dump."""
+def _end_document(end) -> dict:
+    return {"node": end.node, "label": end.label, "load": end.load}
 
 
 def snapshot_to_document(snapshot: MapSnapshot) -> dict:
@@ -42,138 +64,146 @@ def snapshot_to_document(snapshot: MapSnapshot) -> dict:
         "routers": sorted(node.name for node in snapshot.routers),
         "peerings": sorted(node.name for node in snapshot.peerings),
         "links": [
-            {
-                "a": {
-                    "node": link.a.node,
-                    "label": link.a.label,
-                    "load": link.a.load,
-                },
-                "b": {
-                    "node": link.b.node,
-                    "label": link.b.label,
-                    "load": link.b.load,
-                },
-            }
+            {"a": _end_document(link.a), "b": _end_document(link.b)}
             for link in snapshot.links
         ],
     }
 
 
-def _number_scalar(value) -> ScalarNode:
-    """A load value rendered exactly as ``SafeRepresenter`` would.
+def _token(value, flow: bool) -> str | None:
+    """A name as the emitter writes it, or ``None`` to fall back."""
+    if type(value) is not str or not _PRINTABLE.fullmatch(value):
+        return None
+    if (flow and value[0] in _INDICATORS) or _RESOLVER.resolve(
+        ScalarNode, value, (True, False)
+    ) != _STR_TAG:
+        return "'" + value.replace("'", "''") + "'"
+    return value if _PLAIN.fullmatch(value) else None
 
-    The extraction always produces floats, but hand-built snapshots may
-    carry ints (or anything else — dispatch on the runtime type the way
-    ``yaml.dump``'s representer table does).
+
+def _flow_token(value) -> str | None:
+    """:func:`_token` in a flow collection, memoised."""
+    if type(value) is not str:  # a str subclass would hit its str's entry
+        return None
+    if value not in _TOKENS:
+        if len(_TOKENS) > _CACHE_LIMIT:
+            _TOKENS.clear()
+        _TOKENS[value] = _token(value, flow=True)
+    return _TOKENS[value]
+
+
+def _load_token(load) -> str | None:
+    """``repr(load)`` for a float written with a dot and no exponent."""
+    if type(load) is not float:
+        return None
+    text = repr(load)
+    return text if "." in text and "e" not in text else None
+
+
+def _flow_list(key: str, values) -> str | None:
+    """``key: [a, b, …]``, a line broken after a ``,`` past the width."""
+    tokens = [_flow_token(value) for value in values]
+    if None in tokens:
+        return None
+    lines, line = [], f"{key}: ["
+    for index, token in enumerate(tokens):
+        if index:
+            line += ","
+            if len(line) > _WIDTH:
+                lines.append(line)
+                line = " "
+            line += " "
+        line += token
+    return "\n".join([*lines, line + "]\n"])
+
+
+def _emit(snapshot: MapSnapshot) -> str | None:
+    """The document written directly, or ``None`` for ``yaml.dump``."""
+    map_token = _token(snapshot.map_name.value, flow=False)
+    timestamp_token = _token(snapshot.timestamp.isoformat(), flow=False)
+    routers = _flow_list("routers", sorted(node.name for node in snapshot.routers))
+    peerings = _flow_list("peerings", sorted(node.name for node in snapshot.peerings))
+    if None in (map_token, timestamp_token, routers, peerings):
+        return None
+    parts = [
+        f"map: {map_token}\ntimestamp: {timestamp_token}\n",
+        routers,
+        peerings,
+        "links:\n" if snapshot.links else "links: []\n",
+    ]
+    for link in snapshot.links:
+        a, b = link.a, link.b
+        a_node, a_label, a_load = _flow_token(a.node), _flow_token(a.label), _load_token(a.load)
+        b_node, b_label, b_load = _flow_token(b.node), _flow_token(b.label), _load_token(b.load)
+        if None in (a_node, a_label, a_load, b_node, b_label, b_load):
+            return None
+        # "- a: {node: " + node + ", label: " + label + "," is the widest
+        # column a wrap check sees; past the width the line would wrap.
+        if max(len(a_node) + len(a_label), len(b_node) + len(b_label)) + 22 > _WIDTH:
+            return None
+        parts.append(
+            f"- a: {{node: {a_node}, label: {a_label}, load: {a_load}}}\n"
+            f"  b: {{node: {b_node}, label: {b_label}, load: {b_load}}}\n"
+        )
+    return "".join(parts)
+
+
+def _leaves(value, path: str):
+    """``(path, value)`` for every scalar of a document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def _dump(snapshot: MapSnapshot) -> str:
+    """The oracle: ``yaml.dump`` of the snapshot's document.
+
+    Raises:
+        SchemaError: naming the field whose value YAML cannot represent.
     """
-    kind = type(value)
-    if kind is float:
-        if value != value:
-            text = ".nan"
-        elif value == _INF:
-            text = ".inf"
-        elif value == -_INF:
-            text = "-.inf"
-        else:
-            text = repr(value).lower()
-            if "." not in text and "e" in text:
-                # "1e17" → "1.0e17": keep the float tag implicit for
-                # parsers that require a dot in scientific notation.
-                text = text.replace("e", ".0e", 1)
-        return ScalarNode(_FLOAT_TAG, text)
-    if kind is bool:
-        return ScalarNode(_BOOL_TAG, "true" if value else "false")
-    if kind is int:
-        return ScalarNode(_INT_TAG, str(value))
-    raise _Unrepresentable
-
-
-def _str_scalar(value) -> ScalarNode:
-    if type(value) is not str:
-        raise _Unrepresentable
-    return ScalarNode(_STR_TAG, value)
-
-
-def _str_sequence(values) -> SequenceNode:
-    """A flow-style sequence of strings (scalar-only → flow, like dump)."""
-    return SequenceNode(
-        _SEQ_TAG, [_str_scalar(value) for value in values], flow_style=True
-    )
-
-
-def _end_mapping(end) -> MappingNode:
-    """One link end as ``{node, label, load}`` (scalar-only → flow)."""
-    return MappingNode(
-        _MAP_TAG,
-        [
-            (ScalarNode(_STR_TAG, "node"), _str_scalar(end.node)),
-            (ScalarNode(_STR_TAG, "label"), _str_scalar(end.label)),
-            (ScalarNode(_STR_TAG, "load"), _number_scalar(end.load)),
-        ],
-        flow_style=True,
-    )
+    document = snapshot_to_document(snapshot)
+    try:
+        return yaml.dump(
+            document,
+            Dumper=_DUMPER,
+            sort_keys=False,
+            default_flow_style=None,
+            width=_WIDTH,
+        )
+    except yaml.representer.RepresenterError as exc:
+        bad = exc.args[-1]
+        field = next((path for path, value in _leaves(document, "") if value is bad), "?")
+        raise SchemaError(
+            f"field {field!r} holds a {type(bad).__name__}, which YAML cannot represent"
+        ) from exc
 
 
 def snapshot_to_yaml(snapshot: MapSnapshot) -> str:
     """Serialise one snapshot to YAML text.
 
-    Builds the representation node tree directly instead of going through
-    ``yaml.dump``'s representer dispatch — the document shape is fixed, so
-    the generic per-object type lookups are pure overhead in bulk runs.
-    The output is byte-identical to::
+    The text is byte-identical to ``yaml.dump`` of
+    :func:`snapshot_to_document` (see the module docstring).
 
-        yaml.dump(snapshot_to_document(snapshot), Dumper=_DUMPER,
-                  sort_keys=False, default_flow_style=None, width=120)
-
-    (flow style for scalar-only collections, block style elsewhere, the
-    SafeRepresenter float format), which the test suite asserts over
-    rendered and randomised snapshots.  Every node object is fresh: the
-    serializer would otherwise emit anchors/aliases for reused nodes.
+    Raises:
+        SchemaError: for a value YAML cannot represent, naming its field.
     """
-    get_registry().counter(
-        "repro_yaml_docs_total", "YAML documents by operation"
-    ).inc(1, op="serialize")
-    links_node = SequenceNode(
-        _SEQ_TAG,
-        [
-            MappingNode(
-                _MAP_TAG,
-                [
-                    (ScalarNode(_STR_TAG, "a"), _end_mapping(link.a)),
-                    (ScalarNode(_STR_TAG, "b"), _end_mapping(link.b)),
-                ],
-                flow_style=False,
-            )
-            for link in snapshot.links
-        ],
-        # An empty links list has no non-scalar child, so dump would pick
-        # flow style ([]); mirror that.
-        flow_style=not snapshot.links,
+    registry = get_registry()
+    text = _emit(snapshot)
+    registry.counter(
+        "repro_yaml_emit_total",
+        "YAML documents written directly (direct) or left to yaml.dump (fallback)",
+    ).inc(1, outcome="fallback" if text is None else "direct")
+    if text is None:
+        text = _dump(snapshot)
+    registry.counter("repro_yaml_docs_total", "YAML documents by operation").inc(
+        1, op="serialize"
     )
-    root = MappingNode(
-        _MAP_TAG,
-        [
-            (
-                ScalarNode(_STR_TAG, "map"),
-                ScalarNode(_STR_TAG, snapshot.map_name.value),
-            ),
-            (
-                ScalarNode(_STR_TAG, "timestamp"),
-                ScalarNode(_STR_TAG, snapshot.timestamp.isoformat()),
-            ),
-            (
-                ScalarNode(_STR_TAG, "routers"),
-                _str_sequence(sorted(node.name for node in snapshot.routers)),
-            ),
-            (
-                ScalarNode(_STR_TAG, "peerings"),
-                _str_sequence(sorted(node.name for node in snapshot.peerings)),
-            ),
-            (ScalarNode(_STR_TAG, "links"), links_node),
-        ],
-        flow_style=False,
-    )
-    return yaml.serialize(root, Dumper=_DUMPER, width=120)
+    return text
 
 
 def write_snapshot(snapshot: MapSnapshot, path: str | Path) -> int:

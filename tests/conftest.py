@@ -15,10 +15,12 @@ would-be deadlocks into red test output.
 from __future__ import annotations
 
 import os
+from datetime import timedelta
 
 import pytest
 
 from repro.constants import MapName, REFERENCE_DATE
+from repro.dataset.processor import process_svg_bytes
 from repro.layout.renderer import MapRenderer
 from repro.parsing.pipeline import parse_svg
 from repro.simulation.network import BackboneSimulator
@@ -101,3 +103,16 @@ def apac_parsed(apac_svg, apac_reference):
     return parse_svg(
         apac_svg, MapName.ASIA_PACIFIC, apac_reference.timestamp
     )
+
+
+@pytest.fixture(scope="session")
+def engine_twins(simulator) -> dict[MapName, str]:
+    """One YAML twin per map, made the way the engine makes them."""
+    twins = {}
+    for offset, map_name in enumerate(MapName):
+        when = REFERENCE_DATE - timedelta(days=offset)
+        svg = MapRenderer().render(simulator.snapshot(map_name, when))
+        outcome = process_svg_bytes(svg.encode("utf-8"), map_name, when)
+        assert outcome.ok, outcome.failure_message
+        twins[map_name] = outcome.yaml_text
+    return twins

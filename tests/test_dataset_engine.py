@@ -79,6 +79,37 @@ class TestSerialParallelEquivalence:
         assert store.manifest_path(MAP).exists()
 
 
+class TestBalancedBatches:
+    """Every round gives each worker one batch of the same size."""
+
+    def test_batch_sizes(self):
+        refs = list(range(48))
+        assert [len(b) for b in engine_module._batches(refs, 16, 2)] == [12] * 4
+        assert [len(b) for b in engine_module._batches(refs[:4], 16, 2)] == [2, 2]
+        assert [len(b) for b in engine_module._batches(refs[:33], 16, 2)] == [9, 9, 9, 6]
+        assert [len(b) for b in engine_module._batches(refs, 16, 1)] == [16] * 3
+        assert [b for batch in engine_module._batches(refs[:33], 16, 2) for b in batch] == refs[:33]
+
+    @pytest.mark.parametrize("files, batches", [(4, 2), (48, 4)])
+    def test_pool_batches_and_serial_identity(
+        self, tmp_path, reference_svg, monkeypatch, files, batches
+    ):
+        from repro.dataset import workers as workers_module
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        # Two workers even on a one-core host, where they would collapse to one.
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+        serial_store = build_corpus(tmp_path / "serial", reference_svg, files)
+        parallel_store = build_corpus(tmp_path / "parallel", reference_svg, files)
+        serial = process_map(serial_store, MAP)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            parallel = process_map_parallel(parallel_store, MAP, workers=2)
+        assert registry.get("repro_engine_batch_seconds").count(map=MAP.value) == batches
+        assert_stats_equal(serial, parallel)
+        assert yaml_tree(serial_store) == yaml_tree(parallel_store)
+
+
 class TestWorkersOne:
     def test_degenerates_to_serial_no_pool(self, tmp_path, reference_svg, monkeypatch):
         def forbidden(*args, **kwargs):

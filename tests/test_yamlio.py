@@ -128,14 +128,19 @@ class TestLibyamlEquivalence:
     true — the contract is that callers can never tell which one ran.
     """
 
-    def test_dump_byte_identical_to_pure_python(self, monkeypatch):
+    def test_dump_byte_identical_to_pure_python(self, monkeypatch, apac_reference):
         import yaml
 
         from repro.yamlio import serialize
 
-        accelerated = snapshot_to_yaml(_snapshot())
+        emitted = snapshot_to_yaml(apac_reference)
+        assert serialize._emit(apac_reference) == emitted
+        # Send every snapshot to ``yaml.dump``: the direct emitter would
+        # otherwise write this one without ever running ``_DUMPER``.
+        monkeypatch.setattr(serialize, "_emit", lambda snapshot: None)
+        accelerated = snapshot_to_yaml(apac_reference)
         monkeypatch.setattr(serialize, "_DUMPER", yaml.SafeDumper)
-        assert snapshot_to_yaml(_snapshot()) == accelerated
+        assert snapshot_to_yaml(apac_reference) == accelerated == emitted
 
     @staticmethod
     def _force_fallback(monkeypatch):

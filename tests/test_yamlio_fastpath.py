@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from datetime import timedelta, timezone
+from datetime import timezone
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,8 +19,6 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import REFERENCE_DATE, MapName
-from repro.dataset.processor import process_svg_bytes
-from repro.layout.renderer import MapRenderer
 from repro.telemetry import MetricsRegistry, use_registry
 from repro.yamlio import deserialize
 from repro.yamlio.deserialize import fast_document, snapshot_from_yaml
@@ -42,27 +40,30 @@ def _yaml_load(text: str):
     return yaml.load(text, Loader=deserialize._LOADER)
 
 
-def _twin(map_value, when, routers, peerings, links) -> str:
-    """``snapshot_to_yaml`` of a duck-typed snapshot.
+def duck_snapshot(map_value, when, routers, peerings, links) -> SimpleNamespace:
+    """A duck-typed snapshot.
 
     A real ``MapSnapshot`` rejects the names and loads these tests need
     (``nan``, empty names, ...); the emitter only reads attributes.
     """
-    return snapshot_to_yaml(
-        SimpleNamespace(
-            map_name=SimpleNamespace(value=map_value),
-            timestamp=when,
-            routers=[SimpleNamespace(name=name) for name in routers],
-            peerings=[SimpleNamespace(name=name) for name in peerings],
-            links=[
-                SimpleNamespace(
-                    a=SimpleNamespace(node=a, label=label_a, load=load_a),
-                    b=SimpleNamespace(node=b, label=label_b, load=load_b),
-                )
-                for a, label_a, load_a, b, label_b, load_b in links
-            ],
-        )
+    return SimpleNamespace(
+        map_name=SimpleNamespace(value=map_value),
+        timestamp=when,
+        routers=[SimpleNamespace(name=name) for name in routers],
+        peerings=[SimpleNamespace(name=name) for name in peerings],
+        links=[
+            SimpleNamespace(
+                a=SimpleNamespace(node=a, label=label_a, load=load_a),
+                b=SimpleNamespace(node=b, label=label_b, load=load_b),
+            )
+            for a, label_a, load_a, b, label_b, load_b in links
+        ],
     )
+
+
+def _twin(map_value, when, routers, peerings, links) -> str:
+    """``snapshot_to_yaml`` of a duck-typed snapshot."""
+    return snapshot_to_yaml(duck_snapshot(map_value, when, routers, peerings, links))
 
 
 _ADVERSARIAL = (
@@ -89,14 +90,18 @@ _LOADS = st.one_of(
 
 
 @st.composite
-def _twins(draw) -> str:
-    return _twin(
+def duck_snapshots(draw) -> SimpleNamespace:
+    return duck_snapshot(
         draw(st.one_of(st.sampled_from([m.value for m in MapName]), _NAMES)),
         draw(st.datetimes(timezones=st.just(timezone.utc))),
         draw(st.lists(_NAMES, max_size=14)),
         draw(st.lists(_NAMES, max_size=6)),
         draw(st.lists(st.tuples(_NAMES, _NAMES, _LOADS, _NAMES, _NAMES, _LOADS), max_size=5)),
     )
+
+
+def _twins():
+    return duck_snapshots().map(snapshot_to_yaml)
 
 
 class TestDocuments:
@@ -147,19 +152,6 @@ class TestDocuments:
 # ---------------------------------------------------------------------------
 # Twins written by the engine, and mutations of them
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def engine_twins(simulator) -> dict[MapName, str]:
-    """One YAML twin per map, made the way the engine makes them."""
-    twins = {}
-    for offset, map_name in enumerate(MapName):
-        when = REFERENCE_DATE - timedelta(days=offset)
-        svg = MapRenderer().render(simulator.snapshot(map_name, when))
-        outcome = process_svg_bytes(svg.encode("utf-8"), map_name, when)
-        assert outcome.ok, outcome.failure_message
-        twins[map_name] = outcome.yaml_text
-    return twins
 
 
 def test_every_engine_twin_takes_the_fast_path(engine_twins):
