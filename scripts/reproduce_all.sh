@@ -89,24 +89,40 @@ echo "== 3/4 demonstration dataset (1 hour, all four maps) =="
 DATASET="$ARTIFACTS/dataset"
 repro-weather generate "$DATASET" \
     --start 2022-09-11T23:00:00 --end 2022-09-12T00:00:00
-repro-weather process "$DATASET" --metrics-out "$ARTIFACTS/metrics.json"
+repro-weather process "$DATASET" --workers auto \
+    --metrics-out "$ARTIFACTS/metrics.json"
 # Every twin of a generated corpus must come from the direct YAML
-# emitter; a fallback to yaml.dump means the emitter's layout drifted.
+# emitter (a fallback to yaml.dump means the emitter's layout drifted)
+# and be read back by the fast reader.  With one worker per core the
+# index build reads in pool workers on a multi-core host: fewer
+# deserialised documents than parsed index rows means worker metrics
+# were lost.
 python3 - "$ARTIFACTS/metrics.json" <<'PY'
 import json
 import sys
 
 with open(sys.argv[1], encoding="utf-8") as handle:
     metrics = json.load(handle)["metrics"]
-fallbacks = sum(
-    value
-    for metric in metrics
-    if metric["name"] == "repro_yaml_emit_total"
-    for labels, value in metric["series"]
-    if dict(labels).get("outcome") == "fallback"
-)
-print(f"YAML emitter fallbacks: {fallbacks:g}")
-sys.exit(1 if fallbacks else 0)
+
+
+def total(name, key, value):
+    return sum(
+        count
+        for metric in metrics
+        if metric["name"] == name
+        for labels, count in metric["series"]
+        if dict(labels).get(key) == value
+    )
+
+
+emit_fallbacks = total("repro_yaml_emit_total", "outcome", "fallback")
+read_fallbacks = total("repro_yaml_fast_path_total", "outcome", "fallback")
+deserialized = total("repro_yaml_docs_total", "op", "deserialize")
+indexed = total("repro_index_rows_total", "outcome", "parsed")
+print(f"YAML emitter fallbacks: {emit_fallbacks:g}")
+print(f"YAML reader fallbacks: {read_fallbacks:g}")
+print(f"YAML documents deserialised: {deserialized:g} (index rows parsed: {indexed:g})")
+sys.exit(1 if emit_fallbacks or read_fallbacks or deserialized < indexed else 0)
 PY
 repro-weather metrics "$ARTIFACTS/metrics.json" --format prom \
     --output "$ARTIFACTS/metrics.prom"

@@ -59,10 +59,16 @@ from repro.dataset.store import (
     atomic_write_text,
     format_timestamp,
 )
-from repro.dataset.workers import AUTO_WORKERS, default_workers, resolve_workers
+from repro.dataset.workers import (
+    AUTO_WORKERS,
+    call_with_metrics,
+    contiguous_batches,
+    default_workers,
+    resolve_workers,
+)
 from repro.errors import DatasetError
 from repro.parsing.pipeline import ParseOptions
-from repro.telemetry import MetricsRegistry, get_registry, use_registry
+from repro.telemetry import get_registry
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -183,55 +189,51 @@ def _process_batch(
     strict: bool,
     items: Sequence[tuple[str, str]],
     options: ParseOptions | None = None,
-) -> tuple[list[_WorkerResult], dict]:
+) -> list[_WorkerResult]:
     """Pool worker: read, hash, and extract one batch of SVG files.
 
     ``items`` are ``(timestamp_iso, path)`` pairs; results come back in the
     same order, which is what lets the parent merge deterministically.
-    The batch runs under a private metrics registry whose snapshot
-    travels back with the results — the parent merges it, so nothing the
+    The parent runs each batch through
+    :func:`~repro.dataset.workers.call_with_metrics`, so nothing the
     workers observe (stage timings, fast-path hits, failure causes) is
     lost to process isolation.
     """
     map_name = MapName(map_value)
     results: list[_WorkerResult] = []
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span(
-            "repro_engine_batch", "Worker batch wall time", map=map_value
-        ):
-            for stamp_iso, path_text in items:
-                path = Path(path_text)
-                data = path.read_bytes()
-                stat = path.stat()
-                outcome = process_svg_bytes(
-                    data,
-                    map_name,
-                    datetime.fromisoformat(stamp_iso),
-                    strict=strict,
-                    options=options,
+    with get_registry().span(
+        "repro_engine_batch", "Worker batch wall time", map=map_value
+    ):
+        for stamp_iso, path_text in items:
+            path = Path(path_text)
+            data = path.read_bytes()
+            stat = path.stat()
+            outcome = process_svg_bytes(
+                data,
+                map_name,
+                datetime.fromisoformat(stamp_iso),
+                strict=strict,
+                options=options,
+            )
+            results.append(
+                _WorkerResult(
+                    yaml_text=outcome.yaml_text,
+                    failure_cause=outcome.failure_cause,
+                    failure_message=outcome.failure_message,
+                    sha256=hashlib.sha256(data).hexdigest(),
+                    size=stat.st_size,
+                    mtime_ns=stat.st_mtime_ns,
                 )
-                results.append(
-                    _WorkerResult(
-                        yaml_text=outcome.yaml_text,
-                        failure_cause=outcome.failure_cause,
-                        failure_message=outcome.failure_message,
-                        sha256=hashlib.sha256(data).hexdigest(),
-                        size=stat.st_size,
-                        mtime_ns=stat.st_mtime_ns,
-                    )
-                )
-    return results, local.snapshot()
+            )
+    return results
 
 
 def _batches(
     refs: Sequence[SnapshotRef], chunk_size: int, workers: int
 ) -> list[Sequence[SnapshotRef]]:
     """Equal batches of at most ``chunk_size``, one per worker per round."""
-    per_round = chunk_size * workers
-    rounds = -(-len(refs) // per_round)
-    size = -(-len(refs) // (rounds * workers))
-    return [refs[start : start + size] for start in range(0, len(refs), size)]
+    rounds = -(-len(refs) // (chunk_size * workers))
+    return contiguous_batches(refs, rounds * workers)
 
 
 def _apply_result(
@@ -369,10 +371,15 @@ def process_map_parallel(
                 for batch in batches
             ]
             if workers == 1:
-                result_batches = (_process_batch(*task) for task in tasks)
+                result_batches = (
+                    call_with_metrics(_process_batch, *task) for task in tasks
+                )
             else:
                 executor = ProcessPoolExecutor(max_workers=min(workers, len(batches)))
-                futures = [executor.submit(_process_batch, *task) for task in tasks]
+                futures = [
+                    executor.submit(call_with_metrics, _process_batch, *task)
+                    for task in tasks
+                ]
                 result_batches = (future.result() for future in futures)
             try:
                 # Submission order == ref order, so the merge is deterministic.

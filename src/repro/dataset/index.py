@@ -66,16 +66,18 @@ import struct
 import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.store import DatasetStore, SnapshotRef, atomic_write_bytes
-from repro.dataset.workers import resolve_workers
+from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
@@ -281,6 +283,11 @@ def _when(epoch: int) -> datetime:
     return datetime.fromtimestamp(epoch, tz=timezone.utc)
 
 
+def _remapped(ids: array, remap: Sequence[int] | None) -> Iterable[int]:
+    """Interned ids translated through ``remap`` (verbatim without one)."""
+    return ids if remap is None else [remap[i] for i in ids]
+
+
 @dataclass(frozen=True, slots=True)
 class SkippedSource:
     """A source YAML file the index could not parse, remembered by stat.
@@ -384,12 +391,20 @@ class SnapshotIndex:
             self.link_b_loads.append(link.b.load)
         self._offsets = None
 
-    def append_row_from(self, other: "SnapshotIndex", row: int) -> None:
-        """Carry one unchanged row over from a previous index generation.
+    def append_row_from(
+        self,
+        other: "SnapshotIndex",
+        row: int,
+        names: Sequence[int] | None = None,
+        labels: Sequence[int] | None = None,
+    ) -> None:
+        """Copy one row of another index into this one.
 
-        The string tables must have been adopted from ``other`` (ids are
-        copied verbatim, not re-interned) — that is what makes the reuse
-        path pure array slicing with no YAML and no hashing.
+        ``names`` and ``labels`` map ``other``'s interned ids to this
+        index's.  Without them the ids are copied verbatim, which needs
+        the string tables adopted from ``other`` — the reuse path for an
+        unchanged row of a previous generation, pure array slicing with
+        no YAML and no hashing.
         """
         r0, r1, p0, p1, l0, l1 = other._row_bounds(row)
         self.timestamps.append(other.timestamps[row])
@@ -398,12 +413,12 @@ class SnapshotIndex:
         self.router_counts.append(r1 - r0)
         self.peering_counts.append(p1 - p0)
         self.link_counts.append(l1 - l0)
-        self.router_ids.extend(other.router_ids[r0:r1])
-        self.peering_ids.extend(other.peering_ids[p0:p1])
-        self.link_a_nodes.extend(other.link_a_nodes[l0:l1])
-        self.link_a_labels.extend(other.link_a_labels[l0:l1])
-        self.link_b_nodes.extend(other.link_b_nodes[l0:l1])
-        self.link_b_labels.extend(other.link_b_labels[l0:l1])
+        self.router_ids.extend(_remapped(other.router_ids[r0:r1], names))
+        self.peering_ids.extend(_remapped(other.peering_ids[p0:p1], names))
+        self.link_a_nodes.extend(_remapped(other.link_a_nodes[l0:l1], names))
+        self.link_a_labels.extend(_remapped(other.link_a_labels[l0:l1], labels))
+        self.link_b_nodes.extend(_remapped(other.link_b_nodes[l0:l1], names))
+        self.link_b_labels.extend(_remapped(other.link_b_labels[l0:l1], labels))
         self.link_a_loads.extend(other.link_a_loads[l0:l1])
         self.link_b_loads.extend(other.link_b_loads[l0:l1])
         self._offsets = None
@@ -707,6 +722,99 @@ def fresh_index(store: DatasetStore, map_name: MapName) -> SnapshotIndex | None:
     return index
 
 
+def _index_batch(
+    map_name: MapName, items: Sequence[tuple[str, int, int, int]]
+) -> tuple[SnapshotIndex, list[int | str]]:
+    """Parse one batch of YAML twins into a private part index.
+
+    ``items`` are ``(path, epoch, size, mtime_ns)``.  Each gets one
+    outcome, in order: its row in the part, or the schema error message.
+    Serial and pooled builds both run this; a pool worker returns only the
+    part's flat columns and string tables, never snapshot objects.
+    """
+    from repro.yamlio.deserialize import try_read_snapshot
+
+    part = SnapshotIndex(map_name)
+    outcomes: list[int | str] = []
+    for path, epoch, size, mtime_ns in items:
+        snapshot, message = try_read_snapshot(path)
+        if snapshot is None:
+            outcomes.append(message)
+            continue
+        # The file name's stamp is authoritative over the document's own.
+        snapshot.timestamp = _when(epoch)
+        outcomes.append(len(part))
+        part.append_snapshot(snapshot, size, mtime_ns)
+    return part, outcomes
+
+
+class _ParsePool:
+    """Runs :func:`_index_batch` batches; a process pool opens on first use.
+
+    One batch runs in-process.  Several go to the pool, one task each, and
+    each task's metrics are merged into the caller's registry in order.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+
+    def run(
+        self, map_name: MapName, batches: Sequence[Sequence[tuple[str, int, int, int]]]
+    ) -> Iterator[tuple[SnapshotIndex, list[int | str]]]:
+        if len(batches) <= 1:
+            for batch in batches:
+                yield _index_batch(map_name, batch)
+            return
+        if self._executor is None:
+            # Loaded before the fork, so workers inherit the YAML stack.
+            import repro.yamlio.deserialize  # noqa: F401
+
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        futures = [
+            self._executor.submit(call_with_metrics, _index_batch, map_name, batch)
+            for batch in batches
+        ]
+        registry = get_registry()
+        for future in futures:
+            result, worker_metrics = future.result()
+            registry.merge(worker_metrics)
+            yield result
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
+#: The pool of the enclosing :func:`shared_parse_pool` block, if any.
+_SHARED_POOL: ContextVar[_ParsePool | None] = ContextVar(
+    "repro_index_parse_pool", default=None
+)
+
+
+@contextmanager
+def shared_parse_pool(workers: int | str | None) -> Iterator[_ParsePool]:
+    """One parse pool for every :func:`build_index` inside the block.
+
+    Shard compaction calls ``build_index`` once per shard; inside this
+    block those calls share one process pool, opened only when some shard
+    has more than one batch to parse.  A nested block (each build opens
+    one) reuses the enclosing block's pool.
+    """
+    shared = _SHARED_POOL.get()
+    if shared is not None:
+        yield shared
+        return
+    pool = _ParsePool(resolve_workers(workers))
+    token = _SHARED_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _SHARED_POOL.reset(token)
+        pool.close()
+
+
 def build_index(
     store: DatasetStore,
     map_name: MapName,
@@ -722,9 +830,10 @@ def build_index(
 
     Incremental by default: rows whose source file is unchanged (same
     ``size`` and ``mtime_ns``) are carried over from the existing index
-    without touching the YAML; new and modified files are parsed (over a
-    process pool when ``workers`` asks for one); rows whose source
-    vanished are dropped.  An existing index built at a different
+    without touching the YAML; new and modified files are parsed, in one
+    contiguous batch per worker, each batch into a part index whose rows
+    are then merged in time order; rows whose source vanished are
+    dropped.  An existing index built at a different
     ``PARSER_VERSION`` is discarded, mirroring the engine's manifest.
 
     Args:
@@ -778,15 +887,14 @@ def build_index(
 
     # Plan in ref (time) order: reuse an unchanged row, or parse the file.
     plan: list[tuple[SnapshotRef, int | None]] = []
-    to_parse: list[SnapshotRef] = []
-    stats_by_ref: dict[int, tuple[int, int]] = {}
+    #: ``(path, epoch, size, mtime_ns)`` of each file to parse, in plan order.
+    items: list[tuple[str, int, int, int]] = []
     for ref in refs:
         try:
             stat = ref.path.stat()
         except OSError:
             continue  # raced with deletion; the index simply omits it
         key = _epoch(ref.timestamp)
-        stats_by_ref[key] = (stat.st_size, stat.st_mtime_ns)
         row = previous_rows.get(key)
         if row is not None and previous is not None and (
             previous.source_sizes[row] == stat.st_size
@@ -804,53 +912,48 @@ def build_index(
             stats.unreadable += 1
             continue
         plan.append((ref, None))
-        to_parse.append(ref)
+        items.append((str(ref.path), key, stat.st_size, stat.st_mtime_ns))
 
-    # Imported here, not at module scope, so readers of an index never load
-    # the YAML stack; and before the pool forks, so workers inherit it.
-    from repro.yamlio.deserialize import try_read_snapshot
-
-    parsed: dict[int, tuple[MapSnapshot | None, str]] = {}
-    effective_workers = resolve_workers(workers)
-    if to_parse and effective_workers > 1:
-        chunksize = max(1, len(to_parse) // (effective_workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=min(effective_workers, len(to_parse))
-        ) as executor:
-            for ref, outcome in zip(
-                to_parse,
-                executor.map(
-                    try_read_snapshot,
-                    [str(ref.path) for ref in to_parse],
-                    chunksize=chunksize,
-                ),
-            ):
-                parsed[_epoch(ref.timestamp)] = outcome
-    else:
-        for ref in to_parse:
-            parsed[_epoch(ref.timestamp)] = try_read_snapshot(str(ref.path))
-
-    for ref, previous_row in plan:
-        key = _epoch(ref.timestamp)
-        size, mtime_ns = stats_by_ref[key]
-        if previous_row is not None:
-            index.append_row_from(previous, previous_row)
-            stats.reused += 1
-            continue
-        snapshot, message = parsed[key]
-        if snapshot is None:
-            exc = SchemaError(message)
-            if on_error is None:
-                raise exc
-            on_error(ref, exc)
-            index.skipped[key] = SkippedSource(
-                size=size, mtime_ns=mtime_ns, message=message
-            )
-            stats.unreadable += 1
-            continue
-        snapshot.timestamp = ref.timestamp
-        index.append_snapshot(snapshot, size, mtime_ns)
-        stats.parsed += 1
+    with shared_parse_pool(workers) as pool:
+        batches = contiguous_batches(items, pool.workers) if items else []
+        # One (item, part, outcome) per parsed file, in plan order.
+        parsed = zip(
+            items,
+            (
+                (batch_part, outcome)
+                for batch_part, outcomes in pool.run(map_name, batches)
+                for outcome in outcomes
+            ),
+        )
+        part: SnapshotIndex | None = None
+        names: list[int] = []
+        labels: list[int] = []
+        for ref, previous_row in plan:
+            if previous_row is not None:
+                index.append_row_from(previous, previous_row)
+                stats.reused += 1
+                continue
+            (_, key, size, mtime_ns), (outcome_part, outcome) = next(parsed)
+            if isinstance(outcome, str):
+                exc = SchemaError(outcome)
+                if on_error is None:
+                    raise exc
+                on_error(ref, exc)
+                index.skipped[key] = SkippedSource(
+                    size=size, mtime_ns=mtime_ns, message=outcome
+                )
+                stats.unreadable += 1
+                continue
+            if outcome_part is not part:
+                # A part's strings are interned when the plan reaches its
+                # first row.  Nothing between its rows interns (reused rows
+                # carry known ids), so the tables keep the serial build's
+                # first-use order.
+                part = outcome_part
+                names = [index._intern_name(name) for name in part.names]
+                labels = [index._intern_label(label) for label in part.labels]
+            index.append_row_from(part, outcome, names, labels)
+            stats.parsed += 1
 
     if previous is not None:
         stats.removed = max(0, len(previous) - stats.reused)

@@ -14,8 +14,9 @@ loaders are tiered:
    interned columns without parsing any YAML; results are equal to the
    YAML path, well over an order of magnitude faster.
 2. **Process pool** — without an index, ``load_all(workers=N)`` fans the
-   YAML deserialisation out while keeping the returned list in time
-   order.  Worker requests go through
+   YAML deserialisation out, one contiguous batch per worker, while
+   keeping the returned list in time order; each worker's metrics are
+   merged back into the caller's registry.  Worker requests go through
    :func:`repro.dataset.workers.resolve_workers`, so the pool is skipped
    whenever it cannot win (one effective worker, single-core machine).
 3. **Serial YAML** — the always-correct fallback.
@@ -26,12 +27,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.constants import MapName
 from repro.dataset.index import SnapshotIndex, fresh_index
 from repro.dataset.store import DatasetStore, ShardedDatasetStore, SnapshotRef
-from repro.dataset.workers import resolve_workers
+from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot
@@ -194,27 +195,35 @@ def load_all(
         if not refs:
             return []
         snapshots = []
-        chunksize = max(1, len(refs) // (effective_workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=min(effective_workers, len(refs))
-        ) as executor:
-            # executor.map preserves input order, so the output stays sorted.
-            for ref, (snapshot, error_message) in zip(
-                refs,
-                executor.map(
-                    try_read_snapshot, [str(ref.path) for ref in refs], chunksize=chunksize
-                ),
-            ):
-                if snapshot is None:
-                    exc = SchemaError(error_message)
-                    if on_error is None:
-                        raise exc
-                    on_error(ref, exc)
-                    continue
-                snapshot.timestamp = ref.timestamp
-                snapshots.append(snapshot)
+        batches = contiguous_batches(refs, effective_workers)
+        with ProcessPoolExecutor(max_workers=len(batches)) as executor:
+            futures = [
+                executor.submit(
+                    call_with_metrics, _read_batch, [str(ref.path) for ref in batch]
+                )
+                for batch in batches
+            ]
+            # Batches are consumed in submission order, so the output stays
+            # sorted and worker metrics merge deterministically.
+            for batch, future in zip(batches, futures):
+                outcomes, worker_metrics = future.result()
+                registry.merge(worker_metrics)
+                for ref, (snapshot, error_message) in zip(batch, outcomes):
+                    if snapshot is None:
+                        exc = SchemaError(error_message)
+                        if on_error is None:
+                            raise exc
+                        on_error(ref, exc)
+                        continue
+                    snapshot.timestamp = ref.timestamp
+                    snapshots.append(snapshot)
         loaded.inc(len(snapshots), map=map_name.value, source="yaml")
         return snapshots
+
+
+def _read_batch(paths: Sequence[str]) -> list[tuple[MapSnapshot | None, str]]:
+    """Pool task: :func:`try_read_snapshot` over one batch of files, in order."""
+    return [try_read_snapshot(path) for path in paths]
 
 
 def _iter_from_index(

@@ -45,7 +45,12 @@ from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import SnapshotIndex, build_index, load_index_at
+from repro.dataset.index import (
+    SnapshotIndex,
+    build_index,
+    load_index_at,
+    shared_parse_pool,
+)
 from repro.dataset.query import (
     ColumnBatch,
     LinkRecord,
@@ -251,44 +256,46 @@ def compact_map_shards(
         for key in only:
             parse_shard_key(key)
     live_keys = store.shard_keys(map_name, "yaml") if only is None else only
-    for key in live_keys:
-        refs = list(store.iter_shard_refs(map_name, "yaml", key))
-        if not refs:
-            continue  # the day's files are gone; nothing to index
-        fingerprint = shard_fingerprint(refs)
-        index_path = store.shard_index_path(map_name, key)
-        entry = manifest.shards.get(key)
-        if (
-            not rebuild
-            and entry is not None
-            and entry.fingerprint == fingerprint
-            and entry.matches_index(index_path)
-        ):
-            stats.skipped.append(key)
-            stats.rows += entry.rows
-            continue
-        index, build_stats = build_index(
-            store,
-            map_name,
-            rebuild=rebuild,
-            workers=workers,
-            on_error=on_error,
-            parser_version=parser_version,
-            refs=refs,
-            index_path=index_path,
-        )
-        index_stat = index_path.stat()
-        manifest.shards[key] = ShardEntry(
-            fingerprint=fingerprint,
-            rows=len(index),
-            skipped=len(index.skipped),
-            index_size=index_stat.st_size,
-            index_mtime_ns=index_stat.st_mtime_ns,
-        )
-        stats.built.append(key)
-        stats.rows += len(index)
-        stats.parsed += build_stats.parsed
-        stats.reused += build_stats.reused
+    # One parse pool for every shard rebuilt here, opened on first need.
+    with shared_parse_pool(workers):
+        for key in live_keys:
+            refs = list(store.iter_shard_refs(map_name, "yaml", key))
+            if not refs:
+                continue  # the day's files are gone; nothing to index
+            fingerprint = shard_fingerprint(refs)
+            index_path = store.shard_index_path(map_name, key)
+            entry = manifest.shards.get(key)
+            if (
+                not rebuild
+                and entry is not None
+                and entry.fingerprint == fingerprint
+                and entry.matches_index(index_path)
+            ):
+                stats.skipped.append(key)
+                stats.rows += entry.rows
+                continue
+            index, build_stats = build_index(
+                store,
+                map_name,
+                rebuild=rebuild,
+                workers=workers,
+                on_error=on_error,
+                parser_version=parser_version,
+                refs=refs,
+                index_path=index_path,
+            )
+            index_stat = index_path.stat()
+            manifest.shards[key] = ShardEntry(
+                fingerprint=fingerprint,
+                rows=len(index),
+                skipped=len(index.skipped),
+                index_size=index_stat.st_size,
+                index_mtime_ns=index_stat.st_mtime_ns,
+            )
+            stats.built.append(key)
+            stats.rows += len(index)
+            stats.parsed += build_stats.parsed
+            stats.reused += build_stats.reused
 
     if only is None:
         for key in sorted(set(manifest.shards) - set(live_keys)):

@@ -1,4 +1,4 @@
-"""Worker-count resolution shared by the CLI and the library API.
+"""Worker-count resolution and pool-task plumbing shared by every pool user.
 
 BENCH_throughput.json showed the process pool *regressing* on small
 machines (``speedup_load = 0.84`` with one core): spawning workers,
@@ -7,13 +7,22 @@ parallelism returns when there is nothing to run in parallel with.  Every
 pool user therefore resolves its worker request through
 :func:`resolve_workers`, which collapses to serial execution whenever the
 effective width is one — including any request on a single-core machine.
+
+The two helpers below are the pool users' shared task plumbing:
+:func:`contiguous_batches` cuts work into one ordered batch per task, and
+:func:`call_with_metrics` runs a task under a private metrics registry so
+the parent can merge what the worker observed.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.errors import WorkerCountError
+from repro.telemetry import MetricsRegistry, use_registry
+
+T = TypeVar("T")
 
 #: The sentinel accepted everywhere a worker count is: one worker per core.
 AUTO_WORKERS = "auto"
@@ -71,3 +80,23 @@ def resolve_workers(workers: int | str | None, default: int | str = 1) -> int:
     if cpus <= 1:
         return 1
     return workers
+
+
+def contiguous_batches(items: Sequence[T], count: int) -> list[Sequence[T]]:
+    """``items`` cut into at most ``count`` near-equal slices, in order."""
+    size = max(1, -(-len(items) // count))
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def call_with_metrics(function: Callable[..., T], *args: Any) -> tuple[T, dict]:
+    """Pool-task side: run ``function(*args)`` under a private registry.
+
+    Returns the result and the registry's snapshot.  A worker process's
+    own registry never reaches the parent, so the parent merges the
+    snapshot instead (:meth:`~repro.telemetry.MetricsRegistry.merge`);
+    counters then total what a serial run records.
+    """
+    local = MetricsRegistry()
+    with use_registry(local):
+        result = function(*args)
+    return result, local.snapshot()

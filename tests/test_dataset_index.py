@@ -30,6 +30,7 @@ from repro.dataset.store import DatasetStore
 from repro.dataset.workers import default_workers, resolve_workers
 from repro.errors import DatasetError, SchemaError, SnapshotIndexError
 from repro.parsing.pipeline import PARSER_VERSION
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
 from repro.yamlio.serialize import snapshot_to_yaml
 
@@ -414,6 +415,85 @@ class TestStatus:
         status = index_status(store, MAP)
         assert status.exists and not status.fresh
         assert status.reason
+
+
+# ---------------------------------------------------------------------------
+# Pooled builds
+# ---------------------------------------------------------------------------
+
+
+def _with_router(when: datetime, router: str) -> MapSnapshot:
+    """The fixture's snapshot plus one more router, linked to ``fra-r1``."""
+    snapshot = _snapshot(when, load=7.0)
+    snapshot.add_node(Node.from_name(router))
+    snapshot.add_link(Link(LinkEnd(router, "#3", 2.0), LinkEnd("fra-r1", "#4", 3.0)))
+    return snapshot
+
+
+def _yaml_counters(registry: MetricsRegistry) -> dict:
+    return {
+        (entry["name"], tuple(map(tuple, labels))): value
+        for entry in registry.snapshot()["metrics"]
+        if entry["name"].startswith("repro_yaml_")
+        for labels, value in entry["series"]
+    }
+
+
+class TestPooledBuild:
+    """A pooled build must write the serial build's ``index.bin``, byte for byte."""
+
+    def test_index_bin_identical_to_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = DatasetStore(tmp_path)
+        stamps = [T0 + timedelta(minutes=5 * i) for i in range(8)]
+        for when in stamps[:4]:
+            store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
+        build_index(store, MAP)
+        previous = store.index_path(MAP).read_bytes()
+
+        # Parsed in two batches, [1, 4, 5] and [6, 7], between reused 0, 2, 3.
+        store.write(MAP, stamps[1], "yaml", snapshot_to_yaml(_snapshot(stamps[1], 50.0)))
+        os.utime(store.path_for(MAP, stamps[1], "yaml"), ns=(7, 7))
+        store.write(MAP, stamps[4], "yaml", snapshot_to_yaml(_snapshot(stamps[4], 4.0)))
+        store.write(MAP, stamps[5], "yaml", "routers: [unclosed")
+        # First seen in the second batch, in non-sorted order.
+        store.write(MAP, stamps[6], "yaml", snapshot_to_yaml(_with_router(stamps[6], "zrh-r9")))
+        store.write(MAP, stamps[7], "yaml", snapshot_to_yaml(_with_router(stamps[7], "bcn-r3")))
+
+        outputs = []
+        for workers in (1, 2):
+            store.index_path(MAP).write_bytes(previous)
+            errors = []
+            index, stats = build_index(
+                store,
+                MAP,
+                workers=workers,
+                on_error=lambda ref, exc: errors.append((ref.timestamp, str(exc))),
+            )
+            assert (stats.reused, stats.parsed, stats.unreadable) == (3, 4, 1)
+            outputs.append((store.index_path(MAP).read_bytes(), errors, index.skipped))
+        serial, pooled = outputs
+        assert [when for when, _ in serial[1]] == [stamps[5]]
+        assert pooled[1] == serial[1]
+        assert pooled[2] == serial[2]
+        assert pooled[0] == serial[0]
+        assert SnapshotIndex.load(store.index_path(MAP)).names[-2:] == ["zrh-r9", "bcn-r3"]
+
+    @pytest.mark.parametrize("read", ["build_index", "load_all"])
+    def test_worker_metrics_reach_the_parent(self, store, monkeypatch, read):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        counters = []
+        for workers in (1, 2):
+            with use_registry(MetricsRegistry()) as registry:
+                if read == "build_index":
+                    build_index(store, MAP, rebuild=True, workers=workers)
+                else:
+                    load_all(store, MAP, workers=workers, use_index=False)
+            counters.append(_yaml_counters(registry))
+        serial, pooled = counters
+        assert serial[("repro_yaml_docs_total", (("op", "deserialize"),))] == FILES
+        assert serial[("repro_yaml_fast_path_total", (("outcome", "hit"),))] == FILES
+        assert pooled == serial
 
 
 # ---------------------------------------------------------------------------
