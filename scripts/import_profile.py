@@ -6,13 +6,19 @@ point's imports in fresh interpreters and prints:
 
 * the median import wall time over :data:`RUNS` interpreters (the
   interpreter's own start-up excluded), with the fastest and slowest run;
-* the peak RSS of such an interpreter once the imports are done;
+* the peak RSS of such an interpreter once the imports are done: its own
+  ``VmHWM`` from ``/proc/self/status``.  ``getrusage``'s ``ru_maxrss``
+  would not do: Linux carries that high-water mark across ``execve``, so
+  a child forked from a large parent reports the parent's peak;
+* which of the heavy third-party layers (:data:`LAYERS`) the imports
+  load, on a ``<entry point> loads: ...`` line;
 * the :data:`TOP` modules with the largest cumulative ``-X importtime``,
   from one more interpreter.
 
 The children import the ``src/`` tree next to this script, so the
-numbers describe this checkout.  Informational only: it gates nothing.
-Run it with ``python3 scripts/import_profile.py``.
+numbers describe this checkout.  The timings gate nothing;
+``scripts/reproduce_all.sh`` fails if the ``daemon loads:`` line lists
+numpy.  Run it with ``python3 scripts/import_profile.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ RUNS = 7
 #: Slowest modules (by cumulative import time) listed per entry point.
 TOP = 8
 
+#: Heavy third-party layers whose presence in a closure is reported.
+LAYERS = ("numpy", "yaml", "networkx")
+
 #: Entry point -> the imports its process performs before it can work
 #: (the same ones ``benchmarks/suite/sut_*.py`` perform).
 ENTRY_POINTS = {
@@ -44,12 +53,14 @@ ENTRY_POINTS = {
 }
 
 _TIMED = """\
-import json, resource, time
+import json, sys, time
 started = time.perf_counter()
 {imports}
 elapsed = time.perf_counter() - started
-peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({{"seconds": elapsed, "peak_kib": peak_kib}}))
+with open("/proc/self/status") as status:
+    peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+layers = [name for name in {layers!r} if name in sys.modules]
+print(json.dumps({{"seconds": elapsed, "peak_kib": peak_kib, "layers": layers}}))
 """
 
 
@@ -64,15 +75,17 @@ def _child(args: list[str]) -> subprocess.CompletedProcess:
     return completed
 
 
-def timed_imports(imports: str) -> tuple[list[float], int]:
-    """Import seconds of each fresh interpreter, and the largest peak RSS (KiB)."""
+def timed_imports(imports: str) -> tuple[list[float], int, list[str]]:
+    """Import seconds of each fresh interpreter, the largest peak RSS (KiB),
+    and the :data:`LAYERS` the imports load."""
     seconds: list[float] = []
     peak_kib = 0
+    script = _TIMED.format(imports=imports, layers=LAYERS)
     for _ in range(RUNS):
-        result = json.loads(_child(["-c", _TIMED.format(imports=imports)]).stdout)
+        result = json.loads(_child(["-c", script]).stdout)
         seconds.append(result["seconds"])
         peak_kib = max(peak_kib, result["peak_kib"])
-    return seconds, peak_kib
+    return seconds, peak_kib, result["layers"]
 
 
 def import_times(code: str) -> dict[str, int]:
@@ -100,12 +113,13 @@ def main() -> int:
     print(f"python {sys.version.split()[0]}, {os.cpu_count()} CPUs, {RUNS} runs per entry point")
     startup = set(import_times("pass"))
     for name, imports in ENTRY_POINTS.items():
-        seconds, peak_kib = timed_imports(imports)
+        seconds, peak_kib, layers = timed_imports(imports)
         print(
             f"\n{name}: import {statistics.median(seconds):.3f} s median "
             f"(min {min(seconds):.3f}, max {max(seconds):.3f}), "
-            f"peak RSS {peak_kib / 1024:.0f} MiB"
+            f"peak RSS (VmHWM) {peak_kib / 1024:.1f} MiB"
         )
+        print(f"{name} loads: {', '.join(layers) or 'none'}")
         for cumulative, module in slowest_modules(imports, startup):
             print(f"  {cumulative / 1e6:7.3f} s  {module}")
     return 0

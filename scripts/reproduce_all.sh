@@ -80,10 +80,15 @@ python3 benchmarks/bench_serving.py --quick \
 python3 scripts/check_bench_regression.py "$ARTIFACTS/BENCH_serving.json" \
     --baseline BENCH_serving.json --tolerance 0.75
 
-echo "== 2e/4 cold start (informational: import time and RSS per entry point) =="
-# Gates nothing: the numbers move with the host.  docs/performance.md
-# ("Cold start") records a like-for-like before/after.
+echo "== 2e/4 cold start (import time and RSS per entry point; daemon closure) =="
+# The timings gate nothing: they move with the host.  docs/performance.md
+# ("Cold start") records a like-for-like before/after.  The layers do
+# gate: the ingest daemon never runs numpy, so its imports must not load it.
 python3 scripts/import_profile.py | tee "$ARTIFACTS/import_profile.txt"
+if grep -Eq '^daemon loads: .*\bnumpy\b' "$ARTIFACTS/import_profile.txt"; then
+    echo "FAIL: the ingest daemon's imports load numpy" >&2
+    exit 1
+fi
 
 echo "== 3/4 demonstration dataset (1 hour, all four maps) =="
 DATASET="$ARTIFACTS/dataset"

@@ -29,6 +29,16 @@ Readers get the same two tiers the monolithic index has:
   :class:`~repro.dataset.query.MappedIndex` out per shard, with a
   chaining :class:`ShardedScanResult`.  Interned ids are shard-local, so
   records and loads are resolved per shard before being chained.
+
+The module has a write half and a read half.  The write half — the
+shard manifest, :func:`compact_map_shards` and :func:`verify_shards` —
+is all the ingest daemon and the engine use.  The read half —
+:class:`ShardedMappedIndex`, :class:`ShardedScanResult` and
+:func:`open_sharded_query` — builds :mod:`repro.dataset.query` objects,
+and that module imports numpy.  So the read half imports ``query`` where
+it first builds one (opening a shard, defaulting a scan predicate), not
+at module level: the daemon, which never reads through this module,
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.index import (
@@ -50,13 +60,6 @@ from repro.dataset.index import (
     build_index,
     load_index_at,
     shared_parse_pool,
-)
-from repro.dataset.query import (
-    ColumnBatch,
-    LinkRecord,
-    MappedIndex,
-    ScanPredicate,
-    ScanResult,
 )
 from repro.dataset.store import (
     ShardedDatasetStore,
@@ -66,6 +69,15 @@ from repro.dataset.store import (
 )
 from repro.errors import DatasetError, SnapshotIndexError
 from repro.telemetry import get_registry
+
+if TYPE_CHECKING:
+    from repro.dataset.query import (
+        ColumnBatch,
+        LinkRecord,
+        MappedIndex,
+        ScanPredicate,
+        ScanResult,
+    )
 
 logger = logging.getLogger(__name__)
 
@@ -472,6 +484,8 @@ class ShardedMappedIndex:
             return engine
         with self._open_lock:
             if slot.engine is None:
+                from repro.dataset.query import MappedIndex
+
                 opened = MappedIndex.open(slot.path)
                 if (
                     opened.map_name != self.map_name
@@ -529,6 +543,8 @@ class ShardedMappedIndex:
         shard-key span without ever being opened.
         """
         if predicate is None:
+            from repro.dataset.query import ScanPredicate
+
             predicate = ScanPredicate()
         selected = self._overlapping(predicate.start, predicate.end)
         pruning = get_registry().counter(

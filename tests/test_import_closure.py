@@ -5,14 +5,17 @@ tests check the *transitive* closure, in a fresh interpreter per entry
 point, by reading ``sys.modules``:
 
 * the ingest daemon's modules never load the simulator, the renderer,
-  the SVG writer, networkx or ``urllib.request``;
-* the HTTP server additionally never loads the parser or the YAML stack;
+  the SVG writer, networkx or ``urllib.request``, nor numpy, which only
+  the read side runs;
+* the HTTP server loads numpy but none of the others, and never the
+  parser or the YAML stack;
 * ``repro.cli.main`` defers every heavy layer to the subcommand using it.
 
 The hot-path tests then pin the other half of the bargain: deferring an
 import must not move it onto a request or an ingest run.  A ready server
 answering every ``/v1`` endpoint, and a daemon run over one new SVG,
-load no further ``repro``, numpy, YAML or networkx module.
+load no further ``repro``, numpy, YAML or networkx module, and
+``repro-weather ingest run`` ingests without ever loading numpy.
 """
 
 from __future__ import annotations
@@ -78,10 +81,11 @@ def loaded(modules: list[str], names: tuple[str, ...]) -> list[str]:
 class TestImportClosure:
     def test_ingest_daemon_modules(self):
         modules = run_python(
-            "import repro.dataset.ingest, repro.dataset.engine, repro.dataset.shards\n"
-            + _DUMP
+            "import repro.constants, repro.dataset.engine, repro.dataset.ingest, "
+            "repro.dataset.shards, repro.dataset.store\n" + _DUMP
         )
-        assert loaded(modules, NEVER_IN_PROCESSES) == []
+        # numpy comes only with the shard read side, which the daemon never runs.
+        assert loaded(modules, NEVER_IN_PROCESSES + ("numpy",)) == []
         # The daemon really does carry the parser and the YAML writer.
         assert loaded(modules, ("repro.parsing", "yaml")) == ["repro.parsing", "yaml"]
 
@@ -186,3 +190,23 @@ class TestNothingMovedOntoTheHotPath:
             MAP.value,
         )
         assert loaded(late, HOT_PATH_WATCHED) == []
+
+    def test_cli_ingest_run(self, tmp_path, apac_svg):
+        store = ShardedDatasetStore(tmp_path)
+        store.mark()
+        store.write(MAP, T0, "svg", apac_svg)
+
+        modules = run_python(
+            """
+            import contextlib, io, json, sys
+            from repro.cli.main import main
+
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["ingest", "run", sys.argv[1]]) == 0
+            assert out.getvalue().startswith("ingested 1 files"), out.getvalue()
+            print(json.dumps(sorted(sys.modules)))
+            """,
+            str(tmp_path),
+        )
+        assert loaded(modules, ("numpy",)) == []
