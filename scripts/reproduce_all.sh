@@ -101,7 +101,9 @@ repro-weather process "$DATASET" --workers auto \
 # and be read back by the fast reader.  With one worker per core the
 # index build reads in pool workers on a multi-core host: fewer
 # deserialised documents than parsed index rows means worker metrics
-# were lost.
+# were lost.  Consecutive 5-minute ticks share a map's layout, so zero
+# layout-reuse hits means the replay of Algorithm 2 is dead, and hits
+# plus misses must equal the fast-path hits, however many workers ran.
 python3 - "$ARTIFACTS/metrics.json" <<'PY'
 import json
 import sys
@@ -124,10 +126,22 @@ emit_fallbacks = total("repro_yaml_emit_total", "outcome", "fallback")
 read_fallbacks = total("repro_yaml_fast_path_total", "outcome", "fallback")
 deserialized = total("repro_yaml_docs_total", "op", "deserialize")
 indexed = total("repro_index_rows_total", "outcome", "parsed")
+fast_hits = total("repro_parse_fast_path_total", "outcome", "hit")
+reuse_hits = total("repro_parse_layout_reuse_total", "outcome", "hit")
+reuse_misses = total("repro_parse_layout_reuse_total", "outcome", "miss")
 print(f"YAML emitter fallbacks: {emit_fallbacks:g}")
 print(f"YAML reader fallbacks: {read_fallbacks:g}")
 print(f"YAML documents deserialised: {deserialized:g} (index rows parsed: {indexed:g})")
-sys.exit(1 if emit_fallbacks or read_fallbacks or deserialized < indexed else 0)
+print(f"layout reuse: {reuse_hits:g} hits, {reuse_misses:g} misses (fast-path hits: {fast_hits:g})")
+sys.exit(
+    1
+    if emit_fallbacks
+    or read_fallbacks
+    or deserialized < indexed
+    or not reuse_hits
+    or reuse_hits + reuse_misses != fast_hits
+    else 0
+)
 PY
 repro-weather metrics "$ARTIFACTS/metrics.json" --format prom \
     --output "$ARTIFACTS/metrics.prom"

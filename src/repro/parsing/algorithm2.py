@@ -17,10 +17,16 @@ Two execution modes produce identical results:
   the nearest (the true router sits a few pixels from the end, the label
   essentially on it), and an empty neighbourhood falls back to the full
   scan, so the error behaviour is preserved too.
+
+Both modes break exact-distance ties on document order.
+:func:`attribute_with_plan` also returns the chosen router and label
+indices, so :func:`replay_plan` can rebuild the result for a later
+document with the same layout without re-running the search.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.constants import LABEL_DISTANCE_THRESHOLD
@@ -87,15 +93,30 @@ def attribute_objects(
         MissingLabelError: no unconsumed label intersects the line within
             the distance threshold.
     """
+    return attribute_with_plan(extraction, label_distance_threshold, accelerated)[0]
+
+
+def attribute_with_plan(
+    extraction: ExtractionResult,
+    label_distance_threshold: float,
+    accelerated: bool,
+) -> tuple[list[AttributedLink], array]:
+    """:func:`attribute_objects` plus the plan :func:`replay_plan` reads.
+
+    The plan holds, per link end in order, the document index of the
+    chosen router and of the chosen label.
+    """
+    routers = extraction.routers
     labels = list(extraction.labels)
     consumed = [False] * len(labels)
     attributed: list[AttributedLink] = []
+    plan = array("i")
 
-    router_index: GridIndex[ObjectElement] | None = None
+    router_index: GridIndex[int] | None = None
     label_index: GridIndex[int] | None = None
     if accelerated:
         router_index = GridIndex(
-            (router.box, router) for router in extraction.routers
+            (router.box, position) for position, router in enumerate(routers)
         )
         label_index = GridIndex(
             (label.box, position) for position, label in enumerate(labels)
@@ -108,15 +129,15 @@ def attribute_objects(
         except GeometryError as exc:
             raise MissingRouterError(f"degenerate link geometry: {exc}") from exc
 
-        routers_on_line: list[ObjectElement] | None = None
+        routers_on_line: list[int] | None = None
         labels_on_line: list[int] | None = None
 
-        def full_routers() -> list[ObjectElement]:
+        def full_routers() -> list[int]:
             nonlocal routers_on_line
             if routers_on_line is None:
                 routers_on_line = [
-                    router
-                    for router in extraction.routers
+                    position
+                    for position, router in enumerate(routers)
                     if router.box.intersects_line(line)
                 ]
             return routers_on_line
@@ -133,25 +154,30 @@ def attribute_objects(
 
         ends: list[AttributedEnd] = []
         for end_position, load in zip((base_first, base_second), link.loads):
+            # Every nearest scan below keeps the smallest (distance,
+            # document index), like min() over the document-order lists
+            # of the faithful loop.  The full scans run in document order,
+            # so a strict "<" does it; the grid yields cell order, so it
+            # breaks ties on the index explicitly.
             # --- router attribution -------------------------------------
-            # The inlined nearest scans below keep the *first* candidate on
-            # equal distances, exactly like min() with a key function.
-            router = None
+            best_router = -1
             router_distance = _INFINITY
             if router_index is not None:
-                for box, candidate in router_index.near(end_position, _SEARCH_RADIUS):
+                for box, position in router_index.near(end_position, _SEARCH_RADIUS):
                     if box.intersects_line(line):
                         distance = box.distance_to_point(end_position)
-                        if distance < router_distance:
+                        if distance < router_distance or (
+                            distance == router_distance and position < best_router
+                        ):
                             router_distance = distance
-                            router = candidate
-            if router is None:
-                for candidate in full_routers():
-                    distance = candidate.box.distance_to_point(end_position)
+                            best_router = position
+            if best_router < 0:
+                for position in full_routers():
+                    distance = routers[position].box.distance_to_point(end_position)
                     if distance < router_distance:
                         router_distance = distance
-                        router = candidate
-            if router is None:
+                        best_router = position
+            if best_router < 0:
                 raise MissingRouterError(
                     f"no router box intersects the link line near "
                     f"({end_position.x:.0f}, {end_position.y:.0f})"
@@ -164,7 +190,9 @@ def attribute_objects(
                 for box, position in label_index.near(end_position, _SEARCH_RADIUS):
                     if not consumed[position] and box.intersects_line(line):
                         candidate_distance = box.distance_to_point(end_position)
-                        if candidate_distance < distance:
+                        if candidate_distance < distance or (
+                            candidate_distance == distance and position < best_index
+                        ):
                             distance = candidate_distance
                             best_index = position
             if best_index < 0:
@@ -190,10 +218,12 @@ def attribute_objects(
                     distance=distance,
                 )
             consumed[best_index] = True
+            plan.append(best_router)
+            plan.append(best_index)
             ends.append(
                 AttributedEnd(
                     position=end_position,
-                    router=router,
+                    router=routers[best_router],
                     label=labels[best_index],
                     load=load,
                 )
@@ -206,4 +236,26 @@ def attribute_objects(
             )
         attributed.append(AttributedLink(a=first, b=second))
 
-    return attributed
+    return attributed, plan
+
+
+def replay_plan(extraction: ExtractionResult, plan: array) -> list[AttributedLink]:
+    """Rebuild :func:`attribute_with_plan`'s links from its ``plan``.
+
+    Valid only for a document whose layout equals the planned one: the
+    same router boxes and names, label boxes and arrows, in the same
+    order.  Routers, labels, positions and loads come from
+    ``extraction``, so only its loads and label texts may differ.
+    """
+    routers = extraction.routers
+    labels = extraction.labels
+    chosen = iter(plan)
+    return [
+        AttributedLink(
+            *(
+                AttributedEnd(position, routers[next(chosen)], labels[next(chosen)], load)
+                for position, load in zip(link.bases, link.loads)
+            )
+        )
+        for link in extraction.links
+    ]

@@ -18,10 +18,17 @@ Every parse also feeds the process-wide metrics registry
 ``repro_parse_fast_path_total``, whatever the caller does — the
 :class:`StageTimings` accumulator remains only as a per-run view for
 callers that want their own scoped numbers.
+
+A map's layout changes only when its topology does, so the accelerated
+attribution of a fast-path document is kept per map as a compact plan,
+keyed by the layout signature the streaming pass returns; the next
+document with the same signature and threshold replays the plan instead
+of re-running Algorithm 2 (``repro_parse_layout_reuse_total``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,9 +37,14 @@ from time import perf_counter
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
 from repro.constants import PARSER_VERSION as PARSER_VERSION  # re-export, same object
 from repro.parsing.algorithm1 import ExtractionResult, extract_objects
-from repro.parsing.algorithm2 import AttributedLink, attribute_objects
+from repro.parsing.algorithm2 import (
+    AttributedLink,
+    attribute_objects,
+    attribute_with_plan,
+    replay_plan,
+)
 from repro.parsing.checks import ParseReport, run_sanity_checks
-from repro.parsing.stream import stream_extract
+from repro.parsing.stream import _stream_extract
 from repro.svgdoc.reader import read_svg_tags
 from repro.telemetry import MetricsRegistry, get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
@@ -54,8 +66,9 @@ class ParseOptions:
             results, and any document outside the expected shape falls
             back to the faithful DOM path — ``False`` forces that path
             outright.
-        accelerated: use the grid-indexed attribution (identical
-            results; ``False`` for the paper's exact quadratic
+        accelerated: use the grid-indexed attribution, replayed when a
+            fast-path document repeats its map's previous layout
+            (identical results; ``False`` for the paper's exact quadratic
             formulation).
         label_distance_threshold: Algorithm 2 label-distance limit.
     """
@@ -80,7 +93,7 @@ STAGE_BUCKETS: tuple[float, ...] = (
 class _PipelineMetrics:
     """The pipeline's instruments, bound once per active registry."""
 
-    __slots__ = ("registry", "stage", "fast_path")
+    __slots__ = ("registry", "stage", "fast_path", "layout_reuse")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
@@ -94,9 +107,19 @@ class _PipelineMetrics:
             "Documents the fused streaming pass handled (hit) or "
             "punted to the DOM path (fallback)",
         )
+        self.layout_reuse = registry.counter(
+            "repro_parse_layout_reuse_total",
+            "Accelerated attributions replayed from the map's previous "
+            "layout (hit) or run afresh (miss)",
+        )
 
 
 _metrics_cache: _PipelineMetrics | None = None
+
+#: One layout-reuse slot per map: ``(threshold, signature, plan)`` of its
+#: last successful accelerated attribution.  A slot is one tuple written
+#: in one assignment, so the daemon's parse threads share it lock-free.
+_LAYOUTS: dict[MapName, tuple[float, str, array]] = {}
 
 
 def _metrics() -> _PipelineMetrics:
@@ -203,6 +226,28 @@ def _snapshot_from(
     return snapshot
 
 
+def _attribute_layout(
+    extraction: ExtractionResult,
+    layout: str,
+    map_name: MapName,
+    threshold: float,
+    metrics: _PipelineMetrics,
+) -> list[AttributedLink]:
+    """Accelerated Algorithm 2, replayed when ``map_name``'s layout repeats.
+
+    Only a successful attribution is stored, so a layout that fails runs
+    (and raises) afresh every time.
+    """
+    slot = _LAYOUTS.get(map_name)
+    if slot is not None and slot[0] == threshold and slot[1] == layout:
+        metrics.layout_reuse.inc(1, outcome="hit")
+        return replay_plan(extraction, slot[2])
+    metrics.layout_reuse.inc(1, outcome="miss")
+    links, plan = attribute_with_plan(extraction, threshold, accelerated=True)
+    _LAYOUTS[map_name] = (threshold, layout, plan)
+    return links
+
+
 def parse_svg(
     source: str | bytes,
     map_name: MapName = MapName.EUROPE,
@@ -234,12 +279,13 @@ def parse_svg(
     stage_hist = metrics.stage
 
     extraction: ExtractionResult | None = None
+    layout: str | None = None
     if opts.fast_path:
         started = perf_counter()
-        streamed = stream_extract(source)
+        streamed = _stream_extract(source)
         elapsed = perf_counter() - started
         if streamed is not None:
-            extraction = streamed[0]
+            extraction, _, _, layout = streamed
             stage_hist.observe(elapsed, stage="extract")
             metrics.fast_path.inc(1, outcome="hit")
             if timings is not None:
@@ -264,11 +310,16 @@ def parse_svg(
             timings.add("extract", elapsed)
 
     started = perf_counter()
-    links = attribute_objects(
-        extraction,
-        label_distance_threshold=opts.label_distance_threshold,
-        accelerated=opts.accelerated,
-    )
+    if layout is not None and opts.accelerated:
+        links = _attribute_layout(
+            extraction, layout, map_name, opts.label_distance_threshold, metrics
+        )
+    else:
+        links = attribute_objects(
+            extraction,
+            label_distance_threshold=opts.label_distance_threshold,
+            accelerated=opts.accelerated,
+        )
     elapsed = perf_counter() - started
     stage_hist.observe(elapsed, stage="attribute")
     if timings is not None:

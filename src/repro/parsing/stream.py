@@ -23,15 +23,21 @@ the DOM path would have produced the *same* extraction, and a failing
 document always surfaces the DOM path's exact exception type and message.
 The differential fuzz tests assert both properties.
 
-Repeated-string caches
-----------------------
+Layout signature
+----------------
 
-Weathermap series repeat the same coordinate strings thousands of times
-(layouts are stable between snapshots; only loads move), so parsed
-``points`` tuples, ``<rect>`` geometries, and float tokens are memoised
-in module-level caches shared across documents — including across the
-files of one bulk run inside a worker process.  Cached values are
-immutable (``Point``/``Rect``/``float``), so sharing them is safe.
+Weathermap series repeat the same layout for hours: between two
+topology changes only the loads move.  The pass therefore also records
+everything Algorithm 2 reads except loads and label texts — each
+router's raw ``<rect>`` attributes and name, each label box's raw
+attributes and each arrow's raw ``points`` string, in document order —
+and joins it into one signature string.
+:func:`repro.parsing.pipeline.parse_svg` compares it with the previous
+document of the same map and, when equal, replays that document's
+attribution instead of re-running Algorithm 2.  Coordinates themselves
+are parsed fresh every time: a process-wide memo of every coordinate
+string ever seen cost megabytes of resident memory and saved no
+measurable time.  Only the small tag/class/name vocabularies are cached.
 """
 
 from __future__ import annotations
@@ -69,10 +75,14 @@ _CACHE_LIMIT = 65536
 
 _NAME_CACHE: dict[str, str] = {}
 _DISPATCH_CACHE: dict[str, dict[str, int]] = {}
-_FLOAT_CACHE: dict[str, float] = {}
-_POINTS_CACHE: dict[str, tuple[Point, ...]] = {}
-_RECT_CACHE: dict[tuple[str, str, str, str], Rect] = {}
 _INTERN: dict[str, str] = {}
+
+#: Type tags of the layout signature's records; each is followed by a
+#: fixed number of raw attribute strings, so the joined signature is
+#: unambiguous (well-formed XML never contains the NUL separator).
+_SIG_ROUTER = "R"  # x, y, width, height, name
+_SIG_LABEL = "L"  # x, y, width, height
+_SIG_ARROW = "A"  # points
 
 
 class _Fallback(Exception):
@@ -116,58 +126,31 @@ def _dispatch_code(tag: str, svg_class: str) -> int:
     return _IGNORE
 
 
-def _float_token(token: str) -> float:
-    value = _FLOAT_CACHE.get(token)
-    if value is None:
-        value = float(token)  # ValueError falls back to the DOM path
-        if len(_FLOAT_CACHE) > _CACHE_LIMIT:
-            _FLOAT_CACHE.clear()
-        _FLOAT_CACHE[token] = value
-    return value
-
-
 def _points(raw: str) -> tuple[Point, ...]:
-    """Memoised twin of ``elements._parse_points`` (reject → fall back)."""
-    points = _POINTS_CACHE.get(raw)
-    if points is None:
-        tokens = raw.replace(",", " ").split()
-        if len(tokens) < 6 or len(tokens) % 2 != 0:
-            raise _Fallback
-        values = [_float_token(token) for token in tokens]
-        points = tuple(
-            Point(values[i], values[i + 1]) for i in range(0, len(values), 2)
-        )
-        if len(_POINTS_CACHE) > _CACHE_LIMIT:
-            _POINTS_CACHE.clear()
-        _POINTS_CACHE[raw] = points
-    return points
+    """Twin of ``elements._parse_points`` (reject → fall back)."""
+    tokens = raw.replace(",", " ").split()
+    if len(tokens) < 6 or len(tokens) % 2 != 0:
+        raise _Fallback
+    values = map(float, tokens)  # ValueError falls back to the DOM path
+    return tuple(map(Point, values, values))
 
 
-def _rect(attributes: dict[str, str]) -> Rect:
-    """Memoised twin of ``elements._rect_from_tag`` (reject → fall back)."""
+def _rect(attributes: dict[str, str], tag: str, layout: list[str]) -> Rect:
+    """Twin of ``elements._rect_from_tag`` (reject → fall back).
+
+    Appends ``tag`` and the raw geometry strings to ``layout``.
+    """
     try:
-        key = (
-            attributes["x"],
-            attributes["y"],
-            attributes["width"],
-            attributes["height"],
-        )
+        x = attributes["x"]
+        y = attributes["y"]
+        width = attributes["width"]
+        height = attributes["height"]
     except KeyError:
         raise _Fallback from None
-    rect = _RECT_CACHE.get(key)
-    if rect is None:
-        # float() ValueError and non-positive-extent GeometryError both
-        # propagate to the driver, which falls back to the DOM path.
-        rect = Rect(
-            _float_token(key[0]),
-            _float_token(key[1]),
-            _float_token(key[2]),
-            _float_token(key[3]),
-        )
-        if len(_RECT_CACHE) > _CACHE_LIMIT:
-            _RECT_CACHE.clear()
-        _RECT_CACHE[key] = rect
-    return rect
+    layout.extend((tag, x, y, width, height))
+    # float() ValueError and non-positive-extent GeometryError both
+    # propagate out of the pass, which then falls back to the DOM path.
+    return Rect(float(x), float(y), float(width), float(height))
 
 
 def _interned(text: str) -> str:
@@ -195,6 +178,7 @@ class _StreamMachine:
         "root_seen",
         "width",
         "height",
+        "layout",
     )
 
     def __init__(self) -> None:
@@ -213,6 +197,8 @@ class _StreamMachine:
         self.root_seen = False
         self.width = 0.0
         self.height = 0.0
+        #: The layout signature's pieces, in document order.
+        self.layout: list[str] = []
 
     # -- expat handlers ---------------------------------------------------
 
@@ -248,8 +234,8 @@ class _StreamMachine:
                 # classify_tag validates the x/y anchor even though the
                 # load value is all Algorithm 1 consumes.
                 try:
-                    _float_token(attributes["x"])
-                    _float_token(attributes["y"])
+                    float(attributes["x"])
+                    float(attributes["y"])
                 except (KeyError, ValueError):
                     raise _Fallback from None
                 self.capture = []
@@ -257,7 +243,7 @@ class _StreamMachine:
             elif code == _LABEL_BOX:
                 if self.pending_label_box is not None:
                     raise _Fallback  # "two label boxes without text between"
-                self.pending_label_box = _rect(attributes)
+                self.pending_label_box = _rect(attributes, _SIG_LABEL, self.layout)
                 self.skip_above = depth
             elif code == _LABEL_TEXT:
                 if self.pending_label_box is None:
@@ -280,7 +266,7 @@ class _StreamMachine:
         elif self.group_depth and depth == self.group_depth + 1:
             name = _element_name(raw_name)
             if name == "rect" and self.group_box is None:
-                self.group_box = _rect(attributes)
+                self.group_box = _rect(attributes, _SIG_ROUTER, self.layout)
                 self.skip_above = depth
             elif name == "text" and self.group_name is None:
                 self.capture = []
@@ -318,9 +304,9 @@ class _StreamMachine:
             self.group_depth = 0
             if self.group_box is None or not self.group_name:
                 raise _Fallback  # "object group lacks elements"
-            self.routers.append(
-                ObjectElement(name=_interned(self.group_name), box=self.group_box)
-            )
+            name = _interned(self.group_name)
+            self.layout.append(name)
+            self.routers.append(ObjectElement(name=name, box=self.group_box))
 
     def character_data(self, data: str) -> None:
         if self.capture is not None:
@@ -336,10 +322,11 @@ class _StreamMachine:
     # -- Algorithm 1 transitions ------------------------------------------
 
     def _arrow(self, attributes: dict[str, str]) -> None:
+        raw = attributes.get("points", "")
         element = ArrowElement(
-            points=_points(attributes.get("points", "")),
-            fill=_interned(attributes.get("fill", "")),
+            points=_points(raw), fill=_interned(attributes.get("fill", ""))
         )
+        self.layout.extend((_SIG_ARROW, raw))
         link = self.link
         if link is None:
             self.link = ExtractedLink(arrows=[element])
@@ -355,7 +342,7 @@ class _StreamMachine:
         text = raw_text.strip()
         if not text.endswith("%"):
             raise _Fallback  # "lacks a % suffix"
-        load = _float_token(text[:-1].strip())
+        load = float(text[:-1].strip())
         if not LOAD_MIN <= load <= LOAD_MAX:
             raise _Fallback  # LoadRangeError in the DOM path
         link.loads.append(load)
@@ -378,6 +365,14 @@ def stream_extract(
         OSError: when ``source`` names a file that cannot be read (the
             same error the DOM path would raise).
     """
+    streamed = _stream_extract(source)
+    return None if streamed is None else streamed[:3]
+
+
+def _stream_extract(
+    source: str | Path | bytes,
+) -> tuple[ExtractionResult, float, float, str] | None:
+    """:func:`stream_extract` plus the document's layout signature."""
     data = load_source(source)
     machine = _StreamMachine()
     try:
@@ -415,4 +410,5 @@ def stream_extract(
         ),
         machine.width,
         machine.height,
+        "\x00".join(machine.layout),
     )

@@ -42,8 +42,6 @@ class TestEquivalence:
     """Accelerated attribution must match the paper's faithful loop."""
 
     def test_identical_output_on_real_map(self, apac_svg, apac_reference):
-        from collections import Counter
-
         from repro.constants import MapName
         from repro.parsing.pipeline import ParseOptions, parse_svg
 
@@ -54,21 +52,53 @@ class TestEquivalence:
             apac_reference.timestamp,
             options=ParseOptions(accelerated=False),
         )
+        assert fast.snapshot.links == slow.snapshot.links
 
-        def signatures(snapshot):
-            return Counter(
-                tuple(
-                    sorted(
-                        (
-                            (l.a.node, l.a.label, l.a.load),
-                            (l.b.node, l.b.label, l.b.load),
-                        )
-                    )
+    @pytest.mark.parametrize(
+        "routers, expected",
+        [
+            # The label tie alone: #A and #B both touch end a's base.
+            ([("left", Rect(60, -8, 60, 26))], ("left", "#A")),
+            # A router tie too: "inner" holds the base, "outer" touches it.
+            (
+                [("inner", Rect(130, -8, 20, 26)), ("outer", Rect(60, -8, 70, 26))],
+                ("inner", "#A"),
+            ),
+        ],
+    )
+    def test_exact_distance_ties_break_on_document_order(self, routers, expected):
+        """The grid scans cell by cell; a tie must still go to the first box."""
+        from repro.parsing.algorithm1 import (
+            ExtractedLabel,
+            ExtractedLink,
+            ExtractionResult,
+        )
+        from repro.parsing.algorithm2 import attribute_objects
+        from repro.svgdoc.elements import ArrowElement, ObjectElement
+
+        world = ExtractionResult(
+            routers=[ObjectElement(name=name, box=box) for name, box in routers]
+            + [ObjectElement(name="right", box=Rect(420, -8, 40, 26))],
+            links=[
+                ExtractedLink(
+                    arrows=[
+                        ArrowElement(points=(Point(130, 0), Point(200, 5), Point(130, 10))),
+                        ArrowElement(points=(Point(400, 0), Point(330, 5), Point(400, 10))),
+                    ],
+                    loads=[10.0, 20.0],
                 )
-                for l in snapshot.links
-            )
-
-        assert signatures(fast.snapshot) == signatures(slow.snapshot)
+            ],
+            labels=[
+                ExtractedLabel(box=Rect(130, 0, 20, 10), text="#A"),
+                ExtractedLabel(box=Rect(100, 0, 30, 10), text="#B"),
+                ExtractedLabel(box=Rect(395, 0, 10, 10), text="#C"),
+            ],
+        )
+        fast = attribute_objects(world, accelerated=True)
+        assert fast == attribute_objects(world, accelerated=False)
+        (link,) = fast
+        assert (link.a.router.name, link.a.label.text) == expected
+        assert (link.b.router.name, link.b.label.text) == ("right", "#C")
 
     def test_identical_errors(self):
         """Both modes fail the same way on a label-less document."""

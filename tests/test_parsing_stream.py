@@ -8,6 +8,9 @@ pipeline cannot tell which path ran), and on anything else it returns
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.constants import MapName
@@ -214,14 +217,44 @@ class TestTagStreamCaching:
         assert len(stream.tags) == len(stream)
 
 
-class TestSharedCaches:
-    def test_caches_stay_bounded(self, monkeypatch):
-        monkeypatch.setattr(stream_module, "_CACHE_LIMIT", 4)
-        stream_module._FLOAT_CACHE.clear()
-        for value in range(10):
-            stream_module._float_token(str(value))
-        assert len(stream_module._FLOAT_CACHE) <= 6
+class TestRetainedParseState:
+    """Parsing keeps no per-coordinate state between documents."""
 
-    def test_float_cache_hits_are_identical(self):
-        first = stream_module._float_token("33.25")
-        assert stream_module._float_token("33.25") == first
+    def test_sixteen_documents_retain_under_one_mib(self, simulator, monkeypatch):
+        """4 maps x 4 instants 120 days apart; only each map's layout stays."""
+        from datetime import timedelta
+
+        from repro.constants import REFERENCE_DATE
+        from repro.layout.renderer import MapRenderer
+        from repro.parsing import pipeline
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        monkeypatch.setattr(pipeline, "_LAYOUTS", {})
+        renderer = MapRenderer()
+        documents = [
+            (map_name, renderer.render(simulator.snapshot(map_name, when)))
+            for when in [REFERENCE_DATE - timedelta(days=120 * k) for k in range(4)]
+            for map_name in MapName
+        ]
+        registry = MetricsRegistry()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            with use_registry(registry):
+                for map_name, svg in documents:
+                    parse_svg(svg, map_name)
+            gc.collect()
+            retained = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, "*repro/parsing/*")]
+            )
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        size = sum(stat.size for stat in retained.statistics("filename"))
+        assert size < 1 << 20, f"{size / (1 << 20):.2f} MiB retained"
+        # Every map but the world map changed its layout at each instant,
+        # so the slots were replaced, not accumulated.
+        reuse = registry.get("repro_parse_layout_reuse_total")
+        assert reuse.value(outcome="miss") == 13
+        assert reuse.value(outcome="hit") == 3
