@@ -15,10 +15,10 @@ corpus:
    skipped when :func:`~repro.dataset.workers.resolve_workers` collapses
    the request to one worker (a pool that cannot win measures nothing,
    and two serial runs timed against each other only report noise),
-6. the columnar index: one ``build_index`` compaction, then ``load_all``
-   served entirely from it,
-6b. the zero-copy query engine: whole-series scans over a mapped
-    :class:`~repro.dataset.query.MappedIndex` — the full-corpus load
+6. the columnar index: one cold ``compact_map_shards`` over the map's
+   day shards, then ``load_all`` served entirely from them,
+6b. the zero-copy query engine: whole-series scans over the map's
+    :class:`~repro.dataset.shards.ShardedMappedIndex` — the full-corpus load
     aggregate off the scan batches plus a pushed-down hot-link filter
     (``scan_series_fps``, ``speedup_scan`` vs. the object-reconstruction
     ``load_index_fps``); the scan aggregates and the scan-derived
@@ -63,10 +63,11 @@ from repro.analysis.loads import collect_load_samples
 from repro.constants import REFERENCE_DATE, MapName, SNAPSHOT_INTERVAL
 from repro.dataset.engine import process_map_parallel
 from repro.parsing.pipeline import ParseOptions, StageTimings
-from repro.dataset.index import build_index
+from repro.dataset.handles import resolve_read_handle
 from repro.dataset.loader import load_all
 from repro.dataset.processor import process_map
-from repro.dataset.query import ScanPredicate, open_query
+from repro.dataset.query import ScanPredicate
+from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import DatasetStore
 from repro.dataset.workers import resolve_workers
 from repro.layout.renderer import MapRenderer
@@ -97,10 +98,10 @@ def yaml_tree_digest(store: DatasetStore, map_name: MapName) -> str:
 
 
 def reset_outputs(store: DatasetStore, map_name: MapName) -> None:
-    """Drop the YAML twins, manifest, and index, keeping the SVG corpus."""
+    """Drop the YAML twins, manifest, and shard indexes, keeping the SVG corpus."""
     shutil.rmtree(store.root / map_name.value / "yaml", ignore_errors=True)
     store.manifest_path(map_name).unlink(missing_ok=True)
-    store.index_path(map_name).unlink(missing_ok=True)
+    shutil.rmtree(store.shards_root(map_name), ignore_errors=True)
 
 
 def timed(label: str, files: int, fn):
@@ -246,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         _, index_build_fps = timed(
             "index build (cold)",
             files,
-            lambda: build_index(store, map_name, workers=args.workers),
+            lambda: compact_map_shards(store, map_name, workers=args.workers),
         )
         indexed_snapshots, load_index_fps = timed(
             "load via index", files, lambda: load_all(store, map_name)
@@ -270,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             hot = len(engine.scan(ScanPredicate(min_load=90.0)))
             return matched, hot, total
 
-        engine = open_query(store, map_name)
+        engine = resolve_read_handle(store, map_name)
         scan_series_fps = 0.0
         if engine is None:
             identical = False
@@ -284,7 +285,11 @@ def main(argv: list[str] | None = None) -> int:
                     files * repeats,
                     lambda: [scan_pass(engine) for _ in range(repeats)][-1],
                 )
-                scan_samples = columnar_load_samples(engine)
+                # Shards partition time: per-shard samples, concatenated
+                # in shard order, are the whole series' samples.
+                shard_samples = [
+                    columnar_load_samples(shard) for shard in engine.iter_engines()
+                ]
             # The scan aggregates must equal a brute-force object walk...
             expected_matched = sum(len(s.links) for s in serial_snapshots)
             expected_hot = sum(
@@ -309,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
             # ...and so must the scan-served Figure 5 sample set.
             expected_samples = collect_load_samples(serial_snapshots)
-            if (
-                scan_samples.all_loads != expected_samples.all_loads
-                or scan_samples.internal != expected_samples.internal
-                or scan_samples.external != expected_samples.external
+            if any(
+                [value for samples in shard_samples for value in getattr(samples, field)]
+                != getattr(expected_samples, field)
+                for field in ("all_loads", "internal", "external")
             ):
                 identical = False
                 print(
@@ -320,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
                     "object path",
                     file=sys.stderr,
                 )
-            del scan_samples, expected_samples
+            del shard_samples, expected_samples
         del serial_snapshots, indexed_snapshots
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -96,6 +96,10 @@ repro-weather generate "$DATASET" \
     --start 2022-09-11T23:00:00 --end 2022-09-12T00:00:00
 repro-weather process "$DATASET" --workers auto \
     --metrics-out "$ARTIFACTS/metrics.json"
+# Processing compacts every map's day shards; index status exits 1
+# unless all of them are fresh, so validate, tables and report below
+# read the shards, not the YAML fallback.
+repro-weather index status "$DATASET"
 # Every twin of a generated corpus must come from the direct YAML
 # emitter (a fallback to yaml.dump means the emitter's layout drifted)
 # and be read back by the fast reader.  With one worker per core the

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: name → defining module for every lazily exported public name.
 _EXPORTS: dict[str, str] = {
@@ -80,7 +80,6 @@ _EXPORTS: dict[str, str] = {
     "MappedIndex": "repro.dataset.query",
     "ScanPredicate": "repro.dataset.query",
     "ScanResult": "repro.dataset.query",
-    "open_query": "repro.dataset.query",
     "open_sharded_query": "repro.dataset.shards",
     "compact_map_shards": "repro.dataset.shards",
     "resolve_read_handle": "repro.dataset.handles",

@@ -29,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from repro.constants import MapName, REFERENCE_DATE
-from repro.dataset.store import DatasetStore, ShardedDatasetStore, open_store
+from repro.dataset.store import open_store
 from repro.errors import CliUsageError
 from repro.telemetry import get_registry, write_metrics_file
 
@@ -76,22 +76,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2022, help="simulation seed")
 
 
-def _new_store(path: str, sharded: bool) -> DatasetStore:
-    """A store for a dataset being created, honouring an existing layout."""
-    if sharded:
-        store = ShardedDatasetStore(path)
-        store.mark()
-        return store
-    return open_store(path)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     """Simulate a collection campaign into a dataset directory."""
     from repro.dataset.collector import SimulatedCollector
     from repro.simulation.network import BackboneSimulator
 
     simulator = BackboneSimulator()
-    store = _new_store(args.output, args.sharded)
+    store = open_store(args.output)
+    store.mark()
     collector = SimulatedCollector(simulator, store)
     maps = [args.map] if args.map else None
     start = _parse_when(args.start)
@@ -167,7 +159,8 @@ def cmd_ingest_run(args: argparse.Namespace) -> int:
     """Run the crash-safe ingestion daemon over a dataset directory."""
     from repro.dataset.ingest import IngestDaemon
 
-    store = _new_store(args.dataset, args.sharded)
+    store = open_store(args.dataset)
+    store.mark()
     maps = [args.map] if args.map else None
     daemon = IngestDaemon(store, _ingest_config(args))
     stats = daemon.run(maps)
@@ -233,46 +226,15 @@ def cmd_ingest_status(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    """Build (or incrementally refresh) the columnar snapshot index."""
-    import time
-
-    from repro.dataset.index import build_index
+    """Compact each map's per-day shard indexes (only changed shards)."""
+    from repro.dataset.shards import compact_map_shards
 
     store = open_store(args.dataset)
     built_any = False
-    if isinstance(store, ShardedDatasetStore):
-        from repro.dataset.shards import compact_map_shards
-
-        for map_name in [args.map] if args.map else list(MapName):
-            if not any(True for _ in store.iter_refs(map_name, "yaml")):
-                continue
-            shard_stats = compact_map_shards(
-                store,
-                map_name,
-                rebuild=args.rebuild,
-                workers=args.workers,
-                on_error=lambda ref, exc: print(
-                    f"  skipping unreadable {ref.path.name}: {exc}", file=sys.stderr
-                ),
-            )
-            built_any = True
-            shards_total = len(shard_stats.built) + len(shard_stats.skipped)
-            print(
-                f"{map_name.value:<15} {shard_stats.rows:>6} rows across "
-                f"{shards_total} shards ({len(shard_stats.built)} built, "
-                f"{len(shard_stats.skipped)} skipped, "
-                f"{len(shard_stats.removed)} removed) in {shard_stats.seconds:.2f} s"
-            )
-        _maybe_write_metrics(args)
-        if not built_any:
-            print("no processed snapshots to index", file=sys.stderr)
-            return 1
-        return 0
     for map_name in [args.map] if args.map else list(MapName):
         if not any(True for _ in store.iter_refs(map_name, "yaml")):
             continue
-        started = time.perf_counter()
-        _, stats = build_index(
+        shard_stats = compact_map_shards(
             store,
             map_name,
             rebuild=args.rebuild,
@@ -281,13 +243,13 @@ def cmd_index_build(args: argparse.Namespace) -> int:
                 f"  skipping unreadable {ref.path.name}: {exc}", file=sys.stderr
             ),
         )
-        elapsed = time.perf_counter() - started
         built_any = True
+        shards_total = len(shard_stats.built) + len(shard_stats.skipped)
         print(
-            f"{map_name.value:<15} {stats.total:>6} rows "
-            f"({stats.parsed} parsed, {stats.reused} reused, "
-            f"{stats.unreadable} unreadable, {stats.removed} removed) "
-            f"{stats.bytes_written / 1024:>9.1f} KiB in {elapsed:.2f} s"
+            f"{map_name.value:<15} {shard_stats.rows:>6} rows across "
+            f"{shards_total} shards ({len(shard_stats.built)} built, "
+            f"{len(shard_stats.skipped)} skipped, "
+            f"{len(shard_stats.removed)} removed) in {shard_stats.seconds:.2f} s"
         )
     _maybe_write_metrics(args)
     if not built_any:
@@ -297,54 +259,31 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_index_status(args: argparse.Namespace) -> int:
-    """Report each map's index: rows, size, and freshness."""
-    from repro.dataset.index import index_status
+    """Report each map's shard indexes: rows, size, and freshness."""
+    from repro.dataset.shards import ShardManifest, verify_shards
 
     store = open_store(args.dataset)
     all_fresh = True
     shown = 0
-    if isinstance(store, ShardedDatasetStore):
-        from repro.dataset.shards import ShardManifest, verify_shards
-
-        for map_name in [args.map] if args.map else list(MapName):
-            has_yaml = any(True for _ in store.iter_refs(map_name, "yaml"))
-            manifest = ShardManifest.load(store.shards_manifest_path(map_name))
-            if not has_yaml and not manifest.shards:
-                continue
-            shown += 1
-            entries = verify_shards(store, map_name)
-            fresh = entries is not None
-            listed = entries if entries is not None else sorted(
-                manifest.shards.items()
-            )
-            rows = sum(entry.rows for _, entry in listed)
-            skipped = sum(entry.skipped for _, entry in listed)
-            size = sum(entry.index_size for _, entry in listed)
-            verdict = "fresh" if fresh else "STALE"
-            print(
-                f"{map_name.value:<15} {verdict:<6} {rows:>6} rows "
-                f"{skipped:>3} skipped {size / 1024:>9.1f} KiB "
-                f"({len(listed)} shards)"
-            )
-            all_fresh = all_fresh and fresh
-        if shown == 0:
-            print("no dataset files found", file=sys.stderr)
-            return 1
-        return 0 if all_fresh else 1
     for map_name in [args.map] if args.map else list(MapName):
         has_yaml = any(True for _ in store.iter_refs(map_name, "yaml"))
-        status = index_status(store, map_name)
-        if not has_yaml and not status.exists:
+        manifest = ShardManifest.load(store.shards_manifest_path(map_name))
+        if not has_yaml and not manifest.shards:
             continue
         shown += 1
-        verdict = "fresh" if status.fresh else "STALE"
-        detail = "" if status.reason is None else f"  ({status.reason})"
+        entries = verify_shards(store, map_name)
+        fresh = entries is not None
+        listed = entries if entries is not None else sorted(manifest.shards.items())
+        rows = sum(entry.rows for _, entry in listed)
+        skipped = sum(entry.skipped for _, entry in listed)
+        size = sum(entry.index_size for _, entry in listed)
+        verdict = "fresh" if fresh else "STALE"
         print(
-            f"{map_name.value:<15} {verdict:<6} {status.rows:>6} rows "
-            f"{status.skipped:>3} skipped {status.size_bytes / 1024:>9.1f} KiB"
-            f"{detail}"
+            f"{map_name.value:<15} {verdict:<6} {rows:>6} rows "
+            f"{skipped:>3} skipped {size / 1024:>9.1f} KiB "
+            f"({len(listed)} shards)"
         )
-        all_fresh = all_fresh and status.fresh
+        all_fresh = all_fresh and fresh
     if shown == 0:
         print("no dataset files found", file=sys.stderr)
         return 1
@@ -726,9 +665,9 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
     simulator = BackboneSimulator()
     site = WeathermapWebsite(simulator)
-    collector = PollingCollector(
-        site, _new_store(args.output, args.sharded), backfill=not args.no_backfill
-    )
+    store = open_store(args.output)
+    store.mark()
+    collector = PollingCollector(site, store, backfill=not args.no_backfill)
     maps = [args.map] if args.map else None
     stats = collector.run(_parse_when(args.start), _parse_when(args.end), maps=maps)
     print(f"polls {stats.polls}, fetched {stats.fetched}, "
@@ -857,11 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--end", required=True, help="ISO end time")
     generate.add_argument("--map", type=_map_argument, default=None)
     generate.add_argument("--interval", type=int, default=5, help="minutes between snapshots")
-    generate.add_argument(
-        "--sharded",
-        action="store_true",
-        help="mark the dataset for the sharded (per-day index) layout",
-    )
     _add_common(generate)
     generate.set_defaults(handler=cmd_generate)
 
@@ -942,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="ingest everything pending (recovers first if needed)"
     )
     _add_ingest_knobs(ingest_run)
-    ingest_run.add_argument(
-        "--sharded",
-        action="store_true",
-        help="mark the dataset for the sharded (per-day index) layout",
-    )
     ingest_run.set_defaults(handler=cmd_ingest_run)
     ingest_resume = ingest_sub.add_parser(
         "resume", help="resume an interrupted run (requires prior state)"
@@ -964,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_sub = index.add_subparsers(dest="index_command", required=True)
     index_build = index_sub.add_parser(
-        "build", help="compact each map's YAML series into its index"
+        "build", help="compact each map's YAML series into per-day shard indexes"
     )
     index_build.add_argument("dataset", help="dataset directory")
     index_build.add_argument("--map", type=_map_argument, default=None)
@@ -1105,11 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-backfill",
         action="store_true",
         help="skip recovering missed ticks from the hourly archive",
-    )
-    crawl.add_argument(
-        "--sharded",
-        action="store_true",
-        help="mark the dataset for the sharded (per-day index) layout",
     )
     _add_common(crawl)
     crawl.set_defaults(handler=cmd_crawl)

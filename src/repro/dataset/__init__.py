@@ -16,14 +16,15 @@ package provides:
   (process-pool fan-out and the per-map ``manifest.json`` skip cache),
 * :mod:`repro.dataset.ingest` — the long-lived ingestion daemon: bounded
   queues, a write-ahead journal, crash-safe resume,
-* :mod:`repro.dataset.index` — the columnar snapshot index each map's
-  YAML series is compacted into, so analyses never re-parse the corpus,
-* :mod:`repro.dataset.shards` — that index partitioned by UTC day, so
+* :mod:`repro.dataset.index` — the columnar snapshot index format each
+  map's YAML series is compacted into, so analyses never re-parse the
+  corpus,
+* :mod:`repro.dataset.shards` — one such index per map and UTC day, so
   maintenance costs O(new shard) rather than O(archive),
 * :mod:`repro.dataset.query` — the zero-copy ``mmap`` query engine over
   that index: predicate-pushdown scans with no object materialisation,
-* :mod:`repro.dataset.handles` — layout-agnostic read handles: one place
-  that picks flat vs sharded engines and names index generations,
+* :mod:`repro.dataset.handles` — read handles over the shard indexes and
+  the tokens that name their generations,
 * :mod:`repro.dataset.workers` — worker-count resolution shared by every
   pool user (skips the pool where it cannot win),
 * :mod:`repro.dataset.loader` — stored datasets read back as
@@ -61,19 +62,14 @@ _EXPORTS: dict[str, str] = {
     "process_all_parallel": "repro.dataset.engine",
     "process_map_parallel": "repro.dataset.engine",
     "IndexBuildStats": "repro.dataset.index",
-    "IndexStatus": "repro.dataset.index",
     "SnapshotIndex": "repro.dataset.index",
     "build_index": "repro.dataset.index",
-    "fresh_index": "repro.dataset.index",
-    "index_status": "repro.dataset.index",
-    "load_index": "repro.dataset.index",
     "ColumnBatch": "repro.dataset.query",
     "LinkRecord": "repro.dataset.query",
     "MappedIndex": "repro.dataset.query",
     "ReadHandle": "repro.dataset.handles",
     "ScanPredicate": "repro.dataset.query",
     "ScanResult": "repro.dataset.query",
-    "open_query": "repro.dataset.query",
     "read_generation": "repro.dataset.handles",
     "resolve_read_handle": "repro.dataset.handles",
     "default_workers": "repro.dataset.workers",

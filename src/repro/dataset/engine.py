@@ -50,11 +50,10 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset import index, shards
+from repro.dataset import shards
 from repro.dataset.processor import ProcessingStats, file_metrics, process_svg_bytes
 from repro.dataset.store import (
     DatasetStore,
-    ShardedDatasetStore,
     SnapshotRef,
     atomic_write_text,
     format_timestamp,
@@ -308,11 +307,11 @@ def process_map_parallel(
         overwrite: ignore the manifest and re-process every file.
         use_manifest: maintain the incremental ``manifest.json``; disable
             to mimic a stateless one-shot run.
-        update_index: after processing, append the newly produced YAML
-            snapshots to the map's columnar index (incrementally, like
-            the manifest); ``overwrite`` rebuilds it from scratch, and a
-            :data:`~repro.constants.PARSER_VERSION` bump discards
-            it — exactly the YAML skip-cache's invalidation rules.
+        update_index: after processing, compact the map's per-day shard
+            indexes (only changed shards are rebuilt, incrementally, like
+            the manifest); ``overwrite`` rebuilds them from scratch, and
+            a :data:`~repro.constants.PARSER_VERSION` bump discards
+            them — exactly the YAML skip-cache's invalidation rules.
         options: parse configuration shipped (pickled) to every worker.
 
     Returns:
@@ -394,23 +393,15 @@ def process_map_parallel(
     if use_manifest:
         manifest.save(manifest_path)
     if update_index and any(True for _ in store.iter_refs(map_name, "yaml")):
-        on_error = lambda ref, exc: logger.warning(  # noqa: E731
-            "not indexing unreadable %s: %s", ref.path.name, exc
+        shards.compact_map_shards(
+            store,
+            map_name,
+            rebuild=overwrite,
+            workers=workers,
+            on_error=lambda ref, exc: logger.warning(
+                "not indexing unreadable %s: %s", ref.path.name, exc
+            ),
         )
-        if isinstance(store, ShardedDatasetStore):
-            # Sharded datasets compact per-day shard indexes — O(changed
-            # shards), not O(corpus) — instead of the monolithic index.
-            shards.compact_map_shards(
-                store, map_name, rebuild=overwrite, workers=workers, on_error=on_error
-            )
-        else:
-            index.build_index(
-                store,
-                map_name,
-                rebuild=overwrite,
-                workers=workers,
-                on_error=on_error,
-            )
     logger.info(
         "processed %s: %d ok, %d unprocessable (%d skipped via manifest, "
         "%d workers)",

@@ -3,11 +3,12 @@
 The paper's Section 5 analyses re-read an entire map's ~174k YAML
 snapshots per figure.  At the measured serial rate that is hours of YAML
 parsing repeated for every figure, so this module compacts a map's
-processed series into one binary file the analyses can be served from —
+processed series into binary files the analyses can be served from —
 the same move time-series databases make when they compact write-ahead
-samples into immutable columnar blocks.
+samples into immutable columnar blocks.  :mod:`repro.dataset.shards`
+keeps one such file per map and UTC day.
 
-Layout of ``<root>/<map>/index.bin``::
+Layout of an index file (``<root>/<map>/shards/<YYYY-MM-DD>/index.bin``)::
 
     magic "RWIX" | format version | header length      (struct, fixed)
     header                                             (JSON, small)
@@ -48,12 +49,12 @@ load is the *same* ``float`` the YAML parser produced and reconstruction
 is exact — :func:`repro.dataset.loader.load_all` returns equal
 :class:`~repro.topology.model.MapSnapshot` objects from either path.
 
-Freshness is checked against the live YAML tree (one ``stat()`` per file,
-no reads): any added, removed, or modified source makes the index stale
-and readers fall back to YAML.  :func:`build_index` is incremental the
-same way the engine's ``manifest.json`` is — unchanged rows are carried
-over wholesale, only new or modified files are parsed — and the index is
-discarded outright on ``rebuild=True`` or a ``PARSER_VERSION`` bump.
+:func:`build_index` is incremental the same way the engine's
+``manifest.json`` is — unchanged rows are carried over wholesale, only
+new or modified files are parsed — and the index is discarded outright
+on ``rebuild=True`` or a ``PARSER_VERSION`` bump.  Freshness against
+the live YAML tree is the shard manifest's job
+(:func:`repro.dataset.shards.verify_shards`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.store import DatasetStore, SnapshotRef, atomic_write_bytes
+from repro.dataset.store import SnapshotRef, atomic_write_bytes
 from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
@@ -235,47 +236,6 @@ def parse_index_layout(buffer, source: str = "index") -> IndexLayout:
         columns=columns,
         payload_length=payload_length,
     )
-
-
-def covers_refs(index, refs: Sequence[SnapshotRef]) -> bool:
-    """Whether an index-shaped object exactly covers the given YAML refs.
-
-    Shared freshness walk for :class:`SnapshotIndex` and the query
-    engine's :class:`~repro.dataset.query.MappedIndex`: ``index`` only
-    needs ``timestamps`` / ``source_sizes`` / ``source_mtimes`` columns
-    and the ``skipped`` mapping.  Every ref must appear — as an indexed
-    row or a recorded skip — with a matching ``(size, mtime_ns)``, and
-    the index must contain nothing else.  One ``stat()`` per file, no
-    reads.
-    """
-    timestamps = index.timestamps
-    sizes = index.source_sizes
-    mtimes = index.source_mtimes
-    indexed = {
-        timestamps[row]: (sizes[row], mtimes[row])
-        for row in range(len(timestamps))
-    }
-    seen = 0
-    for ref in refs:
-        seen += 1
-        try:
-            stat = ref.path.stat()
-        except OSError:
-            return False
-        key = _epoch(ref.timestamp)
-        expected = indexed.get(key)
-        if expected is not None:
-            if expected != (stat.st_size, stat.st_mtime_ns):
-                return False
-            continue
-        skip = index.skipped.get(key)
-        if (
-            skip is None
-            or skip.size != stat.st_size
-            or skip.mtime_ns != stat.st_mtime_ns
-        ):
-            return False
-    return seen == len(indexed) + len(index.skipped)
 
 
 def _when(epoch: int) -> datetime:
@@ -536,15 +496,6 @@ class SnapshotIndex:
             digest.update(b"skip %d %d %d;" % (epoch, entry.size, entry.mtime_ns))
         return digest.hexdigest()
 
-    def fresh_for(self, refs: Sequence[SnapshotRef]) -> bool:
-        """Whether this index exactly covers the given YAML refs.
-
-        Every ref must appear — as an indexed row or a recorded skip —
-        with a matching ``(size, mtime_ns)``, and the index must contain
-        nothing else.  One ``stat()`` per file, no reads.
-        """
-        return covers_refs(self, refs)
-
     # -- serialisation -----------------------------------------------------
 
     def save(self, path: Path) -> int:
@@ -643,7 +594,7 @@ class SnapshotIndex:
 
 
 # ---------------------------------------------------------------------------
-# Build / load / status
+# Build / load
 # ---------------------------------------------------------------------------
 
 
@@ -664,13 +615,8 @@ class IndexBuildStats:
         return self.parsed + self.reused
 
 
-def load_index(store: DatasetStore, map_name: MapName) -> SnapshotIndex | None:
-    """Read a map's index if one exists and is sound; ``None`` otherwise."""
-    return load_index_at(store.index_path(map_name), map_name)
-
-
 def load_index_at(path: Path, map_name: MapName) -> SnapshotIndex | None:
-    """Read an index file (monolithic or per-shard) if it is sound."""
+    """Read an index file if it is sound; ``None`` otherwise."""
     if not path.exists():
         return None
     try:
@@ -687,38 +633,6 @@ def load_index_at(path: Path, map_name: MapName) -> SnapshotIndex | None:
             "index %s claims map %s; ignoring", path, index.map_name.value
         )
         return None
-    return index
-
-
-def fresh_index(store: DatasetStore, map_name: MapName) -> SnapshotIndex | None:
-    """The map's index, but only if it exactly matches the live YAML tree.
-
-    Stale, corrupt, absent, or parser-version-skewed indexes all come back
-    as ``None`` — the caller falls back to parsing YAML.  Every call
-    lands in ``repro_index_cache_total{map,outcome}`` as a hit (fresh
-    index served) or a miss (any fallback-to-YAML reason).
-    """
-    cache = get_registry().counter(
-        "repro_index_cache_total",
-        "Snapshot-index freshness checks by outcome (hit = index served)",
-    )
-    index = load_index(store, map_name)
-    if index is None:
-        cache.inc(1, map=map_name.value, outcome="miss")
-        return None
-    if index.parser_version != PARSER_VERSION:
-        logger.info(
-            "index for %s built at parser version %d (current %d); ignoring",
-            map_name.value,
-            index.parser_version,
-            PARSER_VERSION,
-        )
-        cache.inc(1, map=map_name.value, outcome="miss")
-        return None
-    if not index.fresh_for(list(store.iter_refs(map_name, "yaml"))):
-        cache.inc(1, map=map_name.value, outcome="miss")
-        return None
-    cache.inc(1, map=map_name.value, outcome="hit")
     return index
 
 
@@ -816,17 +730,15 @@ def shared_parse_pool(workers: int | str | None) -> Iterator[_ParsePool]:
 
 
 def build_index(
-    store: DatasetStore,
     map_name: MapName,
+    refs: Sequence[SnapshotRef],
+    index_path: Path,
     rebuild: bool = False,
     workers: int | str | None = None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
     parser_version: int = PARSER_VERSION,
-    *,
-    refs: Sequence[SnapshotRef] | None = None,
-    index_path: Path | None = None,
 ) -> tuple[SnapshotIndex, IndexBuildStats]:
-    """Build or refresh one map's columnar index from its YAML series.
+    """Build or refresh the columnar index of ``refs`` at ``index_path``.
 
     Incremental by default: rows whose source file is unchanged (same
     ``size`` and ``mtime_ns``) are carried over from the existing index
@@ -837,16 +749,15 @@ def build_index(
     ``PARSER_VERSION`` is discarded, mirroring the engine's manifest.
 
     Args:
+        refs: the source universe to index, in time order; shard
+            compaction passes one shard's YAML refs.
+        index_path: where to load the previous generation from and save
+            the result; shard compaction passes the per-shard path.
         rebuild: ignore any existing index and parse everything.
         workers: worker request, resolved via
             :func:`repro.dataset.workers.resolve_workers` (default serial).
         on_error: called for unreadable YAML files, which are recorded as
             skipped sources; without a handler, schema errors propagate.
-        refs: the source universe to index; defaults to every YAML ref of
-            the map.  Shard compaction passes one shard's refs here.
-        index_path: where to load the previous generation from and save
-            the result; defaults to the map's monolithic index path.
-            Shard compaction passes the per-shard path.
 
     Returns:
         The saved index and the build accounting.
@@ -860,10 +771,6 @@ def build_index(
         "repro_index_build_seconds", "Index build wall time"
     )
     build_started = perf_counter()
-    if refs is None:
-        refs = list(store.iter_refs(map_name, "yaml"))
-    if index_path is None:
-        index_path = store.index_path(map_name)
     previous: SnapshotIndex | None = None
     if not rebuild:
         previous = load_index_at(index_path, map_name)
@@ -971,67 +878,3 @@ def build_index(
         stats.removed,
     )
     return index, stats
-
-
-@dataclass(frozen=True)
-class IndexStatus:
-    """What ``repro-weather index status`` reports for one map."""
-
-    map_name: MapName
-    path: Path
-    exists: bool
-    fresh: bool
-    rows: int
-    skipped: int
-    names: int
-    labels: int
-    size_bytes: int
-    parser_version: int | None
-    fingerprint: str | None
-    reason: str | None
-
-
-def index_status(store: DatasetStore, map_name: MapName) -> IndexStatus:
-    """Inspect one map's index without touching any YAML content."""
-    path = store.index_path(map_name)
-    if not path.exists():
-        return IndexStatus(
-            map_name=map_name, path=path, exists=False, fresh=False, rows=0,
-            skipped=0, names=0, labels=0, size_bytes=0, parser_version=None,
-            fingerprint=None, reason="no index file",
-        )
-    try:
-        index = SnapshotIndex.load(path)
-    except SnapshotIndexError as exc:
-        return IndexStatus(
-            map_name=map_name, path=path, exists=True, fresh=False, rows=0,
-            skipped=0, names=0, labels=0, size_bytes=path.stat().st_size,
-            parser_version=None, fingerprint=None, reason=str(exc),
-        )
-    reason: str | None = None
-    fresh = False
-    if index.map_name != map_name:
-        reason = f"index claims map {index.map_name.value!r}"
-    elif index.parser_version != PARSER_VERSION:
-        reason = (
-            f"built at parser version {index.parser_version}, "
-            f"current is {PARSER_VERSION}"
-        )
-    elif not index.fresh_for(list(store.iter_refs(map_name, "yaml"))):
-        reason = "source YAML files changed since the index was built"
-    else:
-        fresh = True
-    return IndexStatus(
-        map_name=map_name,
-        path=path,
-        exists=True,
-        fresh=fresh,
-        rows=len(index),
-        skipped=len(index.skipped),
-        names=len(index.names),
-        labels=len(index.labels),
-        size_bytes=path.stat().st_size,
-        parser_version=index.parser_version,
-        fingerprint=index.source_fingerprint(),
-        reason=reason,
-    )

@@ -22,11 +22,10 @@ turns the one-shot processing engine into a daemon with three guarantees:
   parsing is deterministic the resumed run's YAML tree is byte-identical
   to an uninterrupted one.
 
-* **O(new shard) index maintenance** — on a
-  :class:`~repro.dataset.store.ShardedDatasetStore`, checkpoints compact
-  only the day-shards touched since the last checkpoint via
-  :func:`~repro.dataset.shards.compact_map_shards`; the monolithic
-  rebuild (or even its O(corpus) incremental rewrite) never runs.
+* **O(new shard) index maintenance** — checkpoints compact only the
+  day-shards touched since the last checkpoint via
+  :func:`~repro.dataset.shards.compact_map_shards`, so a tick never
+  pays for the archive behind it.
 
 Journal record format (one line, ``crc32-hex space json newline``)::
 
@@ -54,7 +53,7 @@ from time import perf_counter, time
 from typing import BinaryIO, Sequence, TypeVar
 
 from repro.constants import MapName
-from repro.dataset import index, shards
+from repro.dataset import shards
 from repro.dataset.engine import Manifest, ManifestEntry, _skip_from_manifest
 from repro.dataset.processor import (
     ProcessingStats,
@@ -64,7 +63,6 @@ from repro.dataset.processor import (
 )
 from repro.dataset.store import (
     DatasetStore,
-    ShardedDatasetStore,
     SnapshotRef,
     StorageBackend,
     atomic_write_text,
@@ -641,11 +639,7 @@ class IngestDaemon:
             manifest.save(self.store.manifest_path(map_name))
             if journal is not None:
                 journal.clear()
-            if (
-                self.config.update_index
-                and touched_shards
-                and isinstance(self.store, ShardedDatasetStore)
-            ):
+            if self.config.update_index and touched_shards:
                 shards.compact_map_shards(
                     self.store,
                     map_name,
@@ -672,7 +666,7 @@ class IngestDaemon:
         )
         if not pending:
             # Nothing new, but leave the indexes consistent with the tree.
-            self._finish_map(map_name, manifest, journal, had_pending=False)
+            self._finish_map(map_name, journal)
             return
 
         work: "queue.Queue[SnapshotRef | None]" = queue.Queue(self.config.queue_size)
@@ -713,7 +707,7 @@ class IngestDaemon:
         self._checkpoint(
             map_name, manifest, journal, yaml_batch, touched_shards, pending_left=0
         )
-        self._finish_map(map_name, manifest, journal, had_pending=True)
+        self._finish_map(map_name, journal)
 
     def _drain_results(
         self,
@@ -826,13 +820,7 @@ class IngestDaemon:
                 if exc is not None:
                     raise IngestError(f"ingest pipeline thread died: {exc}") from exc
 
-    def _finish_map(
-        self,
-        map_name: MapName,
-        manifest: Manifest,
-        journal: IngestJournal | None,
-        had_pending: bool,
-    ) -> None:
+    def _finish_map(self, map_name: MapName, journal: IngestJournal | None) -> None:
         """Close the journal and leave this map's indexes fully compacted."""
         if journal is not None:
             journal.close()
@@ -840,22 +828,13 @@ class IngestDaemon:
             return
         if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
             return
-        if isinstance(self.store, ShardedDatasetStore):
-            shards.compact_map_shards(
-                self.store,
-                map_name,
-                on_error=lambda ref, exc: logger.warning(
-                    "not indexing unreadable %s: %s", ref.path.name, exc
-                ),
-            )
-        elif had_pending:
-            index.build_index(
-                self.store,
-                map_name,
-                on_error=lambda ref, exc: logger.warning(
-                    "not indexing unreadable %s: %s", ref.path.name, exc
-                ),
-            )
+        shards.compact_map_shards(
+            self.store,
+            map_name,
+            on_error=lambda ref, exc: logger.warning(
+                "not indexing unreadable %s: %s", ref.path.name, exc
+            ),
+        )
 
     # -- status -------------------------------------------------------------
 

@@ -9,10 +9,11 @@ workflow of a downstream user of the released dataset.
 The Section 5 analyses re-read thousands of YAML files per figure, so the
 loaders are tiered:
 
-1. **Columnar index** — when the map has a fresh
-   :mod:`repro.dataset.index` file, snapshots are reconstructed from its
-   interned columns without parsing any YAML; results are equal to the
-   YAML path, well over an order of magnitude faster.
+1. **Columnar index** — when the map's per-day shard indexes
+   (:mod:`repro.dataset.shards`) are fresh, snapshots are reconstructed
+   from their interned columns without parsing any YAML; shards
+   partition time, so chaining them keeps global order.  Results are
+   equal to the YAML path, well over an order of magnitude faster.
 2. **Process pool** — without an index, ``load_all(workers=N)`` fans the
    YAML deserialisation out, one contiguous batch per worker, while
    keeping the returned list in time order; each worker's metrics are
@@ -30,8 +31,9 @@ from datetime import datetime, timezone
 from typing import Callable, Iterator, Sequence
 
 from repro.constants import MapName
-from repro.dataset.index import SnapshotIndex, fresh_index
-from repro.dataset.store import DatasetStore, ShardedDatasetStore, SnapshotRef
+from repro.dataset.index import SnapshotIndex
+from repro.dataset.shards import fresh_shard_indexes
+from repro.dataset.store import DatasetStore, SnapshotRef
 from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError
 from repro.telemetry import get_registry
@@ -47,22 +49,6 @@ def _loaded_counter():
         "repro_snapshots_loaded_total",
         "Snapshots served to callers by source tier (index or yaml)",
     )
-
-
-def _fresh_indexes(store: DatasetStore, map_name: MapName) -> list[SnapshotIndex] | None:
-    """The map's fresh index set, in time order, or ``None``.
-
-    On a :class:`~repro.dataset.store.ShardedDatasetStore` this is the
-    per-day shard indexes (which partition time, so chaining them
-    preserves global order); on a flat store, the monolithic index as a
-    one-element list.  Any staleness reports ``None`` — fall back to YAML.
-    """
-    if isinstance(store, ShardedDatasetStore):
-        from repro.dataset.shards import fresh_shard_indexes
-
-        return fresh_shard_indexes(store, map_name)
-    index = fresh_index(store, map_name)
-    return None if index is None else [index]
 
 
 def iter_snapshots(
@@ -82,7 +68,7 @@ def iter_snapshots(
         end: exclusive upper bound on snapshot time.
         on_error: called for unreadable files; they are skipped.  Without
             a handler, schema errors propagate.
-        use_index: serve from the map's columnar index when it is fresh
+        use_index: serve from the map's shard indexes when they are fresh
             (identical results, no YAML parsing); set ``False`` to force
             the YAML path.
 
@@ -91,8 +77,8 @@ def iter_snapshots(
         file's timestamp (authoritative over the document's own field).
     """
     loaded = _loaded_counter()
-    if use_index:
-        indexes = _fresh_indexes(store, map_name)
+    if use_index and store.persistent:
+        indexes = fresh_shard_indexes(store, map_name)
         if indexes is not None:
             for index in indexes:
                 for snapshot in _iter_from_index(store, index, start, end, on_error):
@@ -123,8 +109,8 @@ def latest_snapshot(
     warning) and the loader walks back to the newest snapshot that parses.
     """
     loaded = _loaded_counter()
-    if use_index:
-        indexes = _fresh_indexes(store, map_name)
+    if use_index and store.persistent:
+        indexes = fresh_shard_indexes(store, map_name)
         if indexes is not None:
             for index in reversed(indexes):
                 if len(index) == 0:
@@ -164,7 +150,7 @@ def load_all(
             returned list is in time order either way, and ``on_error``
             fires in that order too (with the error rebuilt from the
             worker's message).
-        use_index: serve from the map's columnar index when it is fresh;
+        use_index: serve from the map's shard indexes when they are fresh;
             the index path ignores ``workers`` (it is faster than any
             pool).  Results are equal to the YAML path's.
     """
@@ -173,8 +159,8 @@ def load_all(
     with registry.span(
         "repro_load_all", "load_all wall time", map=map_name.value
     ):
-        if use_index:
-            indexes = _fresh_indexes(store, map_name)
+        if use_index and store.persistent:
+            indexes = fresh_shard_indexes(store, map_name)
             if indexes is not None:
                 snapshots = [
                     snapshot

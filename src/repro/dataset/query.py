@@ -36,7 +36,7 @@ from importlib import import_module
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy
 
@@ -45,13 +45,7 @@ try:  # pragma: no cover - exercised only on mmap-less platforms
 except ImportError:  # pragma: no cover
     _mmap = None
 
-from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import (
-    IndexLayout,
-    covers_refs,
-    parse_index_layout,
-)
-from repro.dataset.store import DatasetStore
+from repro.dataset.index import IndexLayout, parse_index_layout
 from repro.errors import QueryError, SnapshotIndexError, StaleIndexError
 from repro.telemetry import get_registry
 
@@ -61,7 +55,6 @@ __all__ = [
     "MappedIndex",
     "ScanPredicate",
     "ScanResult",
-    "open_query",
 ]
 
 #: Column attributes in file order (mirrors ``index._COLUMNS``).
@@ -380,10 +373,6 @@ class MappedIndex:
                 f"opened; reopen to serve the new generation"
             )
 
-    def fresh_for(self, refs: Sequence[Any]) -> bool:
-        """Whether this generation exactly covers the given YAML refs."""
-        return covers_refs(self, refs)
-
     # -- column geometry ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -625,39 +614,3 @@ class ScanResult:
                     load_b=float(batch.b_loads[i]),
                 )
 
-
-def open_query(
-    store: DatasetStore,
-    map_name: MapName,
-    *,
-    require_fresh: bool = True,
-) -> MappedIndex | None:
-    """Open a map's index for querying, but only if it can serve truthfully.
-
-    Mirrors :func:`repro.dataset.index.fresh_index`: a missing, corrupt,
-    parser-version-skewed, or stale index comes back as ``None`` (each
-    landing in ``repro_index_cache_total`` as a miss) — the caller falls
-    back to the object path.  ``require_fresh=False`` skips the
-    one-``stat()``-per-file freshness walk for callers that already hold
-    the freshness invariant (a serving layer polling
-    :meth:`MappedIndex.check_generation` between builds).
-    """
-    cache = get_registry().counter(
-        "repro_index_cache_total",
-        "Snapshot-index freshness checks by outcome (hit = index served)",
-    )
-    path = store.index_path(map_name)
-    try:
-        engine = MappedIndex.open(path)
-    except SnapshotIndexError:
-        cache.inc(1, map=map_name.value, outcome="miss")
-        return None
-    ok = engine.map_name == map_name and engine.parser_version == PARSER_VERSION
-    if ok and require_fresh:
-        ok = engine.fresh_for(list(store.iter_refs(map_name, "yaml")))
-    if not ok:
-        engine.close()
-        cache.inc(1, map=map_name.value, outcome="miss")
-        return None
-    cache.inc(1, map=map_name.value, outcome="hit")
-    return engine

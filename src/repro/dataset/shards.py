@@ -1,12 +1,12 @@
 """Per-day shard indexes: O(new shard) maintenance for paper-scale corpora.
 
-The monolithic ``index.bin`` is rewritten whole on every refresh — even a
-fully-incremental build copies every carried-over row — so its
-maintenance cost grows linearly with the archive.  At the paper's scale
-(542k snapshots over 26 months, Table 2) that makes every five-minute
-collection tick pay for the whole corpus.  This module partitions the
-index by UTC day, matching the ``YYYY/MM/DD`` day directories the file
-tree already uses::
+An index file is rewritten whole on every refresh — even a
+fully-incremental build copies every carried-over row — so one index per
+map would make its maintenance cost grow linearly with the archive.  At
+the paper's scale (542k snapshots over 26 months, Table 2) every
+five-minute collection tick would pay for the whole corpus.  This module
+partitions each map's index by UTC day, matching the ``YYYY/MM/DD`` day
+directories the file tree already uses::
 
     <root>/<map>/shards/2022-09-12/index.bin     one day's columnar index
     <root>/<map>/shards/manifest.json            per-shard generations
@@ -21,7 +21,7 @@ one level up.  :func:`compact_map_shards` then touches only shards whose
 fingerprint changed: a steady-state ingest tick compacts exactly one
 day-shard no matter how many years of history sit beneath it.
 
-Readers get the same two tiers the monolithic index has:
+Readers get two tiers:
 
 * :func:`fresh_shard_indexes` — in-heap :class:`SnapshotIndex` objects
   for the loaders (``load_all`` / ``iter_snapshots``).
@@ -62,7 +62,7 @@ from repro.dataset.index import (
     shared_parse_pool,
 )
 from repro.dataset.store import (
-    ShardedDatasetStore,
+    DatasetStore,
     SnapshotRef,
     atomic_write_text,
     parse_shard_key,
@@ -99,8 +99,8 @@ def shard_fingerprint(refs: Sequence[SnapshotRef]) -> str:
     """SHA-256 over one shard's source ``(epoch, size, mtime_ns)`` stats.
 
     Parsing is deterministic, so unchanged source stats mean an unchanged
-    shard index; this is the same freshness contract the monolithic
-    index's fingerprint makes, computed *before* any build.
+    shard index; this is the same freshness contract the index file's
+    own fingerprint makes, computed *before* any build.
     """
     digest = hashlib.sha256()
     for ref in refs:
@@ -224,7 +224,7 @@ class ShardCompactionStats:
 
 
 def compact_map_shards(
-    store: ShardedDatasetStore,
+    store: DatasetStore,
     map_name: MapName,
     *,
     rebuild: bool = False,
@@ -287,14 +287,13 @@ def compact_map_shards(
                 stats.rows += entry.rows
                 continue
             index, build_stats = build_index(
-                store,
                 map_name,
+                refs,
+                index_path,
                 rebuild=rebuild,
                 workers=workers,
                 on_error=on_error,
                 parser_version=parser_version,
-                refs=refs,
-                index_path=index_path,
             )
             index_stat = index_path.stat()
             manifest.shards[key] = ShardEntry(
@@ -338,12 +337,11 @@ def compact_map_shards(
 
 
 def verify_shards(
-    store: ShardedDatasetStore, map_name: MapName
+    store: DatasetStore, map_name: MapName
 ) -> list[tuple[str, ShardEntry]] | None:
     """The manifest's shard list iff it exactly covers the live YAML tree.
 
-    One directory walk plus one ``stat()`` per file — the sharded
-    equivalent of the monolithic index's freshness walk.  Any skew
+    One directory walk plus one ``stat()`` per file, no reads.  Any skew
     (missing shard, extra shard, changed fingerprint, replaced index
     file, parser-version mismatch) reports unfresh.
     """
@@ -372,12 +370,12 @@ def verify_shards(
 
 
 def fresh_shard_indexes(
-    store: ShardedDatasetStore, map_name: MapName
+    store: DatasetStore, map_name: MapName
 ) -> list[SnapshotIndex] | None:
     """Every shard index, in time order, iff the set is fresh.
 
     ``None`` on any staleness or load failure — callers fall back to the
-    YAML object path exactly as they do for the monolithic index.  An
+    YAML object path.  An
     empty list means a fresh, empty dataset.
     """
     entries = verify_shards(store, map_name)
@@ -620,28 +618,31 @@ class ShardedScanResult:
 
 
 def open_sharded_query(
-    store: ShardedDatasetStore,
+    store: DatasetStore,
     map_name: MapName,
     *,
     require_fresh: bool = True,
 ) -> ShardedMappedIndex | None:
-    """Open a sharded map for querying, but only if every shard is fresh.
+    """Open a map for querying, but only if every shard is fresh.
 
-    The sharded counterpart of :func:`repro.dataset.query.open_query`:
-    verifies the shard manifest against the live tree (skippable via
-    ``require_fresh=False`` for serving layers that poll generation
-    tokens themselves), then hands the manifest's shard list to a
-    *lazy* :class:`ShardedMappedIndex` — no shard file is mapped until
-    a query's time window actually reaches it.  An unsound shard
+    A map that was never compacted (no shard manifest) gets ``None``.
+    Otherwise the shard manifest is verified against the live tree
+    (skippable via ``require_fresh=False`` for serving layers that poll
+    generation tokens themselves) and its shard list handed to a *lazy*
+    :class:`ShardedMappedIndex` — no shard file is mapped until a
+    query's time window actually reaches it.  An unsound shard
     therefore surfaces at first touch as :class:`SnapshotIndexError`,
     not here.
     """
+    manifest_path = store.shards_manifest_path(map_name)
+    if not manifest_path.exists():
+        return None  # never compacted
     if require_fresh:
         entries = verify_shards(store, map_name)
         if entries is None:
             return None
     else:
-        manifest = ShardManifest.load(store.shards_manifest_path(map_name))
+        manifest = ShardManifest.load(manifest_path)
         if manifest.parser_version != PARSER_VERSION:
             return None
         entries = [(key, manifest.shards[key]) for key in sorted(manifest.shards)]

@@ -1,26 +1,22 @@
 """Storage backends for the snapshot dataset.
 
-The canonical on-disk layout has one directory per map with ``svg/`` and
-``yaml/`` subtrees, files named by UTC timestamp::
+The on-disk layout has one directory per map with ``svg/`` and ``yaml/``
+subtrees, files named by UTC timestamp, plus per-day shard indexes::
 
     <root>/<map>/svg/2022/09/12/europe-20220912T000000Z.svg
     <root>/<map>/yaml/2022/09/12/europe-20220912T000000Z.yaml
+    <root>/<map>/shards/2022-09-12/index.bin
+    <root>/<map>/shards/manifest.json
 
 Timestamps are recoverable from file names alone, which is how the catalog
-indexes half a million files without opening any.
+indexes half a million files without opening any.  The ``YYYY/MM/DD`` day
+directories already partition snapshots by map/day, so index maintenance
+is O(new shard) instead of O(corpus).
 
-Three backends implement the :class:`StorageBackend` protocol:
+Two backends implement the :class:`StorageBackend` protocol:
 
-* :class:`DatasetStore` — the flat local-dir layout above, with one
-  monolithic ``index.bin`` per map.
-* :class:`ShardedDatasetStore` — same file tree (the ``YYYY/MM/DD`` day
-  directories already partition snapshots by map/day) plus per-day shard
-  indexes under ``<map>/shards/<YYYY-MM-DD>/index.bin`` and a shard
-  manifest, so index maintenance is O(new shard) instead of O(corpus).
+* :class:`DatasetStore` — the local-dir layout above.
 * :class:`InMemoryStore` — a dict-backed store for tests; no filesystem.
-
-A sharded dataset is marked by a ``layout.json`` at the root so that
-:func:`open_store` can reconstruct the right backend transparently.
 """
 
 from __future__ import annotations
@@ -163,8 +159,6 @@ class StorageBackend(Protocol):
 
     def manifest_path(self, map_name: MapName) -> Path: ...
 
-    def index_path(self, map_name: MapName) -> Path: ...
-
     def write(
         self, map_name: MapName, when: datetime, kind: str, data: str | bytes
     ) -> SnapshotRef: ...
@@ -181,7 +175,13 @@ class StorageBackend(Protocol):
 
 
 class DatasetStore:
-    """Reads and writes the flat local-dir dataset tree."""
+    """Reads and writes the local-dir dataset tree and names its side-cars.
+
+    :mod:`repro.dataset.engine` owns the manifest, :mod:`repro.dataset.ingest`
+    the journal, and :mod:`repro.dataset.shards` the shard manifest and
+    compaction; the store only names their paths and enumerates shard
+    members.
+    """
 
     persistent = True
 
@@ -210,14 +210,6 @@ class DatasetStore:
         owned by :mod:`repro.dataset.engine`; the store only names it.
         """
         return self.root / map_name.value / "manifest.json"
-
-    def index_path(self, map_name: MapName) -> Path:
-        """Where the columnar snapshot index of one map lives.
-
-        Like the manifest, it sits next to the ``svg/`` and ``yaml/``
-        subtrees; :mod:`repro.dataset.index` owns its contents.
-        """
-        return self.root / map_name.value / "index.bin"
 
     def journal_path(self, map_name: MapName) -> Path:
         """Where the ingestion write-ahead journal of one map lives."""
@@ -287,27 +279,13 @@ class DatasetStore:
             total += ref.size_bytes
         return count, total
 
-
-class ShardedDatasetStore(DatasetStore):
-    """Flat layout plus per-day shard indexes.
-
-    The snapshot file tree is byte-identical to :class:`DatasetStore` —
-    the ``YYYY/MM/DD`` day directories already partition the corpus by
-    map/day, so "sharding" adds only the index side-cars::
-
-        <root>/<map>/shards/<YYYY-MM-DD>/index.bin   per-shard columnar index
-        <root>/<map>/shards/manifest.json            shard generations
-        <root>/layout.json                           backend marker
-
-    :mod:`repro.dataset.shards` owns the shard manifest and compaction;
-    the store only names the paths and enumerates shard members.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        super().__init__(root)
-
     def mark(self) -> None:
-        """Persist the layout marker so :func:`open_store` picks this backend."""
+        """Write ``layout.json``, the marker 2.x readers pick shards by.
+
+        Every 3.x store is sharded and :func:`open_store` ignores the
+        marker; the dataset-creating commands still write it so that an
+        older install reads a dataset created here through its shards.
+        """
         payload = json.dumps({"layout": SHARDED_LAYOUT, "version": 1}, indent=2)
         atomic_write_text(self.root / LAYOUT_FILE_NAME, payload + "\n")
 
@@ -383,6 +361,10 @@ class ShardedDatasetStore(DatasetStore):
         yield from refs
 
 
+#: The 2.x name of the sharded store, which is now the only one.
+ShardedDatasetStore = DatasetStore
+
+
 class InMemoryStore:
     """Dict-backed :class:`StorageBackend` for tests — no filesystem.
 
@@ -422,10 +404,6 @@ class InMemoryStore:
     def manifest_path(self, map_name: MapName) -> Path:
         """Synthetic manifest path; the in-memory store persists nothing."""
         return self.root / map_name.value / "manifest.json"
-
-    def index_path(self, map_name: MapName) -> Path:
-        """Synthetic index path; the in-memory store persists nothing."""
-        return self.root / map_name.value / "index.bin"
 
     def write(self, map_name: MapName, when: datetime, kind: str, data: str | bytes) -> SnapshotRef:
         """Store one snapshot in the dict."""
@@ -489,31 +467,12 @@ class InMemoryStore:
         return count, total
 
 
-def dataset_layout(root: str | Path) -> str | None:
-    """The layout recorded in ``<root>/layout.json``, if any."""
-    marker = Path(root) / LAYOUT_FILE_NAME
-    try:
-        raw = marker.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(payload, dict):
-        return None
-    layout = payload.get("layout")
-    return layout if isinstance(layout, str) else None
-
-
 def open_store(root: str | Path) -> DatasetStore:
-    """Open a dataset directory with the backend its marker names.
+    """Open a dataset directory.
 
-    Datasets without a ``layout.json`` (every pre-shard dataset) get the
-    flat :class:`DatasetStore`; ``{"layout": "sharded"}`` selects
-    :class:`ShardedDatasetStore`. The snapshot tree is identical either
-    way, so this only changes which indexes serve reads.
+    Any dataset opens the same way: the snapshot tree is the same for
+    every layout a release has written, and reads are served from the
+    per-day shard indexes.  A 2.x dataset without them serves from YAML
+    until ``repro-weather index build`` compacts it.
     """
-    if dataset_layout(root) == SHARDED_LAYOUT:
-        return ShardedDatasetStore(root)
     return DatasetStore(root)

@@ -21,7 +21,7 @@ from repro.charts.svgchart import BandSeries, ChartRenderer, Series, StepSeries
 from repro.constants import MapName
 from repro.dataset.catalog import DatasetCatalog
 from repro.dataset.loader import load_all
-from repro.dataset.store import DatasetStore
+from repro.dataset.store import DatasetStore, open_store
 from repro.dataset.summary import build_table1, build_table2, format_table1, format_table2
 
 
@@ -242,7 +242,7 @@ def build_report(
     Returns:
         The path of the written ``report.md``.
     """
-    store = DatasetStore(dataset_dir)
+    store = open_store(dataset_dir)
     builder = ReportBuilder(output_dir)
     present = _collection_section(builder, store)
     if not present:

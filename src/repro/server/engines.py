@@ -31,7 +31,7 @@ from repro.dataset.handles import (
     resolve_read_handle,
 )
 from repro.dataset.store import DatasetStore
-from repro.errors import SnapshotNotFoundError
+from repro.errors import SnapshotIndexError, SnapshotNotFoundError
 from repro.telemetry import get_registry
 
 __all__ = ["EngineCache", "PinnedEngine"]
@@ -72,9 +72,11 @@ class EngineCache:
         that precedes it.
 
         Raises:
-            SnapshotNotFoundError: the map has no openable index at all
+            SnapshotNotFoundError: the map has no snapshots and no index
                 (never raised while a previously-pinned generation can
                 still serve).
+            SnapshotIndexError: the map has snapshots but was never
+                compacted (a 2.x dataset before its first ``index build``).
         """
         token = read_generation(self._store, map_name)
         with self._lock:
@@ -89,6 +91,11 @@ class EngineCache:
             if handle is None:
                 if pinned is not None:
                     return pinned
+                if self._store.persistent and self._store.shard_keys(map_name):
+                    raise SnapshotIndexError(
+                        f"map {map_name.value!r} has snapshots but no shard "
+                        f"index; build one with `repro-weather index build`"
+                    )
                 raise SnapshotNotFoundError(
                     f"no queryable index for map {map_name.value!r}; "
                     f"build one with `repro-weather index build`"

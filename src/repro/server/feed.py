@@ -43,7 +43,7 @@ from datetime import datetime, timezone
 
 from repro.constants import MapName
 from repro.dataset.handles import GenerationToken, read_generation
-from repro.errors import SnapshotNotFoundError
+from repro.errors import SnapshotIndexError, SnapshotNotFoundError
 from repro.server.engines import EngineCache
 from repro.telemetry import get_registry
 
@@ -265,7 +265,7 @@ class GenerationWatcher:
             # cached engine.
             try:
                 self._engines.handle(map_name)
-            except SnapshotNotFoundError:
+            except (SnapshotNotFoundError, SnapshotIndexError):
                 pass
 
     # -- subscriptions (SSE) -----------------------------------------------

@@ -7,8 +7,7 @@ dict for the app layer to render.  Nothing here constructs a
 — so every payload is assembled from zero-copy column views:
 
 * ``snapshot`` bisects to one row and slices that row's membership and
-  link columns (on a sharded handle, the newest overlapping shard is
-  the only one opened);
+  link columns (the newest overlapping shard is the only one opened);
 * ``series`` is a predicate-pushdown :meth:`scan` with the link filter
   bound, normalised so *a_to_b* is always the egress direction leaving
   the first requested endpoint;
@@ -20,7 +19,7 @@ dict for the app layer to render.  Nothing here constructs a
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from typing import Any, Iterator
+from typing import Any
 
 import numpy
 
@@ -30,7 +29,6 @@ from repro.analysis.timeseries import TimeSeries
 from repro.constants import MapName
 from repro.dataset.handles import ReadHandle
 from repro.dataset.query import MappedIndex, ScanPredicate
-from repro.dataset.shards import ShardedMappedIndex
 from repro.errors import (
     AnalysisError,
     QueryError,
@@ -102,20 +100,6 @@ def _floor_second(when: datetime) -> datetime:
     return datetime.fromtimestamp(int(when.timestamp()), tz=timezone.utc)
 
 
-def _single_engines(
-    handle: ReadHandle,
-    start: datetime | None = None,
-    end: datetime | None = None,
-    *,
-    reverse: bool = False,
-) -> Iterator[MappedIndex]:
-    """The per-shard engines a window touches (the handle itself, flat)."""
-    if isinstance(handle, ShardedMappedIndex):
-        yield from handle.iter_engines(start, end, reverse=reverse)
-    else:
-        yield handle
-
-
 def _prefix_sum(counts: Any, row: int) -> int:
     """Sum of a count column's first ``row`` entries."""
     return int(counts[:row].sum(dtype=numpy.int64))
@@ -124,11 +108,11 @@ def _prefix_sum(counts: Any, row: int) -> int:
 def _time_range(handle: ReadHandle) -> tuple[datetime, datetime] | None:
     """First and last snapshot timestamps, opening at most two shards."""
     first = last = None
-    for engine in _single_engines(handle):
+    for engine in handle.iter_engines():
         if len(engine):
             first = engine.timestamp_at(0)
             break
-    for engine in _single_engines(handle, reverse=True):
+    for engine in handle.iter_engines(reverse=True):
         if len(engine):
             last = engine.timestamp_at(len(engine) - 1)
             break
@@ -143,10 +127,10 @@ def maps_payload(engines: EngineCache) -> dict:
     for map_name in MapName:
         try:
             pinned = engines.handle(map_name)
-        except SnapshotNotFoundError:
+        except (SnapshotNotFoundError, SnapshotIndexError):
             continue
         if len(pinned.handle) == 0:
-            continue  # a sharded store resolves empty maps to empty engines
+            continue  # compacted, but no snapshots left: an empty engine
         entry: dict = {
             "name": map_name.value,
             "title": map_name.title,
@@ -165,7 +149,7 @@ def _latest_row(
 ) -> tuple[MappedIndex, int] | None:
     """The newest (engine, row) at or before ``at`` — newest shard first."""
     end = None if at is None else _floor_second(at) + timedelta(seconds=1)
-    for engine in _single_engines(handle, end=end, reverse=True):
+    for engine in handle.iter_engines(end=end, reverse=True):
         rows = engine.rows_in_window(None, end)
         if rows.stop > 0:
             return engine, rows.stop - 1
@@ -267,7 +251,7 @@ def imbalance_payload(
 ) -> dict:
     """``GET /maps/<m>/imbalance`` — the Figure 5c summary over a window."""
     merged = ImbalanceResult()
-    for engine in _single_engines(handle, start, end):
+    for engine in handle.iter_engines(start, end):
         shard = imbalance_samples(engine, start, end, minimum_load)
         merged.internal.extend(shard.internal)
         merged.external.extend(shard.external)
@@ -307,7 +291,7 @@ def evolution_payload(
             columnar accessor's own contract.
     """
     parts = []
-    for engine in _single_engines(handle, start, end):
+    for engine in handle.iter_engines(start, end):
         try:
             parts.append(count_series(engine, start, end))
         except AnalysisError:

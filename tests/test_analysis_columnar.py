@@ -80,7 +80,7 @@ def store(tmp_path_factory) -> DatasetStore:
 
 @pytest.fixture(scope="module")
 def built(store) -> SnapshotIndex:
-    built, _ = build_index(store, MAP)
+    built, _ = build_index(MAP, list(store.iter_refs(MAP, "yaml")), store.root / "index.bin")
     return built
 
 
@@ -95,7 +95,7 @@ def index(request, store, built):
     if request.param == "heap":
         yield built
         return
-    engine = MappedIndex.open(store.index_path(MAP))
+    engine = MappedIndex.open(store.root / "index.bin")
     yield engine
     engine.close()
 

@@ -29,6 +29,16 @@ class TestParser:
         assert args.output == "/tmp/x"
         assert args.interval == 5
 
+    def test_sharded_flag_removed(self):
+        for command in (
+            ["generate", "/tmp/x", "--start", "2022-01-01", "--end", "2022-01-02"],
+            ["ingest", "run", "/tmp/x"],
+            ["crawl", "/tmp/x", "--start", "2022-01-01", "--end", "2022-01-02"],
+        ):
+            build_parser().parse_args(command)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--sharded"])
+
     def test_process_workers_args(self):
         args = build_parser().parse_args(["process", "/tmp/x"])
         assert args.workers is None
@@ -126,6 +136,8 @@ class TestPipelineCommands:
 
     def test_generate_wrote_files(self, dataset_dir):
         assert list(dataset_dir.rglob("*.svg"))
+        # Marked so that a 2.x install reads the dataset through its shards.
+        assert (dataset_dir / "layout.json").exists()
 
     def test_process(self, dataset_dir, capsys):
         code = main(["process", str(dataset_dir)])
@@ -165,7 +177,8 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert "asia-pacific" in out
         assert "rows" in out
-        assert (dataset_dir / "asia-pacific" / "index.bin").exists()
+        assert (dataset_dir / "asia-pacific" / "shards" / "manifest.json").exists()
+        assert not (dataset_dir / "asia-pacific" / "index.bin").exists()
         code = main(["index", "status", str(dataset_dir)])
         assert code == 0
         assert "fresh" in capsys.readouterr().out
@@ -174,7 +187,8 @@ class TestPipelineCommands:
         main(["process", str(dataset_dir)])
         main(["index", "build", str(dataset_dir)])
         capsys.readouterr()
-        (dataset_dir / "asia-pacific" / "index.bin").write_bytes(b"garbage")
+        shard = next((dataset_dir / "asia-pacific" / "shards").glob("*/index.bin"))
+        shard.write_bytes(b"garbage")
         code = main(["index", "status", str(dataset_dir)])
         assert code == 1
         assert "STALE" in capsys.readouterr().out
@@ -272,7 +286,7 @@ class TestQueryCommand:
         from datetime import datetime, timedelta, timezone
 
         from repro.constants import MapName
-        from repro.dataset.index import build_index
+        from repro.dataset.shards import compact_map_shards
         from repro.dataset.store import DatasetStore
         from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
         from repro.yamlio.serialize import snapshot_to_yaml
@@ -291,7 +305,7 @@ class TestQueryCommand:
                 )
             )
             store.write(MapName.EUROPE, when, "yaml", snapshot_to_yaml(snapshot))
-        build_index(store, MapName.EUROPE)
+        compact_map_shards(store, MapName.EUROPE)
         return tmp_path
 
     def test_query_args(self):

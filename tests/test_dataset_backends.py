@@ -1,7 +1,8 @@
 """Backend-conformance suite for the :class:`StorageBackend` protocol.
 
-Every backend — flat local-dir, sharded, in-memory — must satisfy the
-same contract: writes round-trip, ``iter_refs`` is time-ordered, missing
+Every backend — the local-dir store over an unmarked (2.x flat) or a
+marked directory, and the in-memory store — must satisfy the same
+contract: writes round-trip, ``iter_refs`` is time-ordered, missing
 reads raise the typed error, stat keys change on overwrite.  The tests
 are parametrized so a future backend joins the matrix by adding one
 fixture branch.
@@ -22,7 +23,6 @@ from repro.dataset.store import (
     ShardedDatasetStore,
     SnapshotRef,
     StorageBackend,
-    dataset_layout,
     open_store,
     parse_shard_key,
     shard_key,
@@ -37,7 +37,11 @@ BACKENDS = ("flat", "sharded", "memory")
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    """One store per protocol implementation, rooted in a fresh dir."""
+    """One store per protocol implementation, rooted in a fresh dir.
+
+    ``flat`` is a directory without the ``layout.json`` marker, as 2.x
+    left flat datasets; the store must behave the same on it.
+    """
     if request.param == "flat":
         return DatasetStore(tmp_path / "flat")
     if request.param == "sharded":
@@ -119,7 +123,10 @@ class TestProtocolConformance:
 
     def test_manifest_and_index_paths_are_per_map(self, backend):
         assert backend.manifest_path(MAP) != backend.manifest_path(MapName.EUROPE)
-        assert backend.index_path(MAP) != backend.index_path(MapName.EUROPE)
+        if backend.persistent:
+            assert backend.shards_manifest_path(MAP) != backend.shards_manifest_path(
+                MapName.EUROPE
+            )
 
 
 class TestShardSurface:
@@ -160,18 +167,24 @@ class TestShardSurface:
 
 
 class TestOpenStore:
+    def test_sharded_name_is_the_store(self):
+        assert ShardedDatasetStore is DatasetStore
+
     def test_default_is_flat(self, tmp_path):
+        # An unmarked (2.x flat) directory opens as the one store.
         store = open_store(tmp_path)
         assert type(store) is DatasetStore
+        assert not (tmp_path / LAYOUT_FILE_NAME).exists()
 
     def test_marked_dataset_reopens_sharded(self, tmp_path):
-        ShardedDatasetStore(tmp_path).mark()
-        assert dataset_layout(tmp_path) == "sharded"
-        assert isinstance(open_store(tmp_path), ShardedDatasetStore)
+        DatasetStore(tmp_path).mark()
+        marker = json.loads((tmp_path / LAYOUT_FILE_NAME).read_text(encoding="utf-8"))
+        assert marker == {"layout": "sharded", "version": 1}
+        assert type(open_store(tmp_path)) is DatasetStore
 
     def test_corrupt_marker_falls_back_to_flat(self, tmp_path):
+        # The marker is write-only now: a corrupt one changes nothing.
         (tmp_path / LAYOUT_FILE_NAME).write_text("{not json", encoding="utf-8")
-        assert dataset_layout(tmp_path) is None
         assert type(open_store(tmp_path)) is DatasetStore
 
     def test_unknown_layout_falls_back_to_flat(self, tmp_path):

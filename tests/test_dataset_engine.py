@@ -200,17 +200,17 @@ class TestManifest:
 
 
 class TestIndexMaintenance:
-    """Processing leaves the columnar snapshot index fresh behind it."""
+    """Processing leaves the map's shard indexes fresh behind it."""
 
     def test_processing_builds_a_fresh_index(self, tmp_path, reference_svg):
-        from repro.dataset.index import fresh_index
+        from repro.dataset.shards import fresh_shard_indexes
 
         store = build_corpus(tmp_path, reference_svg)
         stats = process_map_parallel(store, MAP, workers=1)
-        assert store.index_path(MAP).exists()
-        index = fresh_index(store, MAP)
-        assert index is not None
-        assert len(index) == stats.processed
+        assert store.shards_manifest_path(MAP).exists()
+        indexes = fresh_shard_indexes(store, MAP)
+        assert indexes is not None
+        assert sum(len(index) for index in indexes) == stats.processed
 
     def test_index_serves_the_processed_series(self, tmp_path, reference_svg):
         from repro.dataset.loader import load_all
@@ -223,15 +223,15 @@ class TestIndexMaintenance:
     def test_update_index_disabled(self, tmp_path, reference_svg):
         store = build_corpus(tmp_path, reference_svg)
         process_map_parallel(store, MAP, workers=1, update_index=False)
-        assert not store.index_path(MAP).exists()
+        assert not store.shards_root(MAP).exists()
 
     def test_warm_rerun_keeps_index_fresh(self, tmp_path, reference_svg):
-        from repro.dataset.index import fresh_index
+        from repro.dataset.shards import fresh_shard_indexes
 
         store = build_corpus(tmp_path, reference_svg)
         process_map_parallel(store, MAP, workers=1)
         process_map_parallel(store, MAP, workers=1)
-        assert fresh_index(store, MAP) is not None
+        assert fresh_shard_indexes(store, MAP) is not None
 
 
 class TestManifestRoundTrip:

@@ -1,16 +1,18 @@
-"""Tests for layout-agnostic read handles (repro.dataset.handles).
+"""Tests for read handles (repro.dataset.handles).
 
-:func:`resolve_read_handle` is the one place the read path decides flat
-vs sharded, and :func:`read_generation` is the stat-cheap token the HTTP
+:func:`resolve_read_handle` opens a map's shard indexes for the read
+path, and :func:`read_generation` is the stat-cheap token the HTTP
 server compares per request to know when an ingest checkpoint has moved
-a map's serving index.  Both contracts are pinned here: the right engine
-class per store layout, ``None`` on anything unservable, and a token
-that changes exactly when the on-disk index identity changes.
+a map's serving index.  Both contracts are pinned here: a sharded
+engine for a compacted map, ``None`` on anything unservable (a 2.x flat
+dataset included), and a token that changes exactly when the shard
+manifest's identity changes.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.constants import MapName
 from repro.dataset.handles import read_generation, resolve_read_handle
 from repro.dataset.index import build_index
 from repro.dataset.processor import process_svg_bytes
-from repro.dataset.query import MappedIndex
 from repro.dataset.shards import ShardedMappedIndex, compact_map_shards
 from repro.dataset.store import DatasetStore, InMemoryStore, ShardedDatasetStore
 
@@ -34,10 +35,18 @@ def reference_yaml(apac_svg) -> str:
 
 
 def flat_store(root, yaml_text: str, snapshots: int = 3) -> DatasetStore:
+    """One day of snapshots in an unmarked directory, as 2.x left it."""
     store = DatasetStore(root)
     for slot in range(snapshots):
         store.write(MAP, T0 + timedelta(minutes=5 * slot), "yaml", yaml_text)
     return store
+
+
+def write_flat_index(store: DatasetStore) -> Path:
+    """The ``<map>/index.bin`` a 2.x flat dataset carries; 3.x never reads it."""
+    path = store.root / MAP.value / "index.bin"
+    build_index(MAP, list(store.iter_refs(MAP, "yaml")), path)
+    return path
 
 
 def sharded_store(root, yaml_text: str, days: int = 2) -> ShardedDatasetStore:
@@ -53,9 +62,11 @@ def sharded_store(root, yaml_text: str, days: int = 2) -> ShardedDatasetStore:
 class TestResolve:
     def test_flat_store_resolves_to_mapped_index(self, tmp_path, reference_yaml):
         store = flat_store(tmp_path, reference_yaml)
-        build_index(store, MAP)
+        write_flat_index(store)
+        assert resolve_read_handle(store, MAP) is None  # until compacted
+        compact_map_shards(store, MAP)
         handle = resolve_read_handle(store, MAP)
-        assert isinstance(handle, MappedIndex)
+        assert isinstance(handle, ShardedMappedIndex)
         assert len(handle) == 3
         handle.close()
 
@@ -80,31 +91,33 @@ class TestResolve:
 
     def test_stale_flat_index_resolves_to_none(self, tmp_path, reference_yaml):
         store = flat_store(tmp_path, reference_yaml)
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         store.write(MAP, T0 + timedelta(hours=1), "yaml", reference_yaml)
         assert resolve_read_handle(store, MAP) is None
         # ... unless the caller pins a generation itself and opts out.
         handle = resolve_read_handle(store, MAP, require_fresh=False)
-        assert isinstance(handle, MappedIndex)
+        assert isinstance(handle, ShardedMappedIndex)
+        assert len(handle) == 3
         handle.close()
 
 
 class TestGeneration:
     def test_flat_token_names_the_index_file(self, tmp_path, reference_yaml):
         store = flat_store(tmp_path, reference_yaml)
-        assert read_generation(store, MAP) is None  # no index yet
-        build_index(store, MAP)
+        write_flat_index(store)
+        assert read_generation(store, MAP) is None  # a 2.x index is no token
+        compact_map_shards(store, MAP)
         token = read_generation(store, MAP)
-        assert token is not None and token[0] == "flat"
-        stat = store.index_path(MAP).stat()
+        assert token is not None and token[0] == "sharded"
+        stat = store.shards_manifest_path(MAP).stat()
         assert token[1:] == (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     def test_flat_token_changes_on_rebuild(self, tmp_path, reference_yaml):
         store = flat_store(tmp_path, reference_yaml)
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         before = read_generation(store, MAP)
         store.write(MAP, T0 + timedelta(hours=1), "yaml", reference_yaml)
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         after = read_generation(store, MAP)
         assert before is not None and after is not None
         assert after != before

@@ -5,6 +5,11 @@ the YAML path (equal snapshots, same errors in the same order), freshness
 tracks the live YAML tree exactly, a damaged index file degrades to the
 YAML fallback instead of failing, and incremental builds reuse unchanged
 rows the way the engine's manifest reuses unchanged SVGs.
+
+The fixture's series sits in one UTC day, so the map has exactly one
+shard: :func:`build` writes that shard's index file directly, and
+:func:`compact_map_shards` builds it and records it in the shard
+manifest that freshness is checked against.
 """
 
 from __future__ import annotations
@@ -12,20 +17,15 @@ from __future__ import annotations
 import os
 import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import MapName
-from repro.dataset.index import (
-    INDEX_MAGIC,
-    SnapshotIndex,
-    build_index,
-    fresh_index,
-    index_status,
-    load_index,
-)
+from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, load_index_at
 from repro.dataset.loader import latest_snapshot, load_all
+from repro.dataset.shards import compact_map_shards, fresh_shard_indexes, verify_shards
 from repro.dataset.store import DatasetStore
 from repro.dataset.workers import default_workers, resolve_workers
 from repro.errors import DatasetError, SchemaError, SnapshotIndexError
@@ -35,6 +35,7 @@ from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
 from repro.yamlio.serialize import snapshot_to_yaml
 
 T0 = datetime(2022, 3, 1, tzinfo=timezone.utc)
+DAY = "2022-03-01"
 MAP = MapName.EUROPE
 FILES = 6
 
@@ -50,6 +51,21 @@ def _snapshot(when: datetime, load: float = 10.0) -> MapSnapshot:
     return snapshot
 
 
+def index_file(store: DatasetStore) -> Path:
+    """The one day-shard's index file."""
+    return store.shard_index_path(MAP, DAY)
+
+
+def build(store: DatasetStore, **kwargs):
+    """Build the day-shard's index file directly, without the shard manifest."""
+    return build_index(MAP, list(store.iter_refs(MAP, "yaml")), index_file(store), **kwargs)
+
+
+def fresh(store: DatasetStore):
+    """The map's fresh shard indexes, or ``None``."""
+    return fresh_shard_indexes(store, MAP)
+
+
 @pytest.fixture()
 def store(tmp_path) -> DatasetStore:
     store = DatasetStore(tmp_path)
@@ -62,12 +78,12 @@ def store(tmp_path) -> DatasetStore:
 class TestRoundTrip:
     def test_load_all_served_by_index_is_identical(self, store):
         via_yaml = load_all(store, MAP, use_index=False)
-        build_index(store, MAP)
-        assert fresh_index(store, MAP) is not None
+        compact_map_shards(store, MAP)
+        assert fresh(store) is not None
         assert load_all(store, MAP) == via_yaml
 
     def test_index_path_reads_no_yaml(self, store, monkeypatch):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         from repro.yamlio import deserialize
 
         def forbidden(document):
@@ -78,7 +94,7 @@ class TestRoundTrip:
         assert len(load_all(store, MAP)) == FILES
 
     def test_window_matches_yaml_path(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         start = T0 + timedelta(minutes=5)
         end = T0 + timedelta(minutes=20)
         assert load_all(store, MAP, start=start, end=end) == load_all(
@@ -86,14 +102,14 @@ class TestRoundTrip:
         )
 
     def test_latest_served_by_index(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         latest = latest_snapshot(store, MAP)
         assert latest == latest_snapshot(store, MAP, use_index=False)
         assert latest.links[0].a.load == FILES - 1
 
     def test_file_round_trip_preserves_tables(self, store):
-        index, _ = build_index(store, MAP)
-        reloaded = SnapshotIndex.load(store.index_path(MAP))
+        index, _ = build(store)
+        reloaded = SnapshotIndex.load(index_file(store))
         assert reloaded.names == index.names
         assert reloaded.labels == index.labels
         assert reloaded.parser_version == index.parser_version
@@ -160,7 +176,7 @@ def test_save_load_survives_arbitrary_series(series):
     for number, snapshot in enumerate(series):
         index.append_snapshot(snapshot, size=number, mtime_ns=number)
     with tempfile.TemporaryDirectory() as scratch:
-        path = DatasetStore(scratch).index_path(series[0].map_name)
+        path = Path(scratch) / "index.bin"
         index.save(path)
         reloaded = SnapshotIndex.load(path)
     assert [reloaded.snapshot(row) for row in range(len(reloaded))] == series
@@ -174,34 +190,34 @@ def test_save_load_survives_arbitrary_series(series):
 
 class TestFreshness:
     def test_fresh_after_build(self, store):
-        build_index(store, MAP)
-        assert fresh_index(store, MAP) is not None
+        compact_map_shards(store, MAP)
+        assert fresh(store) is not None
 
     def test_absent_index_is_not_fresh(self, store):
-        assert fresh_index(store, MAP) is None
+        assert fresh(store) is None
 
     def test_new_file_staled(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         when = T0 + timedelta(hours=1)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
-        assert fresh_index(store, MAP) is None
+        assert fresh(store) is None
 
     def test_modified_file_staled(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         ref = next(iter(store.iter_refs(MAP, "yaml")))
         ref.path.write_text(
             snapshot_to_yaml(_snapshot(ref.timestamp, load=99.0)), encoding="utf-8"
         )
         os.utime(ref.path, ns=(1, 1))
-        assert fresh_index(store, MAP) is None
+        assert fresh(store) is None
 
     def test_removed_file_staled(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         next(iter(store.iter_refs(MAP, "yaml"))).path.unlink()
-        assert fresh_index(store, MAP) is None
+        assert fresh(store) is None
 
     def test_stale_load_falls_back_to_yaml(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         when = T0 + timedelta(hours=1)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, load=50.0)))
         snapshots = load_all(store, MAP)
@@ -209,9 +225,9 @@ class TestFreshness:
         assert snapshots[-1].links[0].a.load == 50.0
 
     def test_parser_version_skew_not_fresh(self, store):
-        build_index(store, MAP, parser_version=PARSER_VERSION + 1)
-        assert load_index(store, MAP) is not None
-        assert fresh_index(store, MAP) is None
+        compact_map_shards(store, MAP, parser_version=PARSER_VERSION + 1)
+        assert load_index_at(index_file(store), MAP) is not None
+        assert fresh(store) is None
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +237,14 @@ class TestFreshness:
 
 class TestDamagedIndex:
     def damage(self, store, mutate):
-        build_index(store, MAP)
-        path = store.index_path(MAP)
+        compact_map_shards(store, MAP)
+        path = index_file(store)
         path.write_bytes(mutate(path.read_bytes()))
         return path
 
     def test_truncated(self, store):
         self.damage(store, lambda data: data[: len(data) // 2])
-        assert load_index(store, MAP) is None
+        assert load_index_at(index_file(store), MAP) is None
 
     def test_flipped_byte_fails_checksum(self, store):
         middle = None
@@ -238,11 +254,11 @@ class TestDamagedIndex:
             return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
 
         self.damage(store, flip)
-        assert load_index(store, MAP) is None
+        assert load_index_at(index_file(store), MAP) is None
 
     def test_bad_magic(self, store):
         self.damage(store, lambda data: b"XXXX" + data[len(INDEX_MAGIC) :])
-        assert load_index(store, MAP) is None
+        assert load_index_at(index_file(store), MAP) is None
 
     def test_load_raises_typed_error(self, store):
         path = self.damage(store, lambda data: data[:10])
@@ -256,9 +272,9 @@ class TestDamagedIndex:
 
     def test_rebuild_after_corruption(self, store):
         self.damage(store, lambda data: data[:20])
-        index, stats = build_index(store, MAP)
+        stats = compact_map_shards(store, MAP)
         assert stats.parsed == FILES
-        assert fresh_index(store, MAP) is not None
+        assert fresh(store) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -268,48 +284,49 @@ class TestDamagedIndex:
 
 class TestIncremental:
     def test_warm_rebuild_reuses_everything(self, store):
-        build_index(store, MAP)
-        _, stats = build_index(store, MAP)
+        build(store)
+        _, stats = build(store)
         assert stats.parsed == 0
         assert stats.reused == FILES
 
     def test_new_file_parsed_alone(self, store):
-        build_index(store, MAP)
+        build(store)
         when = T0 + timedelta(hours=1)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
-        index, stats = build_index(store, MAP)
+        index, stats = build(store)
         assert (stats.parsed, stats.reused) == (1, FILES)
         assert len(index) == FILES + 1
-        assert fresh_index(store, MAP) is not None
 
     def test_modified_file_reparsed_alone(self, store):
-        build_index(store, MAP)
+        build(store)
         ref = next(iter(store.iter_refs(MAP, "yaml")))
         ref.path.write_text(
             snapshot_to_yaml(_snapshot(ref.timestamp, load=77.0)), encoding="utf-8"
         )
         os.utime(ref.path, ns=(1, 1))
-        index, stats = build_index(store, MAP)
+        index, stats = build(store)
         assert (stats.parsed, stats.reused) == (1, FILES - 1)
         assert index.snapshot(0).links[0].a.load == 77.0
 
     def test_removed_file_dropped(self, store):
-        build_index(store, MAP)
+        build(store)
         next(iter(store.iter_refs(MAP, "yaml"))).path.unlink()
-        index, stats = build_index(store, MAP)
+        index, stats = build(store)
         assert stats.removed == 1
         assert len(index) == FILES - 1
-        assert fresh_index(store, MAP) is not None
+        # Compaction adopts the directly built file: nothing to parse.
+        assert compact_map_shards(store, MAP).parsed == 0
+        assert fresh(store) is not None
 
     def test_rebuild_flag_parses_everything(self, store):
-        build_index(store, MAP)
-        _, stats = build_index(store, MAP, rebuild=True)
+        build(store)
+        _, stats = build(store, rebuild=True)
         assert stats.parsed == FILES
         assert stats.reused == 0
 
     def test_parser_version_bump_discards_previous(self, store):
-        build_index(store, MAP, parser_version=PARSER_VERSION + 1)
-        _, stats = build_index(store, MAP)
+        build(store, parser_version=PARSER_VERSION + 1)
+        _, stats = build(store)
         assert stats.parsed == FILES
         assert stats.reused == 0
 
@@ -331,25 +348,25 @@ class TestSkippedSources:
 
     def test_build_raises_without_handler(self, store_with_corrupt):
         with pytest.raises(SchemaError):
-            build_index(store_with_corrupt, MAP)
+            build(store_with_corrupt)
 
     def test_build_records_skip_and_stays_fresh(self, store_with_corrupt):
         errors = []
-        index, stats = build_index(
+        stats = compact_map_shards(
             store_with_corrupt, MAP, on_error=lambda ref, exc: errors.append(ref.timestamp)
         )
         assert errors == [self.CORRUPT_AT]
-        assert stats.unreadable == 1
-        assert len(index) == FILES - 1
-        assert fresh_index(store_with_corrupt, MAP) is not None
+        assert stats.rows == FILES - 1
+        (index,) = fresh(store_with_corrupt)
+        assert list(index.skipped) == [int(self.CORRUPT_AT.timestamp())]
 
     def test_indexed_load_replays_the_error(self, store_with_corrupt):
-        build_index(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
+        compact_map_shards(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
         with pytest.raises(SchemaError):
             load_all(store_with_corrupt, MAP)
 
     def test_indexed_load_reports_skip_in_time_order(self, store_with_corrupt):
-        build_index(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
+        compact_map_shards(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
         events = []
         snapshots = load_all(
             store_with_corrupt,
@@ -364,8 +381,8 @@ class TestSkippedSources:
         )
 
     def test_incremental_rerun_reuses_the_skip(self, store_with_corrupt):
-        build_index(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
-        _, stats = build_index(store_with_corrupt, MAP)  # no handler needed now
+        build(store_with_corrupt, on_error=lambda ref, exc: None)
+        _, stats = build(store_with_corrupt)  # no handler needed now
         assert stats.parsed == 0
         assert stats.unreadable == 1
         assert stats.reused == FILES - 1
@@ -373,7 +390,7 @@ class TestSkippedSources:
     def test_latest_walks_past_trailing_corruption(self, store):
         when = T0 + timedelta(hours=2)
         store.write(MAP, when, "yaml", "routers: [unclosed")
-        build_index(store, MAP, on_error=lambda ref, exc: None)
+        compact_map_shards(store, MAP, on_error=lambda ref, exc: None)
         latest = latest_snapshot(store, MAP)
         assert latest is not None
         assert latest.timestamp == T0 + timedelta(minutes=5 * (FILES - 1))
@@ -381,40 +398,33 @@ class TestSkippedSources:
 
 
 # ---------------------------------------------------------------------------
-# Status reporting
+# Status reporting (``repro-weather index status`` reads verify_shards)
 # ---------------------------------------------------------------------------
 
 
 class TestStatus:
     def test_missing(self, store):
-        status = index_status(store, MAP)
-        assert (status.exists, status.fresh) == (False, False)
-        assert status.reason == "no index file"
+        assert verify_shards(store, MAP) is None
 
     def test_fresh(self, store):
-        build_index(store, MAP)
-        status = index_status(store, MAP)
-        assert status.fresh
-        assert status.rows == FILES
-        assert status.parser_version == PARSER_VERSION
-        assert status.reason is None
-        assert status.size_bytes == store.index_path(MAP).stat().st_size
+        compact_map_shards(store, MAP)
+        ((key, entry),) = verify_shards(store, MAP)
+        assert key == DAY
+        assert entry.rows == FILES
+        assert entry.index_size == index_file(store).stat().st_size
+        assert SnapshotIndex.load(index_file(store)).parser_version == PARSER_VERSION
 
     def test_stale_reports_reason(self, store):
-        build_index(store, MAP)
+        compact_map_shards(store, MAP)
         when = T0 + timedelta(hours=1)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
-        status = index_status(store, MAP)
-        assert not status.fresh
-        assert "changed" in status.reason
+        assert verify_shards(store, MAP) is None
 
     def test_corrupt_reports_reason(self, store):
-        build_index(store, MAP)
-        path = store.index_path(MAP)
+        compact_map_shards(store, MAP)
+        path = index_file(store)
         path.write_bytes(path.read_bytes()[:10])
-        status = index_status(store, MAP)
-        assert status.exists and not status.fresh
-        assert status.reason
+        assert verify_shards(store, MAP) is None
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +458,8 @@ class TestPooledBuild:
         stamps = [T0 + timedelta(minutes=5 * i) for i in range(8)]
         for when in stamps[:4]:
             store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
-        build_index(store, MAP)
-        previous = store.index_path(MAP).read_bytes()
+        build(store)
+        previous = index_file(store).read_bytes()
 
         # Parsed in two batches, [1, 4, 5] and [6, 7], between reused 0, 2, 3.
         store.write(MAP, stamps[1], "yaml", snapshot_to_yaml(_snapshot(stamps[1], 50.0)))
@@ -462,22 +472,21 @@ class TestPooledBuild:
 
         outputs = []
         for workers in (1, 2):
-            store.index_path(MAP).write_bytes(previous)
+            index_file(store).write_bytes(previous)
             errors = []
-            index, stats = build_index(
+            index, stats = build(
                 store,
-                MAP,
                 workers=workers,
                 on_error=lambda ref, exc: errors.append((ref.timestamp, str(exc))),
             )
             assert (stats.reused, stats.parsed, stats.unreadable) == (3, 4, 1)
-            outputs.append((store.index_path(MAP).read_bytes(), errors, index.skipped))
+            outputs.append((index_file(store).read_bytes(), errors, index.skipped))
         serial, pooled = outputs
         assert [when for when, _ in serial[1]] == [stamps[5]]
         assert pooled[1] == serial[1]
         assert pooled[2] == serial[2]
         assert pooled[0] == serial[0]
-        assert SnapshotIndex.load(store.index_path(MAP)).names[-2:] == ["zrh-r9", "bcn-r3"]
+        assert SnapshotIndex.load(index_file(store)).names[-2:] == ["zrh-r9", "bcn-r3"]
 
     @pytest.mark.parametrize("read", ["build_index", "load_all"])
     def test_worker_metrics_reach_the_parent(self, store, monkeypatch, read):
@@ -486,7 +495,7 @@ class TestPooledBuild:
         for workers in (1, 2):
             with use_registry(MetricsRegistry()) as registry:
                 if read == "build_index":
-                    build_index(store, MAP, rebuild=True, workers=workers)
+                    build(store, rebuild=True, workers=workers)
                 else:
                     load_all(store, MAP, workers=workers, use_index=False)
             counters.append(_yaml_counters(registry))
@@ -529,4 +538,4 @@ class TestResolveWorkers:
 
     def test_build_index_rejects_bad_workers(self, store):
         with pytest.raises(DatasetError):
-            build_index(store, MAP, workers=-2)
+            build(store, workers=-2)

@@ -157,7 +157,7 @@ class TestDaemonRuns:
         stats = IngestDaemon(daemon_store, IngestConfig(workers=2)).run([MAP])
         assert stats.processed == 6 and stats.failed == 0
         assert yaml_tree(daemon_store) == yaml_tree(serial)
-        assert daemon_store.index_path(MAP).exists()
+        assert verify_shards(daemon_store, MAP) is not None
 
     def test_second_run_skips_everything(self, tmp_path, apac_svg):
         store = build_corpus(DatasetStore(tmp_path), apac_svg)
@@ -174,7 +174,7 @@ class TestDaemonRuns:
         entries = verify_shards(store, MAP)
         assert entries is not None
         assert sum(entry.rows for _, entry in entries) == 6
-        assert not store.index_path(MAP).exists()  # no monolithic index
+        assert not (tmp_path / MAP.value / "index.bin").exists()  # no 2.x index
 
     def test_failures_recorded_not_retried(self, tmp_path, apac_svg):
         store = build_corpus(DatasetStore(tmp_path), apac_svg, corrupt_at=2)
@@ -255,6 +255,7 @@ IngestDaemon(store, config).run([MapName.ASIA_PACIFIC])
 
 
 class TestKillAndResume:
+    # ``flat`` is an unmarked directory, as 2.x left flat datasets.
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
     def test_sigkill_mid_run_resumes_byte_identical(
         self, tmp_path, apac_svg, layout
@@ -266,11 +267,9 @@ class TestKillAndResume:
         IngestDaemon(reference).run([MAP])
 
         victim_root = tmp_path / "victim"
+        victim = DatasetStore(victim_root)
         if layout == "sharded":
-            victim = ShardedDatasetStore(victim_root)
             victim.mark()
-        else:
-            victim = DatasetStore(victim_root)
         build_corpus(victim, apac_svg, files=files)
 
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -306,12 +305,9 @@ class TestKillAndResume:
         assert stats.ingested + stats.skipped + stats.replayed >= files
         assert stats.ingested < files
         assert yaml_tree(victim) == yaml_tree(reference)
-        if layout == "sharded":
-            entries = verify_shards(victim, MAP)
-            assert entries is not None
-            assert sum(entry.rows for _, entry in entries) == files
-        else:
-            assert victim.index_path(MAP).exists()
+        entries = verify_shards(victim, MAP)
+        assert entries is not None
+        assert sum(entry.rows for _, entry in entries) == files
         assert not victim.journal_path(MAP).exists()
 
     def test_journal_replay_promotes_to_manifest(self, tmp_path, apac_svg):

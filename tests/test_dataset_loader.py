@@ -113,18 +113,18 @@ class TestLatest:
 
 class TestIndexFastPath:
     def test_index_and_yaml_paths_agree(self, store):
-        from repro.dataset.index import build_index, fresh_index
+        from repro.dataset.shards import compact_map_shards, fresh_shard_indexes
 
         via_yaml = load_all(store, MapName.EUROPE, use_index=False)
-        build_index(store, MapName.EUROPE)
-        assert fresh_index(store, MapName.EUROPE) is not None
+        compact_map_shards(store, MapName.EUROPE)
+        assert fresh_shard_indexes(store, MapName.EUROPE) is not None
         assert load_all(store, MapName.EUROPE) == via_yaml
         assert list(iter_snapshots(store, MapName.EUROPE)) == via_yaml
 
     def test_stale_index_ignored(self, store):
-        from repro.dataset.index import build_index
+        from repro.dataset.shards import compact_map_shards
 
-        build_index(store, MapName.EUROPE)
+        compact_map_shards(store, MapName.EUROPE)
         when = T0 + timedelta(hours=1)
         store.write(MapName.EUROPE, when, "yaml", snapshot_to_yaml(_snapshot(when, load=9)))
         assert len(load_all(store, MapName.EUROPE)) == 6
@@ -193,9 +193,9 @@ class TestPoolCollapse:
         monkeypatch.setattr(loader_module, "ProcessPoolExecutor", forbidden)
 
     def test_fresh_index_never_spawns_a_pool(self, store, monkeypatch):
-        from repro.dataset.index import build_index
+        from repro.dataset.shards import compact_map_shards
 
-        build_index(store, MapName.EUROPE)
+        compact_map_shards(store, MapName.EUROPE)
         self._forbid_pool(monkeypatch)
         assert len(load_all(store, MapName.EUROPE, workers=8)) == 5
 

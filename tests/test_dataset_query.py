@@ -20,7 +20,9 @@ from repro.constants import MapName
 from repro.dataset.index import SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import load_all
 from repro.dataset import query as query_module
-from repro.dataset.query import MappedIndex, ScanPredicate, open_query
+from repro.dataset.handles import resolve_read_handle
+from repro.dataset.query import MappedIndex, ScanPredicate
+from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import DatasetStore
 from repro.errors import (
     DatasetError,
@@ -130,13 +132,22 @@ def _records(result):
     ]
 
 
+def index_file(store: DatasetStore):
+    """One index file over the whole series, opened directly."""
+    return store.root / "index.bin"
+
+
+def build(store: DatasetStore) -> None:
+    build_index(MAP, list(store.iter_refs(MAP, "yaml")), index_file(store))
+
+
 @pytest.fixture()
 def store(tmp_path) -> DatasetStore:
     store = DatasetStore(tmp_path)
     for step in range(FILES):
         when = T0 + timedelta(hours=step)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, step)))
-    build_index(store, MAP)
+    build(store)
     return store
 
 
@@ -147,7 +158,7 @@ def snapshots(store):
 
 @pytest.fixture(params=SOURCES)
 def engine(request, store, monkeypatch):
-    engine = _open(store.index_path(MAP), request.param, monkeypatch)
+    engine = _open(index_file(store), request.param, monkeypatch)
     yield engine
     engine.close()
 
@@ -193,9 +204,9 @@ class TestBackendsAgree:
     """The mapped and the buffered engine are the same data."""
 
     def test_columns_identical_to_loaded_index(self, store, monkeypatch):
-        reference = SnapshotIndex.load(store.index_path(MAP))
+        reference = SnapshotIndex.load(index_file(store))
         for source in SOURCES:
-            with _open(store.index_path(MAP), source, monkeypatch) as engine:
+            with _open(index_file(store), source, monkeypatch) as engine:
                 assert engine.names == reference.names
                 assert engine.labels == reference.labels
                 assert engine.map_name is MAP
@@ -221,7 +232,7 @@ class TestBackendsAgree:
             ScanPredicate(start=T0 + timedelta(hours=1), max_load=30.0),
         ]
         engines = [
-            _open(store.index_path(MAP), source, monkeypatch) for source in SOURCES
+            _open(index_file(store), source, monkeypatch) for source in SOURCES
         ]
         try:
             for predicate in predicates:
@@ -333,11 +344,11 @@ class TestPredicatePushdown:
 
 class TestLifecycle:
     def test_open_engine_survives_incremental_rebuild(self, store):
-        engine = MappedIndex.open(store.index_path(MAP))
+        engine = MappedIndex.open(index_file(store))
         assert len(engine) == FILES
         when = T0 + timedelta(hours=FILES)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, FILES)))
-        build_index(store, MAP)  # atomic replace under the open mapping
+        build(store)  # atomic replace under the open mapping
         # The old generation still serves, in full.
         assert len(engine) == FILES
         assert len(engine.scan()) > 0
@@ -345,13 +356,13 @@ class TestLifecycle:
             engine.check_generation()
         engine.close()
         # Reopening serves the new generation.
-        with MappedIndex.open(store.index_path(MAP)) as fresh:
+        with MappedIndex.open(index_file(store)) as fresh:
             assert len(fresh) == FILES + 1
             fresh.check_generation()
 
     def test_vanished_file_is_stale(self, store):
-        with MappedIndex.open(store.index_path(MAP)) as engine:
-            store.index_path(MAP).unlink()
+        with MappedIndex.open(index_file(store)) as engine:
+            index_file(store).unlink()
             with pytest.raises(StaleIndexError):
                 engine.check_generation()
 
@@ -359,7 +370,7 @@ class TestLifecycle:
         assert issubclass(StaleIndexError, SnapshotIndexError)
 
     def test_buffer_opened_engine_has_no_generation(self, store):
-        buffer = store.index_path(MAP).read_bytes()
+        buffer = index_file(store).read_bytes()
         layout = parse_index_layout(buffer, source="memory")
         engine = MappedIndex(buffer, layout)
         assert len(engine.scan()) > 0
@@ -367,9 +378,9 @@ class TestLifecycle:
             engine.check_generation()
 
     def test_no_mmap_fallback_is_equivalent(self, store, monkeypatch):
-        mapped = MappedIndex.open(store.index_path(MAP))
+        mapped = MappedIndex.open(index_file(store))
         monkeypatch.setattr(query_module, "_mmap", None)
-        buffered = MappedIndex.open(store.index_path(MAP))
+        buffered = MappedIndex.open(index_file(store))
         try:
             assert mapped.mapped is True
             assert buffered.mapped is False
@@ -381,12 +392,12 @@ class TestLifecycle:
 
     def test_missing_mmap_module_falls_back(self, store, monkeypatch):
         monkeypatch.setattr(query_module, "_mmap", None)
-        with MappedIndex.open(store.index_path(MAP)) as engine:
+        with MappedIndex.open(index_file(store)) as engine:
             assert engine.mapped is False
             assert len(engine) == FILES
 
     def test_closed_engine_refuses_scans(self, store):
-        engine = MappedIndex.open(store.index_path(MAP))
+        engine = MappedIndex.open(index_file(store))
         engine.close()
         assert engine.closed
         with pytest.raises(QueryError):
@@ -396,7 +407,7 @@ class TestLifecycle:
         engine.close()  # idempotent
 
     def test_context_manager_closes(self, store):
-        with MappedIndex.open(store.index_path(MAP)) as engine:
+        with MappedIndex.open(index_file(store)) as engine:
             assert not engine.closed
         assert engine.closed
 
@@ -404,14 +415,14 @@ class TestLifecycle:
         other = "big" if sys.byteorder == "little" else "little"
         monkeypatch.setattr(query_module, "sys_byteorder", lambda: other)
         with pytest.raises(SnapshotIndexError, match="endian"):
-            MappedIndex.open(store.index_path(MAP))
+            MappedIndex.open(index_file(store))
 
     def test_verify_accepts_an_intact_file(self, store):
-        with MappedIndex.open(store.index_path(MAP), verify=True) as engine:
+        with MappedIndex.open(index_file(store), verify=True) as engine:
             assert len(engine) == FILES
 
     def test_verify_catches_payload_corruption(self, store):
-        path = store.index_path(MAP)
+        path = index_file(store)
         raw = bytearray(path.read_bytes())
         raw[-33] ^= 0xFF  # last payload byte, before the trailing digest
         path.write_bytes(bytes(raw))
@@ -424,38 +435,45 @@ class TestLifecycle:
 
 
 class TestOpenQuery:
+    """Opening a map's engine over its shards (``resolve_read_handle``)."""
+
     def test_fresh_index_is_served(self, store):
-        engine = open_query(store, MAP)
+        compact_map_shards(store, MAP)
+        engine = resolve_read_handle(store, MAP)
         assert engine is not None
         assert engine.map_name is MAP
         assert len(engine.scan()) > 0
         engine.close()
 
-    def test_missing_index_returns_none(self, tmp_path):
-        assert open_query(DatasetStore(tmp_path), MAP) is None
+    def test_missing_index_returns_none(self, store):
+        # YAML on disk but never compacted: nothing may serve it.
+        assert resolve_read_handle(store, MAP) is None
 
     def test_stale_index_returns_none(self, store):
+        compact_map_shards(store, MAP)
         when = T0 + timedelta(hours=FILES)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, FILES)))
-        assert open_query(store, MAP) is None
+        assert resolve_read_handle(store, MAP) is None
 
     def test_require_fresh_false_skips_the_walk(self, store):
+        compact_map_shards(store, MAP)
         when = T0 + timedelta(hours=FILES)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, FILES)))
-        engine = open_query(store, MAP, require_fresh=False)
+        engine = resolve_read_handle(store, MAP, require_fresh=False)
         assert engine is not None
         assert len(engine) == FILES
         engine.close()
 
     def test_wrong_map_returns_none(self, store):
-        assert open_query(store, MapName.WORLD) is None
+        compact_map_shards(store, MAP)
+        assert resolve_read_handle(store, MapName.WORLD) is None
 
 
 class TestTelemetry:
     def test_scan_counters_and_span(self, store, snapshots):
         registry = MetricsRegistry()
         with use_registry(registry):
-            engine = open_query(store, MAP)
+            engine = MappedIndex.open(index_file(store))
             result = engine.scan(ScanPredicate(node="fra-r1"))
             engine.close()
         assert registry.get("repro_query_opens_total").value(
@@ -472,10 +490,13 @@ class TestTelemetry:
         assert registry.get("repro_query_scan_seconds").count(map=MAP.value) == 1
 
     def test_open_query_hits_the_index_cache_counter(self, store):
+        compact_map_shards(store, MAP)
         registry = MetricsRegistry()
         with use_registry(registry):
-            open_query(store, MAP).close()
-            open_query(DatasetStore(store.root), MapName.WORLD)
-        cache = registry.get("repro_index_cache_total")
+            resolve_read_handle(store, MAP).close()
+            when = T0 + timedelta(hours=FILES)
+            store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, FILES)))
+            assert resolve_read_handle(store, MAP) is None
+        cache = registry.get("repro_shard_cache_total")
         assert cache.value(map=MAP.value, outcome="hit") == 1
-        assert cache.value(map=MapName.WORLD.value, outcome="miss") == 1
+        assert cache.value(map=MAP.value, outcome="miss") == 1

@@ -3,7 +3,7 @@
 The headline contract: :func:`compact_map_shards` touches only shards
 whose sources changed (O(new shard), not O(corpus)), and the sharded
 serving tiers — loaders and the query engine — return exactly what the
-monolithic index returns over the same YAML tree.
+YAML object path returns over the same tree.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.constants import MapName
-from repro.dataset.index import build_index
 from repro.dataset.loader import latest_snapshot, load_all
 from repro.dataset.processor import process_svg_bytes
-from repro.dataset.query import ScanPredicate, open_query
+from repro.dataset.query import ScanPredicate
 from repro.dataset.shards import (
     ShardManifest,
     compact_map_shards,
@@ -25,7 +24,7 @@ from repro.dataset.shards import (
     open_sharded_query,
     verify_shards,
 )
-from repro.dataset.store import DatasetStore, ShardedDatasetStore
+from repro.dataset.store import ShardedDatasetStore
 from repro.errors import DatasetError
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
@@ -181,36 +180,38 @@ class TestFreshness:
 
 class TestServingEquivalence:
     @pytest.fixture()
-    def twin_stores(self, tmp_path, reference_yaml):
-        """The same YAML tree under a sharded and a flat store."""
-        sharded = build_corpus(tmp_path / "sharded", reference_yaml)
-        compact_map_shards(sharded, MAP)
-        flat = DatasetStore(tmp_path / "flat")
-        for ref in sharded.iter_refs(MAP, "yaml"):
-            flat.write(MAP, ref.timestamp, "yaml", ref.path.read_bytes())
-        build_index(flat, MAP)
-        return sharded, flat
+    def compacted(self, tmp_path, reference_yaml):
+        """The corpus with every shard compacted."""
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        return store
 
-    def test_query_matches_monolithic(self, twin_stores):
-        sharded, flat = twin_stores
-        predicate = ScanPredicate(start=T0, end=T0 + timedelta(days=2))
-        with open_sharded_query(sharded, MAP) as sharded_engine, open_query(
-            flat, MAP
-        ) as flat_engine:
-            assert sharded_engine is not None and flat_engine is not None
-            ours = sharded_engine.scan(predicate)
-            theirs = flat_engine.scan(predicate)
-            assert len(ours) == len(theirs)
-            assert ours.snapshot_count == theirs.snapshot_count
-            assert ours.directed_loads() == theirs.directed_loads()
+    def test_query_matches_object_path(self, compacted):
+        start, end = T0, T0 + timedelta(days=2)
+        snapshots = load_all(compacted, MAP, start=start, end=end, use_index=False)
+        expected = [
+            (
+                snapshot.timestamp, link.a.node, link.a.label, link.a.load,
+                link.b.node, link.b.label, link.b.load,
+            )
+            for snapshot in snapshots
+            for link in snapshot.links
+        ]
+        with open_sharded_query(compacted, MAP) as engine:
+            assert engine is not None
+            ours = engine.scan(ScanPredicate(start=start, end=end))
+            assert ours.snapshot_count == len(snapshots)
+            assert ours.directed_loads() == [
+                load for row in expected for load in (row[3], row[6])
+            ]
             key = lambda r: (  # noqa: E731
                 r.timestamp, r.node_a, r.label_a, r.load_a,
                 r.node_b, r.label_b, r.load_b,
             )
-            assert list(map(key, ours.records())) == list(map(key, theirs.records()))
+            assert list(map(key, ours.records())) == expected
 
-    def test_sharded_engine_surface(self, twin_stores):
-        sharded, _ = twin_stores
+    def test_sharded_engine_surface(self, compacted):
+        sharded = compacted
         engine = open_sharded_query(sharded, MAP)
         assert engine is not None
         with engine:
@@ -219,26 +220,25 @@ class TestServingEquivalence:
             engine.check_generation()  # fresh → no raise
         assert engine.closed
 
-    def test_loader_serves_from_shards(self, twin_stores):
-        sharded, flat = twin_stores
-        ours = load_all(sharded, MAP)
-        theirs = load_all(flat, MAP)
-        assert [s.timestamp for s in ours] == [s.timestamp for s in theirs]
-        assert [len(s.nodes) for s in ours] == [len(s.nodes) for s in theirs]
-        last = latest_snapshot(sharded, MAP)
+    def test_loader_serves_from_shards(self, compacted):
+        assert fresh_shard_indexes(compacted, MAP) is not None
+        ours = load_all(compacted, MAP)
+        theirs = load_all(compacted, MAP, use_index=False)
+        assert ours == theirs
+        last = latest_snapshot(compacted, MAP)
         assert last is not None
-        assert last.timestamp == theirs[-1].timestamp
+        assert last == latest_snapshot(compacted, MAP, use_index=False)
 
-    def test_loader_falls_back_to_yaml_when_stale(self, twin_stores):
-        sharded, _ = twin_stores
+    def test_loader_falls_back_to_yaml_when_stale(self, compacted):
+        sharded = compacted
         os.utime(
             next(sharded.iter_shard_refs(MAP, "yaml", "2022-09-13")).path, ns=(4, 4)
         )
         snapshots = load_all(sharded, MAP)  # YAML path, still complete
         assert len(snapshots) == len(DAYS) * PER_DAY
 
-    def test_window_respects_shard_boundaries(self, twin_stores):
-        sharded, _ = twin_stores
+    def test_window_respects_shard_boundaries(self, compacted):
+        sharded = compacted
         middle_day = load_all(
             sharded, MAP, start=DAYS[1], end=DAYS[1] + timedelta(days=1)
         )

@@ -156,16 +156,16 @@ class TestTelemetryTotals:
         assert files.value(map=MAP.value, outcome="skipped") == 4
 
     def test_index_cache_hit_and_miss_counted(self, svg, tmp_path):
-        from repro.dataset.index import build_index, fresh_index
+        from repro.dataset.shards import compact_map_shards, fresh_shard_indexes
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
         process_map(store, MAP)
         registry = MetricsRegistry()
         with use_registry(registry):
-            assert fresh_index(store, MAP) is None  # no index yet -> miss
-            build_index(store, MAP)
-            assert fresh_index(store, MAP) is not None  # now a hit
-        cache = registry.get("repro_index_cache_total")
+            assert fresh_shard_indexes(store, MAP) is None  # no index yet -> miss
+            compact_map_shards(store, MAP)
+            assert fresh_shard_indexes(store, MAP) is not None  # now a hit
+        cache = registry.get("repro_shard_cache_total")
         assert cache.value(map=MAP.value, outcome="miss") == 1
         assert cache.value(map=MAP.value, outcome="hit") == 1
         rows = registry.get("repro_index_rows_total")
@@ -173,15 +173,15 @@ class TestTelemetryTotals:
         assert registry.get("repro_index_build_seconds").count(map=MAP.value) == 1
 
     def test_loader_counts_snapshots_by_source(self, svg, tmp_path):
-        from repro.dataset.index import build_index
         from repro.dataset.loader import load_all
+        from repro.dataset.shards import compact_map_shards
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
         process_map(store, MAP)
         registry = MetricsRegistry()
         with use_registry(registry):
             yaml_loaded = load_all(store, MAP, use_index=False)
-            build_index(store, MAP)
+            compact_map_shards(store, MAP)
             index_loaded = load_all(store, MAP)
         assert yaml_loaded == index_loaded
         loaded = registry.get("repro_snapshots_loaded_total")

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.constants import MapName
 from repro.dataset.index import SnapshotIndex
 from repro.dataset.query import MappedIndex, ScanPredicate
-from repro.dataset.store import DatasetStore
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
 
 node_names = st.from_regex(r"[a-z]{3}-r[0-9]", fullmatch=True)
@@ -139,7 +138,7 @@ def test_scan_equals_object_path(case):
         index.append_snapshot(snapshot, size=1, mtime_ns=1)
     expected = oracle_matches(series, predicate)
     with tempfile.TemporaryDirectory() as scratch:
-        path = DatasetStore(scratch).index_path(series[0].map_name)
+        path = Path(scratch) / "index.bin"
         index.save(path)
         with MappedIndex.open(path) as engine:
             got = scan_records(engine, predicate)
@@ -155,7 +154,7 @@ def test_full_scan_is_every_link_occurrence(case):
         index.append_snapshot(snapshot, size=1, mtime_ns=1)
     expected = oracle_matches(series, ScanPredicate())
     with tempfile.TemporaryDirectory() as scratch:
-        path = DatasetStore(scratch).index_path(series[0].map_name)
+        path = Path(scratch) / "index.bin"
         index.save(path)
         with MappedIndex.open(path) as engine:
             result = engine.scan()

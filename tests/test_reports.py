@@ -1,5 +1,6 @@
 """Tests for report-bundle generation."""
 
+import shutil
 from datetime import timedelta
 
 import pytest
@@ -9,8 +10,10 @@ from repro.constants import MapName, REFERENCE_DATE
 from repro.dataset.collector import SimulatedCollector
 from repro.dataset.corruption import CorruptionInjector
 from repro.dataset.processor import process_map
-from repro.dataset.store import DatasetStore
+from repro.dataset.shards import compact_map_shards
+from repro.dataset.store import DatasetStore, ShardedDatasetStore
 from repro.reports.builder import ReportBuilder, build_report
+from repro.telemetry import MetricsRegistry, use_registry
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,20 @@ class TestBuilder:
 
 
 class TestBuildReport:
+    def test_compacted_dataset_is_read_from_its_shards(
+        self, processed_dataset, tmp_path
+    ):
+        root = tmp_path / "compacted"
+        shutil.copytree(processed_dataset, root)
+        store = ShardedDatasetStore(root)
+        store.mark()
+        compact_map_shards(store, MapName.ASIA_PACIFIC)
+        with use_registry(MetricsRegistry()) as registry:
+            build_report(root, tmp_path / "out")
+        loaded = registry.get("repro_snapshots_loaded_total")
+        assert loaded.value(map=MapName.ASIA_PACIFIC.value, source="index") > 0
+        assert loaded.value(map=MapName.ASIA_PACIFIC.value, source="yaml") == 0
+
     def test_full_report(self, processed_dataset, tmp_path):
         target = build_report(processed_dataset, tmp_path / "out")
         text = target.read_text(encoding="utf-8")
