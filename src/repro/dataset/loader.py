@@ -38,7 +38,7 @@ from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve
 from repro.errors import SchemaError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot
-from repro.yamlio.deserialize import read_snapshot, try_read_snapshot
+from repro.yamlio.deserialize import try_read_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -86,11 +86,11 @@ def iter_snapshots(
                     yield snapshot
             return
     for ref in _refs_in_window(store, map_name, start, end):
-        try:
-            snapshot = read_snapshot(ref.path)
-        except SchemaError as exc:
+        snapshot, message = try_read_snapshot(ref.path)
+        if snapshot is None:
+            exc = SchemaError(message)
             if on_error is None:
-                raise
+                raise exc
             on_error(ref, exc)
             continue
         snapshot.timestamp = ref.timestamp
@@ -120,10 +120,9 @@ def latest_snapshot(
             return None
     refs = list(store.iter_refs(map_name, "yaml"))
     for ref in reversed(refs):
-        try:
-            snapshot = read_snapshot(ref.path)
-        except SchemaError as exc:
-            logger.warning("skipping unreadable %s: %s", ref.path.name, exc)
+        snapshot, message = try_read_snapshot(ref.path)
+        if snapshot is None:
+            logger.warning("skipping unreadable %s: %s", ref.path.name, message)
             continue
         snapshot.timestamp = ref.timestamp
         loaded.inc(1, map=map_name.value, source="yaml")

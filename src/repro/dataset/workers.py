@@ -1,9 +1,9 @@
 """Worker-count resolution and pool-task plumbing shared by every pool user.
 
-BENCH_throughput.json showed the process pool *regressing* on small
-machines (``speedup_load = 0.84`` with one core): spawning workers,
-pickling results, and re-importing the library costs more than the
-parallelism returns when there is nothing to run in parallel with.  Every
+A process pool can *lose* to a serial loop on small machines: spawning
+workers, pickling results, and re-importing the library costs more than
+the parallelism returns when there is nothing to run in parallel with
+(``docs/performance.md``, "Worker tuning", has measured figures).  Every
 pool user therefore resolves its worker request through
 :func:`resolve_workers`, which collapses to serial execution whenever the
 effective width is one — including any request on a single-core machine.

@@ -180,7 +180,7 @@ class StageTimings:
         return sum(self.seconds.values())
 
     def as_dict(self) -> dict:
-        """JSON-friendly view (used by the throughput benchmark)."""
+        """JSON-friendly view of the run's totals."""
         return {
             "seconds": {key: round(value, 4) for key, value in self.seconds.items()},
             "fast_path_hits": self.fast_path_hits,

@@ -64,8 +64,8 @@ class ResponseCache:
 
     Keys are opaque hashables built by the app layer; the cache never
     inspects them.  Hits and misses land in
-    ``repro_server_cache_total{endpoint, outcome}`` so the benchmark can
-    read its hit rate straight off the registry.
+    ``repro_server_cache_total{endpoint, outcome}``, so the hit rate can
+    be read straight off the registry.
     """
 
     def __init__(self, capacity: int = 256) -> None:

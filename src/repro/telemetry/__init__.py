@@ -19,8 +19,8 @@ run instead of an ad-hoc struct bolted onto one code path:
 
 Telemetry never changes outputs — YAML bytes and index contents are
 identical with the subsystem swapped for a :class:`NullRegistry` — and
-stays within the <=2% overhead budget the throughput benchmark enforces
-(see ``docs/observability.md`` for the instrument catalogue).
+stays within a <=2% overhead budget, which ``scripts/telemetry_overhead.py``
+measures (see ``docs/observability.md`` for the instrument catalogue).
 """
 
 from repro.telemetry.export import (

@@ -6,7 +6,7 @@ series — restricted to what the reproduction's hot paths need:
 
 * **cheap writes** — one dict lookup plus one lock acquisition per
   update, so instrumenting a 50 files/s pipeline costs well under the
-  2% overhead budget the throughput benchmark enforces;
+  2% overhead budget ``scripts/telemetry_overhead.py`` measures;
 * **picklable snapshots** — :meth:`MetricsRegistry.snapshot` produces a
   plain JSON-safe dict, which is how worker processes ship their counts
   back to the parent for :meth:`MetricsRegistry.merge`;
@@ -438,8 +438,8 @@ class NullRegistry(MetricsRegistry):
     """A registry that records nothing.
 
     Swapped in (``use_registry(NullRegistry())``) to measure what the
-    telemetry itself costs — the benchmark's with/without-sink comparison
-    — or to switch the subsystem off outright.
+    telemetry itself costs — ``scripts/telemetry_overhead.py``'s
+    with/without-sink comparison — or to switch the subsystem off outright.
     """
 
     def counter(self, name: str, help: str = "") -> Counter:

@@ -24,7 +24,7 @@ from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from repro.constants import MapName
-from repro.errors import SchemaError
+from repro.errors import LoadRangeError, SchemaError
 from repro.telemetry import get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
 
@@ -306,9 +306,15 @@ def read_snapshot(path: str | Path) -> MapSnapshot:
     return snapshot_from_yaml(Path(path).read_text(encoding="utf-8"))
 
 
-def try_read_snapshot(path: str) -> tuple[MapSnapshot | None, str]:
-    """Pool worker: one YAML file → ``(snapshot, "")`` or ``(None, message)``."""
+def try_read_snapshot(path: str | Path) -> tuple[MapSnapshot | None, str]:
+    """Pool worker: one YAML file → ``(snapshot, "")`` or ``(None, message)``.
+
+    A twin that breaks the schema, or carries a load outside [0, 100]
+    (``LoadRangeError``, a ``ParseError`` rather than a ``SchemaError``),
+    is one bad source: its message is returned, so one file never aborts
+    a batch.
+    """
     try:
         return read_snapshot(path), ""
-    except SchemaError as exc:
+    except (SchemaError, LoadRangeError) as exc:
         return None, str(exc)

@@ -25,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.constants import MapName
+from repro.dataset import ingest
+from repro.dataset.engine import Manifest
 from repro.dataset.ingest import (
     IngestConfig,
     IngestDaemon,
@@ -34,9 +36,14 @@ from repro.dataset.ingest import (
     resume_ingest,
     status_path,
 )
-from repro.dataset.processor import process_map
+from repro.dataset.processor import process_map, process_svg_bytes
 from repro.dataset.shards import verify_shards
-from repro.dataset.store import DatasetStore, InMemoryStore, ShardedDatasetStore
+from repro.dataset.store import (
+    DatasetStore,
+    InMemoryStore,
+    ShardedDatasetStore,
+    format_timestamp,
+)
 from repro.errors import IngestError, JournalError
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
@@ -258,7 +265,7 @@ class TestKillAndResume:
     # ``flat`` is an unmarked directory, as 2.x left flat datasets.
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
     def test_sigkill_mid_run_resumes_byte_identical(
-        self, tmp_path, apac_svg, layout
+        self, tmp_path, apac_svg, layout, monkeypatch
     ):
         files = 10
         reference = build_corpus(
@@ -300,10 +307,28 @@ class TestKillAndResume:
         partial = len(yaml_tree(victim))
         assert 0 < partial < files  # genuinely mid-run
 
+        # The durable set, read from disk before resuming: what the last
+        # checkpoint folded into the manifest plus every sound journal
+        # record written after it.
+        durable = set(Manifest.load(victim.manifest_path(MAP)).entries)
+        records, _ = IngestJournal(victim.journal_path(MAP)).replay()
+        durable.update(record.stamp for record in records)
+        stamps = {format_timestamp(ref.timestamp) for ref in victim.iter_refs(MAP, "svg")}
+        assert len(stamps) == files and durable < stamps
+
+        parsed = []
+
+        def recording_parse(data, map_name, when, **kwargs):
+            parsed.append(format_timestamp(when))
+            return process_svg_bytes(data, map_name, when, **kwargs)
+
+        monkeypatch.setattr(ingest, "process_svg_bytes", recording_parse)
         stats = resume_ingest(victim)
-        # Resume never re-reads what the journal/manifest already proved.
-        assert stats.ingested + stats.skipped + stats.replayed >= files
-        assert stats.ingested < files
+        # Resume re-parses exactly the files the disk did not prove durable.
+        assert sorted(parsed) == sorted(stamps - durable)
+        assert stats.ingested == files - len(durable)
+        assert stats.replayed == len(records)
+        assert stats.skipped == len(durable)  # replayed records included
         assert yaml_tree(victim) == yaml_tree(reference)
         entries = verify_shards(victim, MAP)
         assert entries is not None

@@ -178,9 +178,8 @@ class TestParallelLoad:
 class TestPoolCollapse:
     """The loader skips the process pool wherever it cannot win.
 
-    This is what keeps ``speedup_load`` honest in the benchmark: a
-    "parallel" load that would collapse to serial work is never measured
-    as if a pool had run.
+    A "parallel" load that would collapse to serial work never pays for a
+    pool that cannot run anything in parallel.
     """
 
     @staticmethod

@@ -9,6 +9,7 @@ YAML object path returns over the same tree.
 from __future__ import annotations
 
 import os
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -245,3 +246,64 @@ class TestServingEquivalence:
         assert [s.timestamp for s in middle_day] == [
             DAYS[1] + timedelta(minutes=5 * slot) for slot in range(PER_DAY)
         ]
+
+
+class TestOutOfRangeTwin:
+    """A twin whose load leaves [0, 100] is one skipped source, not a failed build."""
+
+    BAD = DAYS[1] + timedelta(minutes=5)
+
+    @pytest.fixture(params=["150.0", "-0.5", ".nan"])
+    def store(self, request, tmp_path, reference_yaml, monkeypatch):
+        # Two CPUs, so ``workers=2`` really runs the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = build_corpus(tmp_path, reference_yaml)
+        bad = re.sub(r"load: [^,}]+", f"load: {request.param}", reference_yaml, count=1)
+        assert bad != reference_yaml
+        store.write(MAP, self.BAD, "yaml", bad)
+        return store
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compaction_skips_only_that_twin(self, store, workers):
+        errors = []
+        compact_map_shards(
+            store,
+            MAP,
+            workers=workers,
+            on_error=lambda ref, exc: errors.append((ref.timestamp, str(exc))),
+        )
+        assert [when for when, _ in errors] == [self.BAD]
+        message = errors[0][1]
+        assert re.fullmatch(r"load \S+ on end '.+' outside \[0, 100\]", message)
+        indexes = fresh_shard_indexes(store, MAP)
+        assert indexes is not None
+        skipped = {
+            epoch: entry.message
+            for index in indexes
+            for epoch, entry in index.skipped.items()
+        }
+        assert skipped == {int(self.BAD.timestamp()): message}
+        assert sum(len(index) for index in indexes) == len(DAYS) * PER_DAY - 1
+
+    def test_every_read_path_reports_it_alike(self, store):
+        compact_map_shards(store, MAP, on_error=lambda ref, exc: None)
+        outputs = []
+        for kwargs in (
+            {},
+            {"use_index": False},
+            {"use_index": False, "workers": 2},
+        ):
+            errors = []
+            snapshots = load_all(
+                store,
+                MAP,
+                on_error=lambda ref, exc: errors.append(
+                    (ref.timestamp, type(exc), str(exc))
+                ),
+                **kwargs,
+            )
+            outputs.append((snapshots, errors))
+        assert outputs[0][1][0][0] == self.BAD
+        assert len(outputs[0][0]) == len(DAYS) * PER_DAY - 1
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

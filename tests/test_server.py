@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import threading
 import warnings
 from contextlib import contextmanager
@@ -396,6 +397,43 @@ class TestCaching:
             assert status == 200  # the old validator no longer matches
             assert new_etag != old_etag
             assert client.get_json("/v1/maps")["maps"][0]["snapshots"] == before + 1
+            client.close()
+
+
+    def test_repeats_within_a_generation_are_cache_hits(
+        self, tmp_path, reference_yaml
+    ):
+        store = build_corpus(tmp_path, reference_yaml)
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            path = f"/v1/maps/{MAP.value}/evolution"
+
+            def lookups() -> dict[str, float]:
+                text = client.get("/metrics")[2].decode("utf-8")
+                return {
+                    outcome: float(value)
+                    for outcome, value in re.findall(
+                        r'^repro_server_cache_total\{endpoint="evolution",'
+                        r'outcome="(hit|miss)"\} (\S+)$',
+                        text,
+                        re.MULTILINE,
+                    )
+                }
+
+            def five_requests() -> dict[str, float]:
+                # The registry is process-wide: count this test's lookups.
+                before = lookups()
+                for _ in range(5):
+                    client.get(path)
+                after = lookups()
+                return {key: after[key] - before.get(key, 0.0) for key in after}
+
+            assert five_requests() == {"hit": 4.0, "miss": 1.0}
+            # A checkpoint moves the generation: one miss, then hits again.
+            new_day = DAYS[-1] + timedelta(days=1)
+            store.write(MAP, new_day, "yaml", reference_yaml)
+            compact_map_shards(store, MAP, only=["2022-09-15"])
+            assert five_requests() == {"hit": 4.0, "miss": 1.0}
             client.close()
 
 

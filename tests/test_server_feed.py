@@ -8,7 +8,8 @@ The feed contracts pinned here:
 * SSE over the real threaded server: a subscriber sees every one of 10
   live ``compact_map_shards`` checkpoints as consecutive event ids with
   zero 5xx, and the snapshot fetched right after each event is already
-  the new generation (feed and read path never disagree);
+  the new generation (feed and read path never disagree); several
+  concurrent subscribers each see every checkpoint;
 * ``Last-Event-ID`` reconnects replay exactly the missed ring events;
 * a subscriber that stops draining its bounded queue is evicted rather
   than buffered without bound;
@@ -304,6 +305,24 @@ class TestSseEndToEnd:
                 payload = get_json(port, f"/v1/maps/{MAP.value}/snapshot")
                 assert payload["timestamp"] == when.isoformat()
             client.close()
+
+    def test_every_subscriber_sees_every_checkpoint(self, tmp_path, reference_yaml):
+        """Fan-out: concurrent streams each get every generation, in order."""
+        store = build_corpus(tmp_path, reference_yaml)
+        with running_server(store) as server:
+            port = server.server_address[1]
+            clients = [
+                SseClient(port, f"/v1/maps/{MAP.value}/events") for _ in range(4)
+            ]
+            last_ids = [client.next_event()["id"] for client in clients]
+            for round_no in range(3):
+                checkpoint(store, reference_yaml, T0 + timedelta(minutes=round_no + 1))
+                events = [client.next_event() for client in clients]
+                assert [event["id"] for event in events] == [i + 1 for i in last_ids]
+                assert len({event["generation"] for event in events}) == 1
+                last_ids = [event["id"] for event in events]
+            for client in clients:
+                client.close()
 
     def test_last_event_id_resumes_from_the_ring(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
