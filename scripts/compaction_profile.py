@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Read-archive compaction time, serial and pooled.
+"""Read-archive compaction and YAML load time, serial and pooled.
 
 Writes the read workloads' archive once (``benchmarks/suite/README.md``):
 asia-pacific as 4 day-shards of 48 YAML twins from a 16-document pool,
 plus 12 world twins from a 4-document pool — 204 rows in 5 shards.  Then
-it times ``compact_map_shards`` of both maps, in-process, on a fresh copy
-of the archive per run, for ``workers=1`` and ``workers=2``, and prints
-the median and quartiles of each.
+it times two readers of every twin, in-process, on a fresh copy of the
+archive per run, for ``workers=1`` and ``workers=2``: ``compact_map_shards``
+of both maps, and ``load_all(..., use_index=False)`` of both maps (the
+YAML read path), and prints the median and quartiles of each.
 
 Every ``--src`` tree is timed over the same archive files, in alternating
 order, so two checkouts (say, a change and its parent) compare like with
@@ -33,20 +34,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: (map, pool documents, days, twins per day) — the suite's read archive.
 ARCHIVE = (("asia-pacific", 16, 4, 48), ("world", 4, 1, 12))
 
-#: Times one compaction of ROOT's maps with WORKERS; prints the seconds.
+#: Times one STAGE (compact or load) of ROOT's maps with WORKERS; prints the seconds.
 _TIMED = """
 import sys
 from pathlib import Path
 from time import perf_counter
 from repro.constants import MapName
+from repro.dataset.loader import load_all
 from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
-store = ShardedDatasetStore(Path(sys.argv[1]))
+store, workers = ShardedDatasetStore(Path(sys.argv[1])), int(sys.argv[2])
 started = perf_counter()
 for value in ("world", "asia-pacific"):
-    compact_map_shards(store, MapName(value), workers=int(sys.argv[2]))
+    if sys.argv[3] == "compact":
+        compact_map_shards(store, MapName(value), workers=workers)
+    else:
+        load_all(store, MapName(value), use_index=False, workers=workers)
 print(perf_counter() - started)
 """
+
+STAGES = ("compact", "load")
 
 
 def write_archive(root: Path, seed: int) -> None:
@@ -81,13 +88,13 @@ def write_archive(root: Path, seed: int) -> None:
             store.write(map_name, when, "yaml", text)
 
 
-def time_once(src: Path, archive: Path, workers: int) -> float:
-    """One compaction of a fresh copy of ``archive`` with ``src``'s code."""
+def time_once(src: Path, archive: Path, workers: int, stage: str) -> float:
+    """One ``stage`` over a fresh copy of ``archive`` with ``src``'s code."""
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir) / "archive"
         shutil.copytree(archive, root)
         completed = subprocess.run(
-            [sys.executable, "-c", _TIMED, str(root), str(workers)],
+            [sys.executable, "-c", _TIMED, str(root), str(workers), stage],
             capture_output=True,
             text=True,
             check=True,
@@ -106,17 +113,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         archive = Path(workdir) / "archive"
         write_archive(archive, args.seed)
-        times: dict[tuple[str, int], list[float]] = {}
+        times: dict[tuple[str, str, int], list[float]] = {}
         for repeat in range(args.repeats):
             order = sources if repeat % 2 == 0 else sources[::-1]
             for src in order:
-                for workers in (1, 2):
-                    seconds = time_once(src, archive, workers)
-                    times.setdefault((str(src), workers), []).append(seconds)
-    for (src, workers), values in times.items():
+                for stage in STAGES:
+                    for workers in (1, 2):
+                        seconds = time_once(src, archive, workers, stage)
+                        times.setdefault((str(src), stage, workers), []).append(seconds)
+    for (src, stage, workers), values in times.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
         print(json.dumps({
-            "src": src, "workers": workers, "repeats": len(values),
+            "src": src, "stage": stage, "workers": workers, "repeats": len(values),
             "median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3),
         }))
     return 0

@@ -75,18 +75,36 @@ fi
 
 echo "== 3/4 demonstration dataset (1 hour, all four maps) =="
 DATASET="$ARTIFACTS/dataset"
+SERIAL="$ARTIFACTS/dataset-serial"
 repro-weather generate "$DATASET" \
     --start 2022-09-11T23:00:00 --end 2022-09-12T00:00:00
+rm -rf "$SERIAL"
+cp -a "$DATASET" "$SERIAL"
 repro-weather process "$DATASET" --workers auto \
     --metrics-out "$ARTIFACTS/metrics.json"
+# One writer, one state: plain (serial) `process` over a copy of the same
+# SVGs writes the same YAML tree and the same manifest, and the ingest
+# daemon finds nothing left to parse in either dataset.
+repro-weather process "$SERIAL"
+for MAP in europe world north-america asia-pacific; do
+    diff -r "$SERIAL/$MAP/yaml" "$DATASET/$MAP/yaml"
+    cmp "$SERIAL/$MAP/manifest.json" "$DATASET/$MAP/manifest.json"
+done
+for DIR in "$DATASET" "$SERIAL"; do
+    repro-weather ingest run "$DIR" | tee "$ARTIFACTS/ingest-after-process.txt"
+    if ! grep -q '^ingested 0 files' "$ARTIFACTS/ingest-after-process.txt"; then
+        echo "FAIL: ingest run re-parsed files that process had written in $DIR" >&2
+        exit 1
+    fi
+done
 # Processing compacts every map's day shards; index status exits 1
 # unless all of them are fresh, so validate, tables and report below
 # read the shards, not the YAML fallback.
 repro-weather index status "$DATASET"
 # Every twin of a generated corpus must come from the direct YAML
 # emitter (a fallback to yaml.dump means the emitter's layout drifted)
-# and be read back by the fast reader.  With one worker per core the
-# index build reads in pool workers on a multi-core host: fewer
+# and be read back by the fast reader.  A map with more than 16 pending
+# files parses and indexes in pool workers on a multi-core host: fewer
 # deserialised documents than parsed index rows means worker metrics
 # were lost.  Consecutive 5-minute ticks share a map's layout, so zero
 # layout-reuse hits means the replay of Algorithm 2 is dead, and hits

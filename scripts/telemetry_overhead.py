@@ -2,7 +2,9 @@
 """What the telemetry subsystem costs serial SVG → YAML processing.
 
 Renders a small corpus of asia-pacific SVGs, then processes it serially
-(``process_map``) from an empty YAML tree under a live
+(``process_map(..., overwrite=True)``: one in-process ingest-daemon run
+that ignores the manifest, writes every twin and rebuilds the shard
+indexes) from an empty YAML tree under a live
 ``MetricsRegistry`` and under the no-op ``NullRegistry``, in many short
 blocks of two alternating pairs: live, null, then null, live.  A run is
 timed in CPU seconds of this process, and a block's overhead is its two
@@ -60,7 +62,7 @@ def process_once(store: DatasetStore, sink: MetricsRegistry) -> tuple[float, str
     shutil.rmtree(store.root / MAP.value / "yaml", ignore_errors=True)
     with use_registry(sink):
         started = process_time()
-        process_map(store, MAP)
+        process_map(store, MAP, overwrite=True)
         seconds = process_time() - started
     digest = hashlib.sha256()
     for ref in store.iter_refs(MAP, "yaml"):

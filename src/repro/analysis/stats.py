@@ -45,15 +45,3 @@ def percentile_bands(
         return {p: float("nan") for p in percentiles}
     results = numpy.percentile(data, percentiles)
     return {p: float(v) for p, v in zip(percentiles, results)}
-
-
-def interpolate_cdf_at(
-    xs: numpy.ndarray, fractions: numpy.ndarray, value: float
-) -> float:
-    """CDF evaluated at an arbitrary point (step interpolation)."""
-    if xs.size == 0:
-        return 0.0
-    index = numpy.searchsorted(xs, value, side="right")
-    if index == 0:
-        return 0.0
-    return float(fractions[index - 1])

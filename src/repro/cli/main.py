@@ -102,21 +102,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
-    """Run SVG→YAML extraction over a dataset directory."""
-    from repro.dataset.processor import process_map
+    """Run SVG→YAML extraction over a dataset directory: one daemon run."""
+    from repro.dataset.engine import process_all_parallel
     from repro.parsing.pipeline import ParseOptions
 
     store = open_store(args.dataset)
-    options = ParseOptions(fast_path=args.fast_path)
-    for map_name in MapName:
-        stats = process_map(
-            store,
-            map_name,
-            strict=args.strict,
-            overwrite=args.overwrite,
-            workers=args.workers,
-            options=options,
-        )
+    results = process_all_parallel(
+        store,
+        workers=1 if args.workers is None else args.workers,
+        strict=args.strict,
+        overwrite=args.overwrite,
+        options=ParseOptions(fast_path=args.fast_path),
+    )
+    for map_name, stats in results.items():
         if stats.total == 0:
             continue
         causes = ", ".join(f"{k}:{v}" for k, v in stats.failure_causes.items())
@@ -133,7 +131,6 @@ def _ingest_config(args: argparse.Namespace):
     from repro.dataset.ingest import IngestConfig
 
     return IngestConfig(
-        queue_size=args.queue_size,
         workers=args.workers,
         checkpoint_every=args.checkpoint_every,
         fsync_every=args.fsync_every,
@@ -215,8 +212,7 @@ def cmd_ingest_status(args: argparse.Namespace) -> int:
     )
     pending_left = status.get("pending_left")
     if pending_left is not None:
-        print(f"  pending {pending_left} of {status.get('pending_total', '?')} "
-              f"(queue depth {status.get('queue_depth', 0)})")
+        print(f"  pending {pending_left} of {status.get('pending_total', '?')}")
     overall = status.get("overall_fps")
     recent = status.get("recent_fps")
     if isinstance(overall, (int, float)) and isinstance(recent, (int, float)):
@@ -806,14 +802,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers_argument,
         default=None,
-        help="worker processes for the extraction (default: serial; "
-        "0 or 'auto' means one per CPU core)",
+        help="parse processes feeding the ingest daemon's single writer "
+        "(default: in-process; 0 or 'auto' means one per CPU core)",
     )
     process.add_argument(
         "--overwrite",
         action="store_true",
-        help="re-process files whose YAML already exists "
-        "(also invalidates the incremental manifest)",
+        help="ignore the incremental manifest: re-process every file and "
+        "rebuild the shard indexes",
     )
     process.add_argument(
         "--no-fast-path",
@@ -839,12 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("dataset", help="dataset directory")
         sub.add_argument("--map", type=_map_argument, default=None)
         sub.add_argument(
-            "--workers", type=int, default=1,
-            help="parser threads feeding the single writer (default 1)",
-        )
-        sub.add_argument(
-            "--queue-size", type=int, default=256,
-            help="bound on the work and result queues (default 256)",
+            "--workers", type=int, default=2,
+            help="parse processes feeding the single writer; a map with at "
+            "most 16 pending files parses in-process (default 2)",
         )
         sub.add_argument(
             "--checkpoint-every", type=int, default=512,

@@ -10,12 +10,13 @@ package provides:
 * :mod:`repro.dataset.corruption` — injection of the malformed files the
   paper observed in the wild,
 * :mod:`repro.dataset.collector` — the simulated collection campaign,
-* :mod:`repro.dataset.processor` — bulk SVG→YAML processing with the
+* :mod:`repro.dataset.processor` — per-file SVG→YAML extraction with the
   paper's unprocessable-file accounting,
-* :mod:`repro.dataset.engine` — the parallel + incremental bulk engine
-  (process-pool fan-out and the per-map ``manifest.json`` skip cache),
-* :mod:`repro.dataset.ingest` — the long-lived ingestion daemon: bounded
-  queues, a write-ahead journal, crash-safe resume,
+* :mod:`repro.dataset.engine` — the per-map ``manifest.json`` skip cache
+  and the bulk entry points, each one ingest-daemon run,
+* :mod:`repro.dataset.ingest` — the ingestion daemon, the only YAML
+  writer: in-process or pooled parsing, a write-ahead journal,
+  crash-safe resume,
 * :mod:`repro.dataset.index` — the columnar snapshot index format each
   map's YAML series is compacted into, so analyses never re-parse the
   corpus,

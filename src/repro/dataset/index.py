@@ -66,7 +66,6 @@ import logging
 import struct
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -74,14 +73,18 @@ from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
+from repro.dataset import workers as pools
 from repro.dataset.store import SnapshotRef, atomic_write_bytes
 from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -684,7 +687,7 @@ class _ParsePool:
             # Loaded before the fork, so workers inherit the YAML stack.
             import repro.yamlio.deserialize  # noqa: F401
 
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = pools.process_pool(self.workers)
         futures = [
             self._executor.submit(call_with_metrics, _index_batch, map_name, batch)
             for batch in batches

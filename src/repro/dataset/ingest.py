@@ -1,15 +1,21 @@
-"""Long-lived ingestion: bounded queues, a write-ahead journal, crash-safe resume.
+"""The one SVG→YAML writer: a write-ahead journal, crash-safe resume, a parse pool.
 
 The paper's archive was collected continuously for 26 months by a
 five-minute crontab; anything that long-lived *will* be interrupted —
 reboots, OOM kills, power loss — and the CAIDA longitudinal-collection
 line of work is blunt about why that matters: the asset is the unbroken
-series, so recovery must resume exactly, not approximately.  This module
-turns the one-shot processing engine into a daemon with three guarantees:
+series, so recovery must resume exactly, not approximately.
+:class:`IngestDaemon` writes every YAML twin the system has — ``ingest
+run``, ``process`` and the bulk entry points of
+:mod:`repro.dataset.engine` are all daemon runs — with three guarantees:
 
-* **Bounded memory** — producer/consumer queues with hard capacity
-  bounds; enumeration blocks when parsing falls behind and parsing
-  blocks when writing falls behind, so peak RSS is flat in corpus size.
+* **Bounded memory** — a map's pending SVGs are cut into balanced
+  batches of at most ``chunk_size`` files.  A map with no more pending
+  files than that (every live tick) parses in the calling thread; a
+  larger backlog parses in one forked process pool per run, with at most
+  two batches per worker in flight, applied in submission order.  Either
+  way the calling thread is the only writer, and peak RSS is flat in
+  corpus size.
 
 * **Crash-safe resume** — every ingested file is recorded in an
   append-only write-ahead journal (one CRC-32-framed JSON line per
@@ -43,18 +49,24 @@ import hashlib
 import json
 import logging
 import os
-import queue
-import threading
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from time import perf_counter, time
-from typing import BinaryIO, Sequence, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 
 from repro.constants import MapName
 from repro.dataset import shards
-from repro.dataset.engine import Manifest, ManifestEntry, _skip_from_manifest
+from repro.dataset import workers as pools
+from repro.dataset.engine import (
+    DEFAULT_CHUNK_SIZE,
+    Manifest,
+    ManifestEntry,
+    _batches,
+    _skip_from_manifest,
+)
 from repro.dataset.processor import (
     ProcessingStats,
     ProcessOutcome,
@@ -70,9 +82,13 @@ from repro.dataset.store import (
     fsync_directory,
     shard_key,
 )
+from repro.dataset.workers import call_with_metrics, resolve_workers
 from repro.errors import IngestError, JournalError
 from repro.parsing.pipeline import ParseOptions
 from repro.telemetry import get_registry
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -271,15 +287,17 @@ class IngestJournal:
 class IngestConfig:
     """Knobs of one ingestion run; validated eagerly.
 
-    ``queue_size`` bounds *both* the work and the result queue, so at
-    most ``2 × queue_size + workers`` files are in flight — the flat-RSS
-    guarantee.  ``checkpoint_every`` paces manifest folds and shard
-    compaction; ``fsync_every`` paces the YAML-then-journal durability
-    batches inside a checkpoint interval.
+    ``workers`` is the parse pool's width, resolved through
+    :func:`~repro.dataset.workers.resolve_workers` (one on a single-core
+    host).  A map with more than ``chunk_size`` pending files parses in
+    the pool, in batches of at most ``chunk_size``; any other map parses
+    in the calling thread.  ``checkpoint_every`` paces manifest folds and
+    shard compaction; ``fsync_every`` paces the YAML-then-journal
+    durability batches inside a checkpoint interval.
     """
 
-    queue_size: int = 256
-    workers: int = 1
+    workers: int = 2
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     checkpoint_every: int = 512
     fsync_every: int = 64
     max_files: int | None = None
@@ -288,7 +306,7 @@ class IngestConfig:
     options: ParseOptions | None = None
 
     def __post_init__(self) -> None:
-        for name in ("queue_size", "workers", "checkpoint_every", "fsync_every"):
+        for name in ("workers", "chunk_size", "checkpoint_every", "fsync_every"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise IngestError(f"{name} must be a positive integer, got {value!r}")
@@ -349,43 +367,42 @@ def read_ingest_status(root: str | Path) -> dict[str, object] | None:
     return payload if isinstance(payload, dict) else None
 
 
-@dataclass(slots=True)
-class _Processed:
-    """One file's outcome crossing the worker → writer queue."""
+def _process_batch(
+    store: StorageBackend,
+    map_name: MapName,
+    refs: Sequence[SnapshotRef],
+    strict: bool,
+    options: ParseOptions | None,
+) -> list[tuple[ProcessOutcome, ManifestEntry]]:
+    """The parse kernel: read, hash and extract one batch of SVGs, in order.
 
-    ref: SnapshotRef
-    sha256: str
-    size: int
-    mtime_ns: int
-    outcome: ProcessOutcome
-
-
-_T = TypeVar("_T")
-
-#: How long a blocked queue operation waits before re-checking the abort
-#: flag: invisible under normal flow, prompt when the pipeline dies.
-_QUEUE_POLL_SECONDS = 0.1
-
-
-def _put_abortable(
-    target: "queue.Queue[_T]", item: _T, abort: threading.Event
-) -> bool:
-    """A blocking put with an abort escape; ``False`` means aborted.
-
-    The bounded queues are what keep memory flat, so producers *should*
-    block when consumers fall behind — but a put with no timeout parks
-    the thread even when every consumer is dead, which then wedges the
-    executor's shutdown join behind it.  This is the sanctioned
-    backpressure path: block in short slices, re-checking the abort
-    flag between them.
+    Runs in the daemon's thread or, pickled by name, in a pool worker
+    under :func:`~repro.dataset.workers.call_with_metrics`.  Each file
+    comes back as its outcome and the manifest entry the writer records
+    for it (``yaml_bytes`` is filled in once the twin is written).
     """
-    while not abort.is_set():
-        try:
-            target.put(item, timeout=_QUEUE_POLL_SECONDS)
-            return True
-        except queue.Full:
-            continue
-    return False
+    results: list[tuple[ProcessOutcome, ManifestEntry]] = []
+    with get_registry().span(
+        "repro_engine_batch", "Parse batch wall time", map=map_name.value
+    ):
+        for ref in refs:
+            data = store.read_ref(ref)
+            size, mtime_ns = ref.stat_key()
+            outcome = process_svg_bytes(
+                data, map_name, ref.timestamp, strict=strict, options=options
+            )
+            entry = ManifestEntry(
+                sha256=hashlib.sha256(data).hexdigest(),
+                size=size,
+                mtime_ns=mtime_ns,
+                failure=outcome.failure_cause,
+            )
+            results.append((outcome, entry))
+    return results
+
+
+def _log_unindexed(ref: SnapshotRef, exc: Exception) -> None:
+    logger.warning("not indexing unreadable %s: %s", ref.path.name, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +411,20 @@ def _put_abortable(
 
 
 class IngestDaemon:
-    """The long-lived SVG→YAML ingestion pipeline over any storage backend.
+    """The SVG→YAML writer over any storage backend.
 
-    One writer (the calling thread) owns the manifest, the journal, and
-    every YAML write; ``config.workers`` pool threads do the CPU work
-    (read, hash, parse); one producer thread enumerates pending refs.
-    All hand-offs go through bounded queues, so memory stays flat no
-    matter how deep the backlog is.
+    The calling thread owns the manifest, the journal, and every YAML
+    write.  Parsing runs in that thread too, unless a map has more than
+    ``config.chunk_size`` pending files on a persistent store: then the
+    run's one forked pool of ``config.workers`` processes parses the
+    map's balanced batches, and the writer applies them in submission
+    order.
 
     On a non-:attr:`~repro.dataset.store.StorageBackend.persistent`
     backend (the in-memory store) the daemon still ingests — same
-    queues, same accounting — but keeps manifest state in memory only
-    and skips the journal and the indexes, since there is no filesystem
-    to make anything durable on.
+    batches, same accounting — but parses in-process, keeps manifest
+    state in memory only and skips the journal and the indexes, since
+    there is no filesystem to make anything durable on.
     """
 
     def __init__(self, store: StorageBackend, config: IngestConfig | None = None) -> None:
@@ -416,34 +434,51 @@ class IngestDaemon:
         #: Filesystem-backed stores get the full journal/manifest/index
         #: treatment; the in-memory backend runs stateless.
         self.durable = bool(store.persistent) and isinstance(store, DatasetStore)
+        self._workers = resolve_workers(self.config.workers)
+        self._pool: ProcessPoolExecutor | None = None
+        self._rebuild = False
         self._started = 0.0
         self._recent_mark = (0.0, 0)  # (perf_counter, ingested) at last status
-        self._queue_depth = 0
         self._maps: list[MapName] = []
         self._pending_total = 0
 
     # -- public entry points ------------------------------------------------
 
-    def run(self, maps: Sequence[MapName] | None = None) -> IngestStats:
+    def run(
+        self, maps: Sequence[MapName] | None = None, *, rebuild: bool = False
+    ) -> IngestStats:
         """Recover, then ingest everything pending; returns the accounting.
 
         Safe to invoke on a dataset a previous run was SIGKILL'd out of:
         recovery replays the journal into the manifest first, so nothing
-        already ingested is read, parsed, or written again.
+        already ingested is read, parsed, or written again.  ``rebuild``
+        ignores the manifest instead — every SVG is parsed again — and
+        rebuilds the maps' shard indexes from scratch.
+
+        Raises:
+            IngestError: a parse failed outside the typed failures the
+                accounting counts (an unreadable file, a dead or raising
+                pool worker).
         """
         registry = get_registry()
         run_span = registry.span(
             "repro_ingest_run", "Whole ingestion run wall time"
         )
         self._maps = list(maps) if maps is not None else list(MapName)
+        self._rebuild = rebuild
         self._started = perf_counter()
         self._recent_mark = (self._started, 0)
         self._write_status("starting")
-        with run_span:
-            for map_name in self._maps:
-                self._ingest_map(map_name)
-                if self._budget_left() == 0:
-                    break
+        try:
+            with run_span:
+                for map_name in self._maps:
+                    self._ingest_map(map_name)
+                    if self._budget_left() == 0:
+                        break
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
         self.stats.run_seconds = perf_counter() - self._started
         self._write_status("done")
         logger.info(
@@ -507,10 +542,15 @@ class IngestDaemon:
 
     def _pending_refs(self, map_name: MapName, manifest: Manifest) -> list[SnapshotRef]:
         """SVG refs the manifest does not already account for, in time order."""
-        files_counter, _, _ = file_metrics()
-        ingest_files = get_registry().counter(
+        registry = get_registry()
+        files_counter, _, _ = file_metrics(registry)
+        ingest_files = registry.counter(
             "repro_ingest_files_total",
             "Ingestion daemon files by outcome (processed, failed, skipped)",
+        )
+        manifest_lookups = registry.counter(
+            "repro_manifest_lookups_total",
+            "Manifest skip-cache lookups by outcome (hit = file skipped)",
         )
         map_stats = self.stats.per_map.setdefault(
             map_name, ProcessingStats(map_name=map_name)
@@ -523,77 +563,58 @@ class IngestDaemon:
                 if entry.size == size and entry.mtime_ns == mtime_ns:
                     _skip_from_manifest(map_stats, entry)
                     self.stats.skipped += 1
+                    manifest_lookups.inc(1, map=map_name.value, outcome="hit")
                     files_counter.inc(1, map=map_name.value, outcome="skipped")
                     ingest_files.inc(1, map=map_name.value, outcome="skipped")
                     continue
+            manifest_lookups.inc(1, map=map_name.value, outcome="miss")
             pending.append(ref)
         budget = self._budget_left()
         if budget is not None and len(pending) > budget:
             pending = pending[:budget]
         return pending
 
-    def _worker_loop(
-        self,
-        map_name: MapName,
-        work: "queue.Queue[SnapshotRef | None]",
-        results: "queue.Queue[_Processed | None]",
-        abort: threading.Event,
-    ) -> None:
-        """Pool thread: read → hash → parse, until the ``None`` sentinel.
+    def _parsed(
+        self, map_name: MapName, batches: Sequence[Sequence[SnapshotRef]], pooled: bool
+    ) -> Iterator[list[tuple[ProcessOutcome, ManifestEntry]]]:
+        """Each batch's parse results, in submission order.
 
-        Every blocking queue operation polls the abort flag so a dead
-        writer (or sibling) unwinds the pipeline instead of deadlocking
-        it.
+        In-process, one batch is parsed per step.  Pooled, at most two
+        batches per worker are in flight, and each worker's metrics are
+        merged into the caller's registry as its batch is taken.
         """
-        while not abort.is_set():
-            try:
-                ref = work.get(timeout=_QUEUE_POLL_SECONDS)
-            except queue.Empty:
-                continue
-            if ref is None:
-                _put_abortable(results, None, abort)
+        strict, options = self.config.strict, self.config.options
+        try:
+            if not pooled:
+                for batch in batches:
+                    yield _process_batch(self.store, map_name, batch, strict, options)
                 return
-            data = self.store.read_ref(ref)
-            size, mtime_ns = ref.stat_key()
-            outcome = process_svg_bytes(
-                data,
-                map_name,
-                ref.timestamp,
-                strict=self.config.strict,
-                options=self.config.options,
-            )
-            delivered = _put_abortable(
-                results,
-                _Processed(
-                    ref=ref,
-                    sha256=hashlib.sha256(data).hexdigest(),
-                    size=size,
-                    mtime_ns=mtime_ns,
-                    outcome=outcome,
-                ),
-                abort,
-            )
-            if not delivered:
-                return
-
-    def _producer_loop(
-        self,
-        pending: Sequence[SnapshotRef],
-        work: "queue.Queue[SnapshotRef | None]",
-        abort: threading.Event,
-    ) -> None:
-        """Pool thread: feed refs into the bounded work queue, then sentinels.
-
-        The put blocking when workers fall behind is the backpressure
-        that keeps memory flat; the abort escape is what keeps it from
-        becoming a permanent park when every worker has died.
-        """
-        for ref in pending:
-            if not _put_abortable(work, ref, abort):
-                return
-        for _ in range(self.config.workers):
-            if not _put_abortable(work, None, abort):
-                return
+            if self._pool is None:
+                self._pool = pools.process_pool(self._workers)
+            registry = get_registry()
+            queued = iter(batches)
+            depth = 2 * self._workers
+            in_flight: deque[Future] = deque(maxlen=depth)
+            while True:
+                for batch in islice(queued, depth - len(in_flight)):
+                    in_flight.append(
+                        self._pool.submit(
+                            call_with_metrics,
+                            _process_batch,
+                            self.store,
+                            map_name,
+                            batch,
+                            strict,
+                            options,
+                        )
+                    )
+                if not in_flight:
+                    return
+                results, worker_metrics = in_flight.popleft().result()
+                registry.merge(worker_metrics)
+                yield results
+        except Exception as exc:
+            raise IngestError(f"parsing {map_name.value} failed: {exc!r}") from exc
 
     def _sync_batch(
         self, journal: IngestJournal | None, yaml_paths: list[Path]
@@ -626,9 +647,14 @@ class IngestDaemon:
         journal: IngestJournal | None,
         yaml_paths: list[Path],
         touched_shards: set[str],
+        index_workers: int,
         pending_left: int,
     ) -> None:
-        """Fold the journal into the manifest and compact touched shards."""
+        """Fold the journal into the manifest and compact touched shards.
+
+        A rebuilding run leaves every shard to :meth:`_finish_map`, which
+        rebuilds them all once.
+        """
         registry = get_registry()
         checkpoint_seconds = registry.histogram(
             "repro_ingest_checkpoint_seconds", "Checkpoint (fold + compact) wall time"
@@ -639,14 +665,13 @@ class IngestDaemon:
             manifest.save(self.store.manifest_path(map_name))
             if journal is not None:
                 journal.clear()
-            if self.config.update_index and touched_shards:
+            if self.config.update_index and touched_shards and not self._rebuild:
                 shards.compact_map_shards(
                     self.store,
                     map_name,
                     only=sorted(touched_shards),
-                    on_error=lambda ref, exc: logger.warning(
-                        "not indexing unreadable %s: %s", ref.path.name, exc
-                    ),
+                    workers=index_workers,
+                    on_error=_log_unindexed,
                 )
         touched_shards.clear()
         self.stats.checkpoints += 1
@@ -654,75 +679,7 @@ class IngestDaemon:
         self._write_status("running", pending_left=pending_left)
 
     def _ingest_map(self, map_name: MapName) -> None:
-        """Recover one map, then drain its pending SVGs through the queues."""
-        journal: IngestJournal | None = None
-        if self.durable and isinstance(self.store, DatasetStore):
-            journal = IngestJournal(self.store.journal_path(map_name))
-        manifest = self._recover_map(map_name, journal)
-        pending = self._pending_refs(map_name, manifest)
-        self._pending_total += len(pending)
-        map_stats = self.stats.per_map.setdefault(
-            map_name, ProcessingStats(map_name=map_name)
-        )
-        if not pending:
-            # Nothing new, but leave the indexes consistent with the tree.
-            self._finish_map(map_name, journal)
-            return
-
-        work: "queue.Queue[SnapshotRef | None]" = queue.Queue(self.config.queue_size)
-        results: "queue.Queue[_Processed | None]" = queue.Queue(self.config.queue_size)
-        yaml_batch: list[Path] = []
-        touched_shards: set[str] = set()
-        abort = threading.Event()
-        with ThreadPoolExecutor(max_workers=self.config.workers + 1) as pool:
-            try:
-                futures: list[Future[None]] = [
-                    pool.submit(self._producer_loop, pending, work, abort)
-                ]
-                for _ in range(self.config.workers):
-                    futures.append(
-                        pool.submit(self._worker_loop, map_name, work, results, abort)
-                    )
-                self._drain_results(
-                    map_name,
-                    manifest,
-                    journal,
-                    pending,
-                    results,
-                    work,
-                    futures,
-                    map_stats,
-                    yaml_batch,
-                    touched_shards,
-                )
-            except BaseException:
-                # The writer died (or a pipeline thread's exception was
-                # re-raised).  Trip the abort flag so every producer and
-                # worker unwinds its blocking queue operation — otherwise
-                # the executor's __exit__ join would park forever on a
-                # thread stuck in put() with nobody left to drain it.
-                abort.set()
-                raise
-
-        self._checkpoint(
-            map_name, manifest, journal, yaml_batch, touched_shards, pending_left=0
-        )
-        self._finish_map(map_name, journal)
-
-    def _drain_results(
-        self,
-        map_name: MapName,
-        manifest: Manifest,
-        journal: IngestJournal | None,
-        pending: Sequence[SnapshotRef],
-        results: "queue.Queue[_Processed | None]",
-        work: "queue.Queue[SnapshotRef | None]",
-        futures: "list[Future[None]]",
-        map_stats: ProcessingStats,
-        yaml_batch: list[Path],
-        touched_shards: set[str],
-    ) -> None:
-        """The writer loop: apply processed results until every worker ends."""
+        """Recover one map, then parse and write its pending SVGs."""
         registry = get_registry()
         _, _, yaml_bytes_counter = file_metrics()
         ingest_files = registry.counter(
@@ -733,94 +690,101 @@ class IngestDaemon:
             "repro_ingest_journal_records_total",
             "Write-ahead journal records by event (appended, replayed, dropped)",
         )
-        depth_gauge = registry.gauge(
-            "repro_ingest_queue_depth", "Items waiting in the ingest work queue"
+        journal: IngestJournal | None = None
+        if self.durable and isinstance(self.store, DatasetStore):
+            journal = IngestJournal(self.store.journal_path(map_name))
+        manifest = self._recover_map(map_name, journal)
+        if self._rebuild:
+            manifest.entries.clear()
+        pending = self._pending_refs(map_name, manifest)
+        self._pending_total += len(pending)
+        pooled = (
+            self.durable and self._workers > 1 and len(pending) > self.config.chunk_size
         )
-        since_sync = 0
-        since_checkpoint = 0
-        done = 0
-        finished_workers = 0
-        while finished_workers < self.config.workers:
-            try:
-                item = results.get(timeout=1.0)
-            except queue.Empty:
-                self._raise_pipeline_failure(futures)
-                continue
-            if item is None:
-                finished_workers += 1
-                continue
-            ref, outcome = item.ref, item.outcome
-            entry = ManifestEntry(
-                sha256=item.sha256, size=item.size, mtime_ns=item.mtime_ns
-            )
-            if outcome.yaml_text is None:
-                entry.failure = outcome.failure_cause
-                map_stats.unprocessed += 1
-                map_stats.failure_causes[outcome.failure_cause] += 1
-                self.stats.failed += 1
-                ingest_files.inc(1, map=map_name.value, outcome="failed")
-                logger.warning(
-                    "unprocessable %s (%s: %s)",
-                    ref.path.name,
-                    outcome.failure_cause,
-                    outcome.failure_message,
-                )
-            else:
-                written = self.store.write(
-                    map_name, ref.timestamp, "yaml", outcome.yaml_text
-                )
-                entry.yaml_bytes = written.size_bytes
-                map_stats.processed += 1
-                map_stats.yaml_bytes += written.size_bytes
-                yaml_bytes_counter.inc(written.size_bytes, map=map_name.value)
-                self.stats.processed += 1
-                ingest_files.inc(1, map=map_name.value, outcome="processed")
-                yaml_batch.append(written.path)
-                touched_shards.add(shard_key(ref.timestamp))
-            stamp = format_timestamp(ref.timestamp)
-            manifest.entries[stamp] = entry
-            if journal is not None:
-                journal.append(
-                    JournalRecord(
-                        map_value=map_name.value,
-                        stamp=stamp,
-                        sha256=item.sha256,
-                        size=item.size,
-                        mtime_ns=item.mtime_ns,
-                        yaml_bytes=entry.yaml_bytes,
-                        failure=entry.failure,
+        # Index compaction parses twins back: pooled exactly when parsing is.
+        index_workers = self._workers if pooled else 1
+        if not pending:
+            # Nothing new, but leave the indexes consistent with the tree.
+            self._finish_map(map_name, journal, index_workers)
+            return
+
+        map_stats = self.stats.per_map[map_name]
+        batches = _batches(pending, self.config.chunk_size, self._workers)
+        yaml_batch: list[Path] = []
+        touched_shards: set[str] = set()
+        since_sync = since_checkpoint = done = 0
+        for batch, results in zip(batches, self._parsed(map_name, batches, pooled)):
+            for ref, (outcome, entry) in zip(batch, results):
+                if outcome.yaml_text is None:
+                    map_stats.unprocessed += 1
+                    map_stats.failure_causes[outcome.failure_cause] += 1
+                    self.stats.failed += 1
+                    ingest_files.inc(1, map=map_name.value, outcome="failed")
+                    logger.warning(
+                        "unprocessable %s (%s: %s)",
+                        ref.path.name,
+                        outcome.failure_cause,
+                        outcome.failure_message,
                     )
-                )
-                journal_counter.inc(1, map=map_name.value, event="appended")
-            done += 1
-            since_sync += 1
-            since_checkpoint += 1
-            self._queue_depth = work.qsize()
-            depth_gauge.set(self._queue_depth, map=map_name.value)
-            if since_sync >= self.config.fsync_every:
-                self._sync_batch(journal, yaml_batch)
-                since_sync = 0
-            if since_checkpoint >= self.config.checkpoint_every:
-                self._checkpoint(
-                    map_name,
-                    manifest,
-                    journal,
-                    yaml_batch,
-                    touched_shards,
-                    pending_left=len(pending) - done,
-                )
-                since_checkpoint = 0
-        self._raise_pipeline_failure(futures)
+                else:
+                    written = self.store.write(
+                        map_name, ref.timestamp, "yaml", outcome.yaml_text
+                    )
+                    entry.yaml_bytes = written.size_bytes
+                    map_stats.processed += 1
+                    map_stats.yaml_bytes += written.size_bytes
+                    yaml_bytes_counter.inc(written.size_bytes, map=map_name.value)
+                    self.stats.processed += 1
+                    ingest_files.inc(1, map=map_name.value, outcome="processed")
+                    yaml_batch.append(written.path)
+                    touched_shards.add(shard_key(ref.timestamp))
+                stamp = format_timestamp(ref.timestamp)
+                manifest.entries[stamp] = entry
+                if journal is not None:
+                    journal.append(
+                        JournalRecord(
+                            map_value=map_name.value,
+                            stamp=stamp,
+                            sha256=entry.sha256,
+                            size=entry.size,
+                            mtime_ns=entry.mtime_ns,
+                            yaml_bytes=entry.yaml_bytes,
+                            failure=entry.failure,
+                        )
+                    )
+                    journal_counter.inc(1, map=map_name.value, event="appended")
+                done += 1
+                since_sync += 1
+                since_checkpoint += 1
+                if since_sync >= self.config.fsync_every:
+                    self._sync_batch(journal, yaml_batch)
+                    since_sync = 0
+                if since_checkpoint >= self.config.checkpoint_every:
+                    self._checkpoint(
+                        map_name,
+                        manifest,
+                        journal,
+                        yaml_batch,
+                        touched_shards,
+                        index_workers,
+                        pending_left=len(pending) - done,
+                    )
+                    since_checkpoint = 0
 
-    def _raise_pipeline_failure(self, futures: Sequence["Future[None]"]) -> None:
-        """Surface a dead producer/worker as a typed error instead of a hang."""
-        for future in futures:
-            if future.done():
-                exc = future.exception()
-                if exc is not None:
-                    raise IngestError(f"ingest pipeline thread died: {exc}") from exc
+        self._checkpoint(
+            map_name,
+            manifest,
+            journal,
+            yaml_batch,
+            touched_shards,
+            index_workers,
+            pending_left=0,
+        )
+        self._finish_map(map_name, journal, index_workers)
 
-    def _finish_map(self, map_name: MapName, journal: IngestJournal | None) -> None:
+    def _finish_map(
+        self, map_name: MapName, journal: IngestJournal | None, index_workers: int
+    ) -> None:
         """Close the journal and leave this map's indexes fully compacted."""
         if journal is not None:
             journal.close()
@@ -831,9 +795,9 @@ class IngestDaemon:
         shards.compact_map_shards(
             self.store,
             map_name,
-            on_error=lambda ref, exc: logger.warning(
-                "not indexing unreadable %s: %s", ref.path.name, exc
-            ),
+            rebuild=self._rebuild,
+            workers=index_workers,
+            on_error=_log_unindexed,
         )
 
     # -- status -------------------------------------------------------------
@@ -859,7 +823,6 @@ class IngestDaemon:
             "checkpoints": self.stats.checkpoints,
             "pending_left": pending_left,
             "pending_total": self._pending_total,
-            "queue_depth": self._queue_depth,
             "recovery_seconds": self.stats.recovery_seconds,
             "elapsed_seconds": elapsed,
             "overall_fps": self.stats.ingested / elapsed,

@@ -7,10 +7,10 @@ recorded with its typed cause so Table 2's unprocessed column can be broken
 down the way Section 4 discusses.
 
 The per-file extraction is a pure function (:func:`process_svg_bytes`,
-bytes in → YAML text or a typed failure out) so the parallel engine in
-:mod:`repro.dataset.engine` can ship it to worker processes and still
-merge results into the exact same :class:`ProcessingStats` a serial run
-produces.
+bytes in → YAML text or a typed failure out) so the ingest daemon
+(:mod:`repro.dataset.ingest`), the only YAML writer, can run it in-process
+or in worker processes and merge the results into the same
+:class:`ProcessingStats` either way.
 
 Every outcome also lands in the active metrics registry
 (:mod:`repro.telemetry`): ``repro_files_total{map,outcome}`` counts
@@ -26,7 +26,6 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-
 from time import perf_counter
 
 from repro.constants import MapName
@@ -47,8 +46,8 @@ logger = logging.getLogger(__name__)
 def file_metrics(registry=None):
     """The per-file outcome instruments, pre-registered on ``registry``.
 
-    Shared by the serial loop here and the parallel engine, so both
-    paths produce the same metric families and series names.
+    Shared by the per-file extraction here and the ingest daemon, so
+    parse-side and writer-side counts land in the same metric families.
     """
     registry = registry if registry is not None else get_registry()
     return (
@@ -162,79 +161,37 @@ def process_map(
     overwrite: bool = False,
     workers: int | str | None = None,
     options: ParseOptions | None = None,
-    *,
-    timings: StageTimings | None = None,
 ) -> ProcessingStats:
     """Process every stored SVG of one map into its YAML twin.
+
+    One :class:`~repro.dataset.ingest.IngestDaemon` run, through
+    :func:`repro.dataset.engine.process_map_parallel`: the YAML twins, the
+    incremental manifest and the shard indexes it leaves are the same for
+    every ``workers`` value.
 
     Args:
         store: dataset directory to read SVGs from and write YAMLs into.
         map_name: which map to process.
         strict: apply the whole-map sanity checks strictly (a failed check
             counts the file as unprocessed).
-        overwrite: re-process files whose YAML already exists.
-        workers: fan the extraction out over worker processes via
-            :func:`repro.dataset.engine.process_map_parallel` (which also
-            maintains the incremental manifest and the columnar snapshot
-            index).  ``None`` or ``1`` keeps the simple serial loop
-            below; ``0`` or ``"auto"`` means one worker per CPU core.
+        overwrite: ignore the manifest and re-process every file.
+        workers: parse worker processes.  ``None`` or ``1`` parses
+            in-process; ``0`` or ``"auto"`` means one worker per CPU core.
         options: parse configuration shared by every file.
-        timings: accumulate per-stage wall time over the run (serial loop
-            only — worker-process timings travel through the telemetry
-            registry instead).
 
     Returns:
         Per-map counts mirroring a Table 2 row.
     """
-    if workers is not None and workers != 1:
-        from repro.dataset.engine import process_map_parallel
+    from repro.dataset.engine import process_map_parallel
 
-        return process_map_parallel(
-            store,
-            map_name,
-            workers=workers,
-            strict=strict,
-            overwrite=overwrite,
-            options=options,
-        )
-    registry = get_registry()
-    files, _, yaml_bytes_counter = file_metrics(registry)
-    stats = ProcessingStats(map_name=map_name)
-    with registry.span(
-        "repro_process_run",
-        "Whole-map SVG→YAML run wall time",
-        map=map_name.value,
-        mode="serial",
-    ):
-        for ref in store.iter_refs(map_name, "svg"):
-            yaml_path = store.path_for(map_name, ref.timestamp, "yaml")
-            if yaml_path.exists() and not overwrite:
-                stats.processed += 1
-                stats.yaml_bytes += yaml_path.stat().st_size
-                files.inc(1, map=map_name.value, outcome="skipped")
-                continue
-            outcome = process_svg_bytes(
-                ref.path.read_bytes(),
-                map_name,
-                ref.timestamp,
-                strict=strict,
-                options=options,
-                timings=timings,
-            )
-            if not outcome.ok:
-                stats.unprocessed += 1
-                stats.failure_causes[outcome.failure_cause] += 1
-                logger.warning(
-                    "unprocessable %s (%s: %s)",
-                    ref.path.name,
-                    outcome.failure_cause,
-                    outcome.failure_message,
-                )
-                continue
-            written = store.write(map_name, ref.timestamp, "yaml", outcome.yaml_text)
-            stats.processed += 1
-            stats.yaml_bytes += written.size_bytes
-            yaml_bytes_counter.inc(written.size_bytes, map=map_name.value)
+    stats = process_map_parallel(
+        store,
+        map_name,
+        workers=1 if workers is None else workers,
+        strict=strict,
+        overwrite=overwrite,
+        options=options,
+    )
     logger.info(
         "processed %s: %d ok, %d unprocessable",
         map_name.value,

@@ -8,19 +8,23 @@ pool user therefore resolves its worker request through
 :func:`resolve_workers`, which collapses to serial execution whenever the
 effective width is one — including any request on a single-core machine.
 
-The two helpers below are the pool users' shared task plumbing:
-:func:`contiguous_batches` cuts work into one ordered batch per task, and
-:func:`call_with_metrics` runs a task under a private metrics registry so
-the parent can merge what the worker observed.
+The helpers below are the pool users' shared task plumbing:
+:func:`process_pool` opens a forked pool, :func:`contiguous_batches` cuts
+work into one ordered batch per task, and :func:`call_with_metrics` runs
+a task under a private metrics registry so the parent can merge what the
+worker observed.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from repro.errors import WorkerCountError
 from repro.telemetry import MetricsRegistry, use_registry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 
@@ -80,6 +84,22 @@ def resolve_workers(workers: int | str | None, default: int | str = 1) -> int:
     if cpus <= 1:
         return 1
     return workers
+
+
+def process_pool(max_workers: int) -> "ProcessPoolExecutor":
+    """A forked process pool of ``max_workers`` — the one place pools open.
+
+    ``multiprocessing`` (and the pool machinery on top of it) is imported
+    here, on first use, so a process that never opens a pool — the
+    server, a one-worker ingest run — never loads it.  Workers fork, so
+    they inherit every module the parent already imported.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=multiprocessing.get_context("fork")
+    )
 
 
 def contiguous_batches(items: Sequence[T], count: int) -> list[Sequence[T]]:

@@ -3,8 +3,8 @@
 ``ProcessPoolExecutor`` pickles the submitted callable by qualified
 name.  A lambda or a function defined inside another function pickles
 only at submission *time of failure* — the error surfaces deep inside
-the pool machinery, long after the code that introduced it.  The bulk
-engine's workers (``repro.dataset.engine._process_batch``) are
+the pool machinery, long after the code that introduced it.  The ingest
+daemon's parse kernel (``repro.dataset.ingest._process_batch``) is
 module-level for exactly this reason; the rule keeps it that way for
 every future ``.submit(...)`` site.
 
@@ -16,8 +16,7 @@ objects — is flagged.
 
 ``ThreadPoolExecutor`` receivers are exempt: threads share the process,
 nothing is pickled, and bound methods are the natural way to hand a
-worker its shared state (the ingestion daemon's queue workers do exactly
-that).  The rule tracks names bound to ``ThreadPoolExecutor(...)`` —
+worker its shared state.  The rule tracks names bound to ``ThreadPoolExecutor(...)`` —
 by assignment or ``with ... as name`` — and skips their ``.submit``.
 """
 

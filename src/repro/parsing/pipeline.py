@@ -118,7 +118,8 @@ _metrics_cache: _PipelineMetrics | None = None
 
 #: One layout-reuse slot per map: ``(threshold, signature, plan)`` of its
 #: last successful accelerated attribution.  A slot is one tuple written
-#: in one assignment, so the daemon's parse threads share it lock-free.
+#: in one assignment, so threads may share it lock-free; each pool
+#: worker process keeps its own.
 _LAYOUTS: dict[MapName, tuple[float, str, array]] = {}
 
 

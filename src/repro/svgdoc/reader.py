@@ -144,17 +144,3 @@ def read_svg_tags(source: str | Path | bytes) -> SvgTagStream:
         width=_parse_dimension(root, "width"),
         height=_parse_dimension(root, "height"),
     )
-
-
-def iter_svg_files(paths: Iterable[str | Path]) -> Iterator[tuple[Path, SvgTagStream]]:
-    """Stream several SVG files, skipping malformed ones silently.
-
-    Bulk processing helper used by the dataset pipeline when the caller does
-    its own error accounting.
-    """
-    for path in paths:
-        path = Path(path)
-        try:
-            yield path, read_svg_tags(path)
-        except MalformedSvgError:
-            continue

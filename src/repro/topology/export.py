@@ -35,7 +35,12 @@ def to_graphml(snapshot: MapSnapshot, path: str | Path | None = None) -> str:
 
 
 def from_graphml(text: str) -> MapSnapshot:
-    """Rebuild a snapshot from GraphML produced by :func:`to_graphml`."""
+    """Rebuild a snapshot from GraphML produced by :func:`to_graphml`.
+
+    Nothing in the pipeline reads GraphML back: this is
+    :func:`to_graphml`'s round-trip oracle, which proves the export keeps
+    every node, link end, label and load.
+    """
     try:
         graph = networkx.read_graphml(io.BytesIO(text.encode("utf-8")), force_multigraph=True)
     except Exception as exc:  # networkx raises several parse error types

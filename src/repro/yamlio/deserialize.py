@@ -74,10 +74,11 @@ def _link_pattern(group: str) -> str:
     return rf"- a: {end}\n  b: {end}\n"
 
 
-_DOCUMENT = re.compile(
+#: Everything before the first link; the last group is set for ``links: []``.
+_HEADER = re.compile(
     rf"map: ({_SCALAR})\ntimestamp: ({_SCALAR})\n"
     rf"routers: ({_LIST})\npeerings: ({_LIST})\n"
-    rf"links:(?: \[\]\n|\n((?:{_link_pattern('(?:')})+))"
+    rf"links:(?:( \[\]\n)|\n)"
 )
 _ITEM = re.compile(_SCALAR)
 _LINK = re.compile(_link_pattern("("))
@@ -177,11 +178,14 @@ def fast_document(text: str) -> dict | None:
     :func:`~repro.yamlio.serialize.snapshot_to_yaml` emits: a comment, a
     tab, CRLF line endings, a wrapped link line, an int or ``.nan`` load,
     a plain scalar PyYAML would not resolve to a string, and so on.
+
+    The links are matched one line pair at a time, so the regex engine
+    keeps one link's match state, not the whole document's.
     """
-    match = _DOCUMENT.fullmatch(text)
-    if match is None:
+    header = _HEADER.match(text)
+    if header is None:
         return None
-    map_token, timestamp_token, routers, peerings, links_text = match.groups()
+    map_token, timestamp_token, routers, peerings, no_links = header.groups()
     document = {
         "map": _scalar(map_token),
         "timestamp": _scalar(timestamp_token),
@@ -190,15 +194,24 @@ def fast_document(text: str) -> dict | None:
     }
     if None in document.values():
         return None
+    position = header.end()
+    if no_links is not None:
+        if position != len(text):
+            return None
+        document["links"] = []
+        return document
     links = []
-    for a_node, a_label, a_load, b_node, b_label, b_load in (
-        _LINK.findall(links_text) if links_text is not None else ()
-    ):
+    while position < len(text) or not links:
+        link = _LINK.match(text, position)
+        if link is None:
+            return None
+        a_node, a_label, a_load, b_node, b_label, b_load = link.groups()
         a = _end(a_node, a_label, a_load)
         b = _end(b_node, b_label, b_load)
         if a is None or b is None:
             return None
         links.append({"a": a, "b": b})
+        position = link.end()
     document["links"] = links
     return document
 

@@ -7,7 +7,6 @@ from repro.analysis.stats import (
     ccdf,
     cdf,
     fraction_at_most,
-    interpolate_cdf_at,
     percentile_bands,
 )
 
@@ -69,17 +68,3 @@ class TestPercentiles:
     def test_custom_percentiles(self):
         bands = percentile_bands([1, 2, 3], percentiles=(0.0, 100.0))
         assert bands[0.0] == 1 and bands[100.0] == 3
-
-
-class TestInterpolation:
-    def test_step_lookup(self):
-        xs, fractions = cdf([10, 20, 30])
-        assert interpolate_cdf_at(xs, fractions, 15) == pytest.approx(1 / 3)
-        assert interpolate_cdf_at(xs, fractions, 30) == 1.0
-
-    def test_below_support_zero(self):
-        xs, fractions = cdf([10, 20])
-        assert interpolate_cdf_at(xs, fractions, 5) == 0.0
-
-    def test_empty(self):
-        assert interpolate_cdf_at(numpy.empty(0), numpy.empty(0), 5) == 0.0

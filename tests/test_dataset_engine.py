@@ -1,25 +1,31 @@
-"""Tests for the parallel + incremental bulk-processing engine.
+"""Tests for the bulk entry points, all of them ingest-daemon runs.
 
-The contract under test: the engine must reproduce the serial
-``process_map`` run *exactly* (byte-identical YAML, identical
-``ProcessingStats`` including failure causes), while its manifest makes
-warm re-runs skip unchanged files and invalidate cleanly on overwrite,
-parser-version bumps, and edited SVGs.
+The contract under test: every way of writing YAML twins — ``process``,
+``process --workers N``, ``ingest run`` with any worker count — leaves
+the same YAML tree, manifest and ``ProcessingStats`` (including failure
+causes), while the manifest makes warm re-runs skip unchanged files and
+invalidate cleanly on overwrite, parser-version bumps, and edited SVGs.
+Whether parsing runs in a process pool depends only on the input size.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from repro.constants import MapName
 from repro.dataset import engine as engine_module
-from repro.dataset.engine import Manifest, process_map_parallel
+from repro.dataset import ingest as ingest_module
+from repro.dataset import workers as workers_module
+from repro.dataset.engine import Manifest, process_all_parallel, process_map_parallel
+from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.processor import process_map, process_svg_bytes
 from repro.dataset.store import DatasetStore
+from repro.errors import IngestError
 from repro.layout.renderer import MapRenderer
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
@@ -94,7 +100,6 @@ class TestBalancedBatches:
     def test_pool_batches_and_serial_identity(
         self, tmp_path, reference_svg, monkeypatch, files, batches
     ):
-        from repro.dataset import workers as workers_module
         from repro.telemetry import MetricsRegistry, use_registry
 
         # Two workers even on a one-core host, where they would collapse to one.
@@ -115,7 +120,7 @@ class TestWorkersOne:
         def forbidden(*args, **kwargs):
             raise AssertionError("workers=1 must not spawn a process pool")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(workers_module, "process_pool", forbidden)
         store = build_corpus(tmp_path / "engine", reference_svg)
         baseline_store = build_corpus(tmp_path / "baseline", reference_svg)
         stats = process_map_parallel(store, MAP, workers=1)
@@ -133,6 +138,100 @@ class TestWorkersOne:
             process_map_parallel(store, MAP, chunk_size=0)
 
 
+class TestOneWriter:
+    """``process``, ``process --workers 2`` and ``ingest run`` with one or
+    two workers are one writer: the same twins, manifest and Table 2 rows."""
+
+    MAPS = (MapName.ASIA_PACIFIC, MapName.WORLD)
+
+    def test_every_entry_point_leaves_the_same_state(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        # Two workers even on a one-core host, where they would collapse to one.
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+        source = DatasetStore(tmp_path / "source")
+        # asia-pacific has more pending files than a batch holds, so two
+        # workers parse it in the pool; world's six parse in-process.
+        for map_name, files in ((MapName.ASIA_PACIFIC, 20), (MapName.WORLD, 6)):
+            svg = MapRenderer().render(simulator.snapshot(map_name, T0))
+            for index in range(files):
+                data = "<svg broken" if index == 3 else svg
+                source.write(map_name, T0 + timedelta(minutes=5 * index), "svg", data)
+        runs = {
+            "process": lambda store: {m: process_map(store, m) for m in self.MAPS},
+            "process-workers-2": lambda store: process_all_parallel(
+                store, self.MAPS, workers=2
+            ),
+            "ingest-run": lambda store: IngestDaemon(store, IngestConfig(workers=1))
+            .run(self.MAPS)
+            .per_map,
+            "ingest-run-workers-2": lambda store: IngestDaemon(
+                store, IngestConfig(workers=2)
+            )
+            .run(self.MAPS)
+            .per_map,
+        }
+        states = {}
+        for name, run in runs.items():
+            root = tmp_path / name
+            shutil.copytree(source.root, root)  # keeps mtimes: same manifest keys
+            store = DatasetStore(root)
+            stats = run(store)
+            states[name] = (
+                [stats[map_name] for map_name in self.MAPS],
+                {
+                    path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in sorted(root.glob("*/yaml/**/*.yaml"))
+                },
+                [store.manifest_path(map_name).read_bytes() for map_name in self.MAPS],
+            )
+        rows = states["process"][0]
+        assert [(row.processed, row.unprocessed) for row in rows] == [(19, 1), (5, 1)]
+        for name, state in states.items():
+            assert state == states["process"], name
+
+
+class TestPoolingDependsOnInputSize:
+    """A map parses in the pool only with more pending files than a batch."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+
+    def test_at_most_a_batch_per_map_never_opens_a_pool(
+        self, tmp_path, reference_svg, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run over at most 16 files per map opened a pool")
+
+        monkeypatch.setattr(workers_module, "process_pool", forbidden)
+        store = build_corpus(tmp_path, reference_svg, files=16)
+        first = IngestDaemon(store, IngestConfig(workers=2)).run([MAP])
+        assert first.ingested == 16
+        store.write(MAP, T0 + timedelta(days=1), "svg", reference_svg)
+        assert IngestDaemon(store, IngestConfig(workers=2)).run([MAP]).processed == 1
+
+    @staticmethod
+    def dying(data, map_name, timestamp, **kwargs):
+        os._exit(3)
+
+    @staticmethod
+    def raising(data, map_name, timestamp, **kwargs):
+        raise RuntimeError("worker exploded")
+
+    @pytest.mark.parametrize("worker, message", [("dying", "BrokenProcessPool"),
+                                                 ("raising", "worker exploded")])
+    def test_pool_worker_failure_is_a_typed_error(
+        self, tmp_path, reference_svg, monkeypatch, worker, message
+    ):
+        store = build_corpus(tmp_path, reference_svg, files=17)
+        # Forked workers inherit the patched kernel; the parent never runs it.
+        monkeypatch.setattr(ingest_module, "process_svg_bytes", getattr(self, worker))
+        with pytest.raises(IngestError, match=message):
+            IngestDaemon(store, IngestConfig(workers=2)).run([MAP])
+        assert not any(True for _ in store.iter_refs(MAP, "yaml"))
+
+
 class TestManifest:
     @pytest.fixture()
     def processed_store(self, tmp_path, reference_svg) -> DatasetStore:
@@ -147,7 +246,7 @@ class TestManifest:
             calls.append(timestamp)
             return process_svg_bytes(data, map_name, timestamp, strict=strict, **kwargs)
 
-        monkeypatch.setattr(engine_module, "process_svg_bytes", counting)
+        monkeypatch.setattr(ingest_module, "process_svg_bytes", counting)
         return calls
 
     def test_warm_rerun_skips_everything(self, processed_store, monkeypatch):

@@ -144,7 +144,7 @@ class TestJournal:
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "field", ["queue_size", "workers", "checkpoint_every", "fsync_every"]
+        "field", ["chunk_size", "workers", "checkpoint_every", "fsync_every"]
     )
     def test_positive_ints_enforced(self, field):
         with pytest.raises(IngestError):
@@ -206,19 +206,18 @@ class TestDaemonRuns:
         assert IngestDaemon(store).run([MAP]).processed == 3
 
     def test_dead_workers_surface_as_error_not_a_hang(self, tmp_path, apac_svg):
-        # Regression: with every worker dead, the producer used to park
-        # forever on the full bounded work queue and the executor join
-        # wedged the daemon.  The abort protocol must instead raise the
-        # typed pipeline error promptly and unwind every thread.
+        # A read that dies under the parse kernel must raise the typed
+        # error promptly, not wedge the run (pool workers dying are in
+        # test_dataset_engine.py's TestPoolingDependsOnInputSize).
         store = build_corpus(DatasetStore(tmp_path), apac_svg, files=12)
 
         def broken_read(ref):
             raise OSError("simulated dead disk")
 
         store.read_ref = broken_read
-        daemon = IngestDaemon(store, IngestConfig(workers=2, queue_size=2))
+        daemon = IngestDaemon(store, IngestConfig(workers=2))
         started = time.monotonic()
-        with pytest.raises(IngestError, match="pipeline thread died"):
+        with pytest.raises(IngestError, match="simulated dead disk"):
             daemon.run([MAP])
         assert time.monotonic() - started < 30
 
@@ -256,18 +255,17 @@ from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.store import open_store
 
 store = open_store(sys.argv[1])
-config = IngestConfig(workers=1, fsync_every=1, checkpoint_every=3)
+config = IngestConfig(
+    workers=int(sys.argv[2]), chunk_size=2, fsync_every=1, checkpoint_every=3
+)
 IngestDaemon(store, config).run([MapName.ASIA_PACIFIC])
 """
 
 
 class TestKillAndResume:
-    # ``flat`` is an unmarked directory, as 2.x left flat datasets.
-    @pytest.mark.parametrize("layout", ["flat", "sharded"])
-    def test_sigkill_mid_run_resumes_byte_identical(
-        self, tmp_path, apac_svg, layout, monkeypatch
-    ):
-        files = 10
+    def sigkill_and_resume(
+        self, tmp_path, apac_svg, monkeypatch, layout: str, workers: int, files: int
+    ) -> None:
         reference = build_corpus(
             DatasetStore(tmp_path / "reference"), apac_svg, files=files
         )
@@ -280,11 +278,14 @@ class TestKillAndResume:
         build_corpus(victim, apac_svg, files=files)
 
         env = dict(os.environ, PYTHONPATH=str(SRC))
+        # Its own process group: the kill takes the daemon's pool workers
+        # with it, as a crash of the whole service would.
         process = subprocess.Popen(
-            [sys.executable, "-c", KILL_SCRIPT, str(victim_root)],
+            [sys.executable, "-c", KILL_SCRIPT, str(victim_root), str(workers)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -297,11 +298,11 @@ class TestKillAndResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("daemon made no progress before the deadline")
-            process.send_signal(signal.SIGKILL)
+            os.killpg(process.pid, signal.SIGKILL)
             assert process.wait(timeout=30) == -signal.SIGKILL
         finally:
             if process.poll() is None:
-                process.kill()
+                os.killpg(process.pid, signal.SIGKILL)
                 process.wait(timeout=30)
 
         partial = len(yaml_tree(victim))
@@ -323,7 +324,8 @@ class TestKillAndResume:
             return process_svg_bytes(data, map_name, when, **kwargs)
 
         monkeypatch.setattr(ingest, "process_svg_bytes", recording_parse)
-        stats = resume_ingest(victim)
+        # In-process, so every parse is recorded here.
+        stats = resume_ingest(victim, IngestConfig(workers=1))
         # Resume re-parses exactly the files the disk did not prove durable.
         assert sorted(parsed) == sorted(stamps - durable)
         assert stats.ingested == files - len(durable)
@@ -334,6 +336,20 @@ class TestKillAndResume:
         assert entries is not None
         assert sum(entry.rows for _, entry in entries) == files
         assert not victim.journal_path(MAP).exists()
+
+    # ``flat`` is an unmarked directory, as 2.x left flat datasets.
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_sigkill_mid_run_resumes_byte_identical(
+        self, tmp_path, apac_svg, layout, monkeypatch
+    ):
+        self.sigkill_and_resume(tmp_path, apac_svg, monkeypatch, layout, 1, files=10)
+
+    def test_sigkill_mid_pool_run_resumes_byte_identical(
+        self, tmp_path, apac_svg, monkeypatch
+    ):
+        # Two-file batches over two workers: batches land in order, a
+        # few at a time, while later ones are still being parsed.
+        self.sigkill_and_resume(tmp_path, apac_svg, monkeypatch, "sharded", 2, files=24)
 
     def test_journal_replay_promotes_to_manifest(self, tmp_path, apac_svg):
         """A journal left behind by a crash is folded in before any work."""

@@ -28,21 +28,6 @@ class TestCliParsing:
         assert "2022-03-05" in target.read_text(encoding="utf-8")
 
 
-class TestReaderBulk:
-    def test_iter_svg_files_skips_malformed(self, tmp_path):
-        from repro.svgdoc.reader import iter_svg_files
-
-        good = tmp_path / "good.svg"
-        good.write_text(
-            '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"></svg>'
-        )
-        bad = tmp_path / "bad.svg"
-        bad.write_text("<svg unclosed")
-        results = list(iter_svg_files([good, bad]))
-        assert len(results) == 1
-        assert results[0][0] == good
-
-
 class TestPlacementOverflow:
     def test_crowded_canvas_raises(self):
         from repro.errors import SimulationError

@@ -6,16 +6,18 @@ point, by reading ``sys.modules``:
 
 * the ingest daemon's modules never load the simulator, the renderer,
   the SVG writer, networkx or ``urllib.request``, nor numpy, which only
-  the read side runs;
+  the read side runs, nor ``multiprocessing``, which only an open parse
+  pool needs;
 * the HTTP server loads numpy but none of the others, and never the
-  parser or the YAML stack;
+  parser, the YAML stack or ``multiprocessing``;
 * ``repro.cli.main`` defers every heavy layer to the subcommand using it.
 
 The hot-path tests then pin the other half of the bargain: deferring an
 import must not move it onto a request or an ingest run.  A ready server
 answering every ``/v1`` endpoint, and a daemon run over one new SVG,
-load no further ``repro``, numpy, YAML or networkx module, and
-``repro-weather ingest run`` ingests without ever loading numpy.
+load no further ``repro``, numpy, YAML or networkx module (nor, for a
+one-worker run, ``multiprocessing``), and ``repro-weather ingest run``
+ingests one file without ever loading numpy or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -84,15 +86,18 @@ class TestImportClosure:
             "import repro.constants, repro.dataset.engine, repro.dataset.ingest, "
             "repro.dataset.shards, repro.dataset.store\n" + _DUMP
         )
-        # numpy comes only with the shard read side, which the daemon never runs.
-        assert loaded(modules, NEVER_IN_PROCESSES + ("numpy",)) == []
+        # numpy comes only with the shard read side, which the daemon never
+        # runs; multiprocessing only with a pool, opened on first use.
+        assert loaded(modules, NEVER_IN_PROCESSES + ("numpy", "multiprocessing")) == []
         # The daemon really does carry the parser and the YAML writer.
         assert loaded(modules, ("repro.parsing", "yaml")) == ["repro.parsing", "yaml"]
 
     def test_server(self):
         modules = run_python("from repro.server import create_server\n" + _DUMP)
         assert loaded(
-            modules, NEVER_IN_PROCESSES + ("yaml", "repro.yamlio", "repro.parsing")
+            modules,
+            NEVER_IN_PROCESSES
+            + ("yaml", "repro.yamlio", "repro.parsing", "multiprocessing"),
         ) == []
 
     def test_cli(self):
@@ -180,7 +185,7 @@ class TestNothingMovedOntoTheHotPath:
             from repro.dataset.ingest import IngestConfig, IngestDaemon
             from repro.dataset.store import open_store
 
-            daemon = IngestDaemon(open_store(sys.argv[1]), IngestConfig())
+            daemon = IngestDaemon(open_store(sys.argv[1]), IngestConfig(workers=1))
             before = set(sys.modules)
             stats = daemon.run([MapName(sys.argv[2])])
             assert stats.ingested == 1, stats
@@ -189,7 +194,7 @@ class TestNothingMovedOntoTheHotPath:
             str(tmp_path),
             MAP.value,
         )
-        assert loaded(late, HOT_PATH_WATCHED) == []
+        assert loaded(late, HOT_PATH_WATCHED + ("multiprocessing",)) == []
 
     def test_cli_ingest_run(self, tmp_path, apac_svg):
         store = ShardedDatasetStore(tmp_path)
@@ -209,4 +214,4 @@ class TestNothingMovedOntoTheHotPath:
             """,
             str(tmp_path),
         )
-        assert loaded(modules, ("numpy",)) == []
+        assert loaded(modules, ("numpy", "multiprocessing")) == []

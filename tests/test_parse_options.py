@@ -159,7 +159,7 @@ class TestTelemetryTotals:
         from repro.dataset.shards import compact_map_shards, fresh_shard_indexes
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
-        process_map(store, MAP)
+        process_map_parallel(store, MAP, workers=1, update_index=False)
         registry = MetricsRegistry()
         with use_registry(registry):
             assert fresh_shard_indexes(store, MAP) is None  # no index yet -> miss

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from datetime import timezone
 from types import SimpleNamespace
 from unittest import mock
@@ -163,6 +164,23 @@ def test_every_engine_twin_takes_the_fast_path(engine_twins):
     counter = registry.get("repro_yaml_fast_path_total")
     assert counter.value(outcome="hit") == len(MapName)
     assert counter.value(outcome="fallback") == 0
+
+
+def test_reading_a_europe_twin_keeps_regex_memory_bounded(europe_reference):
+    """The reader matches one link at a time: its peak is the document it
+    builds, not match state proportional to the text (~4 MiB for one
+    whole-document match over a europe twin)."""
+    text = snapshot_to_yaml(europe_reference)
+    assert len(text) > 100_000
+    assert fast_document(text) is not None  # warm the scalar caches
+    tracemalloc.start()
+    try:
+        document = fast_document(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(document["links"]) > 1000
+    assert peak < 1 << 20
 
 
 def _observed(text: str):
