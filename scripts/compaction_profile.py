@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Read-archive compaction and YAML load time, serial and pooled.
+"""Read-archive compaction and loader times.
 
 Writes the read workloads' archive once (``benchmarks/suite/README.md``):
 asia-pacific as 4 day-shards of 48 YAML twins from a 16-document pool,
 plus 12 world twins from a 4-document pool — 204 rows in 5 shards.  Then
-it times two readers of every twin, in-process, on a fresh copy of the
-archive per run, for ``workers=1`` and ``workers=2``: ``compact_map_shards``
-of both maps, and ``load_all(..., use_index=False)`` of both maps (the
-YAML read path), and prints the median and quartiles of each.
+it times, in-process and on a fresh copy of the archive per run, each
+stage over both maps: ``compact_map_shards`` with ``workers=1`` and
+``workers=2``; ``load_all(..., use_index=False)`` (the YAML tier); and,
+on an archive compacted beforehand (untimed), ``load_all`` and
+``latest_snapshot`` from the shard indexes, each as the first read in a
+fresh process and again warm.  It prints the median and quartiles of
+each with the host's ``cpu_count``.
 
 Every ``--src`` tree is timed over the same archive files, in alternating
 order, so two checkouts (say, a change and its parent) compare like with
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shutil
 import statistics
@@ -34,26 +38,54 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: (map, pool documents, days, twins per day) — the suite's read archive.
 ARCHIVE = (("asia-pacific", 16, 4, 48), ("world", 4, 1, 12))
 
-#: Times one STAGE (compact or load) of ROOT's maps with WORKERS; prints the seconds.
+#: Times one STAGE of ROOT's maps with WORKERS; prints the seconds.
 _TIMED = """
 import sys
 from pathlib import Path
 from time import perf_counter
 from repro.constants import MapName
-from repro.dataset.loader import load_all
+from repro.dataset.loader import latest_snapshot, load_all
 from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
-store, workers = ShardedDatasetStore(Path(sys.argv[1])), int(sys.argv[2])
-started = perf_counter()
-for value in ("world", "asia-pacific"):
-    if sys.argv[3] == "compact":
-        compact_map_shards(store, MapName(value), workers=workers)
-    else:
-        load_all(store, MapName(value), use_index=False, workers=workers)
-print(perf_counter() - started)
+from repro.telemetry import MetricsRegistry, use_registry
+store, workers, stage = ShardedDatasetStore(Path(sys.argv[1])), int(sys.argv[2]), sys.argv[3]
+maps = [MapName("world"), MapName("asia-pacific")]
+if stage.startswith("index-"):
+    for map_name in maps:
+        compact_map_shards(store, map_name)
+def read():
+    for map_name in maps:
+        if stage == "compact":
+            compact_map_shards(store, map_name, workers=workers)
+        elif stage == "yaml-load":
+            load_all(store, map_name, use_index=False)
+        elif stage.startswith("index-load"):
+            load_all(store, map_name)
+        else:
+            latest_snapshot(store, map_name)
+if stage.endswith("-warm"):
+    read()  # untimed: the process has imported and warmed the read path
+with use_registry(MetricsRegistry()) as registry:
+    started = perf_counter()
+    read()
+    seconds = perf_counter() - started
+if stage.startswith("index-"):
+    loaded = registry.get("repro_snapshots_loaded_total")
+    assert all(loaded.value(map=m.value, source="yaml") == 0 for m in maps), stage
+print(seconds)
 """
 
-STAGES = ("compact", "load")
+#: stage -> the worker counts it is timed with.  An ``index-*`` stage times
+#: the first read in a fresh process (imports included); ``-warm`` times a
+#: second read after an untimed first one.
+STAGES = {
+    "compact": (1, 2),
+    "yaml-load": (1,),
+    "index-load": (1,),
+    "index-load-warm": (1,),
+    "index-latest": (1,),
+    "index-latest-warm": (1,),
+}
 
 
 def write_archive(root: Path, seed: int) -> None:
@@ -117,8 +149,8 @@ def main() -> int:
         for repeat in range(args.repeats):
             order = sources if repeat % 2 == 0 else sources[::-1]
             for src in order:
-                for stage in STAGES:
-                    for workers in (1, 2):
+                for stage, worker_counts in STAGES.items():
+                    for workers in worker_counts:
                         seconds = time_once(src, archive, workers, stage)
                         times.setdefault((str(src), stage, workers), []).append(seconds)
     for (src, stage, workers), values in times.items():
@@ -126,6 +158,7 @@ def main() -> int:
         print(json.dumps({
             "src": src, "stage": stage, "workers": workers, "repeats": len(values),
             "median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3),
+            "cpu_count": os.cpu_count(),
         }))
     return 0
 

@@ -13,9 +13,10 @@ Each module regenerates the data behind one part of the evaluation:
   correlation (Figure 6);
 * :mod:`repro.analysis.stats` / :mod:`repro.analysis.timeseries` — shared
   CDF/percentile/time-series plumbing;
-* :mod:`repro.analysis.columnar` — the same aggregates computed straight
-  from a :class:`~repro.dataset.index.SnapshotIndex`'s columns, without
-  materialising snapshots.
+* :mod:`repro.analysis.columnar` — the Figure 4 counts and Figure 5c
+  imbalances computed straight from a mapped index's columns
+  (:class:`~repro.dataset.query.MappedIndex`), without materialising
+  snapshots; the read API serves them.
 
 Every analysis works on iterables of :class:`~repro.topology.model.MapSnapshot`
 so it runs equally on simulator output and on YAML files read back from a
@@ -58,19 +59,8 @@ _EXPORTS: dict[str, str] = {
     "CongestionSummary": "repro.analysis.congestion",
     "congestion_rate_by_hour": "repro.analysis.congestion",
     "find_congestion": "repro.analysis.congestion",
-    "ColumnSource": "repro.analysis.columnar",
-    "DirectedLoadColumns": "repro.analysis.columnar",
-    "LinkLifetime": "repro.analysis.columnar",
-    "LoadMatrix": "repro.analysis.columnar",
-    "NodeLifetime": "repro.analysis.columnar",
     "count_series": "repro.analysis.columnar",
-    "directed_load_columns": "repro.analysis.columnar",
     "imbalance_samples": "repro.analysis.columnar",
-    "link_lifetimes": "repro.analysis.columnar",
-    "link_load_series": "repro.analysis.columnar",
-    "load_matrix": "repro.analysis.columnar",
-    "load_samples": "repro.analysis.columnar",
-    "node_lifetimes": "repro.analysis.columnar",
     "DowngradeEvent": "repro.analysis.upgrades",
     "detect_downgrades": "repro.analysis.upgrades",
     "scan_all_peerings": "repro.analysis.upgrades",

@@ -678,8 +678,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     """Export processed snapshots as GraphML or CSV.
 
     Default: the latest snapshot, to stdout or ``--output``.  With
-    ``--output-dir``: every snapshot, one file per timestamp, loading the
-    series through the parallel loader when ``--workers`` asks for it.
+    ``--output-dir``: every snapshot, one file per timestamp, loaded from
+    the map's shard indexes when they are fresh.
     """
     from repro.dataset.loader import latest_snapshot, load_all
     from repro.dataset.store import format_timestamp
@@ -688,7 +688,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = open_store(args.dataset)
     export = to_graphml if args.format == "graphml" else to_adjacency_csv
     if args.output_dir:
-        snapshots = load_all(store, args.map, workers=args.workers)
+        snapshots = load_all(store, args.map)
         if not snapshots:
             print(f"no processed snapshots for {args.map.value}", file=sys.stderr)
             return 1
@@ -1043,13 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="export the whole snapshot series into this directory "
         "instead of just the latest snapshot",
-    )
-    export.add_argument(
-        "--workers",
-        type=_workers_argument,
-        default=None,
-        help="worker processes for loading the series with --output-dir "
-        "(default: serial; 0 or 'auto' means one per CPU core)",
     )
     export.add_argument(
         "--metrics-out",

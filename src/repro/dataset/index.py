@@ -49,6 +49,12 @@ load is the *same* ``float`` the YAML parser produced and reconstruction
 is exact — :func:`repro.dataset.loader.load_all` returns equal
 :class:`~repro.topology.model.MapSnapshot` objects from either path.
 
+This module is the write half.  :class:`SnapshotIndex` is the in-heap
+builder the ingest daemon runs without numpy; every read of a built
+file — the loaders' and the server's — goes through
+:class:`~repro.dataset.query.MappedIndex`, and both check integrity
+through :func:`verify_index`.
+
 :func:`build_index` is incremental the same way the engine's
 ``manifest.json`` is — unchanged rows are carried over wholesale, only
 new or modified files are parsed — and the index is discarded outright
@@ -59,7 +65,6 @@ the live YAML tree is the shard manifest's job
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import logging
@@ -73,7 +78,7 @@ from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.dataset import workers as pools
@@ -81,7 +86,7 @@ from repro.dataset.store import SnapshotRef, atomic_write_bytes
 from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
-from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
+from repro.topology.model import MapSnapshot, NodeKind
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -173,10 +178,11 @@ def parse_index_layout(buffer, source: str = "index") -> IndexLayout:
             version, a malformed header, or column spans that do not
             tile the payload exactly.
     """
-    view = memoryview(buffer)
-    if len(view) < _PREFIX.size + _DIGEST_BYTES:
+    # No memoryview is held: an exception's traceback would keep it, and
+    # with it an export that stops the caller closing an mmap buffer.
+    if len(buffer) < _PREFIX.size + _DIGEST_BYTES:
         raise SnapshotIndexError(f"index {source} is truncated")
-    magic, version, header_length = _PREFIX.unpack_from(view)
+    magic, version, header_length = _PREFIX.unpack_from(buffer)
     if magic != INDEX_MAGIC:
         raise SnapshotIndexError(f"index {source} has bad magic {magic!r}")
     if version != INDEX_FORMAT_VERSION:
@@ -184,18 +190,18 @@ def parse_index_layout(buffer, source: str = "index") -> IndexLayout:
             f"index {source} has format version {version}, "
             f"expected {INDEX_FORMAT_VERSION}"
         )
-    payload_length = len(view) - _DIGEST_BYTES
+    payload_length = len(buffer) - _DIGEST_BYTES
     offset = _PREFIX.size
     if offset + header_length > payload_length:
         raise SnapshotIndexError(f"index {source} header is truncated")
     try:
-        header = json.loads(bytes(view[offset : offset + header_length]))
+        header = json.loads(bytes(buffer[offset : offset + header_length]))
         map_name = MapName(header["map"])
         parser_version = int(header["parser_version"])
         byteorder = str(header["byteorder"])
         names = [str(name) for name in header["names"]]
         labels = [str(label) for label in header["labels"]]
-        counts = header["counts"]
+        counts = dict(header["counts"])
         skipped = {
             int(epoch): SkippedSource(
                 size=int(size), mtime_ns=int(mtime_ns), message=str(message)
@@ -239,6 +245,71 @@ def parse_index_layout(buffer, source: str = "index") -> IndexLayout:
         columns=columns,
         payload_length=payload_length,
     )
+
+
+def verify_index(
+    buffer: Any,
+    layout: IndexLayout,
+    columns: Mapping[str, Sequence[Any]],
+    source: str = "index",
+) -> None:
+    """Check one index file's trailing SHA-256 and its column cross-checks.
+
+    The integrity check both readers share: :meth:`SnapshotIndex.load`
+    runs it on every carry-over, :meth:`repro.dataset.query.MappedIndex.verify`
+    wherever the loaders read a shard.
+
+    Args:
+        buffer: the whole file (``bytes`` or a mapping).
+        layout: its parsed layout.
+        columns: every column attribute's elements in host byte order —
+            :mod:`array` columns or memoryviews over the mapping.
+        source: how to name the file in error messages.
+
+    Raises:
+        SnapshotIndexError: checksum mismatch, section lengths that
+            disagree with the per-row counts, interned ids outside the
+            string tables, or an unsorted timestamp column.
+    """
+    # Views are released before raising, so a caller can still close an
+    # mmap buffer on its error path.
+    with memoryview(buffer) as view:
+        with view[: layout.payload_length] as payload:
+            digest = hashlib.sha256(payload).digest()
+        with view[layout.payload_length :] as trailer:
+            recorded = bytes(trailer)
+    if digest != recorded:
+        raise SnapshotIndexError(f"index {source} fails its checksum")
+    timestamps = columns["timestamps"]
+    rows = len(timestamps)
+    for attribute in ("source_sizes", "source_mtimes", "router_counts",
+                      "peering_counts", "link_counts"):
+        if len(columns[attribute]) != rows:
+            raise SnapshotIndexError(f"column {attribute} length mismatch")
+    if len(columns["router_ids"]) != sum(columns["router_counts"]):
+        raise SnapshotIndexError("router id column length mismatch")
+    if len(columns["peering_ids"]) != sum(columns["peering_counts"]):
+        raise SnapshotIndexError("peering id column length mismatch")
+    links = sum(columns["link_counts"])
+    for attribute in ("link_a_nodes", "link_a_labels", "link_b_nodes",
+                      "link_b_labels", "link_a_loads", "link_b_loads"):
+        if len(columns[attribute]) != links:
+            raise SnapshotIndexError(f"column {attribute} length mismatch")
+    names = len(layout.names)
+    labels = len(layout.labels)
+    for attribute, bound in (
+        ("router_ids", names),
+        ("peering_ids", names),
+        ("link_a_nodes", names),
+        ("link_b_nodes", names),
+        ("link_a_labels", labels),
+        ("link_b_labels", labels),
+    ):
+        column = columns[attribute]
+        if len(column) and max(column) >= bound:
+            raise SnapshotIndexError("interned id out of table bounds")
+    if any(b < a for a, b in zip(timestamps, timestamps[1:])):
+        raise SnapshotIndexError("timestamp column is not sorted")
 
 
 def _when(epoch: int) -> datetime:
@@ -297,8 +368,6 @@ class SnapshotIndex:
         self._name_ids: dict[str, int] = {}
         self._label_ids: dict[str, int] = {}
         self._offsets: tuple[list[int], list[int], list[int]] | None = None
-        self._node_cache: dict[tuple[int, NodeKind], Node] = {}
-        self._link_cache: dict[tuple[int, int, float, int, int, float], Link] = {}
 
     # -- building ----------------------------------------------------------
 
@@ -408,82 +477,6 @@ class SnapshotIndex:
             links[row + 1],
         )
 
-    def _node(self, name_id: int, kind: NodeKind) -> Node:
-        node = self._node_cache.get((name_id, kind))
-        if node is None:
-            node = Node(name=self.names[name_id], kind=kind)
-            self._node_cache[(name_id, kind)] = node
-        return node
-
-    def timestamp_at(self, row: int) -> datetime:
-        """The snapshot timestamp of one row."""
-        return _when(self.timestamps[row])
-
-    def snapshot(self, row: int) -> MapSnapshot:
-        """Reconstruct one row as a full :class:`MapSnapshot`.
-
-        The result is equal to parsing the row's source YAML file: names
-        and labels come back from the string tables, loads from the double
-        columns, and node kinds from which id-list the node sat in.
-        """
-        r0, r1, p0, p1, l0, l1 = self._row_bounds(row)
-        names = self.names
-        labels = self.labels
-        nodes: dict[str, Node] = {}
-        for name_id in self.router_ids[r0:r1]:
-            nodes[names[name_id]] = self._node(name_id, NodeKind.ROUTER)
-        for name_id in self.peering_ids[p0:p1]:
-            nodes[names[name_id]] = self._node(name_id, NodeKind.PEERING)
-        # Identical (endpoints, labels, loads) combinations recur constantly
-        # across a series — loads are small percentages — so immutable Link
-        # objects are shared between reconstructed snapshots.
-        cache = self._link_cache
-        if len(cache) > 1 << 20:
-            cache.clear()
-        links: list[Link] = []
-        for j in range(l0, l1):
-            key = (
-                self.link_a_nodes[j],
-                self.link_a_labels[j],
-                self.link_a_loads[j],
-                self.link_b_nodes[j],
-                self.link_b_labels[j],
-                self.link_b_loads[j],
-            )
-            link = cache.get(key)
-            if link is None:
-                link = cache[key] = Link(
-                    a=LinkEnd(node=names[key[0]], label=labels[key[1]], load=key[2]),
-                    b=LinkEnd(node=names[key[3]], label=labels[key[4]], load=key[5]),
-                )
-            links.append(link)
-        # Bypass add_node/add_link: rows were validated when first parsed.
-        return MapSnapshot(
-            map_name=self.map_name,
-            timestamp=_when(self.timestamps[row]),
-            nodes=nodes,
-            links=links,
-        )
-
-    def rows_in_window(
-        self, start: datetime | None = None, end: datetime | None = None
-    ) -> range:
-        """Row indices whose timestamps fall inside ``[start, end)``."""
-        lo = 0 if start is None else bisect.bisect_left(self.timestamps, _epoch(start))
-        hi = (
-            len(self.timestamps)
-            if end is None
-            else bisect.bisect_left(self.timestamps, _epoch(end))
-        )
-        return range(lo, hi)
-
-    def iter_snapshots(
-        self, start: datetime | None = None, end: datetime | None = None
-    ) -> Iterator[MapSnapshot]:
-        """Reconstructed snapshots in time order, optionally windowed."""
-        for row in self.rows_in_window(start, end):
-            yield self.snapshot(row)
-
     # -- freshness ---------------------------------------------------------
 
     def source_fingerprint(self) -> str:
@@ -532,7 +525,13 @@ class SnapshotIndex:
 
     @classmethod
     def load(cls, path: Path) -> "SnapshotIndex":
-        """Read an index file back, verifying integrity end to end.
+        """Read an index file into the heap, verifying it end to end.
+
+        Only :func:`build_index` calls this, to carry a previous
+        generation's unchanged rows over without loading numpy; readers
+        map the file through :class:`~repro.dataset.query.MappedIndex`.
+        A foreign-endian file is byte-swapped here, so it can still be
+        carried over and rewritten in this host's order.
 
         Raises:
             SnapshotIndexError: missing file, bad magic, unknown format
@@ -543,11 +542,6 @@ class SnapshotIndex:
             data = path.read_bytes()
         except OSError as exc:
             raise SnapshotIndexError(f"cannot read index {path}: {exc}") from exc
-        if len(data) < _PREFIX.size + _DIGEST_BYTES:
-            raise SnapshotIndexError(f"index {path} is truncated")
-        payload, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SnapshotIndexError(f"index {path} fails its checksum")
         layout = parse_index_layout(data, source=str(path))
         index = cls(layout.map_name, parser_version=layout.parser_version)
         index.names = layout.names
@@ -556,44 +550,18 @@ class SnapshotIndex:
         swap = layout.byteorder != sys.byteorder
         for spec in layout.columns.values():
             column: array = getattr(index, spec.attribute)
-            column.frombytes(payload[spec.offset : spec.end])
+            column.frombytes(data[spec.offset : spec.end])
             if swap:
                 column.byteswap()
+        verify_index(
+            data,
+            layout,
+            {attribute: getattr(index, attribute) for attribute, _ in _COLUMNS},
+            source=str(path),
+        )
         index._name_ids = {name: i for i, name in enumerate(index.names)}
         index._label_ids = {label: i for i, label in enumerate(index.labels)}
-        index._validate()
         return index
-
-    def _validate(self) -> None:
-        """Cross-check section lengths and id bounds after a load."""
-        rows = len(self.timestamps)
-        for attribute in ("source_sizes", "source_mtimes", "router_counts",
-                          "peering_counts", "link_counts"):
-            if len(getattr(self, attribute)) != rows:
-                raise SnapshotIndexError(f"column {attribute} length mismatch")
-        if len(self.router_ids) != sum(self.router_counts):
-            raise SnapshotIndexError("router id column length mismatch")
-        if len(self.peering_ids) != sum(self.peering_counts):
-            raise SnapshotIndexError("peering id column length mismatch")
-        links = sum(self.link_counts)
-        for attribute in ("link_a_nodes", "link_a_labels", "link_b_nodes",
-                          "link_b_labels", "link_a_loads", "link_b_loads"):
-            if len(getattr(self, attribute)) != links:
-                raise SnapshotIndexError(f"column {attribute} length mismatch")
-        names = len(self.names)
-        labels = len(self.labels)
-        for column, bound in (
-            (self.router_ids, names),
-            (self.peering_ids, names),
-            (self.link_a_nodes, names),
-            (self.link_b_nodes, names),
-            (self.link_a_labels, labels),
-            (self.link_b_labels, labels),
-        ):
-            if len(column) and max(column) >= bound:
-                raise SnapshotIndexError("interned id out of table bounds")
-        if any(b < a for a, b in zip(self.timestamps, self.timestamps[1:])):
-            raise SnapshotIndexError("timestamp column is not sorted")
 
 
 # ---------------------------------------------------------------------------
@@ -616,27 +584,6 @@ class IndexBuildStats:
     def total(self) -> int:
         """Rows in the resulting index."""
         return self.parsed + self.reused
-
-
-def load_index_at(path: Path, map_name: MapName) -> SnapshotIndex | None:
-    """Read an index file if it is sound; ``None`` otherwise."""
-    if not path.exists():
-        return None
-    try:
-        with get_registry().span(
-            "repro_index_load", "Columnar index file load wall time",
-            map=map_name.value,
-        ):
-            index = SnapshotIndex.load(path)
-    except SnapshotIndexError as exc:
-        logger.warning("ignoring unusable snapshot index: %s", exc)
-        return None
-    if index.map_name != map_name:
-        logger.warning(
-            "index %s claims map %s; ignoring", path, index.map_name.value
-        )
-        return None
-    return index
 
 
 def _index_batch(
@@ -775,8 +722,24 @@ def build_index(
     )
     build_started = perf_counter()
     previous: SnapshotIndex | None = None
-    if not rebuild:
-        previous = load_index_at(index_path, map_name)
+    if not rebuild and index_path.exists():
+        # The previous generation, carried over in-heap: the daemon builds
+        # here and never loads numpy, so this is not a MappedIndex.
+        try:
+            with registry.span(
+                "repro_index_load", "Columnar index file load wall time",
+                map=map_name.value,
+            ):
+                previous = SnapshotIndex.load(index_path)
+        except SnapshotIndexError as exc:
+            logger.warning("ignoring unusable snapshot index: %s", exc)
+        if previous is not None and previous.map_name != map_name:
+            logger.warning(
+                "index %s claims map %s; ignoring",
+                index_path,
+                previous.map_name.value,
+            )
+            previous = None
         if previous is not None and previous.parser_version != parser_version:
             logger.info(
                 "discarding index for %s (parser version %d -> %d)",

@@ -7,38 +7,37 @@ identically on simulator output and on data read back from disk — the
 workflow of a downstream user of the released dataset.
 
 The Section 5 analyses re-read thousands of YAML files per figure, so the
-loaders are tiered:
+loaders have two tiers:
 
 1. **Columnar index** — when the map's per-day shard indexes
-   (:mod:`repro.dataset.shards`) are fresh, snapshots are reconstructed
-   from their interned columns without parsing any YAML; shards
-   partition time, so chaining them keeps global order.  Results are
-   equal to the YAML path, well over an order of magnitude faster.
-2. **Process pool** — without an index, ``load_all(workers=N)`` fans the
-   YAML deserialisation out, one contiguous batch per worker, while
-   keeping the returned list in time order; each worker's metrics are
-   merged back into the caller's registry.  Worker requests go through
-   :func:`repro.dataset.workers.resolve_workers`, so the pool is skipped
-   whenever it cannot win (one effective worker, single-core machine).
-3. **Serial YAML** — the always-correct fallback.
+   (:mod:`repro.dataset.shards`) are fresh, the loaders open them through
+   :func:`~repro.dataset.handles.resolve_read_handle`, the same mapped
+   engine the server scans.  Only the shards a window covers are mapped
+   (:func:`latest_snapshot` walks newest-first and maps one), each is
+   verified (checksum and column cross-checks) before anything is
+   returned from it, and snapshots are rebuilt from its columns without
+   parsing any YAML.  Shards partition time, so chaining them keeps
+   global order; results are equal to the YAML path's.
+2. **Serial YAML** — the always-correct fallback, taken whenever the
+   shards are stale, missing or fail verification.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.constants import MapName
-from repro.dataset.index import SnapshotIndex
-from repro.dataset.shards import fresh_shard_indexes
+from repro.dataset.handles import ReadHandle, resolve_read_handle
 from repro.dataset.store import DatasetStore, SnapshotRef
-from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
-from repro.topology.model import MapSnapshot
+from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
 from repro.yamlio.deserialize import try_read_snapshot
+
+if TYPE_CHECKING:
+    from repro.dataset.query import MappedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -69,22 +68,24 @@ def iter_snapshots(
         on_error: called for unreadable files; they are skipped.  Without
             a handler, schema errors propagate.
         use_index: serve from the map's shard indexes when they are fresh
-            (identical results, no YAML parsing); set ``False`` to force
-            the YAML path.
+            and sound (identical results, no YAML parsing); set ``False``
+            to force the YAML path.
 
     Yields:
         One :class:`MapSnapshot` per readable YAML file, stamped with the
         file's timestamp (authoritative over the document's own field).
     """
     loaded = _loaded_counter()
-    if use_index and store.persistent:
-        indexes = fresh_shard_indexes(store, map_name)
-        if indexes is not None:
-            for index in indexes:
-                for snapshot in _iter_from_index(store, index, start, end, on_error):
-                    loaded.inc(1, map=map_name.value, source="index")
-                    yield snapshot
-            return
+    handle = resolve_read_handle(store, map_name) if use_index else None
+    if handle is not None:
+        with handle:
+            engines = _verified_engines(handle, start, end)
+            if engines is not None:
+                for engine in engines:
+                    for snapshot in _replay(store, engine, start, end, on_error):
+                        loaded.inc(1, map=map_name.value, source="index")
+                        yield snapshot
+                return
     for ref in _refs_in_window(store, map_name, start, end):
         snapshot, message = try_read_snapshot(ref.path)
         if snapshot is None:
@@ -109,15 +110,20 @@ def latest_snapshot(
     warning) and the loader walks back to the newest snapshot that parses.
     """
     loaded = _loaded_counter()
-    if use_index and store.persistent:
-        indexes = fresh_shard_indexes(store, map_name)
-        if indexes is not None:
-            for index in reversed(indexes):
-                if len(index) == 0:
-                    continue  # a shard of nothing but unreadable sources
-                loaded.inc(1, map=map_name.value, source="index")
-                return index.snapshot(len(index) - 1)
-            return None
+    handle = resolve_read_handle(store, map_name) if use_index else None
+    if handle is not None:
+        with handle:
+            try:
+                for engine in handle.iter_engines(reverse=True):
+                    engine.verify()
+                    if len(engine) == 0:
+                        continue  # a shard of nothing but unreadable sources
+                    (snapshot,) = _rebuild(engine, range(len(engine) - 1, len(engine)))
+                    loaded.inc(1, map=map_name.value, source="index")
+                    return snapshot
+                return None
+            except SnapshotIndexError as exc:
+                logger.warning("ignoring unusable snapshot index: %s", exc)
     refs = list(store.iter_refs(map_name, "yaml"))
     for ref in reversed(refs):
         snapshot, message = try_read_snapshot(ref.path)
@@ -136,89 +142,126 @@ def load_all(
     start: datetime | None = None,
     end: datetime | None = None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
-    workers: int | str | None = None,
     use_index: bool = True,
 ) -> list[MapSnapshot]:
     """Materialise a snapshot list (for analyses that need several passes).
 
-    Args:
-        workers: deserialise YAML files over this many worker processes
-            (``"auto"``/``0`` = one per core); requests resolve through
-            :func:`~repro.dataset.workers.resolve_workers`, so the pool
-            is skipped when only one worker is worth running.  The
-            returned list is in time order either way, and ``on_error``
-            fires in that order too (with the error rebuilt from the
-            worker's message).
-        use_index: serve from the map's shard indexes when they are fresh;
-            the index path ignores ``workers`` (it is faster than any
-            pool).  Results are equal to the YAML path's.
+    The arguments are :func:`iter_snapshots`'s; the list is in time order
+    and ``on_error`` fires in that order too.
     """
-    registry = get_registry()
-    loaded = _loaded_counter()
-    with registry.span(
+    with get_registry().span(
         "repro_load_all", "load_all wall time", map=map_name.value
     ):
-        if use_index and store.persistent:
-            indexes = fresh_shard_indexes(store, map_name)
-            if indexes is not None:
-                snapshots = [
-                    snapshot
-                    for index in indexes
-                    for snapshot in _iter_from_index(store, index, start, end, on_error)
-                ]
-                loaded.inc(len(snapshots), map=map_name.value, source="index")
-                return snapshots
-        effective_workers = resolve_workers(workers)
-        if effective_workers <= 1:
-            return list(
-                iter_snapshots(
-                    store, map_name, start=start, end=end, on_error=on_error,
-                    use_index=False,
-                )
+        return list(
+            iter_snapshots(
+                store, map_name, start=start, end=end, on_error=on_error,
+                use_index=use_index,
             )
-        refs = list(_refs_in_window(store, map_name, start, end))
-        if not refs:
-            return []
-        snapshots = []
-        batches = contiguous_batches(refs, effective_workers)
-        with ProcessPoolExecutor(max_workers=len(batches)) as executor:
-            futures = [
-                executor.submit(
-                    call_with_metrics, _read_batch, [str(ref.path) for ref in batch]
+        )
+
+
+def _verified_engines(
+    handle: ReadHandle, start: datetime | None, end: datetime | None
+) -> list[MappedIndex] | None:
+    """Every shard engine the window covers, each verified; ``None`` if any
+    is unsound (the caller then reads YAML instead)."""
+    try:
+        engines = list(handle.iter_engines(start, end))
+        for engine in engines:
+            engine.verify()
+    except SnapshotIndexError as exc:
+        logger.warning("ignoring unusable snapshot index: %s", exc)
+        return None
+    return engines
+
+
+def _rebuild(engine: MappedIndex, rows: range) -> list[MapSnapshot]:
+    """Rebuild a window of one shard's rows as :class:`MapSnapshot` objects.
+
+    Each result is equal to parsing the row's source YAML file: names and
+    labels come back from the string tables, loads from the double
+    columns, node kinds from which id list the node sat in.  Columns are
+    read through ``tolist()``, so the snapshots hold plain Python values
+    and no view keeps the mapping alive.
+    """
+    names = engine.names
+    labels = engine.labels
+    router_counts = engine.router_counts[rows.start : rows.stop].tolist()
+    peering_counts = engine.peering_counts[rows.start : rows.stop].tolist()
+    link_counts = engine.link_counts[rows.start : rows.stop].tolist()
+    r0 = int(engine.router_counts[: rows.start].sum())
+    p0 = int(engine.peering_counts[: rows.start].sum())
+    l0, l1 = engine.link_slice(rows)
+    router_ids = engine.router_ids[r0 : r0 + sum(router_counts)].tolist()
+    peering_ids = engine.peering_ids[p0 : p0 + sum(peering_counts)].tolist()
+    link_columns = [
+        column[l0:l1].tolist()
+        for column in (
+            engine.link_a_nodes,
+            engine.link_a_labels,
+            engine.link_a_loads,
+            engine.link_b_nodes,
+            engine.link_b_labels,
+            engine.link_b_loads,
+        )
+    ]
+    # Nodes and links are immutable and identical (endpoints, labels,
+    # loads) combinations recur constantly across a series — loads are
+    # small percentages — so the window's snapshots share them.
+    routers: dict[int, Node] = {}
+    peerings: dict[int, Node] = {}
+    links: dict[tuple[int, int, float, int, int, float], Link] = {}
+    snapshots: list[MapSnapshot] = []
+    r = p = link = 0
+    for epoch, n_routers, n_peerings, n_links in zip(
+        engine.timestamps[rows.start : rows.stop].tolist(),
+        router_counts,
+        peering_counts,
+        link_counts,
+    ):
+        nodes: dict[str, Node] = {}
+        for name_id in router_ids[r : r + n_routers]:
+            node = routers.get(name_id)
+            if node is None:
+                node = routers[name_id] = Node(names[name_id], NodeKind.ROUTER)
+            nodes[node.name] = node
+        for name_id in peering_ids[p : p + n_peerings]:
+            node = peerings.get(name_id)
+            if node is None:
+                node = peerings[name_id] = Node(names[name_id], NodeKind.PEERING)
+            nodes[node.name] = node
+        row_links: list[Link] = []
+        for key in zip(*(column[link : link + n_links] for column in link_columns)):
+            shared = links.get(key)
+            if shared is None:
+                shared = links[key] = Link(
+                    a=LinkEnd(node=names[key[0]], label=labels[key[1]], load=key[2]),
+                    b=LinkEnd(node=names[key[3]], label=labels[key[4]], load=key[5]),
                 )
-                for batch in batches
-            ]
-            # Batches are consumed in submission order, so the output stays
-            # sorted and worker metrics merge deterministically.
-            for batch, future in zip(batches, futures):
-                outcomes, worker_metrics = future.result()
-                registry.merge(worker_metrics)
-                for ref, (snapshot, error_message) in zip(batch, outcomes):
-                    if snapshot is None:
-                        exc = SchemaError(error_message)
-                        if on_error is None:
-                            raise exc
-                        on_error(ref, exc)
-                        continue
-                    snapshot.timestamp = ref.timestamp
-                    snapshots.append(snapshot)
-        loaded.inc(len(snapshots), map=map_name.value, source="yaml")
-        return snapshots
+            row_links.append(shared)
+        r += n_routers
+        p += n_peerings
+        link += n_links
+        # Bypass add_node/add_link: rows were validated when first parsed.
+        snapshots.append(
+            MapSnapshot(
+                map_name=engine.map_name,
+                timestamp=datetime.fromtimestamp(epoch, tz=timezone.utc),
+                nodes=nodes,
+                links=row_links,
+            )
+        )
+    return snapshots
 
 
-def _read_batch(paths: Sequence[str]) -> list[tuple[MapSnapshot | None, str]]:
-    """Pool task: :func:`try_read_snapshot` over one batch of files, in order."""
-    return [try_read_snapshot(path) for path in paths]
-
-
-def _iter_from_index(
+def _replay(
     store: DatasetStore,
-    index: SnapshotIndex,
+    engine: MappedIndex,
     start: datetime | None,
     end: datetime | None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None,
 ) -> Iterator[MapSnapshot]:
-    """Replay the YAML path's exact behaviour from index columns.
+    """Replay the YAML path's exact behaviour from one shard's columns.
 
     Skipped sources (files the index build could not parse) surface in
     time order just as the YAML walk would surface them: through
@@ -227,38 +270,37 @@ def _iter_from_index(
     """
     skipped = [
         epoch
-        for epoch in sorted(index.skipped)
+        for epoch in sorted(engine.skipped)
         if (start is None or epoch >= int(start.timestamp()))
         and (end is None or epoch < int(end.timestamp()))
     ]
     cursor = 0
-    for row in index.rows_in_window(start, end):
-        row_epoch = index.timestamps[row]
-        while cursor < len(skipped) and skipped[cursor] < row_epoch:
-            _report_skipped(store, index, skipped[cursor], on_error)
+    for snapshot in _rebuild(engine, engine.rows_in_window(start, end)):
+        epoch = int(snapshot.timestamp.timestamp())
+        while cursor < len(skipped) and skipped[cursor] < epoch:
+            _report_skipped(store, engine, skipped[cursor], on_error)
             cursor += 1
-        yield index.snapshot(row)
+        yield snapshot
     while cursor < len(skipped):
-        _report_skipped(store, index, skipped[cursor], on_error)
+        _report_skipped(store, engine, skipped[cursor], on_error)
         cursor += 1
 
 
 def _report_skipped(
     store: DatasetStore,
-    index: SnapshotIndex,
+    engine: MappedIndex,
     epoch: int,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None,
 ) -> None:
-    entry = index.skipped[epoch]
-    exc = SchemaError(entry.message)
+    exc = SchemaError(engine.skipped[epoch].message)
     if on_error is None:
         raise exc
     timestamp = datetime.fromtimestamp(epoch, tz=timezone.utc)
     ref = SnapshotRef(
-        map_name=index.map_name,
+        map_name=engine.map_name,
         timestamp=timestamp,
         kind="yaml",
-        path=store.path_for(index.map_name, timestamp, "yaml"),
+        path=store.path_for(engine.map_name, timestamp, "yaml"),
     )
     on_error(ref, exc)
 

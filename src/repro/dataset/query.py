@@ -3,10 +3,11 @@
 :mod:`repro.dataset.index` removed YAML parsing from the read path; this
 module removes *object construction*.  The paper's whole-series analyses
 (load distributions, ECMP imbalance, lifetimes, evolution) reduce to
-column scans, yet serving them through ``load_all`` still materialises
-one ``MapSnapshot`` — dict, ``Node`` and ``Link`` objects included — per
+column scans, yet serving them through ``load_all`` materialises one
+``MapSnapshot`` — dict, ``Node`` and ``Link`` objects included — per
 row, which dominates at 542k snapshots / 227.93 GiB.  Here the index
-file is memory-mapped and each column is exposed *in place*:
+file is memory-mapped and each column is exposed *in place* (the
+loaders rebuild their snapshots from these same views):
 
 * the mapping is **shared and read-only** — many worker processes scan
   one page cache copy of ``index.bin`` with no per-process heaps, the
@@ -45,7 +46,7 @@ try:  # pragma: no cover - exercised only on mmap-less platforms
 except ImportError:  # pragma: no cover
     _mmap = None
 
-from repro.dataset.index import IndexLayout, parse_index_layout
+from repro.dataset.index import IndexLayout, parse_index_layout, verify_index
 from repro.errors import QueryError, SnapshotIndexError, StaleIndexError
 from repro.telemetry import get_registry
 
@@ -187,10 +188,11 @@ class LinkRecord:
 class MappedIndex:
     """One map's ``index.bin`` served as zero-copy column views.
 
-    Columns carry the same attribute names as
-    :class:`~repro.dataset.index.SnapshotIndex`, so the vectorised
-    accessors in :mod:`repro.analysis.columnar` run unchanged over
-    either source — in-heap arrays or this shared mapping.
+    The one reader of built index files: the server's scans, the
+    vectorised accessors in :mod:`repro.analysis.columnar` and the
+    loaders' snapshot reconstruction all run over it.  Columns carry the
+    same attribute names as the builder,
+    :class:`~repro.dataset.index.SnapshotIndex`.
     """
 
     timestamps: Any
@@ -247,29 +249,19 @@ class MappedIndex:
     # -- opening -----------------------------------------------------------
 
     @classmethod
-    def open(
-        cls,
-        path: Path,
-        *,
-        verify: bool = False,
-    ) -> "MappedIndex":
+    def open(cls, path: Path) -> "MappedIndex":
         """Map (or, fallback, read) one ``index.bin`` into an engine.
 
         Hosts without a working ``mmap`` get one buffered read of the
-        file instead; the engine behaves identically over either.
-
-        Args:
-            verify: also check the trailing SHA-256 — one full pass over
-                the mapping, so it is opt-in; the structural layout
-                checks always run.
+        file instead; the engine behaves identically over either.  Only
+        the structural layout is checked here; :meth:`verify` is the
+        full pass over the columns.
 
         Raises:
-            SnapshotIndexError: unreadable file, malformed layout,
-                checksum mismatch (with ``verify=True``), or a file
-                whose byte order is not this host's — a foreign-endian
-                index cannot be viewed zero-copy and must be rebuilt
-                (or read through :meth:`SnapshotIndex.load`, which
-                swaps).
+            SnapshotIndexError: unreadable file, malformed layout, or a
+                file whose byte order is not this host's — a
+                foreign-endian index cannot be viewed zero-copy and must
+                be rebuilt.
         """
         buffer: Any
         try:
@@ -297,8 +289,6 @@ class MappedIndex:
                     f"host; zero-copy mapping needs native byte order — "
                     f"rebuild the index on this host"
                 )
-            if verify:
-                _verify_checksum(buffer, layout, source=str(path))
         except SnapshotIndexError:
             if mapped:
                 buffer.close()
@@ -313,6 +303,30 @@ class MappedIndex:
         )
         return cls(
             buffer, layout, path=path, generation=generation, mapped=mapped
+        )
+
+    def verify(self) -> None:
+        """Check the trailing SHA-256 and the column cross-checks.
+
+        One full pass over the file, so :meth:`open` leaves it to the
+        caller: the loaders verify every shard they read before
+        returning a snapshot from it, while the server, whose scans
+        touch only the pages they need, never does.
+
+        Raises:
+            SnapshotIndexError: checksum mismatch or inconsistent
+                columns (see :func:`repro.dataset.index.verify_index`).
+        """
+        self._require_open()
+        view = memoryview(self._buffer)
+        verify_index(
+            self._buffer,
+            self._layout,
+            {
+                spec.attribute: view[spec.offset : spec.end].cast(spec.typecode)
+                for spec in self._layout.columns.values()
+            },
+            source=str(self.path) if self.path is not None else "index",
         )
 
     def close(self) -> None:
@@ -500,20 +514,6 @@ def sys_byteorder() -> str:
     import sys
 
     return sys.byteorder
-
-
-def _verify_checksum(buffer: Any, layout: IndexLayout, source: str) -> None:
-    import hashlib
-
-    # The views must be released before raising so an mmap buffer can
-    # still be closed by the caller's error path.
-    with memoryview(buffer) as view:
-        with view[: layout.payload_length] as payload:
-            digest = hashlib.sha256(payload).digest()
-        with view[layout.payload_length :] as trailer:
-            recorded = bytes(trailer)
-    if digest != recorded:
-        raise SnapshotIndexError(f"index {source} fails its checksum")
 
 
 @dataclass(frozen=True)

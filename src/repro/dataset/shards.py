@@ -11,24 +11,24 @@ directories the file tree already uses::
     <root>/<map>/shards/2022-09-12/index.bin     one day's columnar index
     <root>/<map>/shards/manifest.json            per-shard generations
 
-Each shard index is an ordinary :class:`~repro.dataset.index.SnapshotIndex`
-file (same format, same checksums, own string tables), built by the same
-incremental :func:`~repro.dataset.index.build_index` restricted to the
-shard's refs.  The shard manifest pins, per shard, a fingerprint of the
-source files' ``(epoch, size, mtime_ns)`` stats and the built index
-file's ``(size, mtime_ns)`` generation — PR 6's generation-pinning idea
-one level up.  :func:`compact_map_shards` then touches only shards whose
+Each shard index is an ordinary ``index.bin`` file (same format, same
+checksums, own string tables), built by the same incremental
+:func:`~repro.dataset.index.build_index` restricted to the shard's refs.
+The shard manifest pins, per shard, a fingerprint of the source files'
+``(epoch, size, mtime_ns)`` stats and the built index file's
+``(size, mtime_ns)`` generation — the query engine's generation
+pinning, one level up.  :func:`compact_map_shards` then touches only shards whose
 fingerprint changed: a steady-state ingest tick compacts exactly one
 day-shard no matter how many years of history sit beneath it.
 
-Readers get two tiers:
-
-* :func:`fresh_shard_indexes` — in-heap :class:`SnapshotIndex` objects
-  for the loaders (``load_all`` / ``iter_snapshots``).
-* :func:`open_sharded_query` — a :class:`ShardedMappedIndex` fanning one
-  :class:`~repro.dataset.query.MappedIndex` out per shard, with a
-  chaining :class:`ShardedScanResult`.  Interned ids are shard-local, so
-  records and loads are resolved per shard before being chained.
+Readers get one engine: :func:`open_sharded_query` returns a
+:class:`ShardedMappedIndex` fanning one
+:class:`~repro.dataset.query.MappedIndex` out per shard, with a chaining
+:class:`ShardedScanResult`.  The server scans it; the loaders
+(``load_all`` / ``iter_snapshots`` / ``latest_snapshot``) walk its
+:meth:`~ShardedMappedIndex.iter_engines` and rebuild snapshots row by
+row.  Interned ids are shard-local, so records, loads and snapshots are
+resolved per shard before being chained.
 
 The module has a write half and a read half.  The write half — the
 shard manifest, :func:`compact_map_shards` and :func:`verify_shards` —
@@ -55,12 +55,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import (
-    SnapshotIndex,
-    build_index,
-    load_index_at,
-    shared_parse_pool,
-)
+from repro.dataset.index import build_index, shared_parse_pool
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
@@ -88,7 +83,6 @@ __all__ = [
     "ShardedMappedIndex",
     "ShardedScanResult",
     "compact_map_shards",
-    "fresh_shard_indexes",
     "open_sharded_query",
     "shard_fingerprint",
     "verify_shards",
@@ -367,27 +361,6 @@ def verify_shards(
             entries.append((key, entry))
     cache.inc(1, map=map_name.value, outcome="hit" if fresh else "miss")
     return entries if fresh else None
-
-
-def fresh_shard_indexes(
-    store: DatasetStore, map_name: MapName
-) -> list[SnapshotIndex] | None:
-    """Every shard index, in time order, iff the set is fresh.
-
-    ``None`` on any staleness or load failure — callers fall back to the
-    YAML object path.  An
-    empty list means a fresh, empty dataset.
-    """
-    entries = verify_shards(store, map_name)
-    if entries is None:
-        return None
-    indexes: list[SnapshotIndex] = []
-    for key, _ in entries:
-        index = load_index_at(store.shard_index_path(map_name, key), map_name)
-        if index is None or index.parser_version != PARSER_VERSION:
-            return None
-        indexes.append(index)
-    return indexes
 
 
 @dataclass

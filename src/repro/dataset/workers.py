@@ -92,14 +92,43 @@ def process_pool(max_workers: int) -> "ProcessPoolExecutor":
     ``multiprocessing`` (and the pool machinery on top of it) is imported
     here, on first use, so a process that never opens a pool — the
     server, a one-worker ingest run — never loads it.  Workers fork, so
-    they inherit every module the parent already imported.
+    they inherit every module the parent already imported.  Each worker
+    exits on its own once the parent is gone (:func:`_exit_with_parent`),
+    so a SIGKILL'd daemon leaves no orphaned workers behind.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=multiprocessing.get_context("fork")
+        max_workers=max_workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
     )
+
+
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_SECONDS = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A worker blocks on its task queue, whose write end every forked
+    sibling also holds, so a parent killed without a shutdown never
+    wakes it: the worker is reparented and lives on.  A daemon thread
+    notices the reparenting (``os.getppid()`` no longer ``parent``)
+    and ends the process.
+    """
+    import threading
+    import time
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def contiguous_batches(items: Sequence[T], count: int) -> list[Sequence[T]]:

@@ -50,23 +50,23 @@ class TestParser:
         assert args.overwrite is True
 
     def test_export_workers_args(self):
+        # 4.0.0 removed ``export --workers``: the series loads serially or
+        # from the shard indexes.
         args = build_parser().parse_args(["export", "/tmp/x"])
-        assert args.workers is None
+        assert not hasattr(args, "workers")
         assert args.output_dir is None
-        args = build_parser().parse_args(
-            ["export", "/tmp/x", "--workers", "2", "--output-dir", "/tmp/out"]
-        )
-        assert args.workers == 2
+        args = build_parser().parse_args(["export", "/tmp/x", "--output-dir", "/tmp/out"])
         assert args.output_dir == "/tmp/out"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["export", "/tmp/x", "--workers", "2"])
 
     def test_workers_must_be_int(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["process", "/tmp/x", "--workers", "many"])
 
     def test_negative_workers_rejected(self):
-        for command in (["process", "/tmp/x"], ["export", "/tmp/x"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([*command, "--workers", "-1"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["process", "/tmp/x", "--workers", "-1"])
 
     def test_metrics_out_flags(self):
         args = build_parser().parse_args(
@@ -211,8 +211,6 @@ class TestPipelineCommands:
                 "csv",
                 "--output-dir",
                 str(target),
-                "--workers",
-                "1",
             ]
         )
         assert code == 0

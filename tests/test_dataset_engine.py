@@ -302,14 +302,18 @@ class TestIndexMaintenance:
     """Processing leaves the map's shard indexes fresh behind it."""
 
     def test_processing_builds_a_fresh_index(self, tmp_path, reference_svg):
-        from repro.dataset.shards import fresh_shard_indexes
+        from repro.dataset.handles import resolve_read_handle
 
         store = build_corpus(tmp_path, reference_svg)
         stats = process_map_parallel(store, MAP, workers=1)
         assert store.shards_manifest_path(MAP).exists()
-        indexes = fresh_shard_indexes(store, MAP)
-        assert indexes is not None
-        assert sum(len(index) for index in indexes) == stats.processed
+        handle = resolve_read_handle(store, MAP)
+        assert handle is not None
+        with handle:
+            engines = list(handle.iter_engines())
+            for engine in engines:
+                engine.verify()
+            assert sum(len(engine) for engine in engines) == stats.processed
 
     def test_index_serves_the_processed_series(self, tmp_path, reference_svg):
         from repro.dataset.loader import load_all
@@ -325,12 +329,12 @@ class TestIndexMaintenance:
         assert not store.shards_root(MAP).exists()
 
     def test_warm_rerun_keeps_index_fresh(self, tmp_path, reference_svg):
-        from repro.dataset.shards import fresh_shard_indexes
+        from repro.dataset.shards import verify_shards
 
         store = build_corpus(tmp_path, reference_svg)
         process_map_parallel(store, MAP, workers=1)
         process_map_parallel(store, MAP, workers=1)
-        assert fresh_shard_indexes(store, MAP) is not None
+        assert verify_shards(store, MAP) is not None
 
 
 class TestManifestRoundTrip:

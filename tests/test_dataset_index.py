@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import MapName
-from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, load_index_at
-from repro.dataset.loader import latest_snapshot, load_all
-from repro.dataset.shards import compact_map_shards, fresh_shard_indexes, verify_shards
+from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, parse_index_layout
+from repro.dataset.loader import _rebuild, iter_snapshots, latest_snapshot, load_all
+from repro.dataset.query import MappedIndex
+from repro.dataset.shards import compact_map_shards, verify_shards
 from repro.dataset.store import DatasetStore
 from repro.dataset.workers import default_workers, resolve_workers
 from repro.errors import DatasetError, SchemaError, SnapshotIndexError
@@ -62,8 +63,25 @@ def build(store: DatasetStore, **kwargs):
 
 
 def fresh(store: DatasetStore):
-    """The map's fresh shard indexes, or ``None``."""
-    return fresh_shard_indexes(store, MAP)
+    """The map's fresh shard entries, or ``None``."""
+    return verify_shards(store, MAP)
+
+
+def rebuilt(path: Path) -> list[MapSnapshot]:
+    """Every row of one index file, mapped and rebuilt as the loaders do."""
+    with MappedIndex.open(path) as engine:
+        engine.verify()
+        return _rebuild(engine, range(len(engine)))
+
+
+def assert_rejected(path: Path) -> None:
+    """Both readers refuse the file: the builder's carry-over load and the
+    mapped engine's verification."""
+    with pytest.raises(SnapshotIndexError):
+        SnapshotIndex.load(path)
+    with pytest.raises(SnapshotIndexError):
+        with MappedIndex.open(path) as engine:
+            engine.verify()
 
 
 @pytest.fixture()
@@ -114,9 +132,7 @@ class TestRoundTrip:
         assert reloaded.labels == index.labels
         assert reloaded.parser_version == index.parser_version
         assert list(reloaded.timestamps) == list(index.timestamps)
-        assert [reloaded.snapshot(r) for r in range(len(reloaded))] == [
-            index.snapshot(r) for r in range(len(index))
-        ]
+        assert rebuilt(index_file(store)) == load_all(store, MAP, use_index=False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +182,10 @@ def test_reconstruction_is_exact(series):
     index = SnapshotIndex(series[0].map_name)
     for snapshot in series:
         index.append_snapshot(snapshot, size=1, mtime_ns=1)
-    assert [index.snapshot(row) for row in range(len(index))] == series
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "index.bin"
+        index.save(path)
+        assert rebuilt(path) == series
 
 
 @given(snapshot_series())
@@ -179,7 +198,9 @@ def test_save_load_survives_arbitrary_series(series):
         path = Path(scratch) / "index.bin"
         index.save(path)
         reloaded = SnapshotIndex.load(path)
-    assert [reloaded.snapshot(row) for row in range(len(reloaded))] == series
+        assert rebuilt(path) == series
+    for attribute in ("timestamps", "router_ids", "link_a_labels", "link_b_loads"):
+        assert getattr(reloaded, attribute) == getattr(index, attribute)
     assert reloaded.source_fingerprint() == index.source_fingerprint()
 
 
@@ -226,7 +247,7 @@ class TestFreshness:
 
     def test_parser_version_skew_not_fresh(self, store):
         compact_map_shards(store, MAP, parser_version=PARSER_VERSION + 1)
-        assert load_index_at(index_file(store), MAP) is not None
+        assert SnapshotIndex.load(index_file(store)).parser_version == PARSER_VERSION + 1
         assert fresh(store) is None
 
 
@@ -244,7 +265,7 @@ class TestDamagedIndex:
 
     def test_truncated(self, store):
         self.damage(store, lambda data: data[: len(data) // 2])
-        assert load_index_at(index_file(store), MAP) is None
+        assert_rejected(index_file(store))
 
     def test_flipped_byte_fails_checksum(self, store):
         middle = None
@@ -254,11 +275,11 @@ class TestDamagedIndex:
             return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
 
         self.damage(store, flip)
-        assert load_index_at(index_file(store), MAP) is None
+        assert_rejected(index_file(store))
 
     def test_bad_magic(self, store):
         self.damage(store, lambda data: b"XXXX" + data[len(INDEX_MAGIC) :])
-        assert load_index_at(index_file(store), MAP) is None
+        assert_rejected(index_file(store))
 
     def test_load_raises_typed_error(self, store):
         path = self.damage(store, lambda data: data[:10])
@@ -269,6 +290,29 @@ class TestDamagedIndex:
         via_yaml = load_all(store, MAP, use_index=False)
         self.damage(store, lambda data: data[: len(data) // 3])
         assert load_all(store, MAP) == via_yaml
+
+    def test_bit_rot_the_manifest_cannot_see_falls_back(self, store):
+        # Flip the lowest byte of the last load: a silent 5.0 -> 5.000...01,
+        # in place, with the file's size and mtime restored, so the shard
+        # manifest's (size, mtime_ns) pin still calls the shard fresh.
+        expected = (
+            load_all(store, MAP, use_index=False),
+            list(iter_snapshots(store, MAP, use_index=False)),
+            latest_snapshot(store, MAP, use_index=False),
+        )
+        compact_map_shards(store, MAP)
+        path = index_file(store)
+        before = path.stat()
+        data = bytearray(path.read_bytes())
+        spec = parse_index_layout(bytes(data)).columns["link_a_loads"]
+        data[spec.end - spec.itemsize] ^= 0x01
+        path.write_bytes(bytes(data))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        assert fresh(store) is not None
+        assert load_all(store, MAP) == expected[0]
+        assert list(iter_snapshots(store, MAP)) == expected[1]
+        assert latest_snapshot(store, MAP) == expected[2]
 
     def test_rebuild_after_corruption(self, store):
         self.damage(store, lambda data: data[:20])
@@ -306,7 +350,7 @@ class TestIncremental:
         os.utime(ref.path, ns=(1, 1))
         index, stats = build(store)
         assert (stats.parsed, stats.reused) == (1, FILES - 1)
-        assert index.snapshot(0).links[0].a.load == 77.0
+        assert index.link_a_loads[0] == 77.0
 
     def test_removed_file_dropped(self, store):
         build(store)
@@ -357,8 +401,9 @@ class TestSkippedSources:
         )
         assert errors == [self.CORRUPT_AT]
         assert stats.rows == FILES - 1
-        (index,) = fresh(store_with_corrupt)
-        assert list(index.skipped) == [int(self.CORRUPT_AT.timestamp())]
+        assert fresh(store_with_corrupt) is not None
+        with MappedIndex.open(index_file(store_with_corrupt)) as engine:
+            assert list(engine.skipped) == [int(self.CORRUPT_AT.timestamp())]
 
     def test_indexed_load_replays_the_error(self, store_with_corrupt):
         compact_map_shards(store_with_corrupt, MAP, on_error=lambda ref, exc: None)
@@ -488,7 +533,7 @@ class TestPooledBuild:
         assert pooled[0] == serial[0]
         assert SnapshotIndex.load(index_file(store)).names[-2:] == ["zrh-r9", "bcn-r3"]
 
-    @pytest.mark.parametrize("read", ["build_index", "load_all"])
+    @pytest.mark.parametrize("read", ["build_index", "compact_map_shards"])
     def test_worker_metrics_reach_the_parent(self, store, monkeypatch, read):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         counters = []
@@ -497,7 +542,7 @@ class TestPooledBuild:
                 if read == "build_index":
                     build(store, rebuild=True, workers=workers)
                 else:
-                    load_all(store, MAP, workers=workers, use_index=False)
+                    compact_map_shards(store, MAP, rebuild=True, workers=workers)
             counters.append(_yaml_counters(registry))
         serial, pooled = counters
         assert serial[("repro_yaml_docs_total", (("op", "deserialize"),))] == FILES

@@ -113,11 +113,11 @@ class TestLatest:
 
 class TestIndexFastPath:
     def test_index_and_yaml_paths_agree(self, store):
-        from repro.dataset.shards import compact_map_shards, fresh_shard_indexes
+        from repro.dataset.shards import compact_map_shards, verify_shards
 
         via_yaml = load_all(store, MapName.EUROPE, use_index=False)
         compact_map_shards(store, MapName.EUROPE)
-        assert fresh_shard_indexes(store, MapName.EUROPE) is not None
+        assert verify_shards(store, MapName.EUROPE) is not None
         assert load_all(store, MapName.EUROPE) == via_yaml
         assert list(iter_snapshots(store, MapName.EUROPE)) == via_yaml
 
@@ -130,85 +130,23 @@ class TestIndexFastPath:
         assert len(load_all(store, MapName.EUROPE)) == 6
 
 
-class TestParallelLoad:
-    def test_matches_serial(self, store):
-        serial = load_all(store, MapName.EUROPE)
-        parallel = load_all(store, MapName.EUROPE, workers=2)
-        assert parallel == serial
-
-    def test_window_filtering(self, store):
-        parallel = load_all(
-            store,
-            MapName.EUROPE,
-            start=T0 + timedelta(minutes=5),
-            end=T0 + timedelta(minutes=15),
-            workers=2,
-        )
-        assert parallel == load_all(
-            store,
-            MapName.EUROPE,
-            start=T0 + timedelta(minutes=5),
-            end=T0 + timedelta(minutes=15),
-        )
-        assert len(parallel) == 2
-
-    def test_empty_map(self, store):
-        assert load_all(store, MapName.WORLD, workers=2) == []
-
-    def test_corrupt_file_propagates_by_default(self, store):
-        when = T0 + timedelta(hours=2)
-        store.write(MapName.EUROPE, when, "yaml", "routers: [unclosed")
-        with pytest.raises(SchemaError):
-            load_all(store, MapName.EUROPE, workers=2)
-
-    def test_corrupt_file_skipped_with_handler(self, store):
-        when = T0 + timedelta(hours=2)
-        store.write(MapName.EUROPE, when, "yaml", "routers: [unclosed")
-        errors = []
-        snapshots = load_all(
-            store,
-            MapName.EUROPE,
-            workers=2,
-            on_error=lambda ref, exc: errors.append(ref.timestamp),
-        )
-        assert len(snapshots) == 5
-        assert errors == [when]
-
-
 class TestPoolCollapse:
-    """The loader skips the process pool wherever it cannot win.
+    """The loaders never open a process pool: the index tier maps shards
+    and the YAML tier reads serially, where a pool measured slower."""
 
-    A "parallel" load that would collapse to serial work never pays for a
-    pool that cannot run anything in parallel.
-    """
+    def test_fresh_index_never_spawns_a_pool(self, store, monkeypatch):
+        from repro.dataset import workers as workers_module
+        from repro.dataset.shards import compact_map_shards
 
-    @staticmethod
-    def _forbid_pool(monkeypatch):
-        from repro.dataset import loader as loader_module
+        serial = load_all(store, MapName.EUROPE, use_index=False)
+        compact_map_shards(store, MapName.EUROPE)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("no process pool may be spawned here")
 
-        monkeypatch.setattr(loader_module, "ProcessPoolExecutor", forbidden)
-
-    def test_fresh_index_never_spawns_a_pool(self, store, monkeypatch):
-        from repro.dataset.shards import compact_map_shards
-
-        compact_map_shards(store, MapName.EUROPE)
-        self._forbid_pool(monkeypatch)
-        assert len(load_all(store, MapName.EUROPE, workers=8)) == 5
-
-    def test_collapsed_request_never_spawns_a_pool(self, store, monkeypatch):
-        from repro.dataset import loader as loader_module
-
-        serial = load_all(store, MapName.EUROPE, use_index=False)
-        monkeypatch.setattr(
-            loader_module, "resolve_workers", lambda workers, default=1: 1
-        )
-        self._forbid_pool(monkeypatch)
-        assert (
-            load_all(store, MapName.EUROPE, workers=8, use_index=False) == serial
-        )
+        monkeypatch.setattr(workers_module, "process_pool", forbidden)
+        assert load_all(store, MapName.EUROPE) == serial
+        assert load_all(store, MapName.EUROPE, use_index=False) == serial
 
     def test_single_core_host_collapses_any_request(self, monkeypatch):
         import repro.dataset.workers as workers_module

@@ -418,7 +418,8 @@ class TestLifecycle:
             MappedIndex.open(index_file(store))
 
     def test_verify_accepts_an_intact_file(self, store):
-        with MappedIndex.open(index_file(store), verify=True) as engine:
+        with MappedIndex.open(index_file(store)) as engine:
+            engine.verify()
             assert len(engine) == FILES
 
     def test_verify_catches_payload_corruption(self, store):
@@ -426,8 +427,9 @@ class TestLifecycle:
         raw = bytearray(path.read_bytes())
         raw[-33] ^= 0xFF  # last payload byte, before the trailing digest
         path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotIndexError, match="checksum"):
-            MappedIndex.open(path, verify=True)
+        with MappedIndex.open(path) as engine:
+            with pytest.raises(SnapshotIndexError, match="checksum"):
+                engine.verify()
 
     def test_missing_file_is_a_snapshot_index_error(self, tmp_path):
         with pytest.raises(SnapshotIndexError):

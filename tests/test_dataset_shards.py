@@ -15,18 +15,18 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.constants import MapName
-from repro.dataset.loader import latest_snapshot, load_all
+from repro.dataset.loader import iter_snapshots, latest_snapshot, load_all
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.query import ScanPredicate
 from repro.dataset.shards import (
     ShardManifest,
     compact_map_shards,
-    fresh_shard_indexes,
     open_sharded_query,
     verify_shards,
 )
 from repro.dataset.store import ShardedDatasetStore
 from repro.errors import DatasetError
+from repro.telemetry import MetricsRegistry, use_registry
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
@@ -44,6 +44,20 @@ def reference_yaml(apac_svg) -> str:
     outcome = process_svg_bytes(apac_svg.encode("utf-8"), MAP, T0)
     assert outcome.yaml_text is not None
     return outcome.yaml_text
+
+
+def fresh_engines(store: ShardedDatasetStore) -> list[tuple[int, dict]] | None:
+    """``(rows, skipped)`` per shard, verified through the mapped engine the
+    loaders read, or ``None`` when the shard set is not fresh."""
+    handle = open_sharded_query(store, MAP)
+    if handle is None:
+        return None
+    with handle:
+        shards = []
+        for engine in handle.iter_engines():
+            engine.verify()
+            shards.append((len(engine), dict(engine.skipped)))
+        return shards
 
 
 def build_corpus(root, yaml_text: str) -> ShardedDatasetStore:
@@ -149,21 +163,21 @@ class TestFreshness:
     def test_fresh_after_compaction(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
         compact_map_shards(store, MAP)
-        indexes = fresh_shard_indexes(store, MAP)
-        assert indexes is not None
-        assert [len(index) for index in indexes] == [PER_DAY] * len(DAYS)
+        shards = fresh_engines(store)
+        assert shards is not None
+        assert [rows for rows, _ in shards] == [PER_DAY] * len(DAYS)
 
     def test_stale_on_any_touch(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
         compact_map_shards(store, MAP)
         os.utime(next(store.iter_shard_refs(MAP, "yaml", "2022-09-14")).path, ns=(3, 3))
-        assert fresh_shard_indexes(store, MAP) is None
+        assert fresh_engines(store) is None
 
     def test_stale_on_new_day(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
         compact_map_shards(store, MAP)
         store.write(MAP, T0 + timedelta(days=9), "yaml", reference_yaml)
-        assert fresh_shard_indexes(store, MAP) is None
+        assert fresh_engines(store) is None
 
     def test_parser_version_skew_discards_manifest(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
@@ -176,7 +190,7 @@ class TestFreshness:
         store = ShardedDatasetStore(tmp_path)
         store.mark()
         compact_map_shards(store, MAP)
-        assert fresh_shard_indexes(store, MAP) == []
+        assert fresh_engines(store) == []
 
 
 class TestServingEquivalence:
@@ -222,7 +236,7 @@ class TestServingEquivalence:
         assert engine.closed
 
     def test_loader_serves_from_shards(self, compacted):
-        assert fresh_shard_indexes(compacted, MAP) is not None
+        assert fresh_engines(compacted) is not None
         ours = load_all(compacted, MAP)
         theirs = load_all(compacted, MAP, use_index=False)
         assert ours == theirs
@@ -237,6 +251,20 @@ class TestServingEquivalence:
         )
         snapshots = load_all(sharded, MAP)  # YAML path, still complete
         assert len(snapshots) == len(DAYS) * PER_DAY
+
+    def test_loaders_map_only_the_shards_they_read(self, compacted):
+        def opens(read) -> float:
+            with use_registry(MetricsRegistry()) as registry:
+                read()
+            return registry.get("repro_query_opens_total").value(
+                map=MAP.value, source="mmap"
+            )
+
+        # Newest-first: the latest snapshot maps one shard, not three.
+        assert opens(lambda: latest_snapshot(compacted, MAP)) == 1
+        middle = (DAYS[1], DAYS[1] + timedelta(days=1))
+        assert opens(lambda: load_all(compacted, MAP, *middle)) == 1
+        assert opens(lambda: load_all(compacted, MAP)) == len(DAYS)
 
     def test_window_respects_shard_boundaries(self, compacted):
         sharded = compacted
@@ -275,32 +303,34 @@ class TestOutOfRangeTwin:
         assert [when for when, _ in errors] == [self.BAD]
         message = errors[0][1]
         assert re.fullmatch(r"load \S+ on end '.+' outside \[0, 100\]", message)
-        indexes = fresh_shard_indexes(store, MAP)
-        assert indexes is not None
-        skipped = {
+        shards = fresh_engines(store)
+        assert shards is not None
+        skipped_messages = {
             epoch: entry.message
-            for index in indexes
-            for epoch, entry in index.skipped.items()
+            for _, skipped in shards
+            for epoch, entry in skipped.items()
         }
-        assert skipped == {int(self.BAD.timestamp()): message}
-        assert sum(len(index) for index in indexes) == len(DAYS) * PER_DAY - 1
+        assert skipped_messages == {int(self.BAD.timestamp()): message}
+        assert sum(rows for rows, _ in shards) == len(DAYS) * PER_DAY - 1
 
     def test_every_read_path_reports_it_alike(self, store):
         compact_map_shards(store, MAP, on_error=lambda ref, exc: None)
         outputs = []
-        for kwargs in (
-            {},
-            {"use_index": False},
-            {"use_index": False, "workers": 2},
+        for read, kwargs in (
+            (load_all, {}),
+            (load_all, {"use_index": False}),
+            (iter_snapshots, {}),
         ):
             errors = []
-            snapshots = load_all(
-                store,
-                MAP,
-                on_error=lambda ref, exc: errors.append(
-                    (ref.timestamp, type(exc), str(exc))
-                ),
-                **kwargs,
+            snapshots = list(
+                read(
+                    store,
+                    MAP,
+                    on_error=lambda ref, exc: errors.append(
+                        (ref.timestamp, type(exc), str(exc))
+                    ),
+                    **kwargs,
+                )
             )
             outputs.append((snapshots, errors))
         assert outputs[0][1][0][0] == self.BAD

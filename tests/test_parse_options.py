@@ -156,15 +156,15 @@ class TestTelemetryTotals:
         assert files.value(map=MAP.value, outcome="skipped") == 4
 
     def test_index_cache_hit_and_miss_counted(self, svg, tmp_path):
-        from repro.dataset.shards import compact_map_shards, fresh_shard_indexes
+        from repro.dataset.shards import compact_map_shards, verify_shards
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
         process_map_parallel(store, MAP, workers=1, update_index=False)
         registry = MetricsRegistry()
         with use_registry(registry):
-            assert fresh_shard_indexes(store, MAP) is None  # no index yet -> miss
+            assert verify_shards(store, MAP) is None  # no index yet -> miss
             compact_map_shards(store, MAP)
-            assert fresh_shard_indexes(store, MAP) is not None  # now a hit
+            assert verify_shards(store, MAP) is not None  # now a hit
         cache = registry.get("repro_shard_cache_total")
         assert cache.value(map=MAP.value, outcome="miss") == 1
         assert cache.value(map=MAP.value, outcome="hit") == 1
