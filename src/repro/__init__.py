@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: name → defining module for every lazily exported public name.
 _EXPORTS: dict[str, str] = {
@@ -65,9 +65,7 @@ _EXPORTS: dict[str, str] = {
     "parse_svg_file": "repro.parsing.pipeline",
     # dataset substrate
     "DatasetStore": "repro.dataset.store",
-    "InMemoryStore": "repro.dataset.store",
     "ShardedDatasetStore": "repro.dataset.store",
-    "StorageBackend": "repro.dataset.store",
     "open_store": "repro.dataset.store",
     "load_all": "repro.dataset.loader",
     "iter_snapshots": "repro.dataset.loader",
@@ -80,7 +78,6 @@ _EXPORTS: dict[str, str] = {
     "MappedIndex": "repro.dataset.query",
     "ScanPredicate": "repro.dataset.query",
     "ScanResult": "repro.dataset.query",
-    "open_sharded_query": "repro.dataset.shards",
     "compact_map_shards": "repro.dataset.shards",
     "resolve_read_handle": "repro.dataset.handles",
     # http read api

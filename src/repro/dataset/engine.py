@@ -201,7 +201,6 @@ def process_map_parallel(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     strict: bool = False,
     overwrite: bool = False,
-    use_manifest: bool = True,
     update_index: bool = True,
     options: ParseOptions | None = None,
 ) -> ProcessingStats:
@@ -224,8 +223,6 @@ def process_map_parallel(
         strict: apply the whole-map sanity checks strictly.
         overwrite: ignore the manifest, re-process every file and rebuild
             the map's shard indexes from scratch.
-        use_manifest: keep the incremental ``manifest.json``; disable to
-            leave no manifest behind (every file is re-processed).
         update_index: compact the map's per-day shard indexes as the run
             goes (only changed shards are rebuilt).
         options: parse configuration shared by every file.
@@ -233,19 +230,16 @@ def process_map_parallel(
     Returns:
         Per-map counts mirroring a Table 2 row.
     """
-    stats = _daemon_run(
+    return _daemon_run(
         store,
         [map_name],
         workers,
         chunk_size,
         strict,
-        rebuild=overwrite or not use_manifest,
+        rebuild=overwrite,
         update_index=update_index,
         options=options,
-    )
-    if not use_manifest:
-        store.manifest_path(map_name).unlink(missing_ok=True)
-    return stats[map_name]
+    )[map_name]
 
 
 def process_all_parallel(

@@ -2,7 +2,7 @@
 
 * :func:`resolve_read_handle` — open the map's
   :class:`~repro.dataset.shards.ShardedMappedIndex`, or ``None`` when
-  the shards cannot serve truthfully.
+  the shards cannot serve truthfully.  It is the one shard opener.
 * :func:`read_generation` — a stat-cheap token that changes whenever
   the map's serving index changes on disk: the shard *manifest*
   identity, which compaction rewrites atomically whenever any shard
@@ -13,8 +13,8 @@
 
 from __future__ import annotations
 
-from repro.constants import MapName
-from repro.dataset.shards import ShardedMappedIndex, open_sharded_query
+from repro.constants import PARSER_VERSION, MapName
+from repro.dataset.shards import ShardedMappedIndex, ShardManifest, verify_shards
 from repro.dataset.store import DatasetStore
 
 __all__ = [
@@ -38,16 +38,34 @@ def resolve_read_handle(
     *,
     require_fresh: bool = True,
 ) -> ReadHandle | None:
-    """Open one map's query engine over its shard indexes.
+    """Open one map's query engine, but only if every shard is fresh.
 
-    Returns ``None`` rather than an engine that could serve stale or
-    corrupt data (see :func:`~repro.dataset.shards.open_sharded_query`),
-    and a non-persistent store (the in-memory test backend) has no index
-    files to map at all, so it also reports ``None``.
+    A map that was never compacted (no shard manifest) gets ``None``.
+    Otherwise the shard manifest is verified against the live tree
+    (skippable via ``require_fresh=False`` for serving layers that poll
+    generation tokens themselves) and its shard list handed to a *lazy*
+    :class:`~repro.dataset.shards.ShardedMappedIndex` — no shard file is
+    mapped until a query's time window actually reaches it.  An unsound
+    shard therefore surfaces at first touch as
+    :class:`~repro.errors.SnapshotIndexError`, not here.
     """
-    if not store.persistent:
-        return None
-    return open_sharded_query(store, map_name, require_fresh=require_fresh)
+    manifest_path = store.shards_manifest_path(map_name)
+    if not manifest_path.exists():
+        return None  # never compacted
+    if require_fresh:
+        entries = verify_shards(store, map_name)
+        if entries is None:
+            return None
+    else:
+        manifest = ShardManifest.load(manifest_path)
+        if manifest.parser_version != PARSER_VERSION:
+            return None
+        entries = [(key, manifest.shards[key]) for key in sorted(manifest.shards)]
+    shards = [
+        (key, store.shard_index_path(map_name, key), entry.rows)
+        for key, entry in entries
+    ]
+    return ShardedMappedIndex(map_name, shards)
 
 
 def read_generation(
@@ -59,10 +77,8 @@ def read_generation(
     rewrites atomically whenever any shard index is built or removed —
     so one ``stat()`` answers "did anything I serve change?" without
     touching a single shard.  ``None`` means the map has no built index
-    yet (or the store keeps none on disk).
+    yet.
     """
-    if not store.persistent:
-        return None
     try:
         stat = store.shards_manifest_path(map_name).stat()
     except OSError:

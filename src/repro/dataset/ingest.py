@@ -76,7 +76,6 @@ from repro.dataset.processor import (
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
-    StorageBackend,
     atomic_write_text,
     format_timestamp,
     fsync_directory,
@@ -345,7 +344,7 @@ class IngestStats:
         return self.ingested / self.run_seconds
 
 
-def status_path(store: StorageBackend) -> Path:
+def status_path(store: DatasetStore) -> Path:
     """Where the daemon's liveness/progress file lives."""
     return store.root / STATUS_FILE_NAME
 
@@ -368,7 +367,7 @@ def read_ingest_status(root: str | Path) -> dict[str, object] | None:
 
 
 def _process_batch(
-    store: StorageBackend,
+    store: DatasetStore,
     map_name: MapName,
     refs: Sequence[SnapshotRef],
     strict: bool,
@@ -411,29 +410,20 @@ def _log_unindexed(ref: SnapshotRef, exc: Exception) -> None:
 
 
 class IngestDaemon:
-    """The SVG→YAML writer over any storage backend.
+    """The SVG→YAML writer of a dataset directory.
 
     The calling thread owns the manifest, the journal, and every YAML
     write.  Parsing runs in that thread too, unless a map has more than
-    ``config.chunk_size`` pending files on a persistent store: then the
-    run's one forked pool of ``config.workers`` processes parses the
-    map's balanced batches, and the writer applies them in submission
-    order.
-
-    On a non-:attr:`~repro.dataset.store.StorageBackend.persistent`
-    backend (the in-memory store) the daemon still ingests — same
-    batches, same accounting — but parses in-process, keeps manifest
-    state in memory only and skips the journal and the indexes, since
-    there is no filesystem to make anything durable on.
+    ``config.chunk_size`` pending files and ``config.workers`` exceeds
+    one: then the run's one forked pool of ``config.workers`` processes
+    parses the map's balanced batches, and the writer applies them in
+    submission order.
     """
 
-    def __init__(self, store: StorageBackend, config: IngestConfig | None = None) -> None:
+    def __init__(self, store: DatasetStore, config: IngestConfig | None = None) -> None:
         self.store = store
         self.config = config if config is not None else IngestConfig()
         self.stats = IngestStats()
-        #: Filesystem-backed stores get the full journal/manifest/index
-        #: treatment; the in-memory backend runs stateless.
-        self.durable = bool(store.persistent) and isinstance(store, DatasetStore)
         self._workers = resolve_workers(self.config.workers)
         self._pool: ProcessPoolExecutor | None = None
         self._rebuild = False
@@ -493,7 +483,7 @@ class IngestDaemon:
 
     # -- recovery -----------------------------------------------------------
 
-    def _recover_map(self, map_name: MapName, journal: IngestJournal | None) -> Manifest:
+    def _recover_map(self, map_name: MapName, journal: IngestJournal) -> Manifest:
         """Fold any journal tail into the manifest — the resume fast path."""
         registry = get_registry()
         journal_counter = registry.counter(
@@ -504,29 +494,26 @@ class IngestDaemon:
             "repro_ingest_recover_seconds", "Crash-recovery wall time per map"
         )
         started = perf_counter()
-        if not self.durable:
-            return Manifest()
         manifest = Manifest.load(self.store.manifest_path(map_name))
-        if journal is not None:
-            records, dropped = journal.replay()
-            for record in records:
-                manifest.entries[record.stamp] = record.to_entry()
-            if records:
-                # The journal facts are durable; promote them before the
-                # journal is truncated so a crash here loses nothing.
-                manifest.save(self.store.manifest_path(map_name))
-                journal.clear()
-            self.stats.replayed += len(records)
-            self.stats.dropped += dropped
-            journal_counter.inc(len(records), map=map_name.value, event="replayed")
-            journal_counter.inc(dropped, map=map_name.value, event="dropped")
-            if records or dropped:
-                logger.info(
-                    "recovered %s: %d journal records replayed, %d torn dropped",
-                    map_name.value,
-                    len(records),
-                    dropped,
-                )
+        records, dropped = journal.replay()
+        for record in records:
+            manifest.entries[record.stamp] = record.to_entry()
+        if records:
+            # The journal facts are durable; promote them before the
+            # journal is truncated so a crash here loses nothing.
+            manifest.save(self.store.manifest_path(map_name))
+            journal.clear()
+        self.stats.replayed += len(records)
+        self.stats.dropped += dropped
+        journal_counter.inc(len(records), map=map_name.value, event="replayed")
+        journal_counter.inc(dropped, map=map_name.value, event="dropped")
+        if records or dropped:
+            logger.info(
+                "recovered %s: %d journal records replayed, %d torn dropped",
+                map_name.value,
+                len(records),
+                dropped,
+            )
         elapsed = perf_counter() - started
         self.stats.recovery_seconds += elapsed
         recover_seconds.observe(elapsed, map=map_name.value)
@@ -616,13 +603,8 @@ class IngestDaemon:
         except Exception as exc:
             raise IngestError(f"parsing {map_name.value} failed: {exc!r}") from exc
 
-    def _sync_batch(
-        self, journal: IngestJournal | None, yaml_paths: list[Path]
-    ) -> None:
+    def _sync_batch(self, journal: IngestJournal, yaml_paths: list[Path]) -> None:
         """Make a batch durable: YAML files first, then their journal records."""
-        if not self.durable:
-            yaml_paths.clear()
-            return
         parents: set[Path] = set()
         for path in yaml_paths:
             try:
@@ -637,14 +619,13 @@ class IngestDaemon:
         for parent in parents:
             fsync_directory(parent)
         yaml_paths.clear()
-        if journal is not None:
-            journal.sync()
+        journal.sync()
 
     def _checkpoint(
         self,
         map_name: MapName,
         manifest: Manifest,
-        journal: IngestJournal | None,
+        journal: IngestJournal,
         yaml_paths: list[Path],
         touched_shards: set[str],
         index_workers: int,
@@ -661,18 +642,16 @@ class IngestDaemon:
         )
         started = perf_counter()
         self._sync_batch(journal, yaml_paths)
-        if self.durable:
-            manifest.save(self.store.manifest_path(map_name))
-            if journal is not None:
-                journal.clear()
-            if self.config.update_index and touched_shards and not self._rebuild:
-                shards.compact_map_shards(
-                    self.store,
-                    map_name,
-                    only=sorted(touched_shards),
-                    workers=index_workers,
-                    on_error=_log_unindexed,
-                )
+        manifest.save(self.store.manifest_path(map_name))
+        journal.clear()
+        if self.config.update_index and touched_shards and not self._rebuild:
+            shards.compact_map_shards(
+                self.store,
+                map_name,
+                only=sorted(touched_shards),
+                workers=index_workers,
+                on_error=_log_unindexed,
+            )
         touched_shards.clear()
         self.stats.checkpoints += 1
         checkpoint_seconds.observe(perf_counter() - started, map=map_name.value)
@@ -690,17 +669,13 @@ class IngestDaemon:
             "repro_ingest_journal_records_total",
             "Write-ahead journal records by event (appended, replayed, dropped)",
         )
-        journal: IngestJournal | None = None
-        if self.durable and isinstance(self.store, DatasetStore):
-            journal = IngestJournal(self.store.journal_path(map_name))
+        journal = IngestJournal(self.store.journal_path(map_name))
         manifest = self._recover_map(map_name, journal)
         if self._rebuild:
             manifest.entries.clear()
         pending = self._pending_refs(map_name, manifest)
         self._pending_total += len(pending)
-        pooled = (
-            self.durable and self._workers > 1 and len(pending) > self.config.chunk_size
-        )
+        pooled = self._workers > 1 and len(pending) > self.config.chunk_size
         # Index compaction parses twins back: pooled exactly when parsing is.
         index_workers = self._workers if pooled else 1
         if not pending:
@@ -740,19 +715,18 @@ class IngestDaemon:
                     touched_shards.add(shard_key(ref.timestamp))
                 stamp = format_timestamp(ref.timestamp)
                 manifest.entries[stamp] = entry
-                if journal is not None:
-                    journal.append(
-                        JournalRecord(
-                            map_value=map_name.value,
-                            stamp=stamp,
-                            sha256=entry.sha256,
-                            size=entry.size,
-                            mtime_ns=entry.mtime_ns,
-                            yaml_bytes=entry.yaml_bytes,
-                            failure=entry.failure,
-                        )
+                journal.append(
+                    JournalRecord(
+                        map_value=map_name.value,
+                        stamp=stamp,
+                        sha256=entry.sha256,
+                        size=entry.size,
+                        mtime_ns=entry.mtime_ns,
+                        yaml_bytes=entry.yaml_bytes,
+                        failure=entry.failure,
                     )
-                    journal_counter.inc(1, map=map_name.value, event="appended")
+                )
+                journal_counter.inc(1, map=map_name.value, event="appended")
                 done += 1
                 since_sync += 1
                 since_checkpoint += 1
@@ -783,12 +757,11 @@ class IngestDaemon:
         self._finish_map(map_name, journal, index_workers)
 
     def _finish_map(
-        self, map_name: MapName, journal: IngestJournal | None, index_workers: int
+        self, map_name: MapName, journal: IngestJournal, index_workers: int
     ) -> None:
         """Close the journal and leave this map's indexes fully compacted."""
-        if journal is not None:
-            journal.close()
-        if not self.durable or not self.config.update_index:
+        journal.close()
+        if not self.config.update_index:
             return
         if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
             return
@@ -804,8 +777,6 @@ class IngestDaemon:
 
     def _write_status(self, state: str, pending_left: int | None = None) -> None:
         """Publish progress atomically; readers never see a torn file."""
-        if not self.durable:
-            return
         now = perf_counter()
         elapsed = max(now - self._started, 1e-9)
         recent_t, recent_n = self._recent_mark
@@ -837,7 +808,7 @@ class IngestDaemon:
 
 
 def resume_ingest(
-    store: StorageBackend,
+    store: DatasetStore,
     config: IngestConfig | None = None,
     maps: Sequence[MapName] | None = None,
 ) -> IngestStats:
@@ -848,8 +819,6 @@ def resume_ingest(
     error instead of silently starting from scratch, which is what the
     ``ingest resume`` CLI wants.
     """
-    if not isinstance(store, DatasetStore) or not store.persistent:
-        raise IngestError("resume needs a filesystem-backed dataset store")
     targets = list(maps) if maps is not None else list(MapName)
     has_state = any(
         store.manifest_path(map_name).exists() or store.journal_path(map_name).exists()

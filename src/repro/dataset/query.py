@@ -46,7 +46,12 @@ try:  # pragma: no cover - exercised only on mmap-less platforms
 except ImportError:  # pragma: no cover
     _mmap = None
 
-from repro.dataset.index import IndexLayout, parse_index_layout, verify_index
+from repro.dataset.index import (
+    IndexLayout,
+    _epoch,
+    parse_index_layout,
+    verify_index,
+)
 from repro.errors import QueryError, SnapshotIndexError, StaleIndexError
 from repro.telemetry import get_registry
 
@@ -57,29 +62,6 @@ __all__ = [
     "ScanPredicate",
     "ScanResult",
 ]
-
-#: Column attributes in file order (mirrors ``index._COLUMNS``).
-_COLUMN_ATTRIBUTES = (
-    "timestamps",
-    "source_sizes",
-    "source_mtimes",
-    "router_counts",
-    "peering_counts",
-    "link_counts",
-    "router_ids",
-    "peering_ids",
-    "link_a_nodes",
-    "link_a_labels",
-    "link_b_nodes",
-    "link_b_labels",
-    "link_a_loads",
-    "link_b_loads",
-)
-
-
-def _epoch(when: datetime) -> int:
-    return int(when.timestamp())
-
 
 @dataclass(frozen=True, slots=True)
 class ScanPredicate:
@@ -233,8 +215,7 @@ class MappedIndex:
         self.closed = False
         self._name_ids: dict[str, int] | None = None
         self._link_offsets: Any = None
-        for attribute in _COLUMN_ATTRIBUTES:
-            spec = layout.columns[attribute]
+        for attribute, spec in layout.columns.items():
             setattr(
                 self,
                 attribute,
@@ -340,7 +321,7 @@ class MappedIndex:
         if self.closed:
             return
         self.closed = True
-        for attribute in _COLUMN_ATTRIBUTES:
+        for attribute in self._layout.columns:
             setattr(self, attribute, None)
         self._link_offsets = None
         buffer, self._buffer = self._buffer, None

@@ -21,8 +21,8 @@ pinning, one level up.  :func:`compact_map_shards` then touches only shards whos
 fingerprint changed: a steady-state ingest tick compacts exactly one
 day-shard no matter how many years of history sit beneath it.
 
-Readers get one engine: :func:`open_sharded_query` returns a
-:class:`ShardedMappedIndex` fanning one
+Readers get one engine: :func:`~repro.dataset.handles.resolve_read_handle`
+opens a :class:`ShardedMappedIndex` fanning one
 :class:`~repro.dataset.query.MappedIndex` out per shard, with a chaining
 :class:`ShardedScanResult`.  The server scans it; the loaders
 (``load_all`` / ``iter_snapshots`` / ``latest_snapshot``) walk its
@@ -33,12 +33,11 @@ resolved per shard before being chained.
 The module has a write half and a read half.  The write half — the
 shard manifest, :func:`compact_map_shards` and :func:`verify_shards` —
 is all the ingest daemon and the engine use.  The read half —
-:class:`ShardedMappedIndex`, :class:`ShardedScanResult` and
-:func:`open_sharded_query` — builds :mod:`repro.dataset.query` objects,
-and that module imports numpy.  So the read half imports ``query`` where
-it first builds one (opening a shard, defaulting a scan predicate), not
-at module level: the daemon, which never reads through this module,
-never loads numpy.
+:class:`ShardedMappedIndex` and :class:`ShardedScanResult` — builds
+:mod:`repro.dataset.query` objects, and that module imports numpy.  So
+the read half imports ``query`` where it first builds one (opening a
+shard, defaulting a scan predicate), not at module level: the daemon,
+which never reads through this module, never loads numpy.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ __all__ = [
     "ShardedMappedIndex",
     "ShardedScanResult",
     "compact_map_shards",
-    "open_sharded_query",
     "shard_fingerprint",
     "verify_shards",
 ]
@@ -588,39 +586,3 @@ class ShardedScanResult:
         """The matches resolved to strings, chained in time order."""
         for result in self.results:
             yield from result.records()
-
-
-def open_sharded_query(
-    store: DatasetStore,
-    map_name: MapName,
-    *,
-    require_fresh: bool = True,
-) -> ShardedMappedIndex | None:
-    """Open a map for querying, but only if every shard is fresh.
-
-    A map that was never compacted (no shard manifest) gets ``None``.
-    Otherwise the shard manifest is verified against the live tree
-    (skippable via ``require_fresh=False`` for serving layers that poll
-    generation tokens themselves) and its shard list handed to a *lazy*
-    :class:`ShardedMappedIndex` — no shard file is mapped until a
-    query's time window actually reaches it.  An unsound shard
-    therefore surfaces at first touch as :class:`SnapshotIndexError`,
-    not here.
-    """
-    manifest_path = store.shards_manifest_path(map_name)
-    if not manifest_path.exists():
-        return None  # never compacted
-    if require_fresh:
-        entries = verify_shards(store, map_name)
-        if entries is None:
-            return None
-    else:
-        manifest = ShardManifest.load(manifest_path)
-        if manifest.parser_version != PARSER_VERSION:
-            return None
-        entries = [(key, manifest.shards[key]) for key in sorted(manifest.shards)]
-    shards = [
-        (key, store.shard_index_path(map_name, key), entry.rows)
-        for key, entry in entries
-    ]
-    return ShardedMappedIndex(map_name, shards)

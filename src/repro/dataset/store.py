@@ -1,7 +1,8 @@
-"""Storage backends for the snapshot dataset.
+"""The snapshot dataset's on-disk store.
 
-The on-disk layout has one directory per map with ``svg/`` and ``yaml/``
-subtrees, files named by UTC timestamp, plus per-day shard indexes::
+The dataset is a directory: one directory per map with ``svg/`` and
+``yaml/`` subtrees, files named by UTC timestamp, plus per-day shard
+indexes::
 
     <root>/<map>/svg/2022/09/12/europe-20220912T000000Z.svg
     <root>/<map>/yaml/2022/09/12/europe-20220912T000000Z.yaml
@@ -13,10 +14,7 @@ indexes half a million files without opening any.  The ``YYYY/MM/DD`` day
 directories already partition snapshots by map/day, so index maintenance
 is O(new shard) instead of O(corpus).
 
-Two backends implement the :class:`StorageBackend` protocol:
-
-* :class:`DatasetStore` — the local-dir layout above.
-* :class:`InMemoryStore` — a dict-backed store for tests; no filesystem.
+:class:`DatasetStore` reads and writes that tree; it is the only store.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from repro.constants import MapName
 from repro.errors import DatasetError, SnapshotNotFoundError
@@ -115,9 +113,8 @@ def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> int:
 class SnapshotRef:
     """A reference to one stored snapshot file.
 
-    ``size`` and ``mtime_ns`` are optional stat hints: backends that
-    already know them (the in-memory store, directory walks that stat
-    anyway) populate them so consumers can avoid a per-file ``stat()``.
+    ``size`` is an optional stat hint (:meth:`DatasetStore.write` fills it
+    in) so consumers can avoid a per-file ``stat()``.
     """
 
     map_name: MapName
@@ -125,7 +122,6 @@ class SnapshotRef:
     kind: str  # "svg" or "yaml"
     path: Path
     size: int | None = None
-    mtime_ns: int | None = None
 
     @property
     def size_bytes(self) -> int:
@@ -135,43 +131,9 @@ class SnapshotRef:
         return self.path.stat().st_size
 
     def stat_key(self) -> tuple[int, int]:
-        """``(size, mtime_ns)`` freshness key, stat-free when hinted."""
-        if self.size is not None and self.mtime_ns is not None:
-            return self.size, self.mtime_ns
+        """``(size, mtime_ns)`` freshness key: one ``stat()``."""
         stat = self.path.stat()
         return stat.st_size, stat.st_mtime_ns
-
-
-@runtime_checkable
-class StorageBackend(Protocol):
-    """The minimal surface the dataset pipeline needs from storage.
-
-    Implementations must keep :meth:`iter_refs` sorted by timestamp and
-    raise :class:`~repro.errors.SnapshotNotFoundError` for missing reads.
-    ``persistent`` says whether manifest/index side-car files are real
-    filesystem paths (the in-memory backend has neither).
-    """
-
-    persistent: bool
-    root: Path
-
-    def path_for(self, map_name: MapName, when: datetime, kind: str) -> Path: ...
-
-    def manifest_path(self, map_name: MapName) -> Path: ...
-
-    def write(
-        self, map_name: MapName, when: datetime, kind: str, data: str | bytes
-    ) -> SnapshotRef: ...
-
-    def read_bytes(self, map_name: MapName, when: datetime, kind: str) -> bytes: ...
-
-    def read_ref(self, ref: SnapshotRef) -> bytes: ...
-
-    def iter_refs(self, map_name: MapName, kind: str) -> Iterator[SnapshotRef]: ...
-
-    def timestamps(self, map_name: MapName, kind: str = "svg") -> list[datetime]: ...
-
-    def file_stats(self, map_name: MapName, kind: str) -> tuple[int, int]: ...
 
 
 class DatasetStore:
@@ -182,8 +144,6 @@ class DatasetStore:
     compaction; the store only names their paths and enumerates shard
     members.
     """
-
-    persistent = True
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -363,108 +323,6 @@ class DatasetStore:
 
 #: The 2.x name of the sharded store, which is now the only one.
 ShardedDatasetStore = DatasetStore
-
-
-class InMemoryStore:
-    """Dict-backed :class:`StorageBackend` for tests — no filesystem.
-
-    Paths returned by :meth:`path_for` are synthetic (under a ``<memory>``
-    pseudo-root) and must not be opened; use :meth:`read_bytes` or
-    :meth:`read_ref`. Writes stamp a monotonically increasing fake
-    ``mtime_ns`` so freshness keys change on overwrite, like a real disk.
-    """
-
-    persistent = False
-
-    def __init__(self) -> None:
-        self.root = Path("<memory>")
-        self._files: dict[tuple[str, str, str], tuple[bytes, int]] = {}
-        self._ticks = 0
-
-    def _key(self, map_name: MapName, when: datetime, kind: str) -> tuple[str, str, str]:
-        if kind not in ("svg", "yaml"):
-            raise DatasetError(f"unknown snapshot kind {kind!r}")
-        return map_name.value, kind, format_timestamp(when)
-
-    def path_for(self, map_name: MapName, when: datetime, kind: str) -> Path:
-        """Synthetic path mirroring the on-disk layout; never opened."""
-        if kind not in ("svg", "yaml"):
-            raise DatasetError(f"unknown snapshot kind {kind!r}")
-        utc = when.astimezone(timezone.utc)
-        return (
-            self.root
-            / map_name.value
-            / kind
-            / f"{utc.year:04d}"
-            / f"{utc.month:02d}"
-            / f"{utc.day:02d}"
-            / f"{map_name.value}-{format_timestamp(when)}.{kind}"
-        )
-
-    def manifest_path(self, map_name: MapName) -> Path:
-        """Synthetic manifest path; the in-memory store persists nothing."""
-        return self.root / map_name.value / "manifest.json"
-
-    def write(self, map_name: MapName, when: datetime, kind: str, data: str | bytes) -> SnapshotRef:
-        """Store one snapshot in the dict."""
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        self._ticks += 1
-        self._files[self._key(map_name, when, kind)] = (data, self._ticks)
-        return SnapshotRef(
-            map_name=map_name,
-            timestamp=when.astimezone(timezone.utc),
-            kind=kind,
-            path=self.path_for(map_name, when, kind),
-            size=len(data),
-            mtime_ns=self._ticks,
-        )
-
-    def read_bytes(self, map_name: MapName, when: datetime, kind: str) -> bytes:
-        """Read one stored snapshot's raw contents."""
-        try:
-            return self._files[self._key(map_name, when, kind)][0]
-        except KeyError as exc:
-            raise SnapshotNotFoundError(
-                f"no {kind} snapshot of {map_name.value} at {when.isoformat()}"
-            ) from exc
-
-    def read_ref(self, ref: SnapshotRef) -> bytes:
-        """Read the raw contents a :class:`SnapshotRef` points at."""
-        return self.read_bytes(ref.map_name, ref.timestamp, ref.kind)
-
-    def iter_refs(self, map_name: MapName, kind: str) -> Iterator[SnapshotRef]:
-        """All stored snapshots of one map and kind, in timestamp order."""
-        refs: list[SnapshotRef] = []
-        for (name, stored_kind, stamp), (data, tick) in self._files.items():
-            if name != map_name.value or stored_kind != kind:
-                continue
-            when = parse_timestamp(stamp)
-            refs.append(
-                SnapshotRef(
-                    map_name=map_name,
-                    timestamp=when,
-                    kind=kind,
-                    path=self.path_for(map_name, when, kind),
-                    size=len(data),
-                    mtime_ns=tick,
-                )
-            )
-        refs.sort(key=lambda ref: ref.timestamp)
-        yield from refs
-
-    def timestamps(self, map_name: MapName, kind: str = "svg") -> list[datetime]:
-        """Sorted snapshot timestamps of one map."""
-        return [ref.timestamp for ref in self.iter_refs(map_name, kind)]
-
-    def file_stats(self, map_name: MapName, kind: str) -> tuple[int, int]:
-        """(file count, total bytes) for one map and kind."""
-        count = 0
-        total = 0
-        for ref in self.iter_refs(map_name, kind):
-            count += 1
-            total += ref.size_bytes
-        return count, total
 
 
 def open_store(root: str | Path) -> DatasetStore:

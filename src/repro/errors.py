@@ -200,9 +200,8 @@ class IngestError(DatasetError):
     """The ingestion daemon cannot run or resume.
 
     Raised for configuration problems (a non-positive queue bound, a
-    resume requested against a dataset with no prior state) and for
-    storage backends that cannot honour the crash-safety contract —
-    never for per-file parse failures, which are accounted as data in
+    resume requested against a dataset with no prior state) — never for
+    per-file parse failures, which are accounted as data in
     :class:`~repro.dataset.processor.ProcessingStats`.
     """
 

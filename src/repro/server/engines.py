@@ -91,7 +91,7 @@ class EngineCache:
             if handle is None:
                 if pinned is not None:
                     return pinned
-                if self._store.persistent and self._store.shard_keys(map_name):
+                if self._store.shard_keys(map_name):
                     raise SnapshotIndexError(
                         f"map {map_name.value!r} has snapshots but no shard "
                         f"index; build one with `repro-weather index build`"

@@ -1,28 +1,25 @@
-"""Backend-conformance suite for the :class:`StorageBackend` protocol.
+"""Conformance suite for :class:`DatasetStore`, the one store.
 
-Every backend — the local-dir store over an unmarked (2.x flat) or a
-marked directory, and the in-memory store — must satisfy the same
-contract: writes round-trip, ``iter_refs`` is time-ordered, missing
-reads raise the typed error, stat keys change on overwrite.  The tests
-are parametrized so a future backend joins the matrix by adding one
-fixture branch.
+The store must keep the same contract over an unmarked (2.x flat) and a
+marked directory: writes round-trip, ``iter_refs`` is time-ordered,
+missing reads raise the typed error, stat keys change on overwrite.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from repro.constants import MapName
 from repro.dataset.store import (
     DatasetStore,
-    InMemoryStore,
     LAYOUT_FILE_NAME,
     ShardedDatasetStore,
     SnapshotRef,
-    StorageBackend,
     open_store,
     parse_shard_key,
     shard_key,
@@ -31,30 +28,26 @@ from repro.errors import DatasetError, SnapshotNotFoundError
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-BACKENDS = ("flat", "sharded", "memory")
+BACKENDS = ("flat", "sharded")
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    """One store per protocol implementation, rooted in a fresh dir.
+    """One store per directory kind, rooted in a fresh dir.
 
     ``flat`` is a directory without the ``layout.json`` marker, as 2.x
     left flat datasets; the store must behave the same on it.
     """
     if request.param == "flat":
         return DatasetStore(tmp_path / "flat")
-    if request.param == "sharded":
-        store = ShardedDatasetStore(tmp_path / "sharded")
-        store.mark()
-        return store
-    return InMemoryStore()
+    store = ShardedDatasetStore(tmp_path / "sharded")
+    store.mark()
+    return store
 
 
 class TestProtocolConformance:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, StorageBackend)
-
     def test_write_read_round_trip(self, backend):
         ref = backend.write(MAP, T0, "svg", "<svg>one</svg>")
         assert ref.map_name is MAP
@@ -123,10 +116,9 @@ class TestProtocolConformance:
 
     def test_manifest_and_index_paths_are_per_map(self, backend):
         assert backend.manifest_path(MAP) != backend.manifest_path(MapName.EUROPE)
-        if backend.persistent:
-            assert backend.shards_manifest_path(MAP) != backend.shards_manifest_path(
-                MapName.EUROPE
-            )
+        assert backend.shards_manifest_path(MAP) != backend.shards_manifest_path(
+            MapName.EUROPE
+        )
 
 
 class TestShardSurface:
@@ -192,3 +184,37 @@ class TestOpenStore:
             json.dumps({"layout": "columnar-v9"}), encoding="utf-8"
         )
         assert type(open_store(tmp_path)) is DatasetStore
+
+
+def _store_classes(source: str) -> list[str]:
+    """Classes that define both ``read_ref`` and ``iter_refs``: stores."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            methods = {
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            if {"read_ref", "iter_refs"} <= methods:
+                found.append(node.name)
+    return found
+
+
+class TestOneStore:
+    def test_dataset_store_is_the_only_store(self):
+        offenders = [
+            f"{path.relative_to(PACKAGE.parent)}:{name}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for name in _store_classes(path.read_text(encoding="utf-8"))
+            if name != "DatasetStore"
+        ]
+        assert offenders == [], (
+            "the dataset is a directory: read and write it through "
+            f"repro.dataset.store.DatasetStore; found other stores {offenders}"
+        )
+
+    def test_the_scan_sees_the_store_itself(self):
+        # Guards the scan: the one store must register as one.
+        source = (PACKAGE / "dataset" / "store.py").read_text(encoding="utf-8")
+        assert _store_classes(source) == ["DatasetStore"]

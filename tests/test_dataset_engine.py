@@ -292,11 +292,6 @@ class TestManifest:
         assert len(calls) == 6
         assert stats.total == 6
 
-    def test_manifest_disabled(self, tmp_path, reference_svg):
-        store = build_corpus(tmp_path, reference_svg)
-        process_map_parallel(store, MAP, workers=1, use_manifest=False)
-        assert not store.manifest_path(MAP).exists()
-
 
 class TestIndexMaintenance:
     """Processing leaves the map's shard indexes fresh behind it."""

@@ -21,7 +21,7 @@ from repro.dataset.handles import read_generation, resolve_read_handle
 from repro.dataset.index import build_index
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.shards import ShardedMappedIndex, compact_map_shards
-from repro.dataset.store import DatasetStore, InMemoryStore, ShardedDatasetStore
+from repro.dataset.store import DatasetStore, ShardedDatasetStore
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
@@ -79,11 +79,6 @@ class TestResolve:
         assert isinstance(handle, ShardedMappedIndex)
         assert len(handle) == 6
         handle.close()
-
-    def test_in_memory_store_resolves_to_none(self, reference_yaml):
-        store = InMemoryStore()
-        store.write(MAP, T0, "yaml", reference_yaml)
-        assert resolve_read_handle(store, MAP) is None
 
     def test_unindexed_map_resolves_to_none(self, tmp_path, reference_yaml):
         store = flat_store(tmp_path, reference_yaml)
@@ -148,11 +143,6 @@ class TestGeneration:
         first = read_generation(store, MAP)
         second = read_generation(store, MAP)
         assert first == second
-
-    def test_in_memory_store_has_no_token(self, reference_yaml):
-        store = InMemoryStore()
-        store.write(MAP, T0, "yaml", reference_yaml)
-        assert read_generation(store, MAP) is None
 
 
 class TestLazyShardOpening:

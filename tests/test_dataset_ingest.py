@@ -40,7 +40,6 @@ from repro.dataset.processor import process_map, process_svg_bytes
 from repro.dataset.shards import verify_shards
 from repro.dataset.store import (
     DatasetStore,
-    InMemoryStore,
     ShardedDatasetStore,
     format_timestamp,
 )
@@ -197,14 +196,6 @@ class TestDaemonRuns:
         rest = IngestDaemon(store).run([MAP])
         assert rest.processed == 4 and rest.skipped == 2
 
-    def test_in_memory_backend_ingests_statelessly(self, apac_svg):
-        store = build_corpus(InMemoryStore(), apac_svg, files=3)
-        stats = IngestDaemon(store, IngestConfig(workers=2)).run([MAP])
-        assert stats.processed == 3
-        assert len(yaml_tree(store)) == 3
-        # Nothing persistent: re-running re-ingests (no manifest survives).
-        assert IngestDaemon(store).run([MAP]).processed == 3
-
     def test_dead_workers_surface_as_error_not_a_hang(self, tmp_path, apac_svg):
         # A read that dies under the parse kernel must raise the typed
         # error promptly, not wedge the run (pool workers dying are in
@@ -237,10 +228,6 @@ class TestResume:
         with pytest.raises(IngestError):
             resume_ingest(DatasetStore(tmp_path))
 
-    def test_resume_rejects_memory_store(self):
-        with pytest.raises(IngestError):
-            resume_ingest(InMemoryStore())
-
     def test_resume_continues_after_clean_stop(self, tmp_path, apac_svg):
         store = build_corpus(DatasetStore(tmp_path), apac_svg)
         IngestDaemon(store, IngestConfig(max_files=2)).run([MAP])
@@ -262,6 +249,21 @@ IngestDaemon(store, config).run([MapName.ASIA_PACIFIC])
 """
 
 
+def _children(pid: int) -> list[int]:
+    """The processes ``pid``'s main thread forked (its pool workers)."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie nobody has reaped yet counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestKillAndResume:
     def sigkill_and_resume(
         self, tmp_path, apac_svg, monkeypatch, layout: str, workers: int, files: int
@@ -278,8 +280,8 @@ class TestKillAndResume:
         build_corpus(victim, apac_svg, files=files)
 
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        # Its own process group: the kill takes the daemon's pool workers
-        # with it, as a crash of the whole service would.
+        # Its own process group, so the cleanup below can reach any pool
+        # worker a failed run leaves behind.
         process = subprocess.Popen(
             [sys.executable, "-c", KILL_SCRIPT, str(victim_root), str(workers)],
             env=env,
@@ -298,12 +300,24 @@ class TestKillAndResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("daemon made no progress before the deadline")
-            os.killpg(process.pid, signal.SIGKILL)
+            # The parse pool's workers, plus any a checkpoint's compaction
+            # pool has not reaped yet; a one-worker run forks none.
+            workers_alive = _children(process.pid)
+            assert bool(workers_alive) == (workers > 1)
+            # The daemon alone dies; its pool workers must notice and exit.
+            os.kill(process.pid, signal.SIGKILL)
             assert process.wait(timeout=30) == -signal.SIGKILL
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and any(map(_alive, workers_alive)):
+                time.sleep(0.1)
+            survivors = [pid for pid in workers_alive if _alive(pid)]
+            assert survivors == [], "pool workers outlived their SIGKILL'd daemon"
         finally:
-            if process.poll() is None:
+            try:  # whatever a failed run left in the group
                 os.killpg(process.pid, signal.SIGKILL)
-                process.wait(timeout=30)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=30)
 
         partial = len(yaml_tree(victim))
         assert 0 < partial < files  # genuinely mid-run

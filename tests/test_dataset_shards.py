@@ -15,13 +15,13 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.constants import MapName
+from repro.dataset.handles import resolve_read_handle
 from repro.dataset.loader import iter_snapshots, latest_snapshot, load_all
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.query import ScanPredicate
 from repro.dataset.shards import (
     ShardManifest,
     compact_map_shards,
-    open_sharded_query,
     verify_shards,
 )
 from repro.dataset.store import ShardedDatasetStore
@@ -49,7 +49,7 @@ def reference_yaml(apac_svg) -> str:
 def fresh_engines(store: ShardedDatasetStore) -> list[tuple[int, dict]] | None:
     """``(rows, skipped)`` per shard, verified through the mapped engine the
     loaders read, or ``None`` when the shard set is not fresh."""
-    handle = open_sharded_query(store, MAP)
+    handle = resolve_read_handle(store, MAP)
     if handle is None:
         return None
     with handle:
@@ -212,7 +212,7 @@ class TestServingEquivalence:
             for snapshot in snapshots
             for link in snapshot.links
         ]
-        with open_sharded_query(compacted, MAP) as engine:
+        with resolve_read_handle(compacted, MAP) as engine:
             assert engine is not None
             ours = engine.scan(ScanPredicate(start=start, end=end))
             assert ours.snapshot_count == len(snapshots)
@@ -227,7 +227,7 @@ class TestServingEquivalence:
 
     def test_sharded_engine_surface(self, compacted):
         sharded = compacted
-        engine = open_sharded_query(sharded, MAP)
+        engine = resolve_read_handle(sharded, MAP)
         assert engine is not None
         with engine:
             assert engine.shard_keys == sharded.shard_keys(MAP, "yaml")
