@@ -56,6 +56,16 @@ def _workers_argument(text: str) -> int | str:
     return workers
 
 
+def _positive_argument(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise CliUsageError(f"invalid count: {text!r}") from None
+    if value < 1:
+        raise CliUsageError(f"must be >= 1, got {value}")
+    return value
+
+
 def _maybe_write_metrics(args: argparse.Namespace) -> None:
     """Honour ``--metrics-out`` by snapshotting the active registry."""
     path = getattr(args, "metrics_out", None)
@@ -129,9 +139,10 @@ def cmd_process(args: argparse.Namespace) -> int:
 def _ingest_config(args: argparse.Namespace):
     """Build an :class:`~repro.dataset.ingest.IngestConfig` from CLI flags."""
     from repro.dataset.ingest import IngestConfig
+    from repro.dataset.workers import resolve_workers
 
     return IngestConfig(
-        workers=args.workers,
+        workers=resolve_workers(args.workers),
         checkpoint_every=args.checkpoint_every,
         fsync_every=args.fsync_every,
         max_files=args.max_files,
@@ -224,29 +235,32 @@ def cmd_ingest_status(args: argparse.Namespace) -> int:
 def cmd_index_build(args: argparse.Namespace) -> int:
     """Compact each map's per-day shard indexes (only changed shards)."""
     from repro.dataset.shards import compact_map_shards
+    from repro.dataset.workers import lend_pool
 
     store = open_store(args.dataset)
     built_any = False
-    for map_name in [args.map] if args.map else list(MapName):
-        if not any(True for _ in store.iter_refs(map_name, "yaml")):
-            continue
-        shard_stats = compact_map_shards(
-            store,
-            map_name,
-            rebuild=args.rebuild,
-            workers=args.workers,
-            on_error=lambda ref, exc: print(
-                f"  skipping unreadable {ref.path.name}: {exc}", file=sys.stderr
-            ),
-        )
-        built_any = True
-        shards_total = len(shard_stats.built) + len(shard_stats.skipped)
-        print(
-            f"{map_name.value:<15} {shard_stats.rows:>6} rows across "
-            f"{shards_total} shards ({len(shard_stats.built)} built, "
-            f"{len(shard_stats.skipped)} skipped, "
-            f"{len(shard_stats.removed)} removed) in {shard_stats.seconds:.2f} s"
-        )
+    # One pool, opened on first need, for every map's shards.
+    with lend_pool(args.workers) as pool:
+        for map_name in [args.map] if args.map else list(MapName):
+            if not any(True for _ in store.iter_refs(map_name, "yaml")):
+                continue
+            shard_stats = compact_map_shards(
+                store,
+                map_name,
+                rebuild=args.rebuild,
+                workers=pool,
+                on_error=lambda ref, exc: print(
+                    f"  skipping unreadable {ref.path.name}: {exc}", file=sys.stderr
+                ),
+            )
+            built_any = True
+            shards_total = len(shard_stats.built) + len(shard_stats.skipped)
+            print(
+                f"{map_name.value:<15} {shard_stats.rows:>6} rows across "
+                f"{shards_total} shards ({len(shard_stats.built)} built, "
+                f"{len(shard_stats.skipped)} skipped, "
+                f"{len(shard_stats.removed)} removed) in {shard_stats.seconds:.2f} s"
+            )
     _maybe_write_metrics(args)
     if not built_any:
         print("no processed snapshots to index", file=sys.stderr)
@@ -835,20 +849,21 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("dataset", help="dataset directory")
         sub.add_argument("--map", type=_map_argument, default=None)
         sub.add_argument(
-            "--workers", type=int, default=2,
+            "--workers", type=_workers_argument, default=2,
             help="parse processes feeding the single writer; a map with at "
-            "most 16 pending files parses in-process (default 2)",
+            "most 16 pending files parses in-process (default 2; 0 or "
+            "'auto' means one per CPU core)",
         )
         sub.add_argument(
-            "--checkpoint-every", type=int, default=512,
+            "--checkpoint-every", type=_positive_argument, default=512,
             help="files between manifest folds + shard compactions (default 512)",
         )
         sub.add_argument(
-            "--fsync-every", type=int, default=64,
+            "--fsync-every", type=_positive_argument, default=64,
             help="files between YAML/journal durability batches (default 64)",
         )
         sub.add_argument(
-            "--max-files", type=int, default=None,
+            "--max-files", type=_positive_argument, default=None,
             help="stop after ingesting this many files (for paced runs)",
         )
         sub.add_argument("--strict", action="store_true")

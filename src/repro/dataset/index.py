@@ -71,25 +71,20 @@ import logging
 import struct
 import sys
 from array import array
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset import workers as pools
 from repro.dataset.store import SnapshotRef, atomic_write_bytes
-from repro.dataset.workers import call_with_metrics, contiguous_batches, resolve_workers
+from repro.dataset.workers import OrderedPool, contiguous_batches, lend_pool
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot, NodeKind
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -612,81 +607,13 @@ def _index_batch(
     return part, outcomes
 
 
-class _ParsePool:
-    """Runs :func:`_index_batch` batches; a process pool opens on first use.
-
-    One batch runs in-process.  Several go to the pool, one task each, and
-    each task's metrics are merged into the caller's registry in order.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._executor: ProcessPoolExecutor | None = None
-
-    def run(
-        self, map_name: MapName, batches: Sequence[Sequence[tuple[str, int, int, int]]]
-    ) -> Iterator[tuple[SnapshotIndex, list[int | str]]]:
-        if len(batches) <= 1:
-            for batch in batches:
-                yield _index_batch(map_name, batch)
-            return
-        if self._executor is None:
-            # Loaded before the fork, so workers inherit the YAML stack.
-            import repro.yamlio.deserialize  # noqa: F401
-
-            self._executor = pools.process_pool(self.workers)
-        futures = [
-            self._executor.submit(call_with_metrics, _index_batch, map_name, batch)
-            for batch in batches
-        ]
-        registry = get_registry()
-        for future in futures:
-            result, worker_metrics = future.result()
-            registry.merge(worker_metrics)
-            yield result
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-
-#: The pool of the enclosing :func:`shared_parse_pool` block, if any.
-_SHARED_POOL: ContextVar[_ParsePool | None] = ContextVar(
-    "repro_index_parse_pool", default=None
-)
-
-
-@contextmanager
-def shared_parse_pool(workers: int | str | None) -> Iterator[_ParsePool]:
-    """One parse pool for every :func:`build_index` inside the block.
-
-    Shard compaction calls ``build_index`` once per shard; inside this
-    block those calls share one process pool, opened only when some shard
-    has more than one batch to parse.  A nested block (each build opens
-    one) reuses the enclosing block's pool.
-    """
-    shared = _SHARED_POOL.get()
-    if shared is not None:
-        yield shared
-        return
-    pool = _ParsePool(resolve_workers(workers))
-    token = _SHARED_POOL.set(pool)
-    try:
-        yield pool
-    finally:
-        _SHARED_POOL.reset(token)
-        pool.close()
-
-
 def build_index(
     map_name: MapName,
     refs: Sequence[SnapshotRef],
     index_path: Path,
     rebuild: bool = False,
-    workers: int | str | None = None,
+    workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
-    parser_version: int = PARSER_VERSION,
 ) -> tuple[SnapshotIndex, IndexBuildStats]:
     """Build or refresh the columnar index of ``refs`` at ``index_path``.
 
@@ -705,7 +632,9 @@ def build_index(
             the result; shard compaction passes the per-shard path.
         rebuild: ignore any existing index and parse everything.
         workers: worker request, resolved via
-            :func:`repro.dataset.workers.resolve_workers` (default serial).
+            :func:`repro.dataset.workers.resolve_workers` (default serial),
+            or an open :class:`~repro.dataset.workers.OrderedPool` to
+            borrow — how shard compaction lends one pool to every shard.
         on_error: called for unreadable YAML files, which are recorded as
             skipped sources; without a handler, schema errors propagate.
 
@@ -740,17 +669,17 @@ def build_index(
                 previous.map_name.value,
             )
             previous = None
-        if previous is not None and previous.parser_version != parser_version:
+        if previous is not None and previous.parser_version != PARSER_VERSION:
             logger.info(
                 "discarding index for %s (parser version %d -> %d)",
                 map_name.value,
                 previous.parser_version,
-                parser_version,
+                PARSER_VERSION,
             )
             previous = None
 
     stats = IndexBuildStats(map_name=map_name)
-    index = SnapshotIndex(map_name, parser_version)
+    index = SnapshotIndex(map_name, PARSER_VERSION)
     previous_rows: dict[int, int] = {}
     if previous is not None:
         index.adopt_tables(previous)
@@ -787,14 +716,19 @@ def build_index(
         plan.append((ref, None))
         items.append((str(ref.path), key, stat.st_size, stat.st_mtime_ns))
 
-    with shared_parse_pool(workers) as pool:
-        batches = contiguous_batches(items, pool.workers) if items else []
+    with lend_pool(workers) as pool:
+        batches = contiguous_batches(items, pool.width) if items else []
+        if len(batches) > 1:
+            # Loaded before a pool forks, so workers inherit the YAML stack.
+            import repro.yamlio.deserialize  # noqa: F401
         # One (item, part, outcome) per parsed file, in plan order.
         parsed = zip(
             items,
             (
                 (batch_part, outcome)
-                for batch_part, outcomes in pool.run(map_name, batches)
+                for batch_part, outcomes in pool.map(
+                    partial(_index_batch, map_name), batches
+                )
                 for outcome in outcomes
             ),
         )

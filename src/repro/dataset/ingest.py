@@ -11,11 +11,12 @@ run``, ``process`` and the bulk entry points of
 
 * **Bounded memory** — a map's pending SVGs are cut into balanced
   batches of at most ``chunk_size`` files.  A map with no more pending
-  files than that (every live tick) parses in the calling thread; a
-  larger backlog parses in one forked process pool per run, with at most
-  two batches per worker in flight, applied in submission order.  Either
-  way the calling thread is the only writer, and peak RSS is flat in
-  corpus size.
+  files than that (every live tick) parses and compacts in the calling
+  thread; a larger backlog parses, and compacts its shards, in the run's
+  one forked pool (:class:`~repro.dataset.workers.OrderedPool`), with at
+  most two batches per worker in flight, applied in submission order.
+  Either way the calling thread is the only writer, and peak RSS is flat
+  in corpus size.
 
 * **Crash-safe resume** — every ingested file is recorded in an
   append-only write-ahead journal (one CRC-32-framed JSON line per
@@ -50,16 +51,16 @@ import json
 import logging
 import os
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
 from pathlib import Path
 from time import perf_counter, time
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
+from typing import Any, BinaryIO, Iterator, Sequence
 
+# Loaded before the run's pool forks: its compaction tasks read twins.
+import repro.yamlio.deserialize  # noqa: F401
 from repro.constants import MapName
 from repro.dataset import shards
-from repro.dataset import workers as pools
 from repro.dataset.engine import (
     DEFAULT_CHUNK_SIZE,
     Manifest,
@@ -81,13 +82,10 @@ from repro.dataset.store import (
     fsync_directory,
     shard_key,
 )
-from repro.dataset.workers import call_with_metrics, resolve_workers
+from repro.dataset.workers import OrderedPool, resolve_workers
 from repro.errors import IngestError, JournalError
 from repro.parsing.pipeline import ParseOptions
 from repro.telemetry import get_registry
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -375,8 +373,8 @@ def _process_batch(
 ) -> list[tuple[ProcessOutcome, ManifestEntry]]:
     """The parse kernel: read, hash and extract one batch of SVGs, in order.
 
-    Runs in the daemon's thread or, pickled by name, in a pool worker
-    under :func:`~repro.dataset.workers.call_with_metrics`.  Each file
+    Runs in the daemon's thread or, pickled by name, in a worker of the
+    run's :class:`~repro.dataset.workers.OrderedPool`.  Each file
     comes back as its outcome and the manifest entry the writer records
     for it (``yaml_bytes`` is filled in once the twin is written).
     """
@@ -413,11 +411,11 @@ class IngestDaemon:
     """The SVG→YAML writer of a dataset directory.
 
     The calling thread owns the manifest, the journal, and every YAML
-    write.  Parsing runs in that thread too, unless a map has more than
-    ``config.chunk_size`` pending files and ``config.workers`` exceeds
-    one: then the run's one forked pool of ``config.workers`` processes
-    parses the map's balanced batches, and the writer applies them in
-    submission order.
+    write.  Parsing and shard compaction run in that thread too, unless
+    a map has more than ``config.chunk_size`` pending files and
+    ``config.workers`` exceeds one: then the run's one pool of
+    ``config.workers`` processes parses the map's balanced batches, which
+    the writer applies in submission order, and rebuilds its shards.
     """
 
     def __init__(self, store: DatasetStore, config: IngestConfig | None = None) -> None:
@@ -425,7 +423,7 @@ class IngestDaemon:
         self.config = config if config is not None else IngestConfig()
         self.stats = IngestStats()
         self._workers = resolve_workers(self.config.workers)
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = OrderedPool(self._workers)
         self._rebuild = False
         self._started = 0.0
         self._recent_mark = (0.0, 0)  # (perf_counter, ingested) at last status
@@ -446,9 +444,9 @@ class IngestDaemon:
         rebuilds the maps' shard indexes from scratch.
 
         Raises:
-            IngestError: a parse failed outside the typed failures the
-                accounting counts (an unreadable file, a dead or raising
-                pool worker).
+            IngestError: a parse or a shard compaction failed outside the
+                typed failures the accounting counts (an unreadable file,
+                a dead or raising pool worker).
         """
         registry = get_registry()
         run_span = registry.span(
@@ -466,9 +464,7 @@ class IngestDaemon:
                     if self._budget_left() == 0:
                         break
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(cancel_futures=True)
-                self._pool = None
+            self._pool.close()
         self.stats.run_seconds = perf_counter() - self._started
         self._write_status("done")
         logger.info(
@@ -564,42 +560,17 @@ class IngestDaemon:
     def _parsed(
         self, map_name: MapName, batches: Sequence[Sequence[SnapshotRef]], pooled: bool
     ) -> Iterator[list[tuple[ProcessOutcome, ManifestEntry]]]:
-        """Each batch's parse results, in submission order.
-
-        In-process, one batch is parsed per step.  Pooled, at most two
-        batches per worker are in flight, and each worker's metrics are
-        merged into the caller's registry as its batch is taken.
-        """
-        strict, options = self.config.strict, self.config.options
+        """Each batch's parse results, in submission order: in the run's
+        pool if ``pooled``, else in-process, one batch per step."""
+        parse = partial(
+            _process_batch,
+            self.store,
+            map_name,
+            strict=self.config.strict,
+            options=self.config.options,
+        )
         try:
-            if not pooled:
-                for batch in batches:
-                    yield _process_batch(self.store, map_name, batch, strict, options)
-                return
-            if self._pool is None:
-                self._pool = pools.process_pool(self._workers)
-            registry = get_registry()
-            queued = iter(batches)
-            depth = 2 * self._workers
-            in_flight: deque[Future] = deque(maxlen=depth)
-            while True:
-                for batch in islice(queued, depth - len(in_flight)):
-                    in_flight.append(
-                        self._pool.submit(
-                            call_with_metrics,
-                            _process_batch,
-                            self.store,
-                            map_name,
-                            batch,
-                            strict,
-                            options,
-                        )
-                    )
-                if not in_flight:
-                    return
-                results, worker_metrics = in_flight.popleft().result()
-                registry.merge(worker_metrics)
-                yield results
+            yield from self._pool.map(parse, batches) if pooled else map(parse, batches)
         except Exception as exc:
             raise IngestError(f"parsing {map_name.value} failed: {exc!r}") from exc
 
@@ -628,7 +599,7 @@ class IngestDaemon:
         journal: IngestJournal,
         yaml_paths: list[Path],
         touched_shards: set[str],
-        index_workers: int,
+        pooled: bool,
         pending_left: int,
     ) -> None:
         """Fold the journal into the manifest and compact touched shards.
@@ -645,13 +616,7 @@ class IngestDaemon:
         manifest.save(self.store.manifest_path(map_name))
         journal.clear()
         if self.config.update_index and touched_shards and not self._rebuild:
-            shards.compact_map_shards(
-                self.store,
-                map_name,
-                only=sorted(touched_shards),
-                workers=index_workers,
-                on_error=_log_unindexed,
-            )
+            self._compact(map_name, pooled, only=sorted(touched_shards))
         touched_shards.clear()
         self.stats.checkpoints += 1
         checkpoint_seconds.observe(perf_counter() - started, map=map_name.value)
@@ -676,11 +641,9 @@ class IngestDaemon:
         pending = self._pending_refs(map_name, manifest)
         self._pending_total += len(pending)
         pooled = self._workers > 1 and len(pending) > self.config.chunk_size
-        # Index compaction parses twins back: pooled exactly when parsing is.
-        index_workers = self._workers if pooled else 1
         if not pending:
             # Nothing new, but leave the indexes consistent with the tree.
-            self._finish_map(map_name, journal, index_workers)
+            self._finish_map(map_name, journal, pooled)
             return
 
         map_stats = self.stats.per_map[map_name]
@@ -740,7 +703,7 @@ class IngestDaemon:
                         journal,
                         yaml_batch,
                         touched_shards,
-                        index_workers,
+                        pooled,
                         pending_left=len(pending) - done,
                     )
                     since_checkpoint = 0
@@ -751,27 +714,32 @@ class IngestDaemon:
             journal,
             yaml_batch,
             touched_shards,
-            index_workers,
+            pooled,
             pending_left=0,
         )
-        self._finish_map(map_name, journal, index_workers)
+        self._finish_map(map_name, journal, pooled)
 
-    def _finish_map(
-        self, map_name: MapName, journal: IngestJournal, index_workers: int
-    ) -> None:
+    def _finish_map(self, map_name: MapName, journal: IngestJournal, pooled: bool) -> None:
         """Close the journal and leave this map's indexes fully compacted."""
         journal.close()
         if not self.config.update_index:
             return
         if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
             return
-        shards.compact_map_shards(
-            self.store,
-            map_name,
-            rebuild=self._rebuild,
-            workers=index_workers,
-            on_error=_log_unindexed,
-        )
+        self._compact(map_name, pooled, rebuild=self._rebuild)
+
+    def _compact(self, map_name: MapName, pooled: bool, **options: Any) -> None:
+        """Compact the map's shards, in the run's pool if the map parses there."""
+        try:
+            shards.compact_map_shards(
+                self.store,
+                map_name,
+                workers=self._pool if pooled else 1,
+                on_error=_log_unindexed,
+                **options,
+            )
+        except Exception as exc:
+            raise IngestError(f"indexing {map_name.value} failed: {exc!r}") from exc
 
     # -- status -------------------------------------------------------------
 

@@ -54,13 +54,14 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import build_index, shared_parse_pool
+from repro.dataset.index import build_index
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
     atomic_write_text,
     parse_shard_key,
 )
+from repro.dataset.workers import OrderedPool, lend_pool
 from repro.errors import DatasetError, SnapshotIndexError
 from repro.telemetry import get_registry
 
@@ -220,9 +221,8 @@ def compact_map_shards(
     map_name: MapName,
     *,
     rebuild: bool = False,
-    workers: int | str | None = None,
+    workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, Exception], None] | None = None,
-    parser_version: int = PARSER_VERSION,
     only: Sequence[str] | None = None,
 ) -> ShardCompactionStats:
     """Bring one map's shard indexes up to date — O(changed shards).
@@ -239,6 +239,9 @@ def compact_map_shards(
     drops even the fingerprint walk from O(corpus) to O(new shard).
     Other shards' manifest entries are left untouched and the
     removed-shard sweep is skipped (a later full compaction handles it).
+
+    ``workers`` is a worker request, which opens one pool for every shard
+    rebuilt here, or an open :class:`~repro.dataset.workers.OrderedPool`.
     """
     registry = get_registry()
     compactions = registry.counter(
@@ -251,7 +254,7 @@ def compact_map_shards(
     started = perf_counter()
     manifest_path = store.shards_manifest_path(map_name)
     manifest = ShardManifest.load(manifest_path)
-    manifest.parser_version = parser_version
+    manifest.parser_version = PARSER_VERSION
     if rebuild:
         manifest.shards.clear()
     stats = ShardCompactionStats(map_name=map_name)
@@ -260,8 +263,7 @@ def compact_map_shards(
         for key in only:
             parse_shard_key(key)
     live_keys = store.shard_keys(map_name, "yaml") if only is None else only
-    # One parse pool for every shard rebuilt here, opened on first need.
-    with shared_parse_pool(workers):
+    with lend_pool(workers) as pool:
         for key in live_keys:
             refs = list(store.iter_shard_refs(map_name, "yaml", key))
             if not refs:
@@ -283,9 +285,8 @@ def compact_map_shards(
                 refs,
                 index_path,
                 rebuild=rebuild,
-                workers=workers,
+                workers=pool,
                 on_error=on_error,
-                parser_version=parser_version,
             )
             index_stat = index_path.stat()
             manifest.shards[key] = ShardEntry(

@@ -1,4 +1,4 @@
-"""Worker-count resolution and pool-task plumbing shared by every pool user.
+"""Worker-count resolution and the one pool driver shared by every pool user.
 
 A process pool can *lose* to a serial loop on small machines: spawning
 workers, pickling results, and re-importing the library costs more than
@@ -8,24 +8,30 @@ pool user therefore resolves its worker request through
 :func:`resolve_workers`, which collapses to serial execution whenever the
 effective width is one — including any request on a single-core machine.
 
-The helpers below are the pool users' shared task plumbing:
-:func:`process_pool` opens a forked pool, :func:`contiguous_batches` cuts
-work into one ordered batch per task, and :func:`call_with_metrics` runs
-a task under a private metrics registry so the parent can merge what the
-worker observed.
+Every pool is driven by one :class:`OrderedPool`: it opens a forked
+pool (:func:`process_pool`) the first time it is handed more than one
+batch, returns each batch's result in submission order, and merges each
+worker's metrics into the caller's registry.  The ingest daemon owns one
+per run; :func:`~repro.dataset.index.build_index` borrows the caller's
+(:func:`lend_pool`) or opens its own.  :func:`contiguous_batches` cuts
+work into one ordered batch per task.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
+from collections import deque
+from contextlib import contextmanager
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from repro.errors import WorkerCountError
-from repro.telemetry import MetricsRegistry, use_registry
+from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
+B = TypeVar("B")
 T = TypeVar("T")
 
 #: The sentinel accepted everywhere a worker count is: one worker per core.
@@ -137,8 +143,8 @@ def contiguous_batches(items: Sequence[T], count: int) -> list[Sequence[T]]:
     return [items[start : start + size] for start in range(0, len(items), size)]
 
 
-def call_with_metrics(function: Callable[..., T], *args: Any) -> tuple[T, dict]:
-    """Pool-task side: run ``function(*args)`` under a private registry.
+def _call_with_metrics(task: Callable[[B], T], batch: B) -> tuple[T, dict]:
+    """Pool-task side: run ``task(batch)`` under a private registry.
 
     Returns the result and the registry's snapshot.  A worker process's
     own registry never reaches the parent, so the parent merges the
@@ -147,5 +153,62 @@ def call_with_metrics(function: Callable[..., T], *args: Any) -> tuple[T, dict]:
     """
     local = MetricsRegistry()
     with use_registry(local):
-        result = function(*args)
+        result = task(batch)
     return result, local.snapshot()
+
+
+class OrderedPool:
+    """A forked pool of ``width`` workers, opened on first need.
+
+    :meth:`map` runs a lone batch in the calling thread; given more, it
+    opens :func:`process_pool` (once, for every later map too).
+    :meth:`close` shuts it down, cancelling queued tasks.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._executor: ProcessPoolExecutor | None = None
+
+    def map(self, task: Callable[[B], T], batches: Sequence[B]) -> Iterator[T]:
+        """``task(batch)`` for each batch, in order; ``task`` must pickle.
+
+        At most two batches per worker are in flight.  Each pool task
+        runs under a private registry whose snapshot is merged into the
+        caller's as its result is taken, so counters total what a serial
+        run records.
+        """
+        if len(batches) <= 1:
+            yield from (task(batch) for batch in batches)
+            return
+        if self._executor is None:
+            self._executor = process_pool(self.width)
+        registry = get_registry()
+        queued = iter(batches)
+        in_flight: deque[Future] = deque()
+        while True:
+            for batch in islice(queued, 2 * self.width - len(in_flight)):
+                in_flight.append(self._executor.submit(_call_with_metrics, task, batch))
+            if not in_flight:
+                return
+            result, worker_metrics = in_flight.popleft().result()
+            registry.merge(worker_metrics)
+            yield result
+
+    def close(self) -> None:
+        """Shut the pool down (if it opened), cancelling queued tasks."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+@contextmanager
+def lend_pool(workers: int | str | None | OrderedPool) -> Iterator[OrderedPool]:
+    """``workers`` itself if it is a pool, else a new one closed on exit."""
+    if isinstance(workers, OrderedPool):
+        yield workers
+        return
+    pool = OrderedPool(resolve_workers(workers))
+    try:
+        yield pool
+    finally:
+        pool.close()

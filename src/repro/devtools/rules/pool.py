@@ -3,10 +3,13 @@
 ``ProcessPoolExecutor`` pickles the submitted callable by qualified
 name.  A lambda or a function defined inside another function pickles
 only at submission *time of failure* — the error surfaces deep inside
-the pool machinery, long after the code that introduced it.  The ingest
-daemon's parse kernel (``repro.dataset.ingest._process_batch``) is
-module-level for exactly this reason; the rule keeps it that way for
-every future ``.submit(...)`` site.
+the pool machinery, long after the code that introduced it.  Every pool
+is driven by ``repro.dataset.workers.OrderedPool``, whose one
+``.submit(...)`` site passes the module-level ``_call_with_metrics``;
+the kernels it carries as arguments (``ingest._process_batch``,
+``index._index_batch``) are module-level for the same reason, and the
+pooled tier-1 tests run each of them.  The rule keeps every
+``.submit(...)`` site that way.
 
 Accepted first arguments: a name bound at module level (def, class, or
 import), a dotted attribute rooted in an imported module, and

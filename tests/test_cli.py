@@ -97,6 +97,31 @@ class TestParser:
         assert args.rebuild is True
         assert args.workers == "auto"
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize(
+        "flag, value, parsed",
+        [
+            ("--workers", "auto", "auto"),
+            ("--workers", "0", 0),
+            ("--workers", "-1", None),
+            ("--checkpoint-every", "0", None),
+            ("--fsync-every", "0", None),
+            ("--fsync-every", "many", None),
+            ("--max-files", "0", None),
+            ("--max-files", "3", 3),
+        ],
+    )
+    def test_ingest_counts_are_checked_as_usage(self, capsys, command, flag, value, parsed):
+        argv = ["ingest", command, "/tmp/x", flag, value]
+        if parsed is not None:
+            args = build_parser().parse_args(argv)
+            assert getattr(args, flag[2:].replace("-", "_")) == parsed
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_index_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["index", "/tmp/x"])

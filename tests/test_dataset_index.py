@@ -23,6 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import MapName
+from repro.dataset import index as index_module
+from repro.dataset import shards as shards_module
 from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import _rebuild, iter_snapshots, latest_snapshot, load_all
 from repro.dataset.query import MappedIndex
@@ -245,8 +247,11 @@ class TestFreshness:
         assert len(snapshots) == FILES + 1
         assert snapshots[-1].links[0].a.load == 50.0
 
-    def test_parser_version_skew_not_fresh(self, store):
-        compact_map_shards(store, MAP, parser_version=PARSER_VERSION + 1)
+    def test_parser_version_skew_not_fresh(self, store, monkeypatch):
+        with monkeypatch.context() as patch:
+            for module in (index_module, shards_module):
+                patch.setattr(module, "PARSER_VERSION", PARSER_VERSION + 1)
+            compact_map_shards(store, MAP)
         assert SnapshotIndex.load(index_file(store)).parser_version == PARSER_VERSION + 1
         assert fresh(store) is None
 
@@ -368,8 +373,10 @@ class TestIncremental:
         assert stats.parsed == FILES
         assert stats.reused == 0
 
-    def test_parser_version_bump_discards_previous(self, store):
-        build(store, parser_version=PARSER_VERSION + 1)
+    def test_parser_version_bump_discards_previous(self, store, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(index_module, "PARSER_VERSION", PARSER_VERSION + 1)
+            build(store)
         _, stats = build(store)
         assert stats.parsed == FILES
         assert stats.reused == 0

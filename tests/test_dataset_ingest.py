@@ -26,6 +26,7 @@ import pytest
 
 from repro.constants import MapName
 from repro.dataset import ingest
+from repro.dataset import workers as workers_module
 from repro.dataset.engine import Manifest
 from repro.dataset.ingest import (
     IngestConfig,
@@ -44,6 +45,7 @@ from repro.dataset.store import (
     format_timestamp,
 )
 from repro.errors import IngestError, JournalError
+from repro.yamlio import deserialize
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
@@ -300,10 +302,8 @@ class TestKillAndResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("daemon made no progress before the deadline")
-            # The parse pool's workers, plus any a checkpoint's compaction
-            # pool has not reaped yet; a one-worker run forks none.
             workers_alive = _children(process.pid)
-            assert bool(workers_alive) == (workers > 1)
+            assert len(workers_alive) == (workers if workers > 1 else 0)
             # The daemon alone dies; its pool workers must notice and exit.
             os.kill(process.pid, signal.SIGKILL)
             assert process.wait(timeout=30) == -signal.SIGKILL
@@ -394,3 +394,60 @@ class TestKillAndResume:
         assert stats.ingested == 0  # replay made re-parsing unnecessary
         assert stats.skipped == 2
         assert not store.journal_path(MAP).exists()
+
+
+class TestOnePoolPerRun:
+    """A pooled run parses and compacts its shards in one pool."""
+
+    #: Two-file batches over two workers, a checkpoint every three files.
+    CONFIG = IngestConfig(workers=2, chunk_size=2, checkpoint_every=3)
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+
+    def test_checkpoints_reuse_the_parse_pool(self, tmp_path, apac_svg, monkeypatch):
+        opened = []
+        process_pool = workers_module.process_pool
+
+        def counting(width):
+            opened.append(width)
+            return process_pool(width)
+
+        monkeypatch.setattr(workers_module, "process_pool", counting)
+        store = build_corpus(DatasetStore(tmp_path), apac_svg, files=24)
+        stats = IngestDaemon(store, self.CONFIG).run([MAP])
+        assert stats.processed == 24 and stats.checkpoints == 9
+        assert opened == [2]
+        assert verify_shards(store, MAP) is not None
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [("exit", "BrokenProcessPool"), ("raise", "reader exploded")],
+    )
+    def test_worker_failure_while_compacting_is_a_typed_error(
+        self, tmp_path, apac_svg, monkeypatch, failure, message
+    ):
+        reference = build_corpus(DatasetStore(tmp_path / "reference"), apac_svg, files=24)
+        IngestDaemon(reference).run([MAP])
+        store = build_corpus(DatasetStore(tmp_path / "victim"), apac_svg, files=24)
+        parent = os.getpid()
+        read = deserialize.try_read_snapshot
+
+        def failing(path):
+            # Only the forked workers fail; the daemon's own reads succeed.
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                raise RuntimeError("reader exploded")
+            return read(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(deserialize, "try_read_snapshot", failing)
+            with pytest.raises(IngestError, match=f"indexing asia-pacific.*{message}"):
+                IngestDaemon(store, self.CONFIG).run([MAP])
+        assert 0 < len(yaml_tree(store)) < 24
+
+        IngestDaemon(store, self.CONFIG).run([MAP])
+        assert yaml_tree(store) == yaml_tree(reference)
+        assert verify_shards(store, MAP) is not None

@@ -15,6 +15,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.constants import MapName
+from repro.dataset import index as index_module
+from repro.dataset import shards as shards_module
 from repro.dataset.handles import resolve_read_handle
 from repro.dataset.loader import iter_snapshots, latest_snapshot, load_all
 from repro.dataset.processor import process_svg_bytes
@@ -179,9 +181,14 @@ class TestFreshness:
         store.write(MAP, T0 + timedelta(days=9), "yaml", reference_yaml)
         assert fresh_engines(store) is None
 
-    def test_parser_version_skew_discards_manifest(self, tmp_path, reference_yaml):
+    def test_parser_version_skew_discards_manifest(
+        self, tmp_path, reference_yaml, monkeypatch
+    ):
         store = build_corpus(tmp_path, reference_yaml)
-        compact_map_shards(store, MAP, parser_version=-1)
+        with monkeypatch.context() as patch:
+            for module in (index_module, shards_module):
+                patch.setattr(module, "PARSER_VERSION", -1)
+            compact_map_shards(store, MAP)
         assert verify_shards(store, MAP) is None
         stats = compact_map_shards(store, MAP)
         assert sorted(stats.built) == store.shard_keys(MAP, "yaml")

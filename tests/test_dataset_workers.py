@@ -1,9 +1,10 @@
 """Tests for the one place process pools open, ``repro.dataset.workers``.
 
-Two contracts: ``process_pool`` is the only pool opener in ``src/repro``
-(checked statically, over the AST), and a pool never outlives its parent
-— workers of a SIGKILL'd process exit on their own instead of being
-reparented and left running.
+Two contracts: the module is the only pool opener and driver in
+``src/repro`` — no other module imports a process pool, submits to an
+executor or keeps a pool in a ``ContextVar`` (checked statically, over
+the AST) — and a pool never outlives its parent: workers of a SIGKILL'd
+process exit on their own instead of being reparented and left running.
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ def _pool_import_lines(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _pool_driver_lines(source: str) -> list[int]:
+    """Line of each ``.submit(...)`` call and ``ContextVar(...)`` definition."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("submit", "ContextVar"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 class TestOnePoolOpener:
     def test_only_workers_module_imports_a_process_pool(self):
         offenders = [
@@ -74,9 +88,31 @@ class TestOnePoolOpener:
             f"found pool imports at {offenders}"
         )
 
+    def test_only_workers_module_drives_a_pool(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{line}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            if path != POOL_OPENER
+            for line in _pool_driver_lines(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == [], (
+            "drive pools through repro.dataset.workers.OrderedPool; "
+            f"found executor submits or ContextVars at {offenders}"
+        )
+
     def test_the_scan_sees_the_opener_itself(self):
-        # Guards the scan: the one allowed opener must register as one.
-        assert _pool_import_lines(POOL_OPENER.read_text(encoding="utf-8"))
+        # Guards the scans: the one allowed opener and driver must register.
+        source = POOL_OPENER.read_text(encoding="utf-8")
+        assert _pool_import_lines(source)
+        assert _pool_driver_lines(source)
+        probe = (
+            "import contextvars\n"
+            "pool.submit(f, 1)\n"
+            "current = contextvars.ContextVar('current')\n"
+            "from contextvars import ContextVar\n"
+            "other: ContextVar[int] = ContextVar('other')\n"
+        )
+        assert _pool_driver_lines(probe) == [2, 3, 5]
 
     def test_only_type_checking_imports_are_exempt(self):
         probe = (
