@@ -850,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--map", type=_map_argument, default=None)
         sub.add_argument(
             "--workers", type=_workers_argument, default=2,
-            help="parse processes feeding the single writer; a map with at "
-            "most 16 pending files parses in-process (default 2; 0 or "
+            help="parse processes feeding the single writer; a map whose "
+            "pending files make one batch parses in-process (default 2; 0 or "
             "'auto' means one per CPU core)",
         )
         sub.add_argument(

@@ -61,8 +61,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: The most SVGs one parse batch carries; amortises pickling and dispatch
-#: overhead without starving workers at the tail of a run.  A map with no
-#: more pending files than this parses in-process.
+#: overhead without starving workers at the tail of a run.  Whether the
+#: batches run in a pool is the pool's call: a lone batch, or any batch
+#: of a one-worker run, parses in-process.
 DEFAULT_CHUNK_SIZE = 16
 
 
@@ -216,8 +217,8 @@ def process_map_parallel(
         workers: worker process count; ``None``/``"auto"``/``0`` mean one
             per core.  Requests resolve through
             :func:`~repro.dataset.workers.resolve_workers`; the daemon
-            parses in-process when one worker is left or the map has at
-            most ``chunk_size`` pending files.
+            parses in-process when one worker is left or the map's
+            pending files make one batch.
         chunk_size: most SVGs per parse batch; the pending files are cut
             into equal batches, one per worker per round.
         strict: apply the whole-map sanity checks strictly.

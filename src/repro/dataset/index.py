@@ -394,20 +394,26 @@ class SnapshotIndex:
         self._label_ids = {label: i for i, label in enumerate(self.labels)}
 
     def append_snapshot(self, snapshot: MapSnapshot, size: int, mtime_ns: int) -> None:
-        """Intern and append one parsed snapshot (rows stay in time order)."""
+        """Intern and append one parsed snapshot (rows stay in time order).
+
+        Nodes go in the order its YAML twin lists them — routers, then
+        peerings, each sorted by name — so a snapshot fresh from the
+        parser and the same snapshot read back from its twin give the
+        same row and intern names in the same order.
+        """
         self.timestamps.append(_epoch(snapshot.timestamp))
         self.source_sizes.append(size)
         self.source_mtimes.append(mtime_ns)
-        routers = peerings = 0
-        for node in snapshot.nodes.values():
-            if node.kind is NodeKind.ROUTER:
-                self.router_ids.append(self._intern_name(node.name))
-                routers += 1
-            else:
-                self.peering_ids.append(self._intern_name(node.name))
-                peerings += 1
-        self.router_counts.append(routers)
-        self.peering_counts.append(peerings)
+        routers = sorted(
+            name for name, node in snapshot.nodes.items() if node.kind is NodeKind.ROUTER
+        )
+        peerings = sorted(
+            name for name, node in snapshot.nodes.items() if node.kind is not NodeKind.ROUTER
+        )
+        self.router_ids.extend(map(self._intern_name, routers))
+        self.peering_ids.extend(map(self._intern_name, peerings))
+        self.router_counts.append(len(routers))
+        self.peering_counts.append(len(peerings))
         self.link_counts.append(len(snapshot.links))
         for link in snapshot.links:
             self.link_a_nodes.append(self._intern_name(link.a.node))
@@ -508,15 +514,26 @@ class SnapshotIndex:
             "fingerprint": self.source_fingerprint(),
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        parts = [_PREFIX.pack(INDEX_MAGIC, INDEX_FORMAT_VERSION, len(header_bytes))]
-        parts.append(header_bytes)
-        for attribute, _ in _COLUMNS:
-            parts.append(getattr(self, attribute).tobytes())
-        payload = b"".join(parts)
-        data = payload + hashlib.sha256(payload).digest()
-        # Write-aside + fsync + replace: a mid-write kill leaves either the
-        # previous index generation or the new one, never a truncated file.
-        return atomic_write_bytes(path, data)
+        # The columns are written from byte views of the arrays, so no
+        # copy of the payload is ever made.
+        parts: list[bytes | memoryview] = [
+            _PREFIX.pack(INDEX_MAGIC, INDEX_FORMAT_VERSION, len(header_bytes)),
+            header_bytes,
+        ]
+        parts += [memoryview(getattr(self, attribute)).cast("B") for attribute, _ in _COLUMNS]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        parts.append(digest.digest())
+        try:
+            # Write-aside + fsync + replace: a mid-write kill leaves either
+            # the previous index generation or the new one, never a
+            # truncated file.
+            return atomic_write_bytes(path, parts)
+        finally:
+            for part in parts:
+                if isinstance(part, memoryview):
+                    part.release()  # the arrays can grow again
 
     @classmethod
     def load(cls, path: Path) -> "SnapshotIndex":
@@ -571,6 +588,7 @@ class IndexBuildStats:
     map_name: MapName
     parsed: int = 0
     reused: int = 0
+    handed: int = 0
     unreadable: int = 0
     removed: int = 0
     bytes_written: int = 0
@@ -578,7 +596,7 @@ class IndexBuildStats:
     @property
     def total(self) -> int:
         """Rows in the resulting index."""
-        return self.parsed + self.reused
+        return self.parsed + self.reused + self.handed
 
 
 def _index_batch(
@@ -614,6 +632,7 @@ def build_index(
     rebuild: bool = False,
     workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
+    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> tuple[SnapshotIndex, IndexBuildStats]:
     """Build or refresh the columnar index of ``refs`` at ``index_path``.
 
@@ -624,6 +643,12 @@ def build_index(
     are then merged in time order; rows whose source vanished are
     dropped.  An existing index built at a different
     ``PARSER_VERSION`` is discarded, mirroring the engine's manifest.
+
+    A new or modified file with a ``handed`` row is not parsed: the row
+    is merged like a parsed one, if its recorded ``size`` and
+    ``mtime_ns`` still match the file (else the file is parsed).  This is
+    how the ingest daemon indexes the twins it just wrote from the
+    snapshots it wrote them from.
 
     Args:
         refs: the source universe to index, in time order; shard
@@ -637,6 +662,9 @@ def build_index(
             borrow — how shard compaction lends one pool to every shard.
         on_error: called for unreadable YAML files, which are recorded as
             skipped sources; without a handler, schema errors propagate.
+        handed: rows already built from the sources' snapshots, as
+            ``(part, row)`` by epoch second; each part's rows are in time
+            order, and it holds rows of this index's refs only.
 
     Returns:
         The saved index and the build accounting.
@@ -644,7 +672,7 @@ def build_index(
     registry = get_registry()
     rows_counter = registry.counter(
         "repro_index_rows_total",
-        "Index build rows by outcome (parsed, reused, unreadable, removed)",
+        "Index build rows by outcome (parsed, reused, handed, unreadable, removed)",
     )
     build_seconds = registry.histogram(
         "repro_index_build_seconds", "Index build wall time"
@@ -687,8 +715,9 @@ def build_index(
             previous.timestamps[row]: row for row in range(len(previous))
         }
 
-    # Plan in ref (time) order: reuse an unchanged row, or parse the file.
-    plan: list[tuple[SnapshotRef, int | None]] = []
+    # Plan in ref (time) order: reuse an unchanged row, take a handed
+    # row, or parse the file.
+    plan: list[tuple[SnapshotRef, int | tuple[SnapshotIndex, int] | None]] = []
     #: ``(path, epoch, size, mtime_ns)`` of each file to parse, in plan order.
     items: list[tuple[str, int, int, int]] = []
     for ref in refs:
@@ -713,6 +742,13 @@ def build_index(
             index.skipped[key] = skip
             stats.unreadable += 1
             continue
+        given = handed.get(key) if handed else None
+        if given is not None and (
+            given[0].source_sizes[given[1]] == stat.st_size
+            and given[0].source_mtimes[given[1]] == stat.st_mtime_ns
+        ):
+            plan.append((ref, given))
+            continue
         plan.append((ref, None))
         items.append((str(ref.path), key, stat.st_size, stat.st_mtime_ns))
 
@@ -735,22 +771,27 @@ def build_index(
         part: SnapshotIndex | None = None
         names: list[int] = []
         labels: list[int] = []
-        for ref, previous_row in plan:
-            if previous_row is not None:
-                index.append_row_from(previous, previous_row)
+        for ref, source in plan:
+            if isinstance(source, int):
+                index.append_row_from(previous, source)
                 stats.reused += 1
                 continue
-            (_, key, size, mtime_ns), (outcome_part, outcome) = next(parsed)
-            if isinstance(outcome, str):
-                exc = SchemaError(outcome)
-                if on_error is None:
-                    raise exc
-                on_error(ref, exc)
-                index.skipped[key] = SkippedSource(
-                    size=size, mtime_ns=mtime_ns, message=outcome
-                )
-                stats.unreadable += 1
-                continue
+            if source is None:
+                (_, key, size, mtime_ns), (outcome_part, outcome) = next(parsed)
+                if isinstance(outcome, str):
+                    exc = SchemaError(outcome)
+                    if on_error is None:
+                        raise exc
+                    on_error(ref, exc)
+                    index.skipped[key] = SkippedSource(
+                        size=size, mtime_ns=mtime_ns, message=outcome
+                    )
+                    stats.unreadable += 1
+                    continue
+                stats.parsed += 1
+            else:
+                outcome_part, outcome = source
+                stats.handed += 1
             if outcome_part is not part:
                 # A part's strings are interned when the plan reaches its
                 # first row.  Nothing between its rows interns (reused rows
@@ -760,20 +801,23 @@ def build_index(
                 names = [index._intern_name(name) for name in part.names]
                 labels = [index._intern_label(label) for label in part.labels]
             index.append_row_from(part, outcome, names, labels)
-            stats.parsed += 1
 
     if previous is not None:
         stats.removed = max(0, len(previous) - stats.reused)
+        # Freed before the new generation is written, which needs only it.
+        previous = None
     stats.bytes_written = index.save(index_path)
     build_seconds.observe(perf_counter() - build_started, map=map_name.value)
-    for outcome in ("parsed", "reused", "unreadable", "removed"):
+    for outcome in ("parsed", "reused", "handed", "unreadable", "removed"):
         rows_counter.inc(getattr(stats, outcome), map=map_name.value, outcome=outcome)
     logger.info(
-        "indexed %s: %d rows (%d parsed, %d reused, %d unreadable, %d removed)",
+        "indexed %s: %d rows (%d parsed, %d reused, %d handed, %d unreadable, "
+        "%d removed)",
         map_name.value,
         len(index),
         stats.parsed,
         stats.reused,
+        stats.handed,
         stats.unreadable,
         stats.removed,
     )

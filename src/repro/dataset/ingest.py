@@ -10,13 +10,13 @@ run``, ``process`` and the bulk entry points of
 :mod:`repro.dataset.engine` are all daemon runs — with three guarantees:
 
 * **Bounded memory** — a map's pending SVGs are cut into balanced
-  batches of at most ``chunk_size`` files.  A map with no more pending
-  files than that (every live tick) parses and compacts in the calling
-  thread; a larger backlog parses, and compacts its shards, in the run's
-  one forked pool (:class:`~repro.dataset.workers.OrderedPool`), with at
-  most two batches per worker in flight, applied in submission order.
-  Either way the calling thread is the only writer, and peak RSS is flat
-  in corpus size.
+  batches of at most ``chunk_size`` files, one per worker per round.
+  The batches parse, and the map's shards compact, in the run's one
+  :class:`~repro.dataset.workers.OrderedPool`, with at most two batches
+  per worker in flight, applied in submission order; the pool runs a
+  lone batch (every one-file live tick) or a one-worker run in the
+  calling thread, and forks only for more.  Either way the calling
+  thread is the only writer, and peak RSS is flat in corpus size.
 
 * **Crash-safe resume** — every ingested file is recorded in an
   append-only write-ahead journal (one CRC-32-framed JSON line per
@@ -32,7 +32,9 @@ run``, ``process`` and the bulk entry points of
 * **O(new shard) index maintenance** — checkpoints compact only the
   day-shards touched since the last checkpoint via
   :func:`~repro.dataset.shards.compact_map_shards`, so a tick never
-  pays for the archive behind it.
+  pays for the archive behind it.  Each parse batch also returns the
+  index rows of the snapshots it made, and the checkpoint hands them to
+  the shard build, so a new twin is never read back to be indexed.
 
 Journal record format (one line, ``crc32-hex space json newline``)::
 
@@ -51,7 +53,7 @@ import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter, time
@@ -68,6 +70,7 @@ from repro.dataset.engine import (
     _batches,
     _skip_from_manifest,
 )
+from repro.dataset.index import SnapshotIndex
 from repro.dataset.processor import (
     ProcessingStats,
     ProcessOutcome,
@@ -286,9 +289,9 @@ class IngestConfig:
 
     ``workers`` is the parse pool's width, resolved through
     :func:`~repro.dataset.workers.resolve_workers` (one on a single-core
-    host).  A map with more than ``chunk_size`` pending files parses in
-    the pool, in batches of at most ``chunk_size``; any other map parses
-    in the calling thread.  ``checkpoint_every`` paces manifest folds and
+    host).  A map's pending files parse in batches of at most
+    ``chunk_size``, one per worker per round; a lone batch parses in the
+    calling thread.  ``checkpoint_every`` paces manifest folds and
     shard compaction; ``fsync_every`` paces the YAML-then-journal
     durability batches inside a checkpoint interval.
     """
@@ -364,21 +367,31 @@ def read_ingest_status(root: str | Path) -> dict[str, object] | None:
     return payload if isinstance(payload, dict) else None
 
 
+#: One parsed file: its outcome, its manifest entry, and its row in the
+#: batch's index part for the file's shard (-1 when it has none).
+_Parsed = tuple[ProcessOutcome, ManifestEntry, int]
+
+
 def _process_batch(
     store: DatasetStore,
     map_name: MapName,
     refs: Sequence[SnapshotRef],
     strict: bool,
     options: ParseOptions | None,
-) -> list[tuple[ProcessOutcome, ManifestEntry]]:
+    index_rows: bool,
+) -> tuple[list[_Parsed], dict[str, SnapshotIndex]]:
     """The parse kernel: read, hash and extract one batch of SVGs, in order.
 
     Runs in the daemon's thread or, pickled by name, in a worker of the
     run's :class:`~repro.dataset.workers.OrderedPool`.  Each file
     comes back as its outcome and the manifest entry the writer records
-    for it (``yaml_bytes`` is filled in once the twin is written).
+    for it (``yaml_bytes`` is filled in once the twin is written).  With
+    ``index_rows``, each parsed snapshot is also appended to an index
+    part of its shard, returned by shard key; the writer stamps each row
+    with its twin's size and ``mtime_ns`` once the twin is written.
     """
-    results: list[tuple[ProcessOutcome, ManifestEntry]] = []
+    results: list[_Parsed] = []
+    parts: dict[str, SnapshotIndex] = {}
     with get_registry().span(
         "repro_engine_batch", "Parse batch wall time", map=map_name.value
     ):
@@ -394,8 +407,17 @@ def _process_batch(
                 mtime_ns=mtime_ns,
                 failure=outcome.failure_cause,
             )
-            results.append((outcome, entry))
-    return results
+            row = -1
+            if index_rows and outcome.snapshot is not None:
+                key = shard_key(ref.timestamp)
+                part = parts.get(key)
+                if part is None:
+                    part = parts[key] = SnapshotIndex(map_name)
+                row = len(part)
+                part.append_snapshot(outcome.snapshot, 0, 0)
+            # Only the text crosses back: the part already holds the rows.
+            results.append((replace(outcome, snapshot=None), entry, row))
+    return results, parts
 
 
 def _log_unindexed(ref: SnapshotRef, exc: Exception) -> None:
@@ -411,11 +433,10 @@ class IngestDaemon:
     """The SVG→YAML writer of a dataset directory.
 
     The calling thread owns the manifest, the journal, and every YAML
-    write.  Parsing and shard compaction run in that thread too, unless
-    a map has more than ``config.chunk_size`` pending files and
-    ``config.workers`` exceeds one: then the run's one pool of
-    ``config.workers`` processes parses the map's balanced batches, which
-    the writer applies in submission order, and rebuilds its shards.
+    write.  The run's one pool of ``config.workers`` processes parses
+    each map's balanced batches, which the writer applies in submission
+    order, and rebuilds its shards; it runs a lone batch, or any batch
+    of a one-worker run, in the calling thread.
     """
 
     def __init__(self, store: DatasetStore, config: IngestConfig | None = None) -> None:
@@ -558,19 +579,19 @@ class IngestDaemon:
         return pending
 
     def _parsed(
-        self, map_name: MapName, batches: Sequence[Sequence[SnapshotRef]], pooled: bool
-    ) -> Iterator[list[tuple[ProcessOutcome, ManifestEntry]]]:
-        """Each batch's parse results, in submission order: in the run's
-        pool if ``pooled``, else in-process, one batch per step."""
+        self, map_name: MapName, batches: Sequence[Sequence[SnapshotRef]]
+    ) -> Iterator[tuple[list[_Parsed], dict[str, SnapshotIndex]]]:
+        """Each batch's parse results, in submission order, from the run's pool."""
         parse = partial(
             _process_batch,
             self.store,
             map_name,
             strict=self.config.strict,
             options=self.config.options,
+            index_rows=self.config.update_index and not self._rebuild,
         )
         try:
-            yield from self._pool.map(parse, batches) if pooled else map(parse, batches)
+            yield from self._pool.map(parse, batches)
         except Exception as exc:
             raise IngestError(f"parsing {map_name.value} failed: {exc!r}") from exc
 
@@ -599,13 +620,15 @@ class IngestDaemon:
         journal: IngestJournal,
         yaml_paths: list[Path],
         touched_shards: set[str],
-        pooled: bool,
+        handed: dict[int, tuple[SnapshotIndex, int]],
         pending_left: int,
     ) -> None:
         """Fold the journal into the manifest and compact touched shards.
 
-        A rebuilding run leaves every shard to :meth:`_finish_map`, which
-        rebuilds them all once.
+        ``handed`` holds the index rows parsed since the last checkpoint,
+        by epoch second; the shard builds take them instead of reading
+        their twins back.  A rebuilding run leaves every shard to
+        :meth:`_finish_map`, which rebuilds them all once.
         """
         registry = get_registry()
         checkpoint_seconds = registry.histogram(
@@ -616,8 +639,9 @@ class IngestDaemon:
         manifest.save(self.store.manifest_path(map_name))
         journal.clear()
         if self.config.update_index and touched_shards and not self._rebuild:
-            self._compact(map_name, pooled, only=sorted(touched_shards))
+            self._compact(map_name, only=sorted(touched_shards), handed=handed)
         touched_shards.clear()
+        handed.clear()
         self.stats.checkpoints += 1
         checkpoint_seconds.observe(perf_counter() - started, map=map_name.value)
         self._write_status("running", pending_left=pending_left)
@@ -640,19 +664,19 @@ class IngestDaemon:
             manifest.entries.clear()
         pending = self._pending_refs(map_name, manifest)
         self._pending_total += len(pending)
-        pooled = self._workers > 1 and len(pending) > self.config.chunk_size
         if not pending:
             # Nothing new, but leave the indexes consistent with the tree.
-            self._finish_map(map_name, journal, pooled)
+            self._finish_map(map_name, journal)
             return
 
         map_stats = self.stats.per_map[map_name]
         batches = _batches(pending, self.config.chunk_size, self._workers)
         yaml_batch: list[Path] = []
         touched_shards: set[str] = set()
+        handed: dict[int, tuple[SnapshotIndex, int]] = {}
         since_sync = since_checkpoint = done = 0
-        for batch, results in zip(batches, self._parsed(map_name, batches, pooled)):
-            for ref, (outcome, entry) in zip(batch, results):
+        for batch, (results, parts) in zip(batches, self._parsed(map_name, batches)):
+            for ref, (outcome, entry, row) in zip(batch, results):
                 if outcome.yaml_text is None:
                     map_stats.unprocessed += 1
                     map_stats.failure_causes[outcome.failure_cause] += 1
@@ -675,7 +699,14 @@ class IngestDaemon:
                     self.stats.processed += 1
                     ingest_files.inc(1, map=map_name.value, outcome="processed")
                     yaml_batch.append(written.path)
-                    touched_shards.add(shard_key(ref.timestamp))
+                    shard = shard_key(ref.timestamp)
+                    touched_shards.add(shard)
+                    if row >= 0:
+                        part = parts[shard]
+                        twin = written.path.stat()
+                        part.source_sizes[row] = twin.st_size
+                        part.source_mtimes[row] = twin.st_mtime_ns
+                        handed[int(ref.timestamp.timestamp())] = (part, row)
                 stamp = format_timestamp(ref.timestamp)
                 manifest.entries[stamp] = entry
                 journal.append(
@@ -703,7 +734,7 @@ class IngestDaemon:
                         journal,
                         yaml_batch,
                         touched_shards,
-                        pooled,
+                        handed,
                         pending_left=len(pending) - done,
                     )
                     since_checkpoint = 0
@@ -714,27 +745,27 @@ class IngestDaemon:
             journal,
             yaml_batch,
             touched_shards,
-            pooled,
+            handed,
             pending_left=0,
         )
-        self._finish_map(map_name, journal, pooled)
+        self._finish_map(map_name, journal)
 
-    def _finish_map(self, map_name: MapName, journal: IngestJournal, pooled: bool) -> None:
+    def _finish_map(self, map_name: MapName, journal: IngestJournal) -> None:
         """Close the journal and leave this map's indexes fully compacted."""
         journal.close()
         if not self.config.update_index:
             return
         if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
             return
-        self._compact(map_name, pooled, rebuild=self._rebuild)
+        self._compact(map_name, rebuild=self._rebuild)
 
-    def _compact(self, map_name: MapName, pooled: bool, **options: Any) -> None:
-        """Compact the map's shards, in the run's pool if the map parses there."""
+    def _compact(self, map_name: MapName, **options: Any) -> None:
+        """Compact the map's shards through the run's pool."""
         try:
             shards.compact_map_shards(
                 self.store,
                 map_name,
-                workers=self._pool if pooled else 1,
+                workers=self._pool,
                 on_error=_log_unindexed,
                 **options,
             )

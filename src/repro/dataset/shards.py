@@ -51,10 +51,10 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import build_index
+from repro.dataset.index import SnapshotIndex, build_index
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
@@ -213,6 +213,7 @@ class ShardCompactionStats:
     rows: int = 0
     parsed: int = 0
     reused: int = 0
+    handed: int = 0
     seconds: float = 0.0
 
 
@@ -224,6 +225,7 @@ def compact_map_shards(
     workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, Exception], None] | None = None,
     only: Sequence[str] | None = None,
+    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> ShardCompactionStats:
     """Bring one map's shard indexes up to date — O(changed shards).
 
@@ -242,6 +244,9 @@ def compact_map_shards(
 
     ``workers`` is a worker request, which opens one pool for every shard
     rebuilt here, or an open :class:`~repro.dataset.workers.OrderedPool`.
+    ``handed`` passes rows built from the sources' snapshots to
+    :func:`~repro.dataset.index.build_index`, keyed by epoch second, with
+    one part per shard.
     """
     registry = get_registry()
     compactions = registry.counter(
@@ -287,6 +292,7 @@ def compact_map_shards(
                 rebuild=rebuild,
                 workers=pool,
                 on_error=on_error,
+                handed=handed,
             )
             index_stat = index_path.stat()
             manifest.shards[key] = ShardEntry(
@@ -300,6 +306,7 @@ def compact_map_shards(
             stats.rows += len(index)
             stats.parsed += build_stats.parsed
             stats.reused += build_stats.reused
+            stats.handed += build_stats.handed
 
     if only is None:
         for key in sorted(set(manifest.shards) - set(live_keys)):

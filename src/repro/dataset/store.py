@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.constants import MapName
 from repro.errors import DatasetError, SnapshotNotFoundError
@@ -83,25 +83,30 @@ def fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> int:
+def atomic_write_bytes(
+    path: Path, data: bytes | Sequence[bytes | memoryview], *, durable: bool = True
+) -> int:
     """Write *data* so readers never observe a partial file.
 
-    The bytes land in a sibling temp file which is fsync'd and then
-    ``os.replace``'d over *path*; with ``durable`` the parent directory
-    entry is flushed too, so a mid-write kill leaves either the old file
-    or the new one — never a truncated hybrid.
+    *data* is the file's bytes, or its pieces in order (byte-format
+    views need no copy to be joined first).  The bytes land in a sibling
+    temp file which is fsync'd and then ``os.replace``'d over *path*;
+    with ``durable`` the parent directory entry is flushed too, so a
+    mid-write kill leaves either the old file or the new one — never a
+    truncated hybrid.
     """
+    pieces = [data] if isinstance(data, bytes) else data
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
     with open(scratch, "wb") as handle:
-        handle.write(data)
+        handle.writelines(pieces)
         handle.flush()
         if durable:
             os.fsync(handle.fileno())
     os.replace(scratch, path)
     if durable:
         fsync_directory(path.parent)
-    return len(data)
+    return sum(len(piece) for piece in pieces)
 
 
 def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> int:

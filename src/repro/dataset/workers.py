@@ -10,7 +10,7 @@ effective width is one — including any request on a single-core machine.
 
 Every pool is driven by one :class:`OrderedPool`: it opens a forked
 pool (:func:`process_pool`) the first time it is handed more than one
-batch, returns each batch's result in submission order, and merges each
+batch with more than one worker, returns each batch's result in submission order, and merges each
 worker's metrics into the caller's registry.  The ingest daemon owns one
 per run; :func:`~repro.dataset.index.build_index` borrows the caller's
 (:func:`lend_pool`) or opens its own.  :func:`contiguous_batches` cuts
@@ -160,8 +160,9 @@ def _call_with_metrics(task: Callable[[B], T], batch: B) -> tuple[T, dict]:
 class OrderedPool:
     """A forked pool of ``width`` workers, opened on first need.
 
-    :meth:`map` runs a lone batch in the calling thread; given more, it
-    opens :func:`process_pool` (once, for every later map too).
+    :meth:`map` runs a lone batch, or any batches of a one-wide pool, in
+    the calling thread; given more, it opens :func:`process_pool` (once,
+    for every later map too).
     :meth:`close` shuts it down, cancelling queued tasks.
     """
 
@@ -177,7 +178,7 @@ class OrderedPool:
         caller's as its result is taken, so counters total what a serial
         run records.
         """
-        if len(batches) <= 1:
+        if len(batches) <= 1 or self.width <= 1:
             yield from (task(batch) for batch in batches)
             return
         if self._executor is None:

@@ -18,10 +18,11 @@ Two execution modes produce identical results:
   essentially on it), and an empty neighbourhood falls back to the full
   scan, so the error behaviour is preserved too.
 
-Both modes break exact-distance ties on document order.
-:func:`attribute_with_plan` also returns the chosen router and label
-indices, so :func:`replay_plan` can rebuild the result for a later
-document with the same layout without re-running the search.
+Both modes break exact-distance ties on document order.  Both compute
+a plan first (:func:`attribution_plan`): the chosen router and label
+index of every link end.  :func:`replay_plan` turns a plan into links,
+and the pipeline replays a stored plan for a later document with the
+same layout without re-running the search.
 """
 
 from __future__ import annotations
@@ -41,9 +42,12 @@ from repro.parsing.algorithm1 import ExtractedLabel, ExtractionResult
 from repro.parsing.spatial import GridIndex
 from repro.svgdoc.elements import ObjectElement
 
-#: Candidate search radius around each link end in accelerated mode.
-#: Comfortably above both the arrow base gap and the label threshold.
-_SEARCH_RADIUS = 90.0
+#: Candidate search radii around each link end in accelerated mode, tried
+#: in turn.  Chosen routers sit at most 4.94 px and labels 0 px from their
+#: link ends on the four reference maps, so the first radius nearly always
+#: decides; the second is comfortably above both the arrow base gap and
+#: the label threshold.
+_SEARCH_RADII = (8.0, 90.0)
 
 _INFINITY = float("inf")
 
@@ -93,34 +97,32 @@ def attribute_objects(
         MissingLabelError: no unconsumed label intersects the line within
             the distance threshold.
     """
-    return attribute_with_plan(extraction, label_distance_threshold, accelerated)[0]
+    return replay_plan(
+        extraction, attribution_plan(extraction, label_distance_threshold, accelerated)
+    )
 
 
-def attribute_with_plan(
+def attribution_plan(
     extraction: ExtractionResult,
     label_distance_threshold: float,
     accelerated: bool,
-) -> tuple[list[AttributedLink], array]:
-    """:func:`attribute_objects` plus the plan :func:`replay_plan` reads.
+) -> array:
+    """Algorithm 2's choices, as :func:`replay_plan` reads them.
 
     The plan holds, per link end in order, the document index of the
-    chosen router and of the chosen label.
+    chosen router and of the chosen label.  Raises what
+    :func:`attribute_objects` raises.
     """
     routers = extraction.routers
-    labels = list(extraction.labels)
+    labels = extraction.labels
     consumed = [False] * len(labels)
-    attributed: list[AttributedLink] = []
     plan = array("i")
 
-    router_index: GridIndex[int] | None = None
-    label_index: GridIndex[int] | None = None
+    router_index: GridIndex | None = None
+    label_index: GridIndex | None = None
     if accelerated:
-        router_index = GridIndex(
-            (router.box, position) for position, router in enumerate(routers)
-        )
-        label_index = GridIndex(
-            (label.box, position) for position, label in enumerate(labels)
-        )
+        router_index = GridIndex(router.box for router in routers)
+        label_index = GridIndex(label.box for label in labels)
 
     for link in extraction.links:
         base_first, base_second = link.bases
@@ -152,25 +154,23 @@ def attribute_with_plan(
                 ]
             return labels_on_line
 
-        ends: list[AttributedEnd] = []
-        for end_position, load in zip((base_first, base_second), link.loads):
-            # Every nearest scan below keeps the smallest (distance,
+        chosen_routers: list[int] = []
+        for end_position in (base_first, base_second):
+            # Every nearest search below keeps the smallest (distance,
             # document index), like min() over the document-order lists
-            # of the faithful loop.  The full scans run in document order,
-            # so a strict "<" does it; the grid yields cell order, so it
-            # breaks ties on the index explicitly.
+            # of the faithful loop.  A radius that finds a box holds the
+            # overall nearest, so the grid searches widen only on a miss,
+            # and the full scans run in document order with a strict "<".
             # --- router attribution -------------------------------------
             best_router = -1
             router_distance = _INFINITY
             if router_index is not None:
-                for box, position in router_index.near(end_position, _SEARCH_RADIUS):
-                    if box.intersects_line(line):
-                        distance = box.distance_to_point(end_position)
-                        if distance < router_distance or (
-                            distance == router_distance and position < best_router
-                        ):
-                            router_distance = distance
-                            best_router = position
+                for radius in _SEARCH_RADII:
+                    best_router, router_distance = router_index.nearest_on_line(
+                        end_position, line, radius
+                    )
+                    if best_router >= 0:
+                        break
             if best_router < 0:
                 for position in full_routers():
                     distance = routers[position].box.distance_to_point(end_position)
@@ -187,14 +187,12 @@ def attribute_with_plan(
             best_index = -1
             distance = _INFINITY
             if label_index is not None:
-                for box, position in label_index.near(end_position, _SEARCH_RADIUS):
-                    if not consumed[position] and box.intersects_line(line):
-                        candidate_distance = box.distance_to_point(end_position)
-                        if candidate_distance < distance or (
-                            candidate_distance == distance and position < best_index
-                        ):
-                            distance = candidate_distance
-                            best_index = position
+                for radius in _SEARCH_RADII:
+                    best_index, distance = label_index.nearest_on_line(
+                        end_position, line, radius, consumed
+                    )
+                    if best_index >= 0:
+                        break
             if best_index < 0:
                 for position in full_labels():
                     if consumed[position]:
@@ -220,27 +218,17 @@ def attribute_with_plan(
             consumed[best_index] = True
             plan.append(best_router)
             plan.append(best_index)
-            ends.append(
-                AttributedEnd(
-                    position=end_position,
-                    router=routers[best_router],
-                    label=labels[best_index],
-                    load=load,
-                )
-            )
+            chosen_routers.append(best_router)
 
-        first, second = ends
-        if first.router.name == second.router.name:
-            raise SelfLinkError(
-                f"link attributed to router {first.router.name!r} at both ends"
-            )
-        attributed.append(AttributedLink(a=first, b=second))
+        first, second = (routers[position].name for position in chosen_routers)
+        if first == second:
+            raise SelfLinkError(f"link attributed to router {first!r} at both ends")
 
-    return attributed, plan
+    return plan
 
 
 def replay_plan(extraction: ExtractionResult, plan: array) -> list[AttributedLink]:
-    """Rebuild :func:`attribute_with_plan`'s links from its ``plan``.
+    """Rebuild :func:`attribute_objects`' links from its ``plan``.
 
     Valid only for a document whose layout equals the planned one: the
     same router boxes and names, label boxes and arrows, in the same

@@ -10,11 +10,13 @@ This module runs the remaining whole-map checks and produces the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection, Sequence
 
 from repro.errors import IsolatedRouterError
 from repro.parsing.algorithm1 import ExtractionResult
 from repro.parsing.algorithm2 import AttributedLink
 from repro.svgdoc.colors import WEATHERMAP_SCALE, LoadColorScale
+from repro.svgdoc.elements import is_peering_name
 
 
 @dataclass
@@ -46,14 +48,32 @@ def check_load_colors(
     and implicitly through its color" — so the two can be cross-checked.
     A mismatch means a stale or tampered document (or a scale change).
     """
-    mismatches = 0
+    return _color_mismatches(*fills_and_loads(extraction), scale=scale)
+
+
+def _color_mismatches(
+    fills: Sequence[str],
+    loads: Sequence[float],
+    scale: LoadColorScale = WEATHERMAP_SCALE,
+) -> int:
+    """:func:`check_load_colors` over parallel per-arrow fill and load lists.
+
+    An arrow without a fill is never a mismatch.
+    """
+    return sum(
+        1 for fill, load in zip(fills, loads) if fill and not scale.is_consistent(load, fill)
+    )
+
+
+def fills_and_loads(extraction: ExtractionResult) -> tuple[list[str], list[float]]:
+    """Every arrow's fill and load, in document order."""
+    fills: list[str] = []
+    loads: list[float] = []
     for link in extraction.links:
         for arrow, load in zip(link.arrows, link.loads):
-            if not arrow.fill:
-                continue
-            if not scale.is_consistent(load, arrow.fill):
-                mismatches += 1
-    return mismatches
+            fills.append(arrow.fill)
+            loads.append(load)
+    return fills, loads
 
 
 def run_sanity_checks(
@@ -80,26 +100,53 @@ def run_sanity_checks(
     for link in links:
         connected.add(link.a.router.name)
         connected.add(link.b.router.name)
-
-    report = ParseReport(
-        router_count=sum(1 for obj in extraction.routers if obj.is_router),
-        peering_count=sum(1 for obj in extraction.routers if obj.is_peering),
-        link_count=len(links),
+    fills, loads = fills_and_loads(extraction) if check_colors else ([], [])
+    return check_map(
+        [obj.name for obj in extraction.routers],
+        connected,
         label_count=len(extraction.labels),
-        unused_labels=len(extraction.labels) - 2 * len(links),
+        link_count=len(links),
+        fills=fills,
+        loads=loads,
+        strict=strict,
     )
 
-    if check_colors:
-        report.color_mismatches = check_load_colors(extraction)
-        if report.color_mismatches:
-            report.warnings.append(
-                f"{report.color_mismatches} loads disagree with their arrow colour"
-            )
+
+def check_map(
+    names: Sequence[str],
+    connected: Collection[str],
+    *,
+    label_count: int,
+    link_count: int,
+    fills: Sequence[str],
+    loads: Sequence[float],
+    strict: bool,
+) -> ParseReport:
+    """:func:`run_sanity_checks` over plain values, no geometry.
+
+    ``names`` are the map's routers and peerings in document order,
+    ``connected`` the router names at any attributed link end, and
+    ``fills``/``loads`` the per-arrow colours and percentages to
+    cross-check (empty to skip the colour check).  The pipeline calls it
+    directly, so a parse that replays a stored layout builds no objects.
+    """
+    peerings = sum(1 for name in names if is_peering_name(name))
+    report = ParseReport(
+        router_count=len(names) - peerings,
+        peering_count=peerings,
+        link_count=link_count,
+        label_count=label_count,
+        unused_labels=label_count - 2 * link_count,
+    )
+
+    report.color_mismatches = _color_mismatches(fills, loads)
+    if report.color_mismatches:
+        report.warnings.append(
+            f"{report.color_mismatches} loads disagree with their arrow colour"
+        )
 
     isolated = sorted(
-        obj.name
-        for obj in extraction.routers
-        if obj.is_router and obj.name not in connected
+        name for name in names if not is_peering_name(name) and name not in connected
     )
     if isolated:
         if strict:

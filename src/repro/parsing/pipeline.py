@@ -21,9 +21,11 @@ callers that want their own scoped numbers.
 
 A map's layout changes only when its topology does, so the accelerated
 attribution of a fast-path document is kept per map as a compact plan,
-keyed by the layout signature the streaming pass returns; the next
-document with the same signature and threshold replays the plan instead
-of re-running Algorithm 2 (``repro_parse_layout_reuse_total``).
+keyed by the layout signature the streaming pass returns.  The next
+document with the same signature and threshold replays the plan
+(``repro_parse_layout_reuse_total``): its snapshot and report are built
+from the plan and the document's strings, with no geometry built and no
+Algorithm 2 run.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ from time import perf_counter
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
 from repro.constants import PARSER_VERSION as PARSER_VERSION  # re-export, same object
 from repro.parsing.algorithm1 import ExtractionResult, extract_objects
-from repro.parsing.algorithm2 import (
-    AttributedLink,
-    attribute_objects,
-    attribute_with_plan,
-    replay_plan,
+from repro.parsing.algorithm2 import attribution_plan
+from repro.parsing.checks import ParseReport, check_map, fills_and_loads
+from repro.parsing.stream import (
+    BUILD_ERRORS,
+    StreamedDocument,
+    build_extraction,
+    stream_document,
 )
-from repro.parsing.checks import ParseReport, run_sanity_checks
-from repro.parsing.stream import _stream_extract
+from repro.svgdoc.elements import is_peering_name
 from repro.svgdoc.reader import read_svg_tags
 from repro.telemetry import MetricsRegistry, get_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node, NodeKind
@@ -62,7 +65,7 @@ class ParseOptions:
 
     Attributes:
         fast_path: run reader + Algorithm 1 as one fused streaming pass
-            (:func:`repro.parsing.stream.stream_extract`); identical
+            (:func:`repro.parsing.stream.stream_document`); identical
             results, and any document outside the expected shape falls
             back to the faithful DOM path — ``False`` forces that path
             outright.
@@ -189,64 +192,63 @@ class StageTimings:
         }
 
 
-@dataclass
 class ParsedMap:
-    """The result of processing one weathermap SVG."""
+    """The result of processing one weathermap SVG.
 
-    snapshot: MapSnapshot
-    report: ParseReport
-    extraction: ExtractionResult
+    ``extraction`` is Algorithm 1's object view of the document.  A parse
+    that replayed its map's stored layout never needed those objects, so
+    they are built from the document's strings on first read.
+    """
+
+    __slots__ = ("snapshot", "report", "_extraction", "_document")
+
+    def __init__(
+        self,
+        snapshot: MapSnapshot,
+        report: ParseReport,
+        extraction: ExtractionResult | None = None,
+        document: StreamedDocument | None = None,
+    ) -> None:
+        self.snapshot = snapshot
+        self.report = report
+        self._extraction = extraction
+        self._document = document
+
+    @property
+    def extraction(self) -> ExtractionResult:
+        if self._extraction is None:
+            assert self._document is not None
+            self._extraction = build_extraction(self._document)
+        return self._extraction
 
 
 def _snapshot_from(
-    extraction: ExtractionResult,
-    links: list[AttributedLink],
+    names: list[str],
+    texts: list[str],
+    loads: list[float],
+    plan: array,
     map_name: MapName,
     timestamp: datetime,
 ) -> MapSnapshot:
-    """Assemble the topology model from attributed objects."""
+    """Assemble the topology model from a document's strings and its plan.
+
+    Link ``i``'s ends are ``plan[4i:4i+4]`` (router, label, router,
+    label) with loads ``2i`` and ``2i+1``, as
+    :func:`~repro.parsing.algorithm2.replay_plan` reads them.
+    """
     snapshot = MapSnapshot(map_name=map_name, timestamp=timestamp)
-    for obj in extraction.routers:
-        kind = NodeKind.PEERING if obj.is_peering else NodeKind.ROUTER
-        snapshot.add_node(Node(name=obj.name, kind=kind))
-    for link in links:
+    for name in names:
+        kind = NodeKind.PEERING if is_peering_name(name) else NodeKind.ROUTER
+        snapshot.add_node(Node(name=name, kind=kind))
+    chosen = iter(plan)
+    for load_a, load_b in zip(loads[::2], loads[1::2]):
         snapshot.add_link(
             Link(
-                a=LinkEnd(
-                    node=link.a.router.name,
-                    label=link.a.label.text,
-                    load=link.a.load,
-                ),
-                b=LinkEnd(
-                    node=link.b.router.name,
-                    label=link.b.label.text,
-                    load=link.b.load,
-                ),
+                a=LinkEnd(node=names[next(chosen)], label=texts[next(chosen)], load=load_a),
+                b=LinkEnd(node=names[next(chosen)], label=texts[next(chosen)], load=load_b),
             )
         )
     return snapshot
-
-
-def _attribute_layout(
-    extraction: ExtractionResult,
-    layout: str,
-    map_name: MapName,
-    threshold: float,
-    metrics: _PipelineMetrics,
-) -> list[AttributedLink]:
-    """Accelerated Algorithm 2, replayed when ``map_name``'s layout repeats.
-
-    Only a successful attribution is stored, so a layout that fails runs
-    (and raises) afresh every time.
-    """
-    slot = _LAYOUTS.get(map_name)
-    if slot is not None and slot[0] == threshold and slot[1] == layout:
-        metrics.layout_reuse.inc(1, outcome="hit")
-        return replay_plan(extraction, slot[2])
-    metrics.layout_reuse.inc(1, outcome="miss")
-    links, plan = attribute_with_plan(extraction, threshold, accelerated=True)
-    _LAYOUTS[map_name] = (threshold, layout, plan)
-    return links
 
 
 def parse_svg(
@@ -276,72 +278,99 @@ def parse_svg(
         ParseError subclasses: extraction or attribution failures.
     """
     opts = options if options is not None else DEFAULT_PARSE_OPTIONS
+    threshold = opts.label_distance_threshold
     metrics = _metrics()
     stage_hist = metrics.stage
 
+    def charge(stage: str, started: float) -> None:
+        elapsed = perf_counter() - started
+        stage_hist.observe(elapsed, stage=stage)
+        if timings is not None:
+            timings.add(stage, elapsed)
+
+    document: StreamedDocument | None = None
     extraction: ExtractionResult | None = None
-    layout: str | None = None
+    signature = ""
+    replay: array | None = None
     if opts.fast_path:
         started = perf_counter()
-        streamed = _stream_extract(source)
-        elapsed = perf_counter() - started
-        if streamed is not None:
-            extraction, _, _, layout = streamed
-            stage_hist.observe(elapsed, stage="extract")
+        document = stream_document(source)
+        if document is not None:
+            if opts.accelerated:
+                signature = document.signature
+                slot = _LAYOUTS.get(map_name)
+                if slot is not None and slot[0] == threshold and slot[1] == signature:
+                    replay = slot[2]
+            if replay is None:
+                # A new layout: build its geometry, which may still hold
+                # a coordinate only the DOM path reports.
+                try:
+                    extraction = build_extraction(document)
+                except BUILD_ERRORS:
+                    document = None
+        if document is not None:
+            charge("extract", started)
             metrics.fast_path.inc(1, outcome="hit")
             if timings is not None:
-                timings.add("extract", elapsed)
                 timings.fast_path_hits += 1
         else:
             metrics.fast_path.inc(1, outcome="fallback")
             if timings is not None:
                 timings.fallbacks += 1
-    if extraction is None:
+    if document is None:
         started = perf_counter()
         stream = read_svg_tags(source)
-        elapsed = perf_counter() - started
-        stage_hist.observe(elapsed, stage="read")
-        if timings is not None:
-            timings.add("read", elapsed)
+        charge("read", started)
         started = perf_counter()
         extraction = extract_objects(stream)
-        elapsed = perf_counter() - started
-        stage_hist.observe(elapsed, stage="extract")
-        if timings is not None:
-            timings.add("extract", elapsed)
-
-    started = perf_counter()
-    if layout is not None and opts.accelerated:
-        links = _attribute_layout(
-            extraction, layout, map_name, opts.label_distance_threshold, metrics
-        )
+        charge("extract", started)
+        names = [obj.name for obj in extraction.routers]
+        texts = [label.text for label in extraction.labels]
+        fills, loads = fills_and_loads(extraction)
     else:
-        links = attribute_objects(
-            extraction,
-            label_distance_threshold=opts.label_distance_threshold,
-            accelerated=opts.accelerated,
+        names, texts, fills, loads = (
+            document.names, document.texts, document.fills, document.loads
         )
-    elapsed = perf_counter() - started
-    stage_hist.observe(elapsed, stage="attribute")
-    if timings is not None:
-        timings.add("attribute", elapsed)
 
     started = perf_counter()
-    report = run_sanity_checks(extraction, links, strict=strict)
-    elapsed = perf_counter() - started
-    stage_hist.observe(elapsed, stage="checks")
-    if timings is not None:
-        timings.add("checks", elapsed)
+    if replay is not None:
+        metrics.layout_reuse.inc(1, outcome="hit")
+        plan = replay
+    else:
+        assert extraction is not None  # only a replayed parse has none
+        if document is not None and opts.accelerated:
+            # Only a successful attribution is stored, so a layout that
+            # fails runs (and raises) afresh every time.
+            metrics.layout_reuse.inc(1, outcome="miss")
+            plan = attribution_plan(extraction, threshold, accelerated=True)
+            _LAYOUTS[map_name] = (threshold, signature, plan)
+        else:
+            plan = attribution_plan(extraction, threshold, accelerated=opts.accelerated)
+    charge("attribute", started)
+
+    started = perf_counter()
+    report = check_map(
+        names,
+        {names[router] for router in plan[::2]},
+        label_count=len(texts),
+        link_count=len(plan) // 4,
+        fills=fills,
+        loads=loads,
+        strict=strict,
+    )
+    charge("checks", started)
 
     started = perf_counter()
     snapshot = _snapshot_from(
-        extraction, links, map_name, timestamp if timestamp is not None else _EPOCH
+        names,
+        texts,
+        loads,
+        plan,
+        map_name,
+        timestamp if timestamp is not None else _EPOCH,
     )
-    elapsed = perf_counter() - started
-    stage_hist.observe(elapsed, stage="serialize")
-    if timings is not None:
-        timings.add("serialize", elapsed)
-    return ParsedMap(snapshot=snapshot, report=report, extraction=extraction)
+    charge("serialize", started)
+    return ParsedMap(snapshot, report, extraction, document)
 
 
 def parse_svg_file(

@@ -27,26 +27,31 @@ Layout signature
 ----------------
 
 Weathermap series repeat the same layout for hours: between two
-topology changes only the loads move.  The pass therefore also records
+topology changes only the loads move.  The pass therefore records
 everything Algorithm 2 reads except loads and label texts — each
 router's raw ``<rect>`` attributes and name, each label box's raw
-attributes and each arrow's raw ``points`` string, in document order —
-and joins it into one signature string.
-:func:`repro.parsing.pipeline.parse_svg` compares it with the previous
-document of the same map and, when equal, replays that document's
-attribution instead of re-running Algorithm 2.  Coordinates themselves
-are parsed fresh every time: a process-wide memo of every coordinate
-string ever seen cost megabytes of resident memory and saved no
-measurable time.  Only the small tag/class/name vocabularies are cached.
+attributes and each arrow's raw ``points`` string, each kind in
+document order — as the strings of one signature, plus the arrow
+fills, loads and label texts beside it (:class:`StreamedDocument`).  It builds no
+geometry: :func:`build_extraction` turns the strings into boxes, points
+and arrows, and :func:`repro.parsing.pipeline.parse_svg` calls it only
+when the signature differs from the map's previous document.  A
+signature that repeats is one whose strings already built and
+attributed, so the replayed parse needs neither the objects nor their
+validation.  Coordinates are parsed fresh on every build: a
+process-wide memo of every coordinate string ever seen cost megabytes
+of resident memory and saved no measurable time.  Only the small
+tag/class/name vocabularies are cached.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
 
 from repro.constants import LOAD_MAX, LOAD_MIN
-from repro.errors import ReproError
+from repro.errors import MalformedSvgError, ReproError
 from repro.geometry import Point, Rect
 from repro.parsing.algorithm1 import (
     ExtractedLabel,
@@ -56,7 +61,7 @@ from repro.parsing.algorithm1 import (
 from repro.svgdoc.elements import ArrowElement, ObjectElement
 from repro.svgdoc.reader import load_source, parse_dimension_value
 
-__all__ = ["stream_extract"]
+__all__ = ["StreamedDocument", "build_extraction", "stream_document", "stream_extract"]
 
 _SVG_NAMESPACE = "http://www.w3.org/2000/svg}"
 
@@ -77,12 +82,12 @@ _NAME_CACHE: dict[str, str] = {}
 _DISPATCH_CACHE: dict[str, dict[str, int]] = {}
 _INTERN: dict[str, str] = {}
 
-#: Type tags of the layout signature's records; each is followed by a
-#: fixed number of raw attribute strings, so the joined signature is
-#: unambiguous (well-formed XML never contains the NUL separator).
-_SIG_ROUTER = "R"  # x, y, width, height, name
-_SIG_LABEL = "L"  # x, y, width, height
-_SIG_ARROW = "A"  # points
+#: Separators of the layout signature: between strings, and between the
+#: router, label and arrow sections.  Every section holds a fixed number
+#: of strings per element, and well-formed XML contains neither
+#: character, so the joined signature is unambiguous.
+_SIG_FIELD = "\x00"
+_SIG_SECTION = "\x01"
 
 
 class _Fallback(Exception):
@@ -127,29 +132,17 @@ def _dispatch_code(tag: str, svg_class: str) -> int:
 
 
 def _points(raw: str) -> tuple[Point, ...]:
-    """Twin of ``elements._parse_points`` (reject → fall back)."""
+    """Twin of ``elements._parse_points``; raises what ``BUILD_ERRORS`` lists."""
     tokens = raw.replace(",", " ").split()
     if len(tokens) < 6 or len(tokens) % 2 != 0:
-        raise _Fallback
-    values = map(float, tokens)  # ValueError falls back to the DOM path
+        raise MalformedSvgError(f"polygon points attribute malformed: {raw!r}")
+    values = map(float, tokens)
     return tuple(map(Point, values, values))
 
 
-def _rect(attributes: dict[str, str], tag: str, layout: list[str]) -> Rect:
-    """Twin of ``elements._rect_from_tag`` (reject → fall back).
-
-    Appends ``tag`` and the raw geometry strings to ``layout``.
-    """
-    try:
-        x = attributes["x"]
-        y = attributes["y"]
-        width = attributes["width"]
-        height = attributes["height"]
-    except KeyError:
-        raise _Fallback from None
-    layout.extend((tag, x, y, width, height))
-    # float() ValueError and non-positive-extent GeometryError both
-    # propagate out of the pass, which then falls back to the DOM path.
+def _rect(x: str, y: str, width: str, height: str) -> Rect:
+    """Twin of ``elements._rect_from_tag``; ``ValueError`` or
+    ``GeometryError`` (non-positive extent) → fall back."""
     return Rect(float(x), float(y), float(width), float(height))
 
 
@@ -159,46 +152,147 @@ def _interned(text: str) -> str:
     return _INTERN.setdefault(text, text)
 
 
+@dataclass(frozen=True, slots=True)
+class StreamedDocument:
+    """What the streaming pass keeps of a document: strings and loads.
+
+    No geometry is built.  ``routers`` holds five strings per router (its
+    ``<rect>``'s raw ``x``, ``y``, ``width`` and ``height``, then its
+    name), ``labels`` four per label box and ``arrows`` each arrow's raw
+    ``points``: everything Algorithm 2 reads, so together they are the
+    layout signature.  The other lists hold what the signature leaves
+    out, in document order.  Link ``i`` is arrows ``2i`` and ``2i+1``
+    with loads ``2i`` and ``2i+1``; label ``j`` has text ``texts[j]``.
+    :func:`build_extraction` turns the strings into Algorithm 1's
+    objects when a caller needs them.
+    """
+
+    routers: list[str]
+    labels: list[str]
+    arrows: list[str]
+    texts: list[str]
+    fills: list[str]
+    loads: list[float]
+    width: float
+    height: float
+
+    @property
+    def names(self) -> list[str]:
+        """The router and peering names, in document order."""
+        return self.routers[4::5]
+
+    @property
+    def signature(self) -> str:
+        """The layout strings joined into one comparable string.
+
+        Algorithm 1 keeps routers, labels and links in three separate
+        lists, so how the three kinds interleave in the document does
+        not change its output, and is not part of the signature.
+        """
+        return _SIG_SECTION.join(
+            (
+                _SIG_FIELD.join(self.routers),
+                _SIG_FIELD.join(self.labels),
+                _SIG_FIELD.join(self.arrows),
+            )
+        )
+
+
+#: What :func:`build_extraction` raises on a coordinate the DOM path
+#: would reject (``GeometryError`` is a ``ReproError``).
+BUILD_ERRORS = (ValueError, ReproError)
+
+
+def build_extraction(document: StreamedDocument) -> ExtractionResult:
+    """Algorithm 1's objects from a streamed document's strings.
+
+    The one place the fast path builds geometry.  The result equals the
+    DOM path's extraction of the same document.
+
+    Raises:
+        ValueError, ReproError: a coordinate the DOM path would reject
+            (see :data:`BUILD_ERRORS`); the caller falls back to it.
+    """
+    routers = document.routers
+    labels = document.labels
+    arrows = [
+        ArrowElement(points=_points(raw), fill=fill)
+        for raw, fill in zip(document.arrows, document.fills)
+    ]
+    loads = document.loads
+    return ExtractionResult(
+        routers=[
+            ObjectElement(name=name, box=_rect(x, y, width, height))
+            for x, y, width, height, name in zip(
+                routers[0::5], routers[1::5], routers[2::5], routers[3::5], routers[4::5]
+            )
+        ],
+        links=[
+            ExtractedLink(arrows=[first, second], loads=[load_first, load_second])
+            for first, second, load_first, load_second in zip(
+                arrows[0::2], arrows[1::2], loads[0::2], loads[1::2]
+            )
+        ],
+        labels=[
+            ExtractedLabel(box=_rect(x, y, width, height), text=text)
+            for x, y, width, height, text in zip(
+                labels[0::4], labels[1::4], labels[2::4], labels[3::4], document.texts
+            )
+        ],
+    )
+
+
 class _StreamMachine:
-    """Algorithm 1's accumulator state machine, fed by expat events."""
+    """Algorithm 1's accumulator state machine, fed by expat events.
+
+    It checks the document's shape (arrow/load/label order, the tags
+    ``classify_tag`` accepts) and records strings; coordinates are left
+    to :func:`build_extraction`.
+    """
 
     __slots__ = (
         "depth",
         "skip_above",
-        "routers",
-        "links",
-        "labels",
-        "link",
-        "pending_label_box",
+        "link_arrows",
+        "link_loads",
+        "label_open",
         "capture",
         "capture_code",
         "group_depth",
-        "group_box",
+        "group_boxed",
         "group_name",
         "root_seen",
         "width",
         "height",
-        "layout",
+        "routers",
+        "labels",
+        "arrows",
+        "texts",
+        "fills",
+        "loads",
     )
 
     def __init__(self) -> None:
         self.depth = 0
         self.skip_above = 0  # >0: ignore content until depth drops below it
-        self.routers: list[ObjectElement] = []
-        self.links: list[ExtractedLink] = []
-        self.labels: list[ExtractedLabel] = []
-        self.link: ExtractedLink | None = None
-        self.pending_label_box: Rect | None = None
+        self.link_arrows = 0  # arrows of the open link (0: none open)
+        self.link_loads = 0  # loads of the open link
+        self.label_open = False  # a label box waits for its text
         self.capture: list[str] | None = None
         self.capture_code = 0
         self.group_depth = 0  # depth of the open object group, 0 if none
-        self.group_box: Rect | None = None
+        self.group_boxed = False
         self.group_name: str | None = None
         self.root_seen = False
         self.width = 0.0
         self.height = 0.0
-        #: The layout signature's pieces, in document order.
-        self.layout: list[str] = []
+        #: The layout signature's strings (see StreamedDocument).
+        self.routers: list[str] = []
+        self.labels: list[str] = []
+        self.arrows: list[str] = []
+        self.texts: list[str] = []
+        self.fills: list[str] = []
+        self.loads: list[float] = []
 
     # -- expat handlers ---------------------------------------------------
 
@@ -228,7 +322,7 @@ class _StreamMachine:
                 self.skip_above = depth
             elif code == _OBJECT:
                 self.group_depth = depth
-                self.group_box = None
+                self.group_boxed = False
                 self.group_name = None
             elif code == _LOAD:
                 # classify_tag validates the x/y anchor even though the
@@ -241,12 +335,13 @@ class _StreamMachine:
                 self.capture = []
                 self.capture_code = _LOAD
             elif code == _LABEL_BOX:
-                if self.pending_label_box is not None:
+                if self.label_open:
                     raise _Fallback  # "two label boxes without text between"
-                self.pending_label_box = _rect(attributes, _SIG_LABEL, self.layout)
+                self._box(attributes, self.labels)
+                self.label_open = True
                 self.skip_above = depth
             elif code == _LABEL_TEXT:
-                if self.pending_label_box is None:
+                if not self.label_open:
                     raise _Fallback  # "label text with no preceding label box"
                 self.capture = []
                 self.capture_code = _LABEL_TEXT
@@ -265,8 +360,9 @@ class _StreamMachine:
                 raise _Fallback from None
         elif self.group_depth and depth == self.group_depth + 1:
             name = _element_name(raw_name)
-            if name == "rect" and self.group_box is None:
-                self.group_box = _rect(attributes, _SIG_ROUTER, self.layout)
+            if name == "rect" and not self.group_boxed:
+                self._box(attributes, self.routers)
+                self.group_boxed = True
                 self.skip_above = depth
             elif name == "text" and self.group_name is None:
                 self.capture = []
@@ -293,20 +389,16 @@ class _StreamMachine:
             if code == _LOAD:
                 self._load(text)
             elif code == _LABEL_TEXT:
-                self.labels.append(
-                    ExtractedLabel(box=self.pending_label_box, text=text.strip())
-                )
-                self.pending_label_box = None
+                self.texts.append(text.strip())
+                self.label_open = False
             else:  # _OBJECT: the group's name text
                 self.group_name = text.strip()
             return
         if self.group_depth and depth == self.group_depth:
             self.group_depth = 0
-            if self.group_box is None or not self.group_name:
+            if not self.group_boxed or not self.group_name:
                 raise _Fallback  # "object group lacks elements"
-            name = _interned(self.group_name)
-            self.layout.append(name)
-            self.routers.append(ObjectElement(name=name, box=self.group_box))
+            self.routers.append(_interned(self.group_name))
 
     def character_data(self, data: str) -> None:
         if self.capture is not None:
@@ -321,23 +413,29 @@ class _StreamMachine:
 
     # -- Algorithm 1 transitions ------------------------------------------
 
+    def _box(self, attributes: dict[str, str], strings: list[str]) -> None:
+        """Append a ``<rect>``'s raw geometry strings to ``strings``."""
+        try:
+            strings.extend(
+                (
+                    attributes["x"],
+                    attributes["y"],
+                    attributes["width"],
+                    attributes["height"],
+                )
+            )
+        except KeyError:
+            raise _Fallback from None
+
     def _arrow(self, attributes: dict[str, str]) -> None:
-        raw = attributes.get("points", "")
-        element = ArrowElement(
-            points=_points(raw), fill=_interned(attributes.get("fill", ""))
-        )
-        self.layout.extend((_SIG_ARROW, raw))
-        link = self.link
-        if link is None:
-            self.link = ExtractedLink(arrows=[element])
-        elif len(link.arrows) == 1 and not link.loads:
-            link.arrows.append(element)
-        else:
+        if self.link_arrows == 2:
             raise _Fallback  # "third arrow before ... loads completed"
+        self.link_arrows += 1
+        self.arrows.append(attributes.get("points", ""))
+        self.fills.append(attributes.get("fill", ""))
 
     def _load(self, raw_text: str) -> None:
-        link = self.link
-        if link is None or len(link.arrows) != 2:
+        if self.link_arrows != 2:
             raise _Fallback  # "load percentage with no preceding arrow pair"
         text = raw_text.strip()
         if not text.endswith("%"):
@@ -345,10 +443,10 @@ class _StreamMachine:
         load = float(text[:-1].strip())
         if not LOAD_MIN <= load <= LOAD_MAX:
             raise _Fallback  # LoadRangeError in the DOM path
-        link.loads.append(load)
-        if len(link.loads) == 2:
-            self.links.append(link)
-            self.link = None
+        self.loads.append(load)
+        self.link_loads += 1
+        if self.link_loads == 2:
+            self.link_arrows = self.link_loads = 0
 
 
 def stream_extract(
@@ -365,14 +463,23 @@ def stream_extract(
         OSError: when ``source`` names a file that cannot be read (the
             same error the DOM path would raise).
     """
-    streamed = _stream_extract(source)
-    return None if streamed is None else streamed[:3]
+    document = stream_document(source)
+    if document is None:
+        return None
+    try:
+        extraction = build_extraction(document)
+    except BUILD_ERRORS:
+        return None
+    return extraction, document.width, document.height
 
 
-def _stream_extract(
-    source: str | Path | bytes,
-) -> tuple[ExtractionResult, float, float, str] | None:
-    """:func:`stream_extract` plus the document's layout signature."""
+def stream_document(source: str | Path | bytes) -> StreamedDocument | None:
+    """The streaming pass alone: a document's strings, or ``None`` when
+    its shape is outside the fast path.
+
+    A document this returns may still hold a coordinate the DOM path
+    rejects; :func:`build_extraction` finds it.
+    """
     data = load_source(source)
     machine = _StreamMachine()
     try:
@@ -398,17 +505,15 @@ def _stream_extract(
         OverflowError,
     ):
         return None
-    if (
-        not machine.root_seen
-        or machine.link is not None
-        or machine.pending_label_box is not None
-    ):
+    if not machine.root_seen or machine.link_arrows or machine.label_open:
         return None
-    return (
-        ExtractionResult(
-            routers=machine.routers, links=machine.links, labels=machine.labels
-        ),
-        machine.width,
-        machine.height,
-        "\x00".join(machine.layout),
+    return StreamedDocument(
+        routers=machine.routers,
+        labels=machine.labels,
+        arrows=machine.arrows,
+        texts=machine.texts,
+        fills=machine.fills,
+        loads=machine.loads,
+        width=machine.width,
+        height=machine.height,
     )

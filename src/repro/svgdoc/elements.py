@@ -57,6 +57,11 @@ class RawTag:
             ) from exc
 
 
+def is_peering_name(name: str) -> bool:
+    """Peerings are written in upper case on the map (Section 4)."""
+    return name.upper() == name
+
+
 @dataclass(frozen=True, slots=True)
 class ObjectElement:
     """A router or physical peering: a white box and a name.
@@ -71,7 +76,7 @@ class ObjectElement:
     @property
     def is_peering(self) -> bool:
         """Peerings are written in upper case on the map (Section 4)."""
-        return self.name.upper() == self.name
+        return is_peering_name(self.name)
 
     @property
     def is_router(self) -> bool:

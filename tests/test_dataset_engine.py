@@ -192,24 +192,34 @@ class TestOneWriter:
 
 
 class TestPoolingDependsOnInputSize:
-    """A map parses in the pool only with more pending files than a batch."""
+    """A map parses in the pool only with more than one batch and worker."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
         monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
 
-    def test_at_most_a_batch_per_map_never_opens_a_pool(
+    def test_a_pool_opens_for_two_batches_over_two_workers_only(
         self, tmp_path, reference_svg, monkeypatch
     ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a run over at most 16 files per map opened a pool")
+        opened = []
+        process_pool = workers_module.process_pool
 
-        monkeypatch.setattr(workers_module, "process_pool", forbidden)
-        store = build_corpus(tmp_path, reference_svg, files=16)
-        first = IngestDaemon(store, IngestConfig(workers=2)).run([MAP])
-        assert first.ingested == 16
-        store.write(MAP, T0 + timedelta(days=1), "svg", reference_svg)
+        def counting(width):
+            opened.append(width)
+            return process_pool(width)
+
+        monkeypatch.setattr(workers_module, "process_pool", counting)
+        store = build_corpus(tmp_path, reference_svg, files=1)
         assert IngestDaemon(store, IngestConfig(workers=2)).run([MAP]).processed == 1
+        assert opened == []
+        for day in (1, 2):
+            store.write(MAP, T0 + timedelta(days=day), "svg", reference_svg)
+        assert IngestDaemon(store, IngestConfig(workers=1)).run([MAP]).processed == 2
+        assert opened == []
+        for day in (3, 4):
+            store.write(MAP, T0 + timedelta(days=day), "svg", reference_svg)
+        assert IngestDaemon(store, IngestConfig(workers=2)).run([MAP]).processed == 2
+        assert opened == [2]
 
     @staticmethod
     def dying(data, map_name, timestamp, **kwargs):

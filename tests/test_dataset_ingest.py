@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -198,16 +199,19 @@ class TestDaemonRuns:
         rest = IngestDaemon(store).run([MAP])
         assert rest.processed == 4 and rest.skipped == 2
 
-    def test_dead_workers_surface_as_error_not_a_hang(self, tmp_path, apac_svg):
+    def test_dead_workers_surface_as_error_not_a_hang(
+        self, tmp_path, apac_svg, monkeypatch
+    ):
         # A read that dies under the parse kernel must raise the typed
         # error promptly, not wedge the run (pool workers dying are in
         # test_dataset_engine.py's TestPoolingDependsOnInputSize).
         store = build_corpus(DatasetStore(tmp_path), apac_svg, files=12)
 
-        def broken_read(ref):
+        def broken_read(self, ref):
             raise OSError("simulated dead disk")
 
-        store.read_ref = broken_read
+        # Patched on the class, so forked pool workers inherit it.
+        monkeypatch.setattr(DatasetStore, "read_ref", broken_read)
         daemon = IngestDaemon(store, IngestConfig(workers=2))
         started = time.monotonic()
         with pytest.raises(IngestError, match="simulated dead disk"):
@@ -431,6 +435,9 @@ class TestOnePoolPerRun:
         reference = build_corpus(DatasetStore(tmp_path / "reference"), apac_svg, files=24)
         IngestDaemon(reference).run([MAP])
         store = build_corpus(DatasetStore(tmp_path / "victim"), apac_svg, files=24)
+        # Twins parsed in a run index from the parse and are never read
+        # back; twins written without indexing are, by the pool.
+        IngestDaemon(store, replace(self.CONFIG, update_index=False)).run([MAP])
         parent = os.getpid()
         read = deserialize.try_read_snapshot
 
@@ -446,8 +453,63 @@ class TestOnePoolPerRun:
             patch.setattr(deserialize, "try_read_snapshot", failing)
             with pytest.raises(IngestError, match=f"indexing asia-pacific.*{message}"):
                 IngestDaemon(store, self.CONFIG).run([MAP])
-        assert 0 < len(yaml_tree(store)) < 24
+        assert verify_shards(store, MAP) is None
 
         IngestDaemon(store, self.CONFIG).run([MAP])
         assert yaml_tree(store) == yaml_tree(reference)
         assert verify_shards(store, MAP) is not None
+
+
+class TestIndexFromTheParse:
+    """The daemon indexes each new twin from the snapshot it wrote it from."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+
+    @pytest.fixture(scope="class")
+    def documents(self, simulator) -> list[str]:
+        """Asia-pacific maps 40 days apart: their router sets differ."""
+        from repro.layout.renderer import MapRenderer
+
+        renderer = MapRenderer()
+        return [
+            renderer.render(simulator.snapshot(MAP, T0 - timedelta(days=40 * k)))
+            for k in range(4)
+        ]
+
+    @staticmethod
+    def shard_indexes(store) -> dict[str, bytes]:
+        return {
+            key: store.shard_index_path(MAP, key).read_bytes()
+            for key in store.shard_keys(MAP, "yaml")
+        }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            IngestConfig(workers=1, checkpoint_every=5),
+            IngestConfig(workers=2, chunk_size=2, checkpoint_every=3),
+        ],
+        ids=["in-process", "pooled"],
+    )
+    def test_index_equals_a_rebuild_from_the_yaml_tree(self, tmp_path, documents, config):
+        from repro.cli.main import main as cli_main
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        store = DatasetStore(tmp_path)
+        for index in range(12):
+            # Five files a day, so a two-file batch straddles a midnight.
+            when = T0 + timedelta(hours=5 * index)
+            store.write(MAP, when, "svg", documents[index % len(documents)])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert IngestDaemon(store, config).run([MAP]).processed == 12
+        rows = registry.get("repro_index_rows_total")
+        assert rows.value(map=MAP.value, outcome="handed") == 12
+        assert rows.value(map=MAP.value, outcome="parsed") == 0
+        from_the_parse = self.shard_indexes(store)
+        assert len(from_the_parse) == 3
+
+        assert cli_main(["index", "build", str(tmp_path), "--rebuild"]) == 0
+        assert self.shard_indexes(store) == from_the_parse

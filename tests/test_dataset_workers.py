@@ -2,8 +2,9 @@
 
 Two contracts: the module is the only pool opener and driver in
 ``src/repro`` — no other module imports a process pool, submits to an
-executor or keeps a pool in a ``ContextVar`` (checked statically, over
-the AST) — and a pool never outlives its parent: workers of a SIGKILL'd
+executor or keeps a pool in a ``ContextVar``, and every kernel handed
+to ``OrderedPool.map`` pickles by name (checked statically, over the
+AST) — and a pool never outlives its parent: workers of a SIGKILL'd
 process exit on their own instead of being reparented and left running.
 """
 
@@ -75,6 +76,70 @@ def _pool_driver_lines(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _is_partial(func: ast.expr) -> bool:
+    """``partial`` or ``functools.partial``."""
+    if isinstance(func, ast.Name):
+        return func.id == "partial"
+    return isinstance(func, ast.Attribute) and func.attr == "partial"
+
+
+def _pool_kernel_lines(source: str) -> tuple[int, list[int]]:
+    """``.map(...)`` calls seen, and the line of each whose kernel might not pickle.
+
+    A pool task pickles its kernel by name, so the first argument of
+    every ``OrderedPool.map`` must be a module-level function (defined or
+    imported at module level), a ``functools.partial`` of one, or a local
+    name bound to such a partial.
+    """
+    tree = ast.parse(source)
+    module_level: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            module_level.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            module_level.update(alias.asname or alias.name for alias in node.names)
+
+    def is_kernel(expr: ast.expr, bound: dict[str, ast.expr]) -> bool:
+        if isinstance(expr, ast.Name):
+            if expr.id in module_level:
+                return True
+            value = bound.get(expr.id)
+            return value is not None and is_kernel(value, {})
+        if isinstance(expr, ast.Call) and _is_partial(expr.func) and expr.args:
+            return is_kernel(expr.args[0], {})
+        return False
+
+    seen = 0
+    lines = []
+    scopes = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in [tree, *scopes]:
+        bound = {
+            node.targets[0].id: node.value
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        }
+        body = scope.body
+        stack: list[ast.AST] = list(body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # a nested scope is checked as its own scope
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map"
+            ):
+                seen += 1
+                if not node.args or not is_kernel(node.args[0], bound):
+                    lines.append(node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+    return seen, sorted(lines)
+
+
 class TestOnePoolOpener:
     def test_only_workers_module_imports_a_process_pool(self):
         offenders = [
@@ -113,6 +178,43 @@ class TestOnePoolOpener:
             "other: ContextVar[int] = ContextVar('other')\n"
         )
         assert _pool_driver_lines(probe) == [2, 3, 5]
+
+    def test_pool_kernels_are_module_level_functions(self):
+        seen = 0
+        offenders = []
+        for path in sorted(PACKAGE.rglob("*.py")):
+            if path == POOL_OPENER:
+                continue
+            count, lines = _pool_kernel_lines(path.read_text(encoding="utf-8"))
+            seen += count
+            offenders += [f"{path.relative_to(SRC)}:{line}" for line in lines]
+        # The daemon's parse batches and build_index's YAML batches.
+        assert seen >= 2
+        assert offenders == [], (
+            "hand OrderedPool.map a module-level function or a functools.partial "
+            f"of one, which pickles by name; found other kernels at {offenders}"
+        )
+
+    def test_the_kernel_scan_flags_what_does_not_pickle(self):
+        probe = (
+            "from functools import partial\n"
+            "import functools\n"
+            "from elsewhere import imported\n"
+            "def kernel(batch): ...\n"
+            "def run(pool, batches):\n"
+            "    bound = partial(kernel, 1)\n"
+            "    nested = lambda batch: batch\n"
+            "    def local(batch): ...\n"
+            "    pool.map(kernel, batches)\n"
+            "    pool.map(bound, batches)\n"
+            "    pool.map(functools.partial(imported, 2), batches)\n"
+            "    pool.map(lambda batch: kernel(batch), batches)\n"
+            "    pool.map(nested, batches)\n"
+            "    pool.map(local, batches)\n"
+            "    pool.map(partial(local, 1), batches)\n"
+            "    pool.map(self.kernel, batches)\n"
+        )
+        assert _pool_kernel_lines(probe) == (8, [12, 13, 14, 15, 16])
 
     def test_only_type_checking_imports_are_exempt(self):
         probe = (

@@ -167,6 +167,129 @@ class TestRecompute:
         assert reuse(registry) == {"hit": 1.0, "miss": 3.0}
 
 
+def same_parse(svg: str, when=T0) -> tuple[str, object, object]:
+    """``(YAML, report, extraction)`` of one parse with default options."""
+    parsed = parse_svg(svg, APAC, when, strict=False)
+    return snapshot_to_yaml(parsed.snapshot), parsed.report, parsed.extraction
+
+
+def oracle_parses(svg: str, when=T0) -> list[tuple[str, object, object]]:
+    """The same triple from the faithful loop and from the DOM path."""
+    return [
+        (
+            snapshot_to_yaml(parsed.snapshot),
+            parsed.report,
+            parsed.extraction,
+        )
+        for parsed in (
+            parse_svg(svg, APAC, when, strict=False, options=options)
+            for options in (ParseOptions(accelerated=False), ParseOptions(fast_path=False))
+        )
+    ]
+
+
+@pytest.fixture(scope="module")
+def rotating(simulator) -> list[str]:
+    """Two asia-pacific layouts 120 days apart, alternating."""
+    renderer = MapRenderer()
+    first, second = (
+        renderer.render(simulator.snapshot(APAC, T0 - timedelta(days=days)))
+        for days in (0, 120)
+    )
+    return [first, second, first, second]
+
+
+class TestHitPathEqualsTheOracles:
+    """A replayed parse builds no geometry, yet matches both oracles."""
+
+    def test_consecutive_ticks(self, simulator, registry):
+        renderer = MapRenderer()
+        for step in range(4):
+            when = T0 + timedelta(minutes=5 * step)
+            svg = renderer.render(simulator.snapshot(APAC, when))
+            assert oracle_parses(svg, when) == [same_parse(svg, when)] * 2
+        assert reuse(registry)["hit"] >= 2
+
+    def test_rotating_documents(self, rotating, registry):
+        for svg in rotating:
+            assert oracle_parses(svg) == [same_parse(svg)] * 2
+        assert reuse(registry) == {"hit": 0.0, "miss": 4.0}
+
+
+def recolor_first_arrow(svg: str) -> str:
+    from repro.svgdoc.colors import WEATHERMAP_SCALE
+
+    red = WEATHERMAP_SCALE.color_for(95)
+    blue = WEATHERMAP_SCALE.color_for(5)
+    return edit_once(
+        r'(<polygon [^>]*fill=")([^"]+)',
+        lambda m: m.group(1) + (blue if m.group(2) == red else red),
+        svg,
+    )
+
+
+def reload_first_arrow(svg: str) -> str:
+    return edit_once(
+        r'(<text class="labellink"[^>]*>)([\d.]+)%',
+        lambda m: f"{m.group(1)}{(float(m.group(2)) + 50) % 100:g}%",
+        svg,
+    )
+
+
+def relabel_first_end(svg: str) -> str:
+    return edit_once(r'(<text class="node"[^>]*>)(#\d+)', r"\g<1>#99", svg)
+
+
+def move_first_label_one_pixel(svg: str) -> str:
+    return edit_once(
+        r'(<rect class="node" x=")([\d.]+)',
+        lambda m: f"{m.group(1)}{float(m.group(2)) + 1:.2f}",
+        svg,
+    )
+
+
+class TestHitCarriesTheNewValues:
+    """Fills, loads and label texts are not in the signature: a change to
+    one is a hit, and the result carries the document's own value."""
+
+    def test_one_arrow_fill(self, ticks, registry):
+        first, second = ticks
+        parse_svg(first, APAC, T0)
+        edited = recolor_first_arrow(second)
+        yaml_text, report, extraction = same_parse(edited, T1)
+        assert reuse(registry) == {"hit": 1.0, "miss": 1.0}
+        assert report.color_mismatches == 1
+        assert [(yaml_text, report, extraction)] * 2 == oracle_parses(edited, T1)
+
+    def test_one_load(self, ticks, registry):
+        first, second = ticks
+        parse_svg(first, APAC, T0)
+        edited = reload_first_arrow(second)
+        yaml_text, report, extraction = same_parse(edited, T1)
+        assert reuse(registry) == {"hit": 1.0, "miss": 1.0}
+        loads = [load for link in extraction.links for load in link.loads]
+        unedited = [load for link in same_parse(second, T1)[2].links for load in link.loads]
+        assert loads[0] != unedited[0] and loads[1:] == unedited[1:]
+        assert [(yaml_text, report, extraction)] * 2 == oracle_parses(edited, T1)
+
+    def test_one_label_text(self, ticks, registry):
+        first, second = ticks
+        parse_svg(first, APAC, T0)
+        edited = relabel_first_end(second)
+        yaml_text, report, extraction = same_parse(edited, T1)
+        assert reuse(registry) == {"hit": 1.0, "miss": 1.0}
+        assert "label: '#99'" in yaml_text
+        assert extraction.labels[0].text == "#99"
+        assert [(yaml_text, report, extraction)] * 2 == oracle_parses(edited, T1)
+
+    def test_a_label_box_moved_one_pixel_is_a_miss(self, ticks, registry):
+        first, second = ticks
+        parse_svg(first, APAC, T0)
+        edited = move_first_label_one_pixel(second)
+        assert [same_parse(edited, T1)] * 2 == oracle_parses(edited, T1)
+        assert reuse(registry) == {"hit": 0.0, "miss": 2.0}
+
+
 class _Untouchable(dict):
     """A slot table that fails the test on any read or write."""
 
