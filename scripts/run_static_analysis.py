@@ -4,8 +4,8 @@
 Drives every static check the repository defines, in order:
 
 1. the project-native invariant linter (``repro-weather check``,
-   rules REP002–REP012) — always available, always fatal on findings,
-   with per-rule finding counts printed for the concurrency pack;
+   rules REP002–REP011) — always available, always fatal on findings,
+   with per-rule finding counts;
 2. the ``# type: ignore`` budget — the count under ``src/repro`` may
    only decrease; the ceiling lives in ``pyproject.toml`` under
    ``[tool.repro.devtools] type-ignore-budget``;

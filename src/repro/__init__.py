@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: name → defining module for every lazily exported public name.
 _EXPORTS: dict[str, str] = {
@@ -98,9 +98,6 @@ _EXPORTS: dict[str, str] = {
     "get_registry": "repro.telemetry",
     "use_registry": "repro.telemetry",
     "snapshot_to_prometheus": "repro.telemetry",
-    # runtime lock sanitizer
-    "install_sanitizer": "repro.devtools.sanitizer",
-    "uninstall_sanitizer": "repro.devtools.sanitizer",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

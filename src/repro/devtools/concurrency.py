@@ -1,13 +1,12 @@
-"""REP009, REP011, REP012 — the concurrency invariant rule pack.
+"""REP009, REP011 — the concurrency invariant rule pack.
 
-The server (PR 8/9) and the ingestion daemon (PR 7) turned the paper's
-offline pipeline into a long-lived threaded system; these rules make its
-locking contracts machine-checked instead of comment-enforced:
+The HTTP server, its live feed and the metrics registry are long-lived
+threaded code; these rules make their locking contracts machine-checked
+instead of comment-enforced:
 
-* **REP009 — guarded-by discipline.**  Shared attributes in the threaded
-  modules (``repro.server.*``, ``repro.dataset.ingest``,
-  ``repro.telemetry.registry``) carry a declaration on their defining
-  assignment::
+* **REP009 — guarded-by discipline.**  Shared attributes in the modules
+  that hold locks (``repro.server.*``, ``repro.telemetry.registry``)
+  carry a declaration on their defining assignment::
 
       self._entries = OrderedDict()  # repro: guarded-by[_lock]
 
@@ -31,13 +30,6 @@ locking contracts machine-checked instead of comment-enforced:
   named ``module.Class.attr`` so ``self._lock`` in two classes never
   aliases.
 
-* **REP012 — queue discipline.**  In the daemon/serving modules, every
-  ``queue.Queue`` is bounded (an unbounded queue is an unbounded RSS),
-  ``SimpleQueue`` (unboundable) and bare ``deque()`` are out, and every
-  blocking ``put()`` has a ``timeout=`` so a dead consumer surfaces as
-  an error instead of a parked producer — ``put_nowait`` is the other
-  sanctioned backpressure path.
-
 The runtime twin of this rule pack is :mod:`repro.devtools.sanitizer`,
 which checks the same contracts on live locks under ``--repro-tsan``.
 """
@@ -59,12 +51,11 @@ from repro.devtools.engine import (
 __all__ = [
     "GuardedByRule",
     "LockOrderRule",
-    "QueueDisciplineRule",
 ]
 
-#: Modules whose shared attributes REP009 and REP012 police: everything
-#: request-serving plus the ingestion daemon and the metrics registry.
-_THREADED_PREFIXES = ("repro.server", "repro.dataset.ingest", "repro.telemetry.registry")
+#: Modules whose shared attributes REP009 polices: the ones that hold
+#: locks — everything request-serving plus the metrics registry.
+_GUARDED_PREFIXES = ("repro.server", "repro.telemetry.registry")
 
 _GUARDED_BY = "guarded-by"
 _LOCKED_BY_CALLER = "locked-by-caller"
@@ -72,10 +63,10 @@ _LOCKED_BY_CALLER = "locked-by-caller"
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
 
 
-def _in_threaded_scope(module: SourceModule) -> bool:
+def _in_guarded_scope(module: SourceModule) -> bool:
     return any(
         module.name == prefix or module.name.startswith(prefix + ".")
-        for prefix in _THREADED_PREFIXES
+        for prefix in _GUARDED_PREFIXES
     )
 
 
@@ -168,7 +159,7 @@ class GuardedByRule(Rule):
         self._declarations: dict[str, _Declaration] = {}
         self._dangling: list[tuple[int, str]] = []
         self._caller_locked: dict[ast.AST, str] = {}
-        if not _in_threaded_scope(module):
+        if not _in_guarded_scope(module):
             return
         declared_lines: set[int] = set()
         caller_lines: set[int] = set()
@@ -415,131 +406,3 @@ class LockOrderRule(Rule):
             return None
 
         return walk(start)
-
-
-# ---------------------------------------------------------------------------
-# REP012 — queue discipline in the daemon/serving modules
-# ---------------------------------------------------------------------------
-
-_QUEUE_CLASSES = frozenset({"Queue", "LifoQueue", "PriorityQueue"})
-
-
-class QueueDisciplineRule(Rule):
-    rule_id = "REP012"
-    summary = "daemon/feed queues are bounded and puts have backpressure"
-
-    def begin_module(self, module: SourceModule) -> None:
-        self._queue_names: set[str] = set()
-        if not _in_threaded_scope(module):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                is_queue = isinstance(value, ast.Call) and (
-                    _terminal_name(value.func) in _QUEUE_CLASSES
-                    or _terminal_name(value.func) == "SimpleQueue"
-                )
-                annotated = isinstance(node, ast.AnnAssign) and self._queue_annotation(
-                    node.annotation
-                )
-                if is_queue or annotated:
-                    for target in targets:
-                        name = _terminal_name(target)
-                        if name is not None:
-                            self._queue_names.add(name)
-            elif isinstance(node, ast.arg):
-                if node.annotation is not None and self._queue_annotation(
-                    node.annotation
-                ):
-                    self._queue_names.add(node.arg)
-
-    def _queue_annotation(self, annotation: ast.expr) -> bool:
-        """Whether an annotation (string forms included) names a Queue."""
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            return "Queue" in annotation.value
-        for node in ast.walk(annotation):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                terminal = _terminal_name(node)
-                if terminal in _QUEUE_CLASSES or terminal == "SimpleQueue":
-                    return True
-        return False
-
-    def visit_Call(
-        self, node: ast.Call, module: SourceModule
-    ) -> Iterable[Finding]:
-        if not _in_threaded_scope(module):
-            return ()
-        func = node.func
-        terminal = _terminal_name(func)
-        if terminal == "SimpleQueue":
-            return [
-                self.finding(
-                    module,
-                    node,
-                    "SimpleQueue cannot be bounded; use queue.Queue(maxsize)",
-                )
-            ]
-        if terminal in _QUEUE_CLASSES:
-            return self._check_bound(node, module, terminal)
-        if terminal == "deque" and isinstance(func, (ast.Name, ast.Attribute)):
-            has_maxlen = any(kw.arg == "maxlen" for kw in node.keywords)
-            if not has_maxlen and len(node.args) < 2:
-                return [
-                    self.finding(
-                        module,
-                        node,
-                        "unbounded deque in a threaded module; pass maxlen=",
-                    )
-                ]
-            return ()
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "put"
-            and _receiver_name(func) in self._queue_names
-            and not any(kw.arg == "timeout" for kw in node.keywords)
-        ):
-            return [
-                self.finding(
-                    module,
-                    node,
-                    f"blocking put() on {_receiver_name(func)!r} without "
-                    f"timeout=: a dead consumer parks this thread forever; "
-                    f"use a timeout loop with an abort check, or put_nowait",
-                )
-            ]
-        return ()
-
-    def _check_bound(
-        self, node: ast.Call, module: SourceModule, terminal: str | None
-    ) -> Iterable[Finding]:
-        bound: ast.expr | None = None
-        if node.args:
-            bound = node.args[0]
-        for keyword in node.keywords:
-            if keyword.arg == "maxsize":
-                bound = keyword.value
-        if bound is None:
-            return [
-                self.finding(
-                    module,
-                    node,
-                    f"unbounded {terminal}() in a threaded module; a queue "
-                    f"without maxsize is an unbounded buffer — bound it",
-                )
-            ]
-        if isinstance(bound, ast.Constant) and isinstance(bound.value, int):
-            if bound.value <= 0:
-                return [
-                    self.finding(
-                        module,
-                        node,
-                        f"{terminal}(maxsize={bound.value}) is unbounded; "
-                        f"queue bounds must be positive",
-                    )
-                ]
-        return ()

@@ -229,39 +229,6 @@ class SourceModule:
         return table
 
     @cached_property
-    def toplevel_names(self) -> set[str]:
-        """Names bound at module scope: defs, classes, imports, assignments."""
-        names: set[str] = set()
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                names.add(node.target.id)
-        return names
-
-    @cached_property
-    def imported_modules(self) -> set[str]:
-        """Local aliases bound to whole modules (``import x.y as z``)."""
-        aliases: set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    aliases.add((alias.asname or alias.name).split(".")[0])
-        return aliases
-
-    @cached_property
     def errors_imports(self) -> set[str]:
         """Local names imported from :mod:`repro.errors`."""
         names: set[str] = set()

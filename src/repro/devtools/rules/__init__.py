@@ -4,36 +4,29 @@
 |--------|----------------------------------------------------------------|
 | REP002 | telemetry instrument names: convention + documented            |
 | REP003 | no nondeterminism inside the byte-identical pure modules       |
-| REP004 | pool-submitted callables are module-level (picklable)          |
 | REP005 | raises use the typed ``repro.errors`` hierarchy; no bare except|
 | REP006 | ``repro.__all__`` matches the committed ``api_surface.json``   |
 | REP007 | no mutable default arguments                                   |
-| REP008 | ``repro.server`` never parses or materialises snapshots        |
 | REP009 | declared shared attributes only touched under their lock       |
 | REP011 | the package-wide static lock-order graph is acyclic            |
-| REP012 | daemon/feed queues bounded, puts have a backpressure path      |
 
 ``REP000`` (unused suppression or stale ``guarded-by`` declaration) and
 ``REP999`` (unparseable file) are engine-reserved ids.  ``REP001`` and
-``REP010`` are retired with the code they policed and are never
-reused.  Each rule documents its rationale, examples, and suppression
-syntax in ``docs/static-analysis.md``.
+``REP010`` are retired with the code they policed; ``REP004``,
+``REP008`` and ``REP012`` are retired into the tier-1 tests of the one
+seam each guarded.  Retired ids are never reused.  Each rule documents
+its rationale, examples, and suppression syntax in
+``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
-from repro.devtools.concurrency import (
-    GuardedByRule,
-    LockOrderRule,
-    QueueDisciplineRule,
-)
+from repro.devtools.concurrency import GuardedByRule, LockOrderRule
 from repro.devtools.engine import Rule
 from repro.devtools.rules.api_surface import ApiSurfaceRule
 from repro.devtools.rules.defaults import MutableDefaultRule
 from repro.devtools.rules.determinism import DeterminismRule
-from repro.devtools.rules.pool import PicklableSubmitRule
 from repro.devtools.rules.raises import TypedRaiseRule
-from repro.devtools.rules.serving import ServingIsolationRule
 from repro.devtools.rules.telemetry import TelemetryNameRule
 
 __all__ = [
@@ -42,9 +35,6 @@ __all__ = [
     "GuardedByRule",
     "LockOrderRule",
     "MutableDefaultRule",
-    "PicklableSubmitRule",
-    "QueueDisciplineRule",
-    "ServingIsolationRule",
     "TelemetryNameRule",
     "TypedRaiseRule",
     "default_rules",
@@ -56,12 +46,9 @@ def default_rules() -> list[Rule]:
     return [
         TelemetryNameRule(),
         DeterminismRule(),
-        PicklableSubmitRule(),
         TypedRaiseRule(),
         ApiSurfaceRule(),
         MutableDefaultRule(),
-        ServingIsolationRule(),
         GuardedByRule(),
         LockOrderRule(),
-        QueueDisciplineRule(),
     ]

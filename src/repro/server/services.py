@@ -3,8 +3,9 @@
 Each builder takes an already-resolved read handle (the router never
 touches storage, the services never touch HTTP) and returns a plain
 dict for the app layer to render.  Nothing here constructs a
-``MapSnapshot`` or imports the parsing pipeline — REP008 enforces that
-— so every payload is assembled from zero-copy column views:
+``MapSnapshot`` or imports the parsing pipeline — ``TestImportClosure``
+in ``tests/test_import_closure.py`` enforces that — so every payload is
+assembled from zero-copy column views:
 
 * ``snapshot`` bisects to one row and slices that row's membership and
   link columns (the newest overlapping shard is the only one opened);

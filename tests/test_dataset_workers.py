@@ -2,10 +2,11 @@
 
 Two contracts: the module is the only pool opener and driver in
 ``src/repro`` — no other module imports a process pool, submits to an
-executor or keeps a pool in a ``ContextVar``, and every kernel handed
-to ``OrderedPool.map`` pickles by name (checked statically, over the
-AST) — and a pool never outlives its parent: workers of a SIGKILL'd
-process exit on their own instead of being reparented and left running.
+executor or keeps a pool in a ``ContextVar``, and every callable handed
+to ``OrderedPool.map`` or to the executor's ``submit`` pickles by name
+(checked statically, over the AST) — and a pool never outlives its
+parent: workers of a SIGKILL'd process exit on their own instead of
+being reparented and left running.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ def _is_partial(func: ast.expr) -> bool:
 
 
 def _pool_kernel_lines(source: str) -> tuple[int, list[int]]:
-    """``.map(...)`` calls seen, and the line of each whose kernel might not pickle.
+    """Pool calls seen (``.map``/``.submit``), and each line whose callable might not pickle.
 
-    A pool task pickles its kernel by name, so the first argument of
-    every ``OrderedPool.map`` must be a module-level function (defined or
-    imported at module level), a ``functools.partial`` of one, or a local
-    name bound to such a partial.
+    A pool task pickles its callable by name, so the first argument of
+    every ``OrderedPool.map`` and every executor ``submit`` must be a
+    module-level function (defined or imported at module level), a
+    ``functools.partial`` of one, or a local name bound to such a partial.
     """
     tree = ast.parse(source)
     module_level: set[str] = set()
@@ -131,7 +132,7 @@ def _pool_kernel_lines(source: str) -> tuple[int, list[int]]:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "map"
+                and node.func.attr in ("map", "submit")
             ):
                 seen += 1
                 if not node.args or not is_kernel(node.args[0], bound):
@@ -183,16 +184,15 @@ class TestOnePoolOpener:
         seen = 0
         offenders = []
         for path in sorted(PACKAGE.rglob("*.py")):
-            if path == POOL_OPENER:
-                continue
             count, lines = _pool_kernel_lines(path.read_text(encoding="utf-8"))
             seen += count
             offenders += [f"{path.relative_to(SRC)}:{line}" for line in lines]
-        # The daemon's parse batches and build_index's YAML batches.
-        assert seen >= 2
+        # The daemon's parse batches, build_index's YAML batches and
+        # OrderedPool's own submit in workers.py.
+        assert seen >= 3
         assert offenders == [], (
-            "hand OrderedPool.map a module-level function or a functools.partial "
-            f"of one, which pickles by name; found other kernels at {offenders}"
+            "hand OrderedPool.map and executor.submit a module-level function or "
+            f"a functools.partial of one, which pickles by name; found others at {offenders}"
         )
 
     def test_the_kernel_scan_flags_what_does_not_pickle(self):
@@ -213,8 +213,11 @@ class TestOnePoolOpener:
             "    pool.map(local, batches)\n"
             "    pool.map(partial(local, 1), batches)\n"
             "    pool.map(self.kernel, batches)\n"
+            "    pool.submit(kernel, batches[0])\n"
+            "    pool.submit(lambda: kernel(batches[0]))\n"
+            "    pool.submit(local, batches[0])\n"
         )
-        assert _pool_kernel_lines(probe) == (8, [12, 13, 14, 15, 16])
+        assert _pool_kernel_lines(probe) == (11, [12, 13, 14, 15, 16, 18, 19])
 
     def test_only_type_checking_imports_are_exempt(self):
         probe = (

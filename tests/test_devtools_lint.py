@@ -190,44 +190,6 @@ class TestRep003Determinism:
         assert check_tree(root).ok
 
 
-class TestRep004PicklableSubmit:
-    def test_lambda_and_local_callable_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "engine.py": (
-                    "def run(pool, items):\n"
-                    "    def local(item):\n"
-                    "        return item\n"
-                    "    pool.submit(lambda: 1)\n"
-                    "    pool.submit(local, items[0])\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP004", "REP004"]
-        assert "lambda" in result.findings[0].message
-        assert "local" in result.findings[1].message
-
-    def test_module_level_worker_and_partial_allowed(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "engine.py": (
-                    "from functools import partial\n"
-                    "import workers\n"
-                    "def job(item):\n"
-                    "    return item\n"
-                    "def run(pool, items):\n"
-                    "    pool.submit(job, items[0])\n"
-                    "    pool.submit(partial(job, items[0]))\n"
-                    "    pool.submit(workers.process, items[0])\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-
 class TestRep005TypedRaises:
     def test_untyped_raise_flagged(self, tmp_path):
         root = make_tree(
@@ -408,88 +370,6 @@ class TestRep007MutableDefaults:
         assert check_tree(root).ok
 
 
-class TestRep008ServingIsolation:
-    def test_parsing_import_inside_server_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/handlers.py": (
-                    "import repro.parsing\n"
-                    "from repro.yamlio import snapshot_from_yaml\n"
-                    "from repro.dataset.loader import load_all\n"
-                )
-            },
-        )
-        assert rules_found(check_tree(root)) == ["REP008"] * 3
-
-    def test_snapshot_import_and_call_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/views.py": (
-                    "from repro.topology.model import MapSnapshot\n"
-                    "def build():\n"
-                    "    return MapSnapshot(map_name=None, timestamp=None,\n"
-                    "                       nodes=(), links=())\n"
-                )
-            },
-        )
-        assert rules_found(check_tree(root)) == ["REP008"] * 2
-
-    def test_same_imports_outside_server_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "analysis/loads.py": (
-                    "import repro.parsing\n"
-                    "from repro.topology.model import MapSnapshot\n"
-                    "def build():\n"
-                    "    return MapSnapshot\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-    def test_index_imports_inside_server_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/app.py": (
-                    "from repro.dataset.handles import resolve_read_handle\n"
-                    "from repro.dataset.query import ScanPredicate\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-    def test_write_path_imports_inside_server_flagged(self, tmp_path):
-        # Since the live feed, the write path is fenced off too: the
-        # watcher observes checkpoints, it must never produce them.
-        root = make_tree(
-            tmp_path,
-            {
-                "server/feed.py": (
-                    "from repro.dataset.engine import process_map_parallel\n"
-                    "from repro.dataset.processor import process_map\n"
-                    "import repro.dataset.ingest\n"
-                )
-            },
-        )
-        assert rules_found(check_tree(root)) == ["REP008"] * 3
-
-    def test_write_path_imports_outside_server_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "cli/main.py": (
-                    "from repro.dataset.engine import process_map_parallel\n"
-                    "import repro.dataset.ingest\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-
 class TestSuppressions:
     def test_noqa_drops_the_finding(self, tmp_path):
         root = make_tree(
@@ -584,10 +464,11 @@ class TestEngineAndReporters:
         # Schema v2 carries the rule catalogue: id → one-line summary.
         assert payload["rules"]["REP007"]
         assert set(payload["counts"]) <= set(payload["rules"])
-        for rule_id in ("REP000", "REP009", "REP011", "REP012"):
+        for rule_id in ("REP000", "REP009", "REP011"):
             assert rule_id in payload["rules"]
-        # retired with the code they policed, and never reused
-        for rule_id in ("REP001", "REP010"):
+        # retired with the code they policed or into the tier-1 test of
+        # their one seam, and never reused
+        for rule_id in ("REP001", "REP004", "REP008", "REP010", "REP012"):
             assert rule_id not in payload["rules"]
         assert payload["suppressions_used"] == 0
         (finding,) = payload["findings"]

@@ -1,15 +1,17 @@
 """Each entry point imports only the layers it runs.
 
-REP008 checks the *direct* imports of ``repro.server`` modules; these
-tests check the *transitive* closure, in a fresh interpreter per entry
-point, by reading ``sys.modules``:
+These tests check the *transitive* import closure, in a fresh
+interpreter per entry point, by reading ``sys.modules``:
 
 * the ingest daemon's modules never load the simulator, the renderer,
   the SVG writer, networkx or ``urllib.request``, nor numpy, which only
   the read side runs, nor ``multiprocessing``, which only an open parse
   pool needs;
 * the HTTP server loads numpy but none of the others, and never the
-  parser, the YAML stack or ``multiprocessing``;
+  parser, the YAML stack, the snapshot loader, the write path (bulk
+  engine, processor, ingest daemon) or ``multiprocessing``; no module
+  under ``src/repro/server`` names ``MapSnapshot`` either, so responses
+  are computed off the column views, never from snapshot objects;
 * ``repro.cli.main`` defers every heavy layer to the subcommand using it.
 
 The hot-path tests then pin the other half of the bargain: deferring an
@@ -22,6 +24,7 @@ ingests one file without ever loading numpy or ``multiprocessing``.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -97,8 +100,36 @@ class TestImportClosure:
         assert loaded(
             modules,
             NEVER_IN_PROCESSES
-            + ("yaml", "repro.yamlio", "repro.parsing", "multiprocessing"),
+            + (
+                "yaml",
+                "repro.yamlio",
+                "repro.parsing",
+                "repro.dataset.loader",
+                "repro.dataset.engine",
+                "repro.dataset.processor",
+                "repro.dataset.ingest",
+                "multiprocessing",
+            ),
         ) == []
+
+    def test_server_never_names_map_snapshot(self):
+        # Imported lazily or constructed on a request path, a MapSnapshot
+        # would put the object graph back under the column views.
+        offenders = [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for path in sorted((SRC / "repro" / "server").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (
+                isinstance(node, ast.ImportFrom)
+                and any(alias.name == "MapSnapshot" for alias in node.names)
+            )
+            or (
+                isinstance(node, ast.Call)
+                and "MapSnapshot"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            )
+        ]
+        assert offenders == []
 
     def test_cli(self):
         modules = run_python("import repro.cli.main\n" + _DUMP)

@@ -12,7 +12,9 @@ The feed contracts pinned here:
   concurrent subscribers each see every checkpoint;
 * ``Last-Event-ID`` reconnects replay exactly the missed ring events;
 * a subscriber that stops draining its bounded queue is evicted rather
-  than buffered without bound;
+  than buffered without bound — and, over the AST of
+  ``src/repro/server``, every queue is bounded and a subscription never
+  blocks its publisher;
 * the long-poll twin answers immediately without ``wait``, reports
   ``timed_out`` honestly, and is woken by a checkpoint mid-wait;
 * the feed endpoints exist only under ``/v1`` (born versioned).
@@ -20,11 +22,13 @@ The feed contracts pinned here:
 
 from __future__ import annotations
 
+import ast
 import http.client
 import json
 import threading
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,7 @@ T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
 #: A fast tick so feed tests finish quickly; still one stat per tick.
 TICK = 0.05
+SERVER_SRC = Path(__file__).resolve().parents[1] / "src" / "repro" / "server"
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +263,40 @@ class TestWatcherUnits:
         assert not subscription.deliver(event)  # full -> caller evicts
         subscription.close()
         assert not subscription.deliver(event)
+
+    def test_server_queues_are_bounded_and_deliver_never_blocks(self):
+        # An unbounded queue is an unbounded RSS; a blocking put parks the
+        # one watcher thread behind its slowest subscriber.
+        unbounded = []
+        deliver_puts = []
+        for path in sorted(SERVER_SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and node.name == "Subscription":
+                    deliver = next(f for f in node.body if getattr(f, "name", "") == "deliver")
+                    deliver_puts += [
+                        call.func.attr
+                        for call in ast.walk(deliver)
+                        if isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr.startswith("put")
+                    ]
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+                if name in ("Queue", "LifoQueue", "PriorityQueue"):
+                    bound = keywords.get("maxsize", node.args[0] if node.args else None)
+                    bounded = bound is not None and not (
+                        isinstance(bound, ast.Constant) and bound.value <= 0
+                    )
+                elif name == "deque":
+                    bounded = "maxlen" in keywords or len(node.args) >= 2
+                else:
+                    bounded = name != "SimpleQueue"
+                if not bounded:
+                    unbounded.append(f"{path.name}:{node.lineno}")
+        assert unbounded == []
+        assert deliver_puts == ["put_nowait"]
 
     def test_render_sse_wire_format(self):
         event = FeedEvent(
