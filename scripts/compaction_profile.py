@@ -10,7 +10,8 @@ stage over both maps: ``compact_map_shards`` with ``workers=1`` and
 on an archive compacted beforehand (untimed), ``load_all`` and
 ``latest_snapshot`` from the shard indexes, each as the first read in a
 fresh process and again warm.  It prints the median and quartiles of
-each with the host's ``cpu_count``.
+each with the host's ``cpu_count``, and for ``compact`` the median's cost
+per twin (``median_ms_per_row``, over the archive's 204 rows).
 
 Every ``--src`` tree is timed over the same archive files, in alternating
 order, so two checkouts (say, a change and its parent) compare like with
@@ -37,6 +38,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: (map, pool documents, days, twins per day) — the suite's read archive.
 ARCHIVE = (("asia-pacific", 16, 4, 48), ("world", 4, 1, 12))
+#: YAML twins in the archive: the rows a ``compact`` stage indexes.
+ROWS = sum(days * per_day for _, _, days, per_day in ARCHIVE)
 
 #: Times one STAGE of ROOT's maps with WORKERS; prints the seconds.
 _TIMED = """
@@ -155,11 +158,13 @@ def main() -> int:
                         times.setdefault((str(src), stage, workers), []).append(seconds)
     for (src, stage, workers), values in times.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
-        print(json.dumps({
+        row = {
             "src": src, "stage": stage, "workers": workers, "repeats": len(values),
             "median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3),
-            "cpu_count": os.cpu_count(),
-        }))
+        }
+        if stage == "compact":
+            row["median_ms_per_row"] = round(median * 1000 / ROWS, 3)
+        print(json.dumps({**row, "cpu_count": os.cpu_count()}))
     return 0
 
 

@@ -57,10 +57,19 @@ through :func:`verify_index`.
 
 :func:`build_index` is incremental the same way the engine's
 ``manifest.json`` is — unchanged rows are carried over wholesale, only
-new or modified files are parsed — and the index is discarded outright
+new or modified files are read — and the index is discarded outright
 on ``rebuild=True`` or a ``PARSER_VERSION`` bump.  Freshness against
 the live YAML tree is the shard manifest's job
 (:func:`repro.dataset.shards.verify_shards`).
+
+A file it reads is decoded straight into the new index's columns
+(``_TwinDecoder``), from the tokens of the fast YAML reader
+(:func:`repro.yamlio.deserialize.read_layout`), with no document and no
+snapshot in between.  A twin outside the decoder's rules goes the
+object way, ``try_read_snapshot`` then :meth:`SnapshotIndex.append_snapshot`,
+which owns every error; both ways give the same bytes.  One build runs
+in one process: :func:`~repro.dataset.shards.compact_map_shards` fans
+builds out, one pool task per stale shard.
 """
 
 from __future__ import annotations
@@ -73,15 +82,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.constants import PARSER_VERSION, MapName
+from repro.constants import LOAD_MAX, LOAD_MIN, PARSER_VERSION, MapName
 from repro.dataset.store import SnapshotRef, atomic_write_bytes
-from repro.dataset.workers import OrderedPool, contiguous_batches, lend_pool
 from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 from repro.topology.model import MapSnapshot, NodeKind
@@ -424,6 +431,30 @@ class SnapshotIndex:
             self.link_b_loads.append(link.b.load)
         self._offsets = None
 
+    def _mark(self) -> tuple[int, ...]:
+        """The string tables' and columns' lengths, for :meth:`_rewind`."""
+        return (
+            len(self.names),
+            len(self.labels),
+            *(len(getattr(self, attribute)) for attribute, _ in _COLUMNS),
+        )
+
+    def _rewind(self, mark: tuple[int, ...]) -> bool:
+        """Cut the tables and columns back to ``mark``; whether a string went."""
+        names, labels, *lengths = mark
+        for (attribute, _), length in zip(_COLUMNS, lengths):
+            del getattr(self, attribute)[length:]
+        self._offsets = None
+        if len(self.names) == names and len(self.labels) == labels:
+            return False
+        for name in self.names[names:]:
+            del self._name_ids[name]
+        for label in self.labels[labels:]:
+            del self._label_ids[label]
+        del self.names[names:]
+        del self.labels[labels:]
+        return True
+
     def append_row_from(
         self,
         other: "SnapshotIndex",
@@ -599,30 +630,155 @@ class IndexBuildStats:
         return self.parsed + self.reused + self.handed
 
 
-def _index_batch(
-    map_name: MapName, items: Sequence[tuple[str, int, int, int]]
-) -> tuple[SnapshotIndex, list[int | str]]:
-    """Parse one batch of YAML twins into a private part index.
+class _TwinDecoder:
+    """Decodes YAML twins straight into one build's columns.
 
-    ``items`` are ``(path, epoch, size, mtime_ns)``.  Each gets one
-    outcome, in order: its row in the part, or the schema error message.
-    Serial and pooled builds both run this; a pool worker returns only the
-    part's flat columns and string tables, never snapshot objects.
+    The object path (``try_read_snapshot``, then
+    :meth:`SnapshotIndex.append_snapshot`) builds a
+    :class:`~repro.topology.model.MapSnapshot` only to flatten it back
+    into ids and doubles.  This reads a twin with the fast reader's
+    grammar (:func:`repro.yamlio.deserialize.read_layout`) and appends its
+    row directly, holding it to the rules the object path applies:
+
+    * a known map name, and a timestamp ``datetime.fromisoformat`` takes;
+    * no name that is both a router and a peering;
+    * link ends that name a node of the twin, are not empty and are not
+      both the same node;
+    * loads in [0, 100].
+
+    Each distinct token is checked once per build: a link end's or
+    label's token is cached with its interned id, a load's with its
+    float.  The caches are cleared past
+    :data:`~repro.yamlio.deserialize._CACHE_LIMIT` entries.  A twin
+    outside the layout or the rules is handed back (:meth:`append`
+    returns ``False``) with the index as it was, string tables included;
+    the caller then reads it the object way, which owns every error
+    type and message.  Rows and tables come out as the object path's:
+    routers, then peerings, each sorted, then each link's labels.
     """
-    from repro.yamlio.deserialize import try_read_snapshot
 
-    part = SnapshotIndex(map_name)
-    outcomes: list[int | str] = []
-    for path, epoch, size, mtime_ns in items:
-        snapshot, message = try_read_snapshot(path)
-        if snapshot is None:
-            outcomes.append(message)
-            continue
-        # The file name's stamp is authoritative over the document's own.
-        snapshot.timestamp = _when(epoch)
-        outcomes.append(len(part))
-        part.append_snapshot(snapshot, size, mtime_ns)
-    return part, outcomes
+    def __init__(self, index: SnapshotIndex) -> None:
+        from repro.yamlio import deserialize
+
+        self._reader = deserialize
+        self._index = index
+        self._nodes: dict[str, int] = {}
+        self._labels: dict[str, int] = {}
+        self._loads: dict[str, float] = {}
+        registry = get_registry()
+        self._docs = registry.counter("repro_yaml_docs_total", "YAML documents by operation")
+        self._fast_path = registry.counter(
+            "repro_yaml_fast_path_total",
+            "YAML documents the fast reader built (hit) or left to yaml.load (fallback)",
+        )
+
+    def append(self, path: Path, epoch: int, size: int, mtime_ns: int) -> bool:
+        """Append the twin at ``path`` as a row, or leave the index as it was.
+
+        Raises:
+            SchemaError: the file is not UTF-8 (``read_twin``).
+        """
+        text = self._reader.read_twin(path)
+        index = self._index
+        mark = index._mark()
+        if self._append(text, epoch, size, mtime_ns):
+            self._fast_path.inc(1, outcome="hit")
+            self._docs.inc(1, op="deserialize")
+            return True
+        if index._rewind(mark):
+            # Cached ids may name strings the rewind just dropped.
+            self._nodes.clear()
+            self._labels.clear()
+        return False
+
+    def _cached(self, cache: dict, token: str, value: Any) -> Any:
+        if value is not None:
+            if len(cache) > self._reader._CACHE_LIMIT:
+                cache.clear()
+            cache[token] = value
+        return value
+
+    def _node_id(self, token: str) -> int | None:
+        """A link end's name id, if it names a node already interned."""
+        name = self._reader.scalar_value(token)
+        node_id = self._index._name_ids.get(name) if name else None
+        return self._cached(self._nodes, token, node_id)
+
+    def _label_id(self, token: str) -> int | None:
+        label = self._reader.scalar_value(token)
+        label_id = None if label is None else self._index._intern_label(label)
+        return self._cached(self._labels, token, label_id)
+
+    def _load(self, token: str) -> float | None:
+        load = self._reader.load_value(token)
+        in_range = load is not None and LOAD_MIN <= load <= LOAD_MAX
+        return self._cached(self._loads, token, load if in_range else None)
+
+    def _learn(self, tokens: tuple[str, ...]) -> tuple | None:
+        """One link's ids and loads from its tokens, caching each; ``None``
+        if a token breaks a rule."""
+        fills = (self._node_id, self._label_id, self._load) * 2
+        ends = tuple(fill(token) for fill, token in zip(fills, tokens))
+        return None if None in ends else ends
+
+    def _names(self, tokens: list[str]) -> set[str] | None:
+        names = set(map(self._reader.scalar_value, tokens))
+        return None if None in names else names
+
+    def _append(self, text: str, epoch: int, size: int, mtime_ns: int) -> bool:
+        reader = self._reader
+        layout = reader.read_layout(text)
+        if layout is None:
+            return False
+        map_token, timestamp_token, router_tokens, peering_tokens, links = layout
+        try:
+            MapName(reader.scalar_value(map_token))
+            datetime.fromisoformat(reader.scalar_value(timestamp_token) or "")
+        except ValueError:
+            return False
+        routers = self._names(router_tokens)
+        peerings = self._names(peering_tokens)
+        if routers is None or peerings is None or not routers.isdisjoint(peerings):
+            return False
+
+        index = self._index
+        router_ids = [index._intern_name(name) for name in sorted(routers)]
+        peering_ids = [index._intern_name(name) for name in sorted(peerings)]
+        members = {*router_ids, *peering_ids}
+        nodes, labels, loads = self._nodes, self._labels, self._loads
+        a_nodes, a_labels, a_loads = index.link_a_nodes, index.link_a_labels, index.link_a_loads
+        b_nodes, b_labels, b_loads = index.link_b_nodes, index.link_b_labels, index.link_b_loads
+        first = len(a_nodes)
+        for tokens in links:
+            if tokens is None:
+                return False
+            a_node, a_label, a_load, b_node, b_label, b_load = tokens
+            try:
+                a, a_label_id, a_value = nodes[a_node], labels[a_label], loads[a_load]
+                b, b_label_id, b_value = nodes[b_node], labels[b_label], loads[b_load]
+            except KeyError:
+                ends = self._learn(tokens)
+                if ends is None:
+                    return False
+                a, a_label_id, a_value, b, b_label_id, b_value = ends
+            if a == b or a not in members or b not in members:
+                return False
+            a_nodes.append(a)
+            a_labels.append(a_label_id)
+            a_loads.append(a_value)
+            b_nodes.append(b)
+            b_labels.append(b_label_id)
+            b_loads.append(b_value)
+        index.timestamps.append(epoch)
+        index.source_sizes.append(size)
+        index.source_mtimes.append(mtime_ns)
+        index.router_counts.append(len(router_ids))
+        index.peering_counts.append(len(peering_ids))
+        index.link_counts.append(len(a_nodes) - first)
+        index.router_ids.extend(router_ids)
+        index.peering_ids.extend(peering_ids)
+        index._offsets = None
+        return True
 
 
 def build_index(
@@ -630,7 +786,6 @@ def build_index(
     refs: Sequence[SnapshotRef],
     index_path: Path,
     rebuild: bool = False,
-    workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
     handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> tuple[SnapshotIndex, IndexBuildStats]:
@@ -638,15 +793,16 @@ def build_index(
 
     Incremental by default: rows whose source file is unchanged (same
     ``size`` and ``mtime_ns``) are carried over from the existing index
-    without touching the YAML; new and modified files are parsed, in one
-    contiguous batch per worker, each batch into a part index whose rows
-    are then merged in time order; rows whose source vanished are
-    dropped.  An existing index built at a different
-    ``PARSER_VERSION`` is discarded, mirroring the engine's manifest.
+    without touching the YAML; new and modified files are decoded in
+    time order, straight into the new index's columns (``_TwinDecoder``);
+    rows whose source vanished are dropped.  An existing index built at
+    a different ``PARSER_VERSION`` is discarded, mirroring the engine's
+    manifest.  The build runs in the calling process: shard compaction
+    fans out by shard, one build per pool task.
 
-    A new or modified file with a ``handed`` row is not parsed: the row
-    is merged like a parsed one, if its recorded ``size`` and
-    ``mtime_ns`` still match the file (else the file is parsed).  This is
+    A new or modified file with a ``handed`` row is not read: the row
+    is merged through id remap lists, if its recorded ``size`` and
+    ``mtime_ns`` still match the file (else the file is read).  This is
     how the ingest daemon indexes the twins it just wrote from the
     snapshots it wrote them from.
 
@@ -655,13 +811,10 @@ def build_index(
             compaction passes one shard's YAML refs.
         index_path: where to load the previous generation from and save
             the result; shard compaction passes the per-shard path.
-        rebuild: ignore any existing index and parse everything.
-        workers: worker request, resolved via
-            :func:`repro.dataset.workers.resolve_workers` (default serial),
-            or an open :class:`~repro.dataset.workers.OrderedPool` to
-            borrow — how shard compaction lends one pool to every shard.
-        on_error: called for unreadable YAML files, which are recorded as
-            skipped sources; without a handler, schema errors propagate.
+        rebuild: ignore any existing index and read everything.
+        on_error: called, in time order, for unreadable YAML files, which
+            are recorded as skipped sources; without a handler, schema
+            errors propagate.
         handed: rows already built from the sources' snapshots, as
             ``(part, row)`` by epoch second; each part's rows are in time
             order, and it holds rows of this index's refs only.
@@ -715,92 +868,70 @@ def build_index(
             previous.timestamps[row]: row for row in range(len(previous))
         }
 
-    # Plan in ref (time) order: reuse an unchanged row, take a handed
-    # row, or parse the file.
-    plan: list[tuple[SnapshotRef, int | tuple[SnapshotIndex, int] | None]] = []
-    #: ``(path, epoch, size, mtime_ns)`` of each file to parse, in plan order.
-    items: list[tuple[str, int, int, int]] = []
+    # One pass in ref (time) order: reuse an unchanged row, take a handed
+    # row, or read the file.
+    decoder: _TwinDecoder | None = None
+    part: SnapshotIndex | None = None
+    names: list[int] = []
+    labels: list[int] = []
     for ref in refs:
         try:
             stat = ref.path.stat()
         except OSError:
             continue  # raced with deletion; the index simply omits it
         key = _epoch(ref.timestamp)
+        size, mtime_ns = stat.st_size, stat.st_mtime_ns
         row = previous_rows.get(key)
         if row is not None and previous is not None and (
-            previous.source_sizes[row] == stat.st_size
-            and previous.source_mtimes[row] == stat.st_mtime_ns
+            previous.source_sizes[row] == size and previous.source_mtimes[row] == mtime_ns
         ):
-            plan.append((ref, row))
+            index.append_row_from(previous, row)
+            stats.reused += 1
             continue
         skip = previous.skipped.get(key) if previous is not None else None
-        if (
-            skip is not None
-            and skip.size == stat.st_size
-            and skip.mtime_ns == stat.st_mtime_ns
-        ):
+        if skip is not None and skip.size == size and skip.mtime_ns == mtime_ns:
             index.skipped[key] = skip
             stats.unreadable += 1
             continue
         given = handed.get(key) if handed else None
         if given is not None and (
-            given[0].source_sizes[given[1]] == stat.st_size
-            and given[0].source_mtimes[given[1]] == stat.st_mtime_ns
+            given[0].source_sizes[given[1]] == size
+            and given[0].source_mtimes[given[1]] == mtime_ns
         ):
-            plan.append((ref, given))
-            continue
-        plan.append((ref, None))
-        items.append((str(ref.path), key, stat.st_size, stat.st_mtime_ns))
-
-    with lend_pool(workers) as pool:
-        batches = contiguous_batches(items, pool.width) if items else []
-        if len(batches) > 1:
-            # Loaded before a pool forks, so workers inherit the YAML stack.
-            import repro.yamlio.deserialize  # noqa: F401
-        # One (item, part, outcome) per parsed file, in plan order.
-        parsed = zip(
-            items,
-            (
-                (batch_part, outcome)
-                for batch_part, outcomes in pool.map(
-                    partial(_index_batch, map_name), batches
-                )
-                for outcome in outcomes
-            ),
-        )
-        part: SnapshotIndex | None = None
-        names: list[int] = []
-        labels: list[int] = []
-        for ref, source in plan:
-            if isinstance(source, int):
-                index.append_row_from(previous, source)
-                stats.reused += 1
-                continue
-            if source is None:
-                (_, key, size, mtime_ns), (outcome_part, outcome) = next(parsed)
-                if isinstance(outcome, str):
-                    exc = SchemaError(outcome)
-                    if on_error is None:
-                        raise exc
-                    on_error(ref, exc)
-                    index.skipped[key] = SkippedSource(
-                        size=size, mtime_ns=mtime_ns, message=outcome
-                    )
-                    stats.unreadable += 1
-                    continue
-                stats.parsed += 1
-            else:
-                outcome_part, outcome = source
-                stats.handed += 1
-            if outcome_part is not part:
-                # A part's strings are interned when the plan reaches its
-                # first row.  Nothing between its rows interns (reused rows
-                # carry known ids), so the tables keep the serial build's
-                # first-use order.
-                part = outcome_part
+            if given[0] is not part:
+                # A part's strings are interned when the walk reaches its
+                # first row, in the part's own first-use order.
+                part = given[0]
                 names = [index._intern_name(name) for name in part.names]
                 labels = [index._intern_label(label) for label in part.labels]
-            index.append_row_from(part, outcome, names, labels)
+            index.append_row_from(part, given[1], names, labels)
+            stats.handed += 1
+            continue
+        if decoder is None:
+            from repro.yamlio import deserialize
+
+            decoder = _TwinDecoder(index)
+        try:
+            decoded = decoder.append(ref.path, key, size, mtime_ns)
+        except SchemaError as exc:
+            snapshot, message = None, str(exc)
+        else:
+            if decoded:
+                stats.parsed += 1
+                continue
+            snapshot, message = deserialize.try_read_snapshot(ref.path)
+        if snapshot is None:
+            exc = SchemaError(message)
+            if on_error is None:
+                raise exc
+            on_error(ref, exc)
+            index.skipped[key] = SkippedSource(size=size, mtime_ns=mtime_ns, message=message)
+            stats.unreadable += 1
+            continue
+        # The file name's stamp is authoritative over the document's own.
+        snapshot.timestamp = _when(key)
+        index.append_snapshot(snapshot, size, mtime_ns)
+        stats.parsed += 1
 
     if previous is not None:
         stats.removed = max(0, len(previous) - stats.reused)

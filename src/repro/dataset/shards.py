@@ -49,12 +49,13 @@ import shutil
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import SnapshotIndex, build_index
+from repro.dataset.index import IndexBuildStats, SnapshotIndex, build_index
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
@@ -62,7 +63,7 @@ from repro.dataset.store import (
     parse_shard_key,
 )
 from repro.dataset.workers import OrderedPool, lend_pool
-from repro.errors import DatasetError, SnapshotIndexError
+from repro.errors import DatasetError, SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 
 if TYPE_CHECKING:
@@ -217,6 +218,41 @@ class ShardCompactionStats:
     seconds: float = 0.0
 
 
+def _build_shard(
+    map_name: MapName,
+    rebuild: bool,
+    keep_errors: bool,
+    shard: tuple[str, list[SnapshotRef], Path, str],
+    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
+) -> tuple[ShardEntry, IndexBuildStats, list[tuple[SnapshotRef, str]]]:
+    """Pool task: build and save one shard's index.
+
+    ``shard`` is ``(key, refs, index path, source fingerprint)``.
+    Returns the shard's manifest entry, its build accounting, and each
+    unreadable source with its message in time order, for the caller's
+    ``on_error``; without ``keep_errors`` the first one raises.
+    """
+    _, refs, index_path, fingerprint = shard
+    errors: list[tuple[SnapshotRef, str]] = []
+    index, stats = build_index(
+        map_name,
+        refs,
+        index_path,
+        rebuild=rebuild,
+        on_error=(lambda ref, exc: errors.append((ref, str(exc)))) if keep_errors else None,
+        handed=handed,
+    )
+    index_stat = index_path.stat()
+    entry = ShardEntry(
+        fingerprint=fingerprint,
+        rows=len(index),
+        skipped=len(index.skipped),
+        index_size=index_stat.st_size,
+        index_mtime_ns=index_stat.st_mtime_ns,
+    )
+    return entry, stats, errors
+
+
 def compact_map_shards(
     store: DatasetStore,
     map_name: MapName,
@@ -242,11 +278,14 @@ def compact_map_shards(
     Other shards' manifest entries are left untouched and the
     removed-shard sweep is skipped (a later full compaction handles it).
 
-    ``workers`` is a worker request, which opens one pool for every shard
-    rebuilt here, or an open :class:`~repro.dataset.workers.OrderedPool`.
     ``handed`` passes rows built from the sources' snapshots to
     :func:`~repro.dataset.index.build_index`, keyed by epoch second, with
-    one part per shard.
+    one part per shard; a shard that takes any is built in-process.
+    Every other stale shard is one task for ``workers`` — a worker
+    request, which opens one pool for this call, or an open
+    :class:`~repro.dataset.workers.OrderedPool` — and the pool opens only
+    for two or more such shards.  ``on_error`` fires in time order either
+    way.
     """
     registry = get_registry()
     compactions = registry.counter(
@@ -268,42 +307,49 @@ def compact_map_shards(
         for key in only:
             parse_shard_key(key)
     live_keys = store.shard_keys(map_name, "yaml") if only is None else only
+    #: ``(key, refs, index path, fingerprint)`` of each shard to build, in
+    #: time order, and the keys of those that take handed rows.
+    stale: list[tuple[str, list[SnapshotRef], Path, str]] = []
+    local: set[str] = set()
+    for key in live_keys:
+        refs = list(store.iter_shard_refs(map_name, "yaml", key))
+        if not refs:
+            continue  # the day's files are gone; nothing to index
+        fingerprint = shard_fingerprint(refs)
+        index_path = store.shard_index_path(map_name, key)
+        entry = manifest.shards.get(key)
+        if (
+            not rebuild
+            and entry is not None
+            and entry.fingerprint == fingerprint
+            and entry.matches_index(index_path)
+        ):
+            stats.skipped.append(key)
+            stats.rows += entry.rows
+            continue
+        stale.append((key, refs, index_path, fingerprint))
+        if handed and any(int(ref.timestamp.timestamp()) in handed for ref in refs):
+            local.add(key)
+
+    build = partial(_build_shard, map_name, rebuild, on_error is not None)
+    pooled = [shard for shard in stale if shard[0] not in local]
     with lend_pool(workers) as pool:
-        for key in live_keys:
-            refs = list(store.iter_shard_refs(map_name, "yaml", key))
-            if not refs:
-                continue  # the day's files are gone; nothing to index
-            fingerprint = shard_fingerprint(refs)
-            index_path = store.shard_index_path(map_name, key)
-            entry = manifest.shards.get(key)
-            if (
-                not rebuild
-                and entry is not None
-                and entry.fingerprint == fingerprint
-                and entry.matches_index(index_path)
-            ):
-                stats.skipped.append(key)
-                stats.rows += entry.rows
-                continue
-            index, build_stats = build_index(
-                map_name,
-                refs,
-                index_path,
-                rebuild=rebuild,
-                workers=pool,
-                on_error=on_error,
-                handed=handed,
-            )
-            index_stat = index_path.stat()
-            manifest.shards[key] = ShardEntry(
-                fingerprint=fingerprint,
-                rows=len(index),
-                skipped=len(index.skipped),
-                index_size=index_stat.st_size,
-                index_mtime_ns=index_stat.st_mtime_ns,
-            )
+        if len(pooled) > 1:
+            # Loaded before a pool forks, so workers inherit the YAML stack.
+            import repro.yamlio.deserialize  # noqa: F401
+        results = pool.map(build, pooled)
+        for shard in stale:
+            key = shard[0]
+            if key in local:
+                entry, build_stats, errors = build(shard, handed)
+            else:
+                entry, build_stats, errors = next(results)
+            if on_error is not None:
+                for ref, message in errors:
+                    on_error(ref, SchemaError(message))
+            manifest.shards[key] = entry
             stats.built.append(key)
-            stats.rows += len(index)
+            stats.rows += entry.rows
             stats.parsed += build_stats.parsed
             stats.reused += build_stats.reused
             stats.handed += build_stats.handed
@@ -460,6 +506,7 @@ class ShardedMappedIndex:
         if engine is not None:
             return engine
         with self._open_lock:
+            self._require_open()  # a close() may have won the lock
             if slot.engine is None:
                 from repro.dataset.query import MappedIndex
 
@@ -540,13 +587,19 @@ class ShardedMappedIndex:
         )
 
     def close(self) -> None:
-        """Close every opened shard engine."""
-        if self.closed:
-            return
-        self.closed = True
-        for slot in self._slots:
-            if slot.engine is not None:
-                slot.engine.close()
+        """Close every opened shard engine.
+
+        Under the open lock, so a first open racing this call either maps
+        its shard before the sweep, which closes it, or finds the index
+        closed and maps nothing.
+        """
+        with self._open_lock:
+            if self.closed:
+                return
+            self.closed = True
+            for slot in self._slots:
+                if slot.engine is not None:
+                    slot.engine.close()
 
     def __enter__(self) -> "ShardedMappedIndex":
         return self

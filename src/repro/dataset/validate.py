@@ -24,7 +24,7 @@ from repro.errors import ParseError, ReproError, SchemaError, SvgError
 from repro.parsing.pipeline import ParseOptions, parse_svg
 from repro.rng import stable_uniform
 from repro.topology.graph import isolated_routers
-from repro.yamlio.deserialize import snapshot_from_yaml
+from repro.yamlio.deserialize import read_snapshot
 
 
 @dataclass
@@ -120,7 +120,7 @@ def validate_map(
             _note(report, f"{ref.path.name}: YAML without its source SVG")
 
         try:
-            snapshot = snapshot_from_yaml(ref.path.read_text(encoding="utf-8"))
+            snapshot = read_snapshot(ref.path)
         except ReproError as exc:
             report.schema_failures += 1
             report.failure_causes[type(exc).__name__] += 1

@@ -12,9 +12,9 @@ Every pool is driven by one :class:`OrderedPool`: it opens a forked
 pool (:func:`process_pool`) the first time it is handed more than one
 batch with more than one worker, returns each batch's result in submission order, and merges each
 worker's metrics into the caller's registry.  The ingest daemon owns one
-per run; :func:`~repro.dataset.index.build_index` borrows the caller's
-(:func:`lend_pool`) or opens its own.  :func:`contiguous_batches` cuts
-work into one ordered batch per task.
+per run; :func:`~repro.dataset.shards.compact_map_shards` borrows the
+caller's (:func:`lend_pool`) or opens its own.  :func:`contiguous_batches`
+cuts work into one ordered batch per task.
 """
 
 from __future__ import annotations

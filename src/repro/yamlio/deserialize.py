@@ -11,6 +11,12 @@ Two read paths build the document :func:`snapshot_from_document` checks:
 
 Which path ran depends only on the input text and never shows in the
 result; ``repro_yaml_fast_path_total{outcome}`` counts the split.
+
+The fast reader is :func:`read_layout`, the one strict reader of the
+emitter's layout, with two sinks: :func:`fast_document` here, and the
+index build's column decoder (:mod:`repro.dataset.index`), which skips
+the document and the snapshot.  Every file is read through
+:func:`read_twin`, which makes text that is not UTF-8 a ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import re
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator
 
 import yaml
 from yaml.nodes import ScalarNode
@@ -125,7 +132,7 @@ def _unescape(body: str) -> str | None:
     return "".join(pieces)
 
 
-def _scalar(token: str) -> str | None:
+def scalar_value(token: str) -> str | None:
     """The ``str`` a scalar token loads as, or ``None`` if it is no string."""
     value = _SCALAR_CACHE.get(token)
     if value is not None:
@@ -147,7 +154,7 @@ def _scalar(token: str) -> str | None:
     return value
 
 
-def _load(token: str) -> float | None:
+def load_value(token: str) -> float | None:
     """The float a load token loads as, if the token is its ``repr``."""
     value = _LOAD_CACHE.get(token)
     if value is not None:
@@ -161,13 +168,66 @@ def _load(token: str) -> float | None:
     return value
 
 
-def _strings(flow_list: str) -> list[str] | None:
-    values = [_scalar(token) for token in _ITEM.findall(flow_list)]
+def _link_tokens(text: str, position: int, empty: bool) -> Iterator[tuple[str, ...] | None]:
+    """Each link's six raw tokens from ``position`` on; a last ``None`` if
+    the rest of ``text`` leaves the layout.
+
+    The links are matched one line pair at a time, so the regex engine
+    keeps one link's match state, not the whole document's.
+    """
+    end = len(text)
+    if empty:
+        if position != end:
+            yield None
+        return
+    match = _LINK.match
+    while True:
+        link = match(text, position)
+        if link is None:
+            yield None
+            return
+        yield link.groups()
+        position = link.end()
+        if position == end:
+            return
+
+
+def read_layout(
+    text: str,
+) -> tuple[str, str, list[str], list[str], Iterator[tuple[str, ...] | None]] | None:
+    """``text`` split into the raw tokens of the emitter's layout.
+
+    The one strict reader of that layout, with two sinks:
+    :func:`fast_document` builds ``yaml.load``'s document from it and the
+    index build decodes twins from it straight into columns
+    (:class:`repro.dataset.index.SnapshotIndex`).  Returns ``None`` if the
+    header (everything before the first link) leaves the layout, else
+    ``(map, timestamp, routers, peerings, links)``: the scalar tokens, the
+    two lists' item tokens, and an iterator of each link's ``(a node,
+    a label, a load, b node, b label, b load)`` tokens that ends with
+    ``None`` if a later line leaves the layout.  :func:`scalar_value` and
+    :func:`load_value` say what a token loads as.
+    """
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    map_token, timestamp_token, routers, peerings, no_links = header.groups()
+    return (
+        map_token,
+        timestamp_token,
+        _ITEM.findall(routers),
+        _ITEM.findall(peerings),
+        _link_tokens(text, header.end(), no_links is not None),
+    )
+
+
+def _strings(tokens: list[str]) -> list[str] | None:
+    values = [scalar_value(token) for token in tokens]
     return None if None in values else values
 
 
 def _end(node: str, label: str, load: str) -> dict | None:
-    end = {"node": _scalar(node), "label": _scalar(label), "load": _load(load)}
+    end = {"node": scalar_value(node), "label": scalar_value(label), "load": load_value(load)}
     return None if None in end.values() else end
 
 
@@ -178,40 +238,29 @@ def fast_document(text: str) -> dict | None:
     :func:`~repro.yamlio.serialize.snapshot_to_yaml` emits: a comment, a
     tab, CRLF line endings, a wrapped link line, an int or ``.nan`` load,
     a plain scalar PyYAML would not resolve to a string, and so on.
-
-    The links are matched one line pair at a time, so the regex engine
-    keeps one link's match state, not the whole document's.
     """
-    header = _HEADER.match(text)
-    if header is None:
+    layout = read_layout(text)
+    if layout is None:
         return None
-    map_token, timestamp_token, routers, peerings, no_links = header.groups()
+    map_token, timestamp_token, routers, peerings, link_tokens = layout
     document = {
-        "map": _scalar(map_token),
-        "timestamp": _scalar(timestamp_token),
+        "map": scalar_value(map_token),
+        "timestamp": scalar_value(timestamp_token),
         "routers": _strings(routers),
         "peerings": _strings(peerings),
     }
     if None in document.values():
         return None
-    position = header.end()
-    if no_links is not None:
-        if position != len(text):
-            return None
-        document["links"] = []
-        return document
     links = []
-    while position < len(text) or not links:
-        link = _LINK.match(text, position)
-        if link is None:
+    for tokens in link_tokens:
+        if tokens is None:
             return None
-        a_node, a_label, a_load, b_node, b_label, b_load = link.groups()
+        a_node, a_label, a_load, b_node, b_label, b_load = tokens
         a = _end(a_node, a_label, a_load)
         b = _end(b_node, b_label, b_load)
         if a is None or b is None:
             return None
         links.append({"a": a, "b": b})
-        position = link.end()
     document["links"] = links
     return document
 
@@ -314,9 +363,25 @@ def snapshot_from_yaml(text: str) -> MapSnapshot:
     return snapshot
 
 
+def read_twin(path: str | Path) -> str:
+    """One YAML file's text: the read every twin reader shares.
+
+    Raises:
+        SchemaError: the file is not valid UTF-8, so it is one bad
+            source like any other, never an aborted walk or build.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        get_registry().counter(
+            "repro_yaml_errors_total", "YAML documents rejected by operation"
+        ).inc(1, op="deserialize")
+        raise SchemaError(f"not valid UTF-8: {exc}") from exc
+
+
 def read_snapshot(path: str | Path) -> MapSnapshot:
     """Read one snapshot from a YAML file."""
-    return snapshot_from_yaml(Path(path).read_text(encoding="utf-8"))
+    return snapshot_from_yaml(read_twin(path))
 
 
 def try_read_snapshot(path: str | Path) -> tuple[MapSnapshot | None, str]:

@@ -22,9 +22,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli.main import main as cli_main
 from repro.constants import MapName
 from repro.dataset import index as index_module
 from repro.dataset import shards as shards_module
+from repro.dataset import workers as workers_module
 from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import _rebuild, iter_snapshots, latest_snapshot, load_all
 from repro.dataset.query import MappedIndex
@@ -502,58 +504,103 @@ def _yaml_counters(registry: MetricsRegistry) -> dict:
 
 
 class TestPooledBuild:
-    """A pooled build must write the serial build's ``index.bin``, byte for byte."""
+    """A pooled compaction fans out one task per stale shard and writes the
+    serial build's ``index.bin`` files, byte for byte."""
+
+    DAYS = [T0 + timedelta(days=day) for day in range(3)]
+
+    @staticmethod
+    def stamps(day: datetime) -> list[datetime]:
+        return [day + timedelta(minutes=5 * i) for i in range(4)]
+
+    @staticmethod
+    def shard_files(store: DatasetStore) -> dict[str, bytes]:
+        return {
+            key: store.shard_index_path(MAP, key).read_bytes()
+            for key in store.shard_keys(MAP, "yaml")
+        }
 
     def test_index_bin_identical_to_serial(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        opened = []
+        process_pool = workers_module.process_pool
+        monkeypatch.setattr(
+            workers_module, "process_pool", lambda width: opened.append(width) or process_pool(width)
+        )
         store = DatasetStore(tmp_path)
-        stamps = [T0 + timedelta(minutes=5 * i) for i in range(8)]
-        for when in stamps[:4]:
-            store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
-        build(store)
-        previous = index_file(store).read_bytes()
+        for day in self.DAYS:
+            for when in self.stamps(day)[:2]:
+                store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
+        compact_map_shards(store, MAP)
+        manifest = store.shards_manifest_path(MAP)
+        previous = self.shard_files(store), manifest.read_bytes()
 
-        # Parsed in two batches, [1, 4, 5] and [6, 7], between reused 0, 2, 3.
-        store.write(MAP, stamps[1], "yaml", snapshot_to_yaml(_snapshot(stamps[1], 50.0)))
-        os.utime(store.path_for(MAP, stamps[1], "yaml"), ns=(7, 7))
-        store.write(MAP, stamps[4], "yaml", snapshot_to_yaml(_snapshot(stamps[4], 4.0)))
-        store.write(MAP, stamps[5], "yaml", "routers: [unclosed")
-        # First seen in the second batch, in non-sorted order.
-        store.write(MAP, stamps[6], "yaml", snapshot_to_yaml(_with_router(stamps[6], "zrh-r9")))
-        store.write(MAP, stamps[7], "yaml", snapshot_to_yaml(_with_router(stamps[7], "bcn-r3")))
+        first, second, third = (self.stamps(day) for day in self.DAYS)
+        # Day one: a modified twin between reused rows, and a new one.
+        store.write(MAP, first[1], "yaml", snapshot_to_yaml(_snapshot(first[1], 50.0)))
+        os.utime(store.path_for(MAP, first[1], "yaml"), ns=(7, 7))
+        store.write(MAP, first[2], "yaml", snapshot_to_yaml(_snapshot(first[2], 4.0)))
+        # Day two: an unreadable twin and one that leaves the fast layout.
+        store.write(MAP, second[2], "yaml", "routers: [unclosed")
+        store.write(
+            MAP, second[3], "yaml", "# hand-edited\n" + snapshot_to_yaml(_snapshot(second[3]))
+        )
+        # Day three: routers first seen here, in non-sorted order.
+        store.write(MAP, third[2], "yaml", snapshot_to_yaml(_with_router(third[2], "zrh-r9")))
+        store.write(MAP, third[3], "yaml", snapshot_to_yaml(_with_router(third[3], "bcn-r3")))
 
         outputs = []
         for workers in (1, 2):
-            index_file(store).write_bytes(previous)
+            files, manifest_bytes = previous
+            for key, data in files.items():
+                store.shard_index_path(MAP, key).write_bytes(data)
+            manifest.write_bytes(manifest_bytes)
             errors = []
-            index, stats = build(
+            stats = compact_map_shards(
                 store,
+                MAP,
                 workers=workers,
                 on_error=lambda ref, exc: errors.append((ref.timestamp, str(exc))),
             )
-            assert (stats.reused, stats.parsed, stats.unreadable) == (3, 4, 1)
-            outputs.append((index_file(store).read_bytes(), errors, index.skipped))
+            assert len(stats.built) == 3
+            assert (stats.reused, stats.parsed) == (5, 5)
+            outputs.append((self.shard_files(store), errors))
         serial, pooled = outputs
-        assert [when for when, _ in serial[1]] == [stamps[5]]
+        assert opened == [2]
+        assert [when for when, _ in serial[1]] == [second[2]]
         assert pooled[1] == serial[1]
-        assert pooled[2] == serial[2]
         assert pooled[0] == serial[0]
-        assert SnapshotIndex.load(index_file(store)).names[-2:] == ["zrh-r9", "bcn-r3"]
+        last = SnapshotIndex.load(store.shard_index_path(MAP, third[0].strftime("%Y-%m-%d")))
+        assert last.names[-2:] == ["zrh-r9", "bcn-r3"]
 
-    @pytest.mark.parametrize("read", ["build_index", "compact_map_shards"])
-    def test_worker_metrics_reach_the_parent(self, store, monkeypatch, read):
+    @pytest.mark.parametrize("read", ["compact_map_shards", "index build"])
+    def test_worker_metrics_reach_the_parent(self, tmp_path, monkeypatch, read):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = DatasetStore(tmp_path)
+        stamps = [when for day in self.DAYS for when in self.stamps(day)]
+        for when in stamps:
+            store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when)))
+        # One twin per shard leaves the fast layout and falls back to yaml.load.
+        for day in self.DAYS:
+            path = store.path_for(MAP, day, "yaml")
+            path.write_text("# hand-edited\n" + path.read_text())
         counters = []
         for workers in (1, 2):
             with use_registry(MetricsRegistry()) as registry:
-                if read == "build_index":
-                    build(store, rebuild=True, workers=workers)
-                else:
+                if read == "compact_map_shards":
                     compact_map_shards(store, MAP, rebuild=True, workers=workers)
+                else:
+                    argv = ["index", "build", str(tmp_path), "--rebuild", "--workers", str(workers)]
+                    assert cli_main(argv) == 0
             counters.append(_yaml_counters(registry))
         serial, pooled = counters
-        assert serial[("repro_yaml_docs_total", (("op", "deserialize"),))] == FILES
-        assert serial[("repro_yaml_fast_path_total", (("outcome", "hit"),))] == FILES
+        assert serial[("repro_yaml_docs_total", (("op", "deserialize"),))] == len(stamps)
+        assert serial[("repro_yaml_fast_path_total", (("outcome", "hit"),))] == (
+            len(stamps) - len(self.DAYS)
+        )
+        assert serial[("repro_yaml_fast_path_total", (("outcome", "fallback"),))] == len(
+            self.DAYS
+        )
         assert pooled == serial
 
 
@@ -588,6 +635,6 @@ class TestResolveWorkers:
         with pytest.raises(DatasetError):
             resolve_workers("many")
 
-    def test_build_index_rejects_bad_workers(self, store):
+    def test_compaction_rejects_bad_workers(self, store):
         with pytest.raises(DatasetError):
-            build(store, workers=-2)
+            compact_map_shards(store, MAP, workers=-2)

@@ -439,7 +439,7 @@ class TestOnePoolPerRun:
         # back; twins written without indexing are, by the pool.
         IngestDaemon(store, replace(self.CONFIG, update_index=False)).run([MAP])
         parent = os.getpid()
-        read = deserialize.try_read_snapshot
+        read = deserialize.read_twin
 
         def failing(path):
             # Only the forked workers fail; the daemon's own reads succeed.
@@ -450,7 +450,7 @@ class TestOnePoolPerRun:
             return read(path)
 
         with monkeypatch.context() as patch:
-            patch.setattr(deserialize, "try_read_snapshot", failing)
+            patch.setattr(deserialize, "read_twin", failing)
             with pytest.raises(IngestError, match=f"indexing asia-pacific.*{message}"):
                 IngestDaemon(store, self.CONFIG).run([MAP])
         assert verify_shards(store, MAP) is None

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import os
 import re
+import sys
+import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -27,7 +30,7 @@ from repro.dataset.shards import (
     verify_shards,
 )
 from repro.dataset.store import ShardedDatasetStore
-from repro.errors import DatasetError
+from repro.errors import DatasetError, SchemaError, SnapshotIndexError
 from repro.telemetry import MetricsRegistry, use_registry
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
@@ -344,3 +347,113 @@ class TestOutOfRangeTwin:
         assert len(outputs[0][0]) == len(DAYS) * PER_DAY - 1
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestNonUtf8Twin:
+    """A twin that is not UTF-8 is one skipped source on every read path."""
+
+    BAD = DAYS[1] + timedelta(minutes=5)
+
+    @pytest.fixture()
+    def store(self, tmp_path, reference_yaml, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = build_corpus(tmp_path, reference_yaml)
+        store.write(MAP, self.BAD, "yaml", b"\xff\xfe" + reference_yaml.encode("utf-8"))
+        return store
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compaction_skips_only_that_twin(self, store, workers):
+        errors = []
+        compact_map_shards(
+            store,
+            MAP,
+            workers=workers,
+            on_error=lambda ref, exc: errors.append((ref.timestamp, type(exc), str(exc))),
+        )
+        assert [(when, kind) for when, kind, _ in errors] == [(self.BAD, SchemaError)]
+        assert errors[0][2].startswith("not valid UTF-8: ")
+        shards = fresh_engines(store)
+        assert shards is not None
+        skipped_messages = {
+            epoch: entry.message
+            for _, skipped in shards
+            for epoch, entry in skipped.items()
+        }
+        assert skipped_messages == {int(self.BAD.timestamp()): errors[0][2]}
+        assert sum(rows for rows, _ in shards) == len(DAYS) * PER_DAY - 1
+
+    def test_without_a_handler_compaction_raises_a_schema_error(self, store):
+        with pytest.raises(SchemaError, match="not valid UTF-8"):
+            compact_map_shards(store, MAP)
+
+    def test_loaders_skip_it(self, store):
+        errors = []
+        snapshots = load_all(
+            store, MAP, use_index=False, on_error=lambda ref, exc: errors.append(ref.timestamp)
+        )
+        assert errors == [self.BAD]
+        assert len(snapshots) == len(DAYS) * PER_DAY - 1
+        with pytest.raises(SchemaError, match="not valid UTF-8"):
+            load_all(store, MAP, use_index=False)
+
+    def test_latest_snapshot_walks_past_it(self, store):
+        newest = DAYS[-1] + timedelta(hours=1)
+        store.write(MAP, newest, "yaml", b"\xff\xfe")
+        latest = latest_snapshot(store, MAP, use_index=False)
+        assert latest is not None
+        assert latest.timestamp == DAYS[-1] + timedelta(minutes=5 * (PER_DAY - 1))
+
+
+class TestCloseRacesFirstOpen:
+    """``close()`` racing first opens leaves nothing mapped."""
+
+    def test_no_engine_outlives_close(self, tmp_path, reference_yaml, monkeypatch):
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        from repro.dataset import query
+
+        real_open = query.MappedIndex.open
+        for attempt in range(20):
+            opened = []
+
+            def slow_open(path, _real=real_open, _opened=opened):
+                time.sleep(0.001)  # widen the window between check and map
+                engine = _real(path)
+                _opened.append((path, engine))
+                return engine
+
+            monkeypatch.setattr(query.MappedIndex, "open", staticmethod(slow_open))
+            handle = resolve_read_handle(store, MAP)
+            start = threading.Barrier(5)
+
+            def reader():
+                start.wait()
+                try:
+                    for _ in handle.iter_engines():
+                        pass
+                except SnapshotIndexError:
+                    pass  # closed under us: the expected outcome of losing
+
+            def closer():
+                start.wait()
+                time.sleep(0.0005 * (attempt % 4))
+                handle.close()
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=closer))
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(thread.is_alive() for thread in threads)
+            paths = [path for path, _ in opened]
+            assert len(paths) == len(set(paths)), "a shard was mapped twice"
+            assert all(engine.closed for _, engine in opened)
+            assert handle.closed
+            with pytest.raises(SnapshotIndexError):
+                next(handle.iter_engines())

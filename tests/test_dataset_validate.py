@@ -56,6 +56,14 @@ class TestDefects:
         assert report.schema_failures == 1
         assert report.problems
 
+    def test_non_utf8_twin_is_a_schema_failure(self, clean_dataset):
+        ref = next(iter(clean_dataset.iter_refs(MapName.WORLD, "yaml")))
+        ref.path.write_bytes(b"\xff\xfe" + ref.path.read_bytes())
+        report = validate_map(clean_dataset, MapName.WORLD)
+        assert report.schema_failures == 1
+        assert report.failure_causes["SchemaError"] == 1
+        assert any("not valid UTF-8" in problem for problem in report.problems)
+
     def test_tampered_yaml_detected_by_cross_check(self, clean_dataset):
         ref = next(iter(clean_dataset.iter_refs(MapName.WORLD, "yaml")))
         import re

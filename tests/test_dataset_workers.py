@@ -187,7 +187,7 @@ class TestOnePoolOpener:
             count, lines = _pool_kernel_lines(path.read_text(encoding="utf-8"))
             seen += count
             offenders += [f"{path.relative_to(SRC)}:{line}" for line in lines]
-        # The daemon's parse batches, build_index's YAML batches and
+        # The daemon's parse batches, compact_map_shards's shard builds and
         # OrderedPool's own submit in workers.py.
         assert seen >= 3
         assert offenders == [], (
