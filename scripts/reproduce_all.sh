@@ -104,13 +104,13 @@ repro-weather index status "$DATASET"
 # Every twin of a generated corpus must come from the direct YAML
 # emitter (a fallback to yaml.dump means the emitter's layout drifted)
 # and be read back by the fast reader.  A map with more than one parse
-# batch parses in pool workers on a multi-core host, and the daemon
-# indexes each twin it writes from the parse (a "handed" index row):
-# fewer parsed documents than handed rows, or fewer deserialised
-# documents than index rows parsed from YAML, means worker metrics were
-# lost.  Consecutive 5-minute ticks share a map's layout, so zero
-# layout-reuse hits means the replay of Algorithm 2 is dead, and hits
-# plus misses must equal the fast-path hits, however many workers ran.
+# batch parses in pool workers on a multi-core host, while the writer
+# counts each file it ingested (processed or failed): fewer parsed
+# documents than ingested files, or fewer deserialised documents than
+# index rows parsed from YAML, means worker metrics were lost.
+# Consecutive 5-minute ticks share a map's layout, so zero layout-reuse
+# hits means the replay of Algorithm 2 is dead, and hits plus misses
+# must equal the fast-path hits, however many workers ran.
 python3 - "$ARTIFACTS/metrics.json" <<'PY'
 import json
 import sys
@@ -133,23 +133,25 @@ emit_fallbacks = total("repro_yaml_emit_total", "outcome", "fallback")
 read_fallbacks = total("repro_yaml_fast_path_total", "outcome", "fallback")
 deserialized = total("repro_yaml_docs_total", "op", "deserialize")
 indexed = total("repro_index_rows_total", "outcome", "parsed")
-handed = total("repro_index_rows_total", "outcome", "handed")
 fast_hits = total("repro_parse_fast_path_total", "outcome", "hit")
 parsed = fast_hits + total("repro_parse_fast_path_total", "outcome", "fallback")
+ingested = total("repro_ingest_files_total", "outcome", "processed") + total(
+    "repro_ingest_files_total", "outcome", "failed"
+)
 reuse_hits = total("repro_parse_layout_reuse_total", "outcome", "hit")
 reuse_misses = total("repro_parse_layout_reuse_total", "outcome", "miss")
 print(f"YAML emitter fallbacks: {emit_fallbacks:g}")
 print(f"YAML reader fallbacks: {read_fallbacks:g}")
 print(f"YAML documents deserialised: {deserialized:g} (index rows parsed: {indexed:g})")
-print(f"SVG documents parsed: {parsed:g} (index rows handed: {handed:g})")
+print(f"SVG documents parsed: {parsed:g} (files ingested: {ingested:g})")
 print(f"layout reuse: {reuse_hits:g} hits, {reuse_misses:g} misses (fast-path hits: {fast_hits:g})")
 sys.exit(
     1
     if emit_fallbacks
     or read_fallbacks
     or deserialized < indexed
-    or not handed
-    or parsed < handed
+    or not ingested
+    or parsed < ingested
     or not reuse_hits
     or reuse_hits + reuse_misses != fast_hits
     else 0

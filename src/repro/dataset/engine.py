@@ -124,16 +124,23 @@ class Manifest:
                 manifest.parser_version,
             )
             return manifest
-        for key, raw in document.get("entries", {}).items():
+        raw_entries = document.get("entries", {})
+        if not isinstance(raw_entries, dict):
+            return manifest
+        for key, raw in raw_entries.items():
+            if not isinstance(raw, dict):
+                continue
+            yaml_bytes = raw.get("yaml_bytes")
+            failure = raw.get("failure")
             try:
                 manifest.entries[key] = ManifestEntry(
-                    sha256=raw["sha256"],
-                    size=raw["size"],
-                    mtime_ns=raw["mtime_ns"],
-                    yaml_bytes=raw.get("yaml_bytes"),
-                    failure=raw.get("failure"),
+                    sha256=str(raw["sha256"]),
+                    size=int(raw["size"]),
+                    mtime_ns=int(raw["mtime_ns"]),
+                    yaml_bytes=None if yaml_bytes is None else int(yaml_bytes),
+                    failure=None if failure is None else str(failure),
                 )
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 continue  # one bad entry just loses its skip, not the run
         return manifest
 

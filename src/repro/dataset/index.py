@@ -85,7 +85,7 @@ from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.constants import LOAD_MAX, LOAD_MIN, PARSER_VERSION, MapName
 from repro.dataset.store import SnapshotRef, atomic_write_bytes
@@ -319,11 +319,6 @@ def _when(epoch: int) -> datetime:
     return datetime.fromtimestamp(epoch, tz=timezone.utc)
 
 
-def _remapped(ids: array, remap: Sequence[int] | None) -> Iterable[int]:
-    """Interned ids translated through ``remap`` (verbatim without one)."""
-    return ids if remap is None else [remap[i] for i in ids]
-
-
 @dataclass(frozen=True, slots=True)
 class SkippedSource:
     """A source YAML file the index could not parse, remembered by stat.
@@ -404,9 +399,9 @@ class SnapshotIndex:
         """Intern and append one parsed snapshot (rows stay in time order).
 
         Nodes go in the order its YAML twin lists them — routers, then
-        peerings, each sorted by name — so a snapshot fresh from the
-        parser and the same snapshot read back from its twin give the
-        same row and intern names in the same order.
+        peerings, each sorted by name — so this object path and
+        ``_TwinDecoder`` give a twin the same row and intern its names in
+        the same order.
         """
         self.timestamps.append(_epoch(snapshot.timestamp))
         self.source_sizes.append(size)
@@ -455,20 +450,12 @@ class SnapshotIndex:
         del self.labels[labels:]
         return True
 
-    def append_row_from(
-        self,
-        other: "SnapshotIndex",
-        row: int,
-        names: Sequence[int] | None = None,
-        labels: Sequence[int] | None = None,
-    ) -> None:
-        """Copy one row of another index into this one.
+    def append_row_from(self, other: "SnapshotIndex", row: int) -> None:
+        """Copy one row of another index into this one, ids verbatim.
 
-        ``names`` and ``labels`` map ``other``'s interned ids to this
-        index's.  Without them the ids are copied verbatim, which needs
-        the string tables adopted from ``other`` — the reuse path for an
-        unchanged row of a previous generation, pure array slicing with
-        no YAML and no hashing.
+        Needs the string tables adopted from ``other``: the reuse path
+        for an unchanged row of a previous generation, pure array slicing
+        with no YAML and no hashing.
         """
         r0, r1, p0, p1, l0, l1 = other._row_bounds(row)
         self.timestamps.append(other.timestamps[row])
@@ -477,12 +464,12 @@ class SnapshotIndex:
         self.router_counts.append(r1 - r0)
         self.peering_counts.append(p1 - p0)
         self.link_counts.append(l1 - l0)
-        self.router_ids.extend(_remapped(other.router_ids[r0:r1], names))
-        self.peering_ids.extend(_remapped(other.peering_ids[p0:p1], names))
-        self.link_a_nodes.extend(_remapped(other.link_a_nodes[l0:l1], names))
-        self.link_a_labels.extend(_remapped(other.link_a_labels[l0:l1], labels))
-        self.link_b_nodes.extend(_remapped(other.link_b_nodes[l0:l1], names))
-        self.link_b_labels.extend(_remapped(other.link_b_labels[l0:l1], labels))
+        self.router_ids.extend(other.router_ids[r0:r1])
+        self.peering_ids.extend(other.peering_ids[p0:p1])
+        self.link_a_nodes.extend(other.link_a_nodes[l0:l1])
+        self.link_a_labels.extend(other.link_a_labels[l0:l1])
+        self.link_b_nodes.extend(other.link_b_nodes[l0:l1])
+        self.link_b_labels.extend(other.link_b_labels[l0:l1])
         self.link_a_loads.extend(other.link_a_loads[l0:l1])
         self.link_b_loads.extend(other.link_b_loads[l0:l1])
         self._offsets = None
@@ -619,7 +606,6 @@ class IndexBuildStats:
     map_name: MapName
     parsed: int = 0
     reused: int = 0
-    handed: int = 0
     unreadable: int = 0
     removed: int = 0
     bytes_written: int = 0
@@ -627,7 +613,7 @@ class IndexBuildStats:
     @property
     def total(self) -> int:
         """Rows in the resulting index."""
-        return self.parsed + self.reused + self.handed
+        return self.parsed + self.reused
 
 
 class _TwinDecoder:
@@ -787,7 +773,6 @@ def build_index(
     index_path: Path,
     rebuild: bool = False,
     on_error: Callable[[SnapshotRef, SchemaError], None] | None = None,
-    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> tuple[SnapshotIndex, IndexBuildStats]:
     """Build or refresh the columnar index of ``refs`` at ``index_path``.
 
@@ -800,12 +785,6 @@ def build_index(
     manifest.  The build runs in the calling process: shard compaction
     fans out by shard, one build per pool task.
 
-    A new or modified file with a ``handed`` row is not read: the row
-    is merged through id remap lists, if its recorded ``size`` and
-    ``mtime_ns`` still match the file (else the file is read).  This is
-    how the ingest daemon indexes the twins it just wrote from the
-    snapshots it wrote them from.
-
     Args:
         refs: the source universe to index, in time order; shard
             compaction passes one shard's YAML refs.
@@ -815,9 +794,6 @@ def build_index(
         on_error: called, in time order, for unreadable YAML files, which
             are recorded as skipped sources; without a handler, schema
             errors propagate.
-        handed: rows already built from the sources' snapshots, as
-            ``(part, row)`` by epoch second; each part's rows are in time
-            order, and it holds rows of this index's refs only.
 
     Returns:
         The saved index and the build accounting.
@@ -825,7 +801,7 @@ def build_index(
     registry = get_registry()
     rows_counter = registry.counter(
         "repro_index_rows_total",
-        "Index build rows by outcome (parsed, reused, handed, unreadable, removed)",
+        "Index build rows by outcome (parsed, reused, unreadable, removed)",
     )
     build_seconds = registry.histogram(
         "repro_index_build_seconds", "Index build wall time"
@@ -868,12 +844,8 @@ def build_index(
             previous.timestamps[row]: row for row in range(len(previous))
         }
 
-    # One pass in ref (time) order: reuse an unchanged row, take a handed
-    # row, or read the file.
+    # One pass in ref (time) order: reuse an unchanged row, or read the file.
     decoder: _TwinDecoder | None = None
-    part: SnapshotIndex | None = None
-    names: list[int] = []
-    labels: list[int] = []
     for ref in refs:
         try:
             stat = ref.path.stat()
@@ -892,20 +864,6 @@ def build_index(
         if skip is not None and skip.size == size and skip.mtime_ns == mtime_ns:
             index.skipped[key] = skip
             stats.unreadable += 1
-            continue
-        given = handed.get(key) if handed else None
-        if given is not None and (
-            given[0].source_sizes[given[1]] == size
-            and given[0].source_mtimes[given[1]] == mtime_ns
-        ):
-            if given[0] is not part:
-                # A part's strings are interned when the walk reaches its
-                # first row, in the part's own first-use order.
-                part = given[0]
-                names = [index._intern_name(name) for name in part.names]
-                labels = [index._intern_label(label) for label in part.labels]
-            index.append_row_from(part, given[1], names, labels)
-            stats.handed += 1
             continue
         if decoder is None:
             from repro.yamlio import deserialize
@@ -939,16 +897,14 @@ def build_index(
         previous = None
     stats.bytes_written = index.save(index_path)
     build_seconds.observe(perf_counter() - build_started, map=map_name.value)
-    for outcome in ("parsed", "reused", "handed", "unreadable", "removed"):
+    for outcome in ("parsed", "reused", "unreadable", "removed"):
         rows_counter.inc(getattr(stats, outcome), map=map_name.value, outcome=outcome)
     logger.info(
-        "indexed %s: %d rows (%d parsed, %d reused, %d handed, %d unreadable, "
-        "%d removed)",
+        "indexed %s: %d rows (%d parsed, %d reused, %d unreadable, %d removed)",
         map_name.value,
         len(index),
         stats.parsed,
         stats.reused,
-        stats.handed,
         stats.unreadable,
         stats.removed,
     )

@@ -32,9 +32,9 @@ run``, ``process`` and the bulk entry points of
 * **O(new shard) index maintenance** — checkpoints compact only the
   day-shards touched since the last checkpoint via
   :func:`~repro.dataset.shards.compact_map_shards`, so a tick never
-  pays for the archive behind it.  Each parse batch also returns the
-  index rows of the snapshots it made, and the checkpoint hands them to
-  the shard build, so a new twin is never read back to be indexed.
+  pays for the archive behind it.  A shard build reuses the rows of
+  unchanged twins and decodes each new twin straight into its columns,
+  the one way every twin is indexed.
 
 Journal record format (one line, ``crc32-hex space json newline``)::
 
@@ -53,7 +53,7 @@ import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from time import perf_counter, time
@@ -70,7 +70,6 @@ from repro.dataset.engine import (
     _batches,
     _skip_from_manifest,
 )
-from repro.dataset.index import SnapshotIndex
 from repro.dataset.processor import (
     ProcessingStats,
     ProcessOutcome,
@@ -192,44 +191,45 @@ def _parse_journal_line(line: bytes) -> JournalRecord | None:
 class IngestJournal:
     """Append-only, CRC-framed, explicitly-fsync'd write-ahead journal.
 
-    Appends buffer in the OS; callers decide when :meth:`sync` runs (the
-    daemon fsyncs the YAML files a batch of records describes *first*,
-    so every durable record points at durable data).  :meth:`clear`
-    truncates after a checkpoint has folded the records somewhere safer.
+    Appends are held in memory until :meth:`sync` writes and fsyncs
+    them; callers decide when it runs (the daemon fsyncs the YAML files
+    a batch of records describes *first*, so every record in the file
+    points at durable data, and a run that fails before the sync writes
+    none of the batch).  :meth:`clear` truncates after a checkpoint has
+    folded the records somewhere safer.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self._handle: BinaryIO | None = None
+        self._pending = bytearray()
         self.appended = 0
 
     def append(self, record: JournalRecord) -> None:
-        """Buffer one framed record at the journal's tail."""
+        """Buffer one framed record for the next :meth:`sync`."""
         payload = record.to_json().encode("utf-8")
-        line = b"%08x %s\n" % (zlib.crc32(payload), payload)
-        if self._handle is None:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "ab")
-            except OSError as exc:
-                raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
-        try:
-            self._handle.write(line)
-        except OSError as exc:
-            raise JournalError(f"cannot append to journal {self.path}: {exc}") from exc
+        self._pending += b"%08x %s\n" % (zlib.crc32(payload), payload)
         self.appended += 1
 
     def sync(self) -> None:
-        """Flush buffered records and fsync the journal file."""
-        if self._handle is None:
+        """Write the buffered records at the journal's tail and fsync it."""
+        if not self._pending:
             return
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        try:
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = open(self.path, "ab")
+            self._handle.write(self._pending)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        except OSError as exc:
+            raise JournalError(f"cannot sync journal {self.path}: {exc}") from exc
+        self._pending.clear()
 
     def close(self) -> None:
-        """Flush and close the append handle (the file stays)."""
+        """Sync and close the append handle (the file stays)."""
+        self.sync()
         if self._handle is not None:
-            self.sync()
             self._handle.close()
             self._handle = None
 
@@ -367,9 +367,8 @@ def read_ingest_status(root: str | Path) -> dict[str, object] | None:
     return payload if isinstance(payload, dict) else None
 
 
-#: One parsed file: its outcome, its manifest entry, and its row in the
-#: batch's index part for the file's shard (-1 when it has none).
-_Parsed = tuple[ProcessOutcome, ManifestEntry, int]
+#: One parsed file: its outcome and its manifest entry.
+_Parsed = tuple[ProcessOutcome, ManifestEntry]
 
 
 def _process_batch(
@@ -378,20 +377,15 @@ def _process_batch(
     refs: Sequence[SnapshotRef],
     strict: bool,
     options: ParseOptions | None,
-    index_rows: bool,
-) -> tuple[list[_Parsed], dict[str, SnapshotIndex]]:
+) -> list[_Parsed]:
     """The parse kernel: read, hash and extract one batch of SVGs, in order.
 
     Runs in the daemon's thread or, pickled by name, in a worker of the
     run's :class:`~repro.dataset.workers.OrderedPool`.  Each file
     comes back as its outcome and the manifest entry the writer records
-    for it (``yaml_bytes`` is filled in once the twin is written).  With
-    ``index_rows``, each parsed snapshot is also appended to an index
-    part of its shard, returned by shard key; the writer stamps each row
-    with its twin's size and ``mtime_ns`` once the twin is written.
+    for it (``yaml_bytes`` is filled in once the twin is written).
     """
     results: list[_Parsed] = []
-    parts: dict[str, SnapshotIndex] = {}
     with get_registry().span(
         "repro_engine_batch", "Parse batch wall time", map=map_name.value
     ):
@@ -407,17 +401,8 @@ def _process_batch(
                 mtime_ns=mtime_ns,
                 failure=outcome.failure_cause,
             )
-            row = -1
-            if index_rows and outcome.snapshot is not None:
-                key = shard_key(ref.timestamp)
-                part = parts.get(key)
-                if part is None:
-                    part = parts[key] = SnapshotIndex(map_name)
-                row = len(part)
-                part.append_snapshot(outcome.snapshot, 0, 0)
-            # Only the text crosses back: the part already holds the rows.
-            results.append((replace(outcome, snapshot=None), entry, row))
-    return results, parts
+            results.append((outcome, entry))
+    return results
 
 
 def _log_unindexed(ref: SnapshotRef, exc: Exception) -> None:
@@ -580,7 +565,7 @@ class IngestDaemon:
 
     def _parsed(
         self, map_name: MapName, batches: Sequence[Sequence[SnapshotRef]]
-    ) -> Iterator[tuple[list[_Parsed], dict[str, SnapshotIndex]]]:
+    ) -> Iterator[list[_Parsed]]:
         """Each batch's parse results, in submission order, from the run's pool."""
         parse = partial(
             _process_batch,
@@ -588,7 +573,6 @@ class IngestDaemon:
             map_name,
             strict=self.config.strict,
             options=self.config.options,
-            index_rows=self.config.update_index and not self._rebuild,
         )
         try:
             yield from self._pool.map(parse, batches)
@@ -596,17 +580,23 @@ class IngestDaemon:
             raise IngestError(f"parsing {map_name.value} failed: {exc!r}") from exc
 
     def _sync_batch(self, journal: IngestJournal, yaml_paths: list[Path]) -> None:
-        """Make a batch durable: YAML files first, then their journal records."""
+        """Make a batch durable: YAML files first, then their journal records.
+
+        Raises:
+            IngestError: a twin could not be opened or fsync'd.  The
+                journal is not synced then, so no durable record
+                describes a twin that may not be durable.
+        """
         parents: set[Path] = set()
         for path in yaml_paths:
             try:
                 fd = os.open(path, os.O_RDONLY)
-            except OSError:
-                continue
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                raise IngestError(f"cannot make {path} durable: {exc}") from exc
             parents.add(path.parent)
         for parent in parents:
             fsync_directory(parent)
@@ -620,15 +610,12 @@ class IngestDaemon:
         journal: IngestJournal,
         yaml_paths: list[Path],
         touched_shards: set[str],
-        handed: dict[int, tuple[SnapshotIndex, int]],
         pending_left: int,
     ) -> None:
         """Fold the journal into the manifest and compact touched shards.
 
-        ``handed`` holds the index rows parsed since the last checkpoint,
-        by epoch second; the shard builds take them instead of reading
-        their twins back.  A rebuilding run leaves every shard to
-        :meth:`_finish_map`, which rebuilds them all once.
+        A rebuilding run leaves every shard to :meth:`_finish_map`, which
+        rebuilds them all once.
         """
         registry = get_registry()
         checkpoint_seconds = registry.histogram(
@@ -639,9 +626,8 @@ class IngestDaemon:
         manifest.save(self.store.manifest_path(map_name))
         journal.clear()
         if self.config.update_index and touched_shards and not self._rebuild:
-            self._compact(map_name, only=sorted(touched_shards), handed=handed)
+            self._compact(map_name, only=sorted(touched_shards))
         touched_shards.clear()
-        handed.clear()
         self.stats.checkpoints += 1
         checkpoint_seconds.observe(perf_counter() - started, map=map_name.value)
         self._write_status("running", pending_left=pending_left)
@@ -673,10 +659,9 @@ class IngestDaemon:
         batches = _batches(pending, self.config.chunk_size, self._workers)
         yaml_batch: list[Path] = []
         touched_shards: set[str] = set()
-        handed: dict[int, tuple[SnapshotIndex, int]] = {}
         since_sync = since_checkpoint = done = 0
-        for batch, (results, parts) in zip(batches, self._parsed(map_name, batches)):
-            for ref, (outcome, entry, row) in zip(batch, results):
+        for batch, results in zip(batches, self._parsed(map_name, batches)):
+            for ref, (outcome, entry) in zip(batch, results):
                 if outcome.yaml_text is None:
                     map_stats.unprocessed += 1
                     map_stats.failure_causes[outcome.failure_cause] += 1
@@ -699,14 +684,7 @@ class IngestDaemon:
                     self.stats.processed += 1
                     ingest_files.inc(1, map=map_name.value, outcome="processed")
                     yaml_batch.append(written.path)
-                    shard = shard_key(ref.timestamp)
-                    touched_shards.add(shard)
-                    if row >= 0:
-                        part = parts[shard]
-                        twin = written.path.stat()
-                        part.source_sizes[row] = twin.st_size
-                        part.source_mtimes[row] = twin.st_mtime_ns
-                        handed[int(ref.timestamp.timestamp())] = (part, row)
+                    touched_shards.add(shard_key(ref.timestamp))
                 stamp = format_timestamp(ref.timestamp)
                 manifest.entries[stamp] = entry
                 journal.append(
@@ -734,7 +712,6 @@ class IngestDaemon:
                         journal,
                         yaml_batch,
                         touched_shards,
-                        handed,
                         pending_left=len(pending) - done,
                     )
                     since_checkpoint = 0
@@ -745,7 +722,6 @@ class IngestDaemon:
             journal,
             yaml_batch,
             touched_shards,
-            handed,
             pending_left=0,
         )
         self._finish_map(map_name, journal)
@@ -755,7 +731,7 @@ class IngestDaemon:
         journal.close()
         if not self.config.update_index:
             return
-        if not any(True for _ in self.store.iter_refs(map_name, "yaml")):
+        if not self.store.shard_keys(map_name, "yaml"):
             return
         self._compact(map_name, rebuild=self._rebuild)
 

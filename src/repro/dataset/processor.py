@@ -38,7 +38,6 @@ from repro.parsing.pipeline import (
     parse_svg,
 )
 from repro.telemetry import get_registry
-from repro.topology.model import MapSnapshot
 from repro.yamlio.serialize import snapshot_to_yaml
 
 logger = logging.getLogger(__name__)
@@ -95,16 +94,11 @@ class ProcessingStats:
 
 @dataclass(frozen=True, slots=True)
 class ProcessOutcome:
-    """Result of extracting one SVG document: YAML text or a typed failure.
-
-    ``snapshot`` is the parsed topology the YAML text was emitted from,
-    which the ingest daemon indexes without reading the twin back.
-    """
+    """Result of extracting one SVG document: YAML text or a typed failure."""
 
     yaml_text: str | None
     failure_cause: str | None = None
     failure_message: str = ""
-    snapshot: MapSnapshot | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -157,7 +151,7 @@ def process_svg_bytes(
     if timings is not None:
         timings.add("serialize", elapsed)
     files.inc(1, map=map_name.value, outcome="processed")
-    return ProcessOutcome(yaml_text=text, snapshot=parsed.snapshot)
+    return ProcessOutcome(yaml_text=text)
 
 
 def process_map(

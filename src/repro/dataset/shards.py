@@ -52,10 +52,10 @@ from datetime import datetime
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
-from repro.dataset.index import IndexBuildStats, SnapshotIndex, build_index
+from repro.dataset.index import IndexBuildStats, build_index
 from repro.dataset.store import (
     DatasetStore,
     SnapshotRef,
@@ -214,7 +214,6 @@ class ShardCompactionStats:
     rows: int = 0
     parsed: int = 0
     reused: int = 0
-    handed: int = 0
     seconds: float = 0.0
 
 
@@ -223,7 +222,6 @@ def _build_shard(
     rebuild: bool,
     keep_errors: bool,
     shard: tuple[str, list[SnapshotRef], Path, str],
-    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> tuple[ShardEntry, IndexBuildStats, list[tuple[SnapshotRef, str]]]:
     """Pool task: build and save one shard's index.
 
@@ -240,7 +238,6 @@ def _build_shard(
         index_path,
         rebuild=rebuild,
         on_error=(lambda ref, exc: errors.append((ref, str(exc)))) if keep_errors else None,
-        handed=handed,
     )
     index_stat = index_path.stat()
     entry = ShardEntry(
@@ -261,7 +258,6 @@ def compact_map_shards(
     workers: int | str | None | OrderedPool = None,
     on_error: Callable[[SnapshotRef, Exception], None] | None = None,
     only: Sequence[str] | None = None,
-    handed: Mapping[int, tuple[SnapshotIndex, int]] | None = None,
 ) -> ShardCompactionStats:
     """Bring one map's shard indexes up to date — O(changed shards).
 
@@ -278,14 +274,11 @@ def compact_map_shards(
     Other shards' manifest entries are left untouched and the
     removed-shard sweep is skipped (a later full compaction handles it).
 
-    ``handed`` passes rows built from the sources' snapshots to
-    :func:`~repro.dataset.index.build_index`, keyed by epoch second, with
-    one part per shard; a shard that takes any is built in-process.
-    Every other stale shard is one task for ``workers`` — a worker
-    request, which opens one pool for this call, or an open
+    Each stale shard is one task for ``workers`` — a worker request,
+    which opens one pool for this call, or an open
     :class:`~repro.dataset.workers.OrderedPool` — and the pool opens only
-    for two or more such shards.  ``on_error`` fires in time order either
-    way.
+    for two or more stale shards.  ``on_error`` fires in time order
+    either way.
     """
     registry = get_registry()
     compactions = registry.counter(
@@ -308,9 +301,8 @@ def compact_map_shards(
             parse_shard_key(key)
     live_keys = store.shard_keys(map_name, "yaml") if only is None else only
     #: ``(key, refs, index path, fingerprint)`` of each shard to build, in
-    #: time order, and the keys of those that take handed rows.
+    #: time order.
     stale: list[tuple[str, list[SnapshotRef], Path, str]] = []
-    local: set[str] = set()
     for key in live_keys:
         refs = list(store.iter_shard_refs(map_name, "yaml", key))
         if not refs:
@@ -328,22 +320,15 @@ def compact_map_shards(
             stats.rows += entry.rows
             continue
         stale.append((key, refs, index_path, fingerprint))
-        if handed and any(int(ref.timestamp.timestamp()) in handed for ref in refs):
-            local.add(key)
 
     build = partial(_build_shard, map_name, rebuild, on_error is not None)
-    pooled = [shard for shard in stale if shard[0] not in local]
     with lend_pool(workers) as pool:
-        if len(pooled) > 1:
+        if len(stale) > 1:
             # Loaded before a pool forks, so workers inherit the YAML stack.
             import repro.yamlio.deserialize  # noqa: F401
-        results = pool.map(build, pooled)
-        for shard in stale:
-            key = shard[0]
-            if key in local:
-                entry, build_stats, errors = build(shard, handed)
-            else:
-                entry, build_stats, errors = next(results)
+        for (key, *_), (entry, build_stats, errors) in zip(
+            stale, pool.map(build, stale)
+        ):
             if on_error is not None:
                 for ref, message in errors:
                     on_error(ref, SchemaError(message))
@@ -352,7 +337,6 @@ def compact_map_shards(
             stats.rows += entry.rows
             stats.parsed += build_stats.parsed
             stats.reused += build_stats.reused
-            stats.handed += build_stats.handed
 
     if only is None:
         for key in sorted(set(manifest.shards) - set(live_keys)):

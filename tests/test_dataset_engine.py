@@ -302,6 +302,36 @@ class TestManifest:
         assert len(calls) == 6
         assert stats.total == 6
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda entries, stamp: [],
+            lambda entries, stamp: None,
+            lambda entries, stamp: "entries",
+            lambda entries, stamp: {
+                **entries,
+                stamp: {**entries[stamp], "yaml_bytes": str(entries[stamp]["yaml_bytes"])},
+            },
+            lambda entries, stamp: {**entries, stamp: {**entries[stamp], "size": "big"}},
+        ],
+        ids=["entries-list", "entries-null", "entries-string", "yaml-bytes-string", "size-string"],
+    )
+    def test_mistyped_manifest_loads_and_runs(self, processed_store, mangle):
+        path = processed_store.manifest_path(MAP)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        yaml_bytes = sum(entry["yaml_bytes"] or 0 for entry in document["entries"].values())
+        document["entries"] = mangle(document["entries"], "20220912T000000Z")
+        path.write_text(json.dumps(document), encoding="utf-8")
+
+        for entry in Manifest.load(path).entries.values():
+            assert isinstance(entry.sha256, str)
+            assert isinstance(entry.size, int) and isinstance(entry.mtime_ns, int)
+            assert entry.yaml_bytes is None or isinstance(entry.yaml_bytes, int)
+            assert entry.failure is None or isinstance(entry.failure, str)
+        stats = process_map_parallel(processed_store, MAP, workers=1)
+        assert (stats.processed, stats.unprocessed) == (6 - len(CORRUPT_AT), len(CORRUPT_AT))
+        assert stats.yaml_bytes == yaml_bytes
+
 
 class TestIndexMaintenance:
     """Processing leaves the map's shard indexes fresh behind it."""

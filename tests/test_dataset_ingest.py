@@ -13,6 +13,8 @@ The contracts under test, in escalating order of paranoia:
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
 import os
 import signal
@@ -217,6 +219,67 @@ class TestDaemonRuns:
         with pytest.raises(IngestError, match="simulated dead disk"):
             daemon.run([MAP])
         assert time.monotonic() - started < 30
+
+    def test_unsyncable_twin_fails_before_its_journal_records_sync(
+        self, tmp_path, apac_svg, monkeypatch
+    ):
+        store = build_corpus(DatasetStore(tmp_path), apac_svg)
+        victim = store.path_for(MAP, T0 + timedelta(hours=28), "yaml")
+        real_open = os.open
+        events: list[str] = []
+
+        def failing_open(path, flags, *args, **kwargs):
+            if Path(path) == victim:
+                events.append("twin failed")
+                raise OSError(errno.EIO, "simulated I/O error", str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        real_sync = IngestJournal.sync
+
+        def recording_sync(journal):
+            events.append("journal synced")
+            real_sync(journal)
+
+        monkeypatch.setattr(ingest.os, "open", failing_open)
+        monkeypatch.setattr(IngestJournal, "sync", recording_sync)
+        with pytest.raises(IngestError, match="simulated I/O error"):
+            IngestDaemon(store, IngestConfig(workers=1)).run([MAP])
+        assert "twin failed" in events
+        assert "journal synced" not in events[events.index("twin failed") :]
+
+        # The failed run's unsynced records are dropped with it, not
+        # flushed when its journal is collected: the next run replays
+        # none of them and parses every file again.
+        monkeypatch.undo()
+        gc.collect()
+        again = IngestDaemon(store, IngestConfig(workers=1)).run([MAP])
+        assert (again.replayed, again.processed) == (0, 6)
+
+    def test_map_without_twins_gets_no_shard_manifest(self, tmp_path):
+        store = DatasetStore(tmp_path)
+        for index in range(2):
+            store.write(MAP, T0 + timedelta(hours=index), "svg", "<svg broken")
+        stats = IngestDaemon(store).run([MAP])
+        assert stats.failed == 2
+        assert not store.shards_manifest_path(MAP).exists()
+
+    def test_no_pending_run_compacts_without_listing_every_twin(
+        self, tmp_path, apac_svg, monkeypatch
+    ):
+        store = build_corpus(DatasetStore(tmp_path), apac_svg)
+        IngestDaemon(store, replace(IngestConfig(), update_index=False)).run([MAP])
+        assert verify_shards(store, MAP) is None
+        list_refs = DatasetStore.iter_refs
+
+        def no_twin_listing(self, map_name, kind):
+            if kind == "yaml":
+                raise AssertionError("listed every twin of the map")
+            return list_refs(self, map_name, kind)
+
+        monkeypatch.setattr(DatasetStore, "iter_refs", no_twin_listing)
+        stats = IngestDaemon(store).run([MAP])
+        assert stats.ingested == 0 and stats.skipped == 6
+        assert verify_shards(store, MAP) is not None
 
     def test_status_file_published(self, tmp_path, apac_svg):
         store = build_corpus(DatasetStore(tmp_path), apac_svg, files=2)
@@ -461,7 +524,7 @@ class TestOnePoolPerRun:
 
 
 class TestIndexFromTheParse:
-    """The daemon indexes each new twin from the snapshot it wrote it from."""
+    """The daemon indexes each twin it parsed by decoding it, as a rebuild does."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
@@ -506,8 +569,10 @@ class TestIndexFromTheParse:
         with use_registry(registry):
             assert IngestDaemon(store, config).run([MAP]).processed == 12
         rows = registry.get("repro_index_rows_total")
-        assert rows.value(map=MAP.value, outcome="handed") == 12
-        assert rows.value(map=MAP.value, outcome="parsed") == 0
+        assert rows.value(map=MAP.value, outcome="parsed") == 12
+        fast_path = registry.get("repro_yaml_fast_path_total")
+        assert fast_path.value(outcome="hit") == 12
+        assert fast_path.value(outcome="fallback") == 0
         from_the_parse = self.shard_indexes(store)
         assert len(from_the_parse) == 3
 
