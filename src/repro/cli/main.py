@@ -278,12 +278,12 @@ def cmd_index_status(args: argparse.Namespace) -> int:
     for map_name in [args.map] if args.map else list(MapName):
         has_yaml = any(True for _ in store.iter_refs(map_name, "yaml"))
         manifest = ShardManifest.load(store.shards_manifest_path(map_name))
-        if not has_yaml and not manifest.shards:
+        if not has_yaml and not manifest.entries:
             continue
         shown += 1
         entries = verify_shards(store, map_name)
         fresh = entries is not None
-        listed = entries if entries is not None else sorted(manifest.shards.items())
+        listed = entries if entries is not None else sorted(manifest.entries.items())
         rows = sum(entry.rows for _, entry in listed)
         skipped = sum(entry.skipped for _, entry in listed)
         size = sum(entry.index_size for _, entry in listed)

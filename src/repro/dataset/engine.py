@@ -30,22 +30,19 @@ daemon and its bulk callers share:
 
 from __future__ import annotations
 
-import json
-import logging
-import os
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
-from repro.constants import PARSER_VERSION, MapName
+from repro.constants import MapName
 from repro.dataset.processor import ProcessingStats
-from repro.dataset.store import DatasetStore, SnapshotRef, atomic_write_text
+from repro.dataset.store import DatasetStore, Ledger, SnapshotRef
 from repro.dataset.workers import (
     AUTO_WORKERS,
     contiguous_batches,
     default_workers,
     resolve_workers,
 )
+from repro.errors import DatasetError
 from repro.parsing.pipeline import ParseOptions
 
 __all__ = [
@@ -58,8 +55,6 @@ __all__ = [
     "resolve_workers",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: The most SVGs one parse batch carries; amortises pickling and dispatch
 #: overhead without starving workers at the tail of a run.  Whether the
 #: batches run in a pool is the pool's call: a lone batch, or any batch
@@ -69,7 +64,11 @@ DEFAULT_CHUNK_SIZE = 16
 
 @dataclass(slots=True)
 class ManifestEntry:
-    """What the manifest remembers about one processed SVG."""
+    """One processed SVG's durable fact: source stat, hash, outcome.
+
+    The manifest stores one per file, and each journal record carries
+    one; both read theirs back through :meth:`coerce`.
+    """
 
     sha256: str
     size: int
@@ -77,12 +76,28 @@ class ManifestEntry:
     yaml_bytes: int | None = None
     failure: str | None = None
 
-    def matches_stat(self, stat: os.stat_result) -> bool:
-        """Cheap unchanged check — no file read, no hashing."""
-        return stat.st_size == self.size and stat.st_mtime_ns == self.mtime_ns
+    @classmethod
+    def coerce(cls, raw: Any) -> "ManifestEntry":
+        """A decoded JSON object as an entry (extra keys are ignored).
+
+        Raises:
+            DatasetError: *raw* is not an object.
+            KeyError, TypeError, ValueError: a field is missing or mistyped.
+        """
+        if not isinstance(raw, dict):
+            raise DatasetError(f"entry is a {type(raw).__name__}, not an object")
+        yaml_bytes = raw.get("yaml_bytes")
+        failure = raw.get("failure")
+        return cls(
+            sha256=str(raw["sha256"]),
+            size=int(raw["size"]),
+            mtime_ns=int(raw["mtime_ns"]),
+            yaml_bytes=None if yaml_bytes is None else int(yaml_bytes),
+            failure=None if failure is None else str(failure),
+        )
 
 
-class Manifest:
+class Manifest(Ledger[ManifestEntry]):
     """The per-map incremental-processing ledger.
 
     Serialised as JSON next to the map's ``svg/`` and ``yaml/`` subtrees::
@@ -102,61 +117,11 @@ class Manifest:
     so parser changes reprocess the whole corpus cleanly.
     """
 
-    def __init__(self, parser_version: int = PARSER_VERSION) -> None:
-        self.parser_version = parser_version
-        self.entries: dict[str, ManifestEntry] = {}
+    section = "entries"
 
-    @classmethod
-    def load(cls, path: Path) -> "Manifest":
-        """Read a manifest, tolerating absence, corruption, and version skew."""
-        manifest = cls()
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return manifest
-        if not isinstance(document, dict):
-            return manifest
-        if document.get("parser_version") != manifest.parser_version:
-            logger.info(
-                "manifest %s has parser version %r (current %r); reprocessing",
-                path,
-                document.get("parser_version"),
-                manifest.parser_version,
-            )
-            return manifest
-        raw_entries = document.get("entries", {})
-        if not isinstance(raw_entries, dict):
-            return manifest
-        for key, raw in raw_entries.items():
-            if not isinstance(raw, dict):
-                continue
-            yaml_bytes = raw.get("yaml_bytes")
-            failure = raw.get("failure")
-            try:
-                manifest.entries[key] = ManifestEntry(
-                    sha256=str(raw["sha256"]),
-                    size=int(raw["size"]),
-                    mtime_ns=int(raw["mtime_ns"]),
-                    yaml_bytes=None if yaml_bytes is None else int(yaml_bytes),
-                    failure=None if failure is None else str(failure),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue  # one bad entry just loses its skip, not the run
-        return manifest
-
-    def save(self, path: Path) -> None:
-        """Write the manifest atomically and durably.
-
-        Write-aside + fsync + ``os.replace`` (via
-        :func:`~repro.dataset.store.atomic_write_text`), so a mid-write
-        kill leaves either the previous manifest or the new one — never a
-        truncated file that would poison the skip cache.
-        """
-        document = {
-            "parser_version": self.parser_version,
-            "entries": {key: asdict(entry) for key, entry in self.entries.items()},
-        }
-        atomic_write_text(path, json.dumps(document, sort_keys=True))
+    @staticmethod
+    def coerce(key: str, raw: Any) -> ManifestEntry:
+        return ManifestEntry.coerce(raw)
 
 
 def _batches(

@@ -3,17 +3,17 @@
 * :func:`resolve_read_handle` — open the map's
   :class:`~repro.dataset.shards.ShardedMappedIndex`, or ``None`` when
   the shards cannot serve truthfully.  It is the one shard opener.
-* :func:`read_generation` — a stat-cheap token that changes whenever
-  the map's serving index changes on disk: the shard *manifest*
-  identity, which compaction rewrites atomically whenever any shard
-  index changes.  Long-lived readers (the HTTP server's engine cache)
-  pin one generation per handle and compare tokens per request to know
-  when to hot-swap.
+* :func:`read_generation` — a stat-cheap token that changes exactly
+  when the map's serving index changes on disk: the shard *manifest*
+  identity, which compaction rewrites atomically when a shard index is
+  built or removed, and only then.  Long-lived readers (the HTTP
+  server's engine cache) pin one generation per handle and compare
+  tokens per request to know when to hot-swap.
 """
 
 from __future__ import annotations
 
-from repro.constants import PARSER_VERSION, MapName
+from repro.constants import MapName
 from repro.dataset.shards import ShardedMappedIndex, ShardManifest, verify_shards
 from repro.dataset.store import DatasetStore
 
@@ -57,10 +57,7 @@ def resolve_read_handle(
         if entries is None:
             return None
     else:
-        manifest = ShardManifest.load(manifest_path)
-        if manifest.parser_version != PARSER_VERSION:
-            return None
-        entries = [(key, manifest.shards[key]) for key in sorted(manifest.shards)]
+        entries = sorted(ShardManifest.load(manifest_path).entries.items())
     shards = [
         (key, store.shard_index_path(map_name, key), entry.rows)
         for key, entry in entries
@@ -73,11 +70,13 @@ def read_generation(
 ) -> GenerationToken | None:
     """A stat-cheap token naming the map's current serving generation.
 
-    Keys on ``shards/manifest.json``, which :func:`compact_map_shards`
-    rewrites atomically whenever any shard index is built or removed —
-    so one ``stat()`` answers "did anything I serve change?" without
-    touching a single shard.  ``None`` means the map has no built index
-    yet.
+    Keys on ``shards/manifest.json``, which
+    :func:`~repro.dataset.shards.compact_map_shards` rewrites atomically
+    when a shard index is built or removed, or a parser-version skew or
+    rebuild resets it, and never otherwise — so one ``stat()`` answers
+    "did anything I serve change?" without touching a single shard, and
+    a compaction that changes nothing keeps the token.  ``None`` means
+    the map has no built index yet.
     """
     try:
         stat = store.shards_manifest_path(map_name).stat()

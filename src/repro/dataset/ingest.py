@@ -53,7 +53,7 @@ import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from time import perf_counter, time
@@ -85,7 +85,7 @@ from repro.dataset.store import (
     shard_key,
 )
 from repro.dataset.workers import OrderedPool, resolve_workers
-from repro.errors import IngestError, JournalError
+from repro.errors import DatasetError, IngestError, JournalError
 from repro.parsing.pipeline import ParseOptions
 from repro.telemetry import get_registry
 
@@ -112,60 +112,18 @@ STATUS_FILE_NAME = "ingest-status.json"
 
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
-    """One ingested file's durable fact: source stat, hash, outcome."""
+    """One ingested file's manifest entry, framed for the journal."""
 
     map_value: str
     stamp: str
-    sha256: str
-    size: int
-    mtime_ns: int
-    yaml_bytes: int | None = None
-    failure: str | None = None
-
-    def to_entry(self) -> ManifestEntry:
-        """The manifest entry this record folds into at a checkpoint."""
-        return ManifestEntry(
-            sha256=self.sha256,
-            size=self.size,
-            mtime_ns=self.mtime_ns,
-            yaml_bytes=self.yaml_bytes,
-            failure=self.failure,
-        )
+    entry: ManifestEntry
 
     def to_json(self) -> str:
         """Canonical JSON payload (sorted keys — what the CRC covers)."""
         return json.dumps(
-            {
-                "failure": self.failure,
-                "map": self.map_value,
-                "mtime_ns": self.mtime_ns,
-                "sha256": self.sha256,
-                "size": self.size,
-                "stamp": self.stamp,
-                "yaml_bytes": self.yaml_bytes,
-            },
+            {"map": self.map_value, "stamp": self.stamp, **asdict(self.entry)},
             sort_keys=True,
         )
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "JournalRecord":
-        """Parse one decoded JSON payload; :class:`JournalError` on shape."""
-        if not isinstance(payload, dict):
-            raise JournalError("journal payload is not an object")
-        try:
-            yaml_bytes = payload["yaml_bytes"]
-            failure = payload["failure"]
-            return cls(
-                map_value=str(payload["map"]),
-                stamp=str(payload["stamp"]),
-                sha256=str(payload["sha256"]),
-                size=int(payload["size"]),
-                mtime_ns=int(payload["mtime_ns"]),
-                yaml_bytes=None if yaml_bytes is None else int(yaml_bytes),
-                failure=None if failure is None else str(failure),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JournalError(f"journal payload malformed: {exc}") from exc
 
 
 def _parse_journal_line(line: bytes) -> JournalRecord | None:
@@ -183,8 +141,13 @@ def _parse_journal_line(line: bytes) -> JournalRecord | None:
     if zlib.crc32(payload) != expected:
         return None
     try:
-        return JournalRecord.from_payload(json.loads(payload))
-    except (ValueError, JournalError):
+        fields = json.loads(payload)
+        return JournalRecord(
+            map_value=str(fields["map"]),
+            stamp=str(fields["stamp"]),
+            entry=ManifestEntry.coerce(fields),
+        )
+    except (KeyError, TypeError, ValueError, DatasetError):
         return None
 
 
@@ -499,7 +462,7 @@ class IngestDaemon:
         manifest = Manifest.load(self.store.manifest_path(map_name))
         records, dropped = journal.replay()
         for record in records:
-            manifest.entries[record.stamp] = record.to_entry()
+            manifest.entries[record.stamp] = record.entry
         if records:
             # The journal facts are durable; promote them before the
             # journal is truncated so a crash here loses nothing.
@@ -547,15 +510,13 @@ class IngestDaemon:
         pending: list[SnapshotRef] = []
         for ref in self.store.iter_refs(map_name, "svg"):
             entry = manifest.entries.get(format_timestamp(ref.timestamp))
-            if entry is not None:
-                size, mtime_ns = ref.stat_key()
-                if entry.size == size and entry.mtime_ns == mtime_ns:
-                    _skip_from_manifest(map_stats, entry)
-                    self.stats.skipped += 1
-                    manifest_lookups.inc(1, map=map_name.value, outcome="hit")
-                    files_counter.inc(1, map=map_name.value, outcome="skipped")
-                    ingest_files.inc(1, map=map_name.value, outcome="skipped")
-                    continue
+            if entry is not None and (entry.size, entry.mtime_ns) == ref.stat_key():
+                _skip_from_manifest(map_stats, entry)
+                self.stats.skipped += 1
+                manifest_lookups.inc(1, map=map_name.value, outcome="hit")
+                files_counter.inc(1, map=map_name.value, outcome="skipped")
+                ingest_files.inc(1, map=map_name.value, outcome="skipped")
+                continue
             manifest_lookups.inc(1, map=map_name.value, outcome="miss")
             pending.append(ref)
         budget = self._budget_left()
@@ -687,17 +648,7 @@ class IngestDaemon:
                     touched_shards.add(shard_key(ref.timestamp))
                 stamp = format_timestamp(ref.timestamp)
                 manifest.entries[stamp] = entry
-                journal.append(
-                    JournalRecord(
-                        map_value=map_name.value,
-                        stamp=stamp,
-                        sha256=entry.sha256,
-                        size=entry.size,
-                        mtime_ns=entry.mtime_ns,
-                        yaml_bytes=entry.yaml_bytes,
-                        failure=entry.failure,
-                    )
-                )
+                journal.append(JournalRecord(map_name.value, stamp, entry))
                 journal_counter.inc(1, map=map_name.value, event="appended")
                 done += 1
                 since_sync += 1

@@ -43,7 +43,6 @@ which never reads through this module, never loads numpy.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import shutil
 import threading
@@ -52,18 +51,13 @@ from datetime import datetime
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.index import IndexBuildStats, build_index
-from repro.dataset.store import (
-    DatasetStore,
-    SnapshotRef,
-    atomic_write_text,
-    parse_shard_key,
-)
+from repro.dataset.store import DatasetStore, Ledger, SnapshotRef, parse_shard_key
 from repro.dataset.workers import OrderedPool, lend_pool
-from repro.errors import DatasetError, SchemaError, SnapshotIndexError
+from repro.errors import SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 
 if TYPE_CHECKING:
@@ -115,19 +109,26 @@ class ShardEntry:
     index_size: int
     index_mtime_ns: int
 
-    def matches_index(self, path: Path) -> bool:
-        """Cheap check that the built index file is still the pinned one."""
+    def pins(self, fingerprint: str, index_path: Path) -> bool:
+        """The one shard freshness test: same sources, same index file.
+
+        Fresh means the shard's source fingerprint is the pinned one and
+        its built index file still has the pinned ``(size, mtime_ns)``,
+        so a replaced or deleted index reads stale like a changed source.
+        """
+        if fingerprint != self.fingerprint:
+            return False
         try:
-            stat = path.stat()
+            stat = index_path.stat()
         except OSError:
             return False
-        return (
-            stat.st_size == self.index_size
-            and stat.st_mtime_ns == self.index_mtime_ns
+        return (stat.st_size, stat.st_mtime_ns) == (
+            self.index_size,
+            self.index_mtime_ns,
         )
 
 
-class ShardManifest:
+class ShardManifest(Ledger[ShardEntry]):
     """The per-map ledger of shard index generations.
 
     Serialised as JSON under ``<map>/shards/manifest.json``::
@@ -143,64 +144,23 @@ class ShardManifest:
         }
 
     Version skew discards every entry, mirroring the processing manifest:
-    a parser bump recompacts the whole archive cleanly.
+    a parser bump recompacts the whole archive cleanly.  The file is
+    rewritten only when an entry changes, so its identity is the map's
+    serving generation (:func:`~repro.dataset.handles.read_generation`).
     """
 
-    def __init__(self, parser_version: int = PARSER_VERSION) -> None:
-        self.parser_version = parser_version
-        self.shards: dict[str, ShardEntry] = {}
+    section = "shards"
 
-    @classmethod
-    def load(cls, path: Path) -> "ShardManifest":
-        """Read a shard manifest, tolerating absence, corruption, and skew."""
-        manifest = cls()
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return manifest
-        if not isinstance(document, dict):
-            return manifest
-        if document.get("parser_version") != manifest.parser_version:
-            logger.info(
-                "shard manifest %s has parser version %r (current %r); recompacting",
-                path,
-                document.get("parser_version"),
-                manifest.parser_version,
-            )
-            return manifest
-        raw_shards = document.get("shards", {})
-        if not isinstance(raw_shards, dict):
-            return manifest
-        for key, raw in raw_shards.items():
-            try:
-                parse_shard_key(key)
-                manifest.shards[key] = ShardEntry(
-                    fingerprint=str(raw["fingerprint"]),
-                    rows=int(raw["rows"]),
-                    skipped=int(raw["skipped"]),
-                    index_size=int(raw["index_size"]),
-                    index_mtime_ns=int(raw["index_mtime_ns"]),
-                )
-            except (KeyError, TypeError, ValueError, DatasetError):
-                continue  # one bad entry just loses its skip, not the run
-        return manifest
-
-    def save(self, path: Path) -> None:
-        """Write the shard manifest atomically and durably."""
-        document = {
-            "parser_version": self.parser_version,
-            "shards": {
-                key: {
-                    "fingerprint": entry.fingerprint,
-                    "rows": entry.rows,
-                    "skipped": entry.skipped,
-                    "index_size": entry.index_size,
-                    "index_mtime_ns": entry.index_mtime_ns,
-                }
-                for key, entry in self.shards.items()
-            },
-        }
-        atomic_write_text(path, json.dumps(document, sort_keys=True))
+    @staticmethod
+    def coerce(key: str, raw: Any) -> ShardEntry:
+        parse_shard_key(key)
+        return ShardEntry(
+            fingerprint=str(raw["fingerprint"]),
+            rows=int(raw["rows"]),
+            skipped=int(raw["skipped"]),
+            index_size=int(raw["index_size"]),
+            index_mtime_ns=int(raw["index_mtime_ns"]),
+        )
 
 
 @dataclass
@@ -268,6 +228,11 @@ def compact_map_shards(
     large the archive behind it has grown.  Shards whose last YAML file
     vanished are removed, index directory and manifest entry both.
 
+    The shard manifest is rewritten only when its document changes: a
+    shard built or removed, or a version skew or ``rebuild`` that reset
+    it.  A pass that changes nothing leaves the file, and so the map's
+    :func:`~repro.dataset.handles.read_generation`, alone.
+
     ``only`` restricts the walk to the named shard keys — the ingestion
     daemon passes the shards it touched since its last checkpoint, which
     drops even the fingerprint walk from O(corpus) to O(new shard).
@@ -291,9 +256,8 @@ def compact_map_shards(
     started = perf_counter()
     manifest_path = store.shards_manifest_path(map_name)
     manifest = ShardManifest.load(manifest_path)
-    manifest.parser_version = PARSER_VERSION
     if rebuild:
-        manifest.shards.clear()
+        manifest.entries.clear()
     stats = ShardCompactionStats(map_name=map_name)
 
     if only is not None:
@@ -309,13 +273,8 @@ def compact_map_shards(
             continue  # the day's files are gone; nothing to index
         fingerprint = shard_fingerprint(refs)
         index_path = store.shard_index_path(map_name, key)
-        entry = manifest.shards.get(key)
-        if (
-            not rebuild
-            and entry is not None
-            and entry.fingerprint == fingerprint
-            and entry.matches_index(index_path)
-        ):
+        entry = manifest.entries.get(key)
+        if entry is not None and entry.pins(fingerprint, index_path):
             stats.skipped.append(key)
             stats.rows += entry.rows
             continue
@@ -332,15 +291,15 @@ def compact_map_shards(
             if on_error is not None:
                 for ref, message in errors:
                     on_error(ref, SchemaError(message))
-            manifest.shards[key] = entry
+            manifest.entries[key] = entry
             stats.built.append(key)
             stats.rows += entry.rows
             stats.parsed += build_stats.parsed
             stats.reused += build_stats.reused
 
     if only is None:
-        for key in sorted(set(manifest.shards) - set(live_keys)):
-            del manifest.shards[key]
+        for key in sorted(set(manifest.entries) - set(live_keys)):
+            del manifest.entries[key]
             shutil.rmtree(
                 store.shard_index_path(map_name, key).parent, ignore_errors=True
             )
@@ -373,7 +332,8 @@ def verify_shards(
 
     One directory walk plus one ``stat()`` per file, no reads.  Any skew
     (missing shard, extra shard, changed fingerprint, replaced index
-    file, parser-version mismatch) reports unfresh.
+    file, parser-version mismatch) reports unfresh: each shard must pass
+    :meth:`ShardEntry.pins`.
     """
     cache = get_registry().counter(
         "repro_shard_cache_total",
@@ -381,22 +341,15 @@ def verify_shards(
     )
     manifest = ShardManifest.load(store.shards_manifest_path(map_name))
     live_keys = store.shard_keys(map_name, "yaml")
-    fresh = manifest.parser_version == PARSER_VERSION and set(live_keys) == set(
-        manifest.shards
+    fresh = set(live_keys) == set(manifest.entries) and all(
+        manifest.entries[key].pins(
+            shard_fingerprint(list(store.iter_shard_refs(map_name, "yaml", key))),
+            store.shard_index_path(map_name, key),
+        )
+        for key in live_keys
     )
-    entries: list[tuple[str, ShardEntry]] = []
-    if fresh:
-        for key in live_keys:
-            entry = manifest.shards[key]
-            refs = list(store.iter_shard_refs(map_name, "yaml", key))
-            if entry.fingerprint != shard_fingerprint(refs) or not entry.matches_index(
-                store.shard_index_path(map_name, key)
-            ):
-                fresh = False
-                break
-            entries.append((key, entry))
     cache.inc(1, map=map_name.value, outcome="hit" if fresh else "miss")
-    return entries if fresh else None
+    return [(key, manifest.entries[key]) for key in live_keys] if fresh else None
 
 
 @dataclass

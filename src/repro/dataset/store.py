@@ -19,16 +19,20 @@ is O(new shard) instead of O(corpus).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, ClassVar, Generic, Iterable, Iterator, Sequence, TypeVar
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
 from repro.errors import DatasetError, SnapshotNotFoundError
+
+logger = logging.getLogger(__name__)
 
 _TIMESTAMP_FORMAT = "%Y%m%dT%H%M%SZ"
 _FILE_PATTERN = re.compile(
@@ -114,6 +118,92 @@ def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> int:
     return atomic_write_bytes(path, text.encode("utf-8"), durable=durable)
 
 
+EntryT = TypeVar("EntryT")
+LedgerT = TypeVar("LedgerT", bound="Ledger[Any]")
+
+
+class Ledger(Generic[EntryT]):
+    """A map's version-gated JSON side-car of per-key facts.
+
+    Serialised with sorted keys as ``{"parser_version": N, <section>:
+    {key: {field: value}}}``, each fact a dataclass.  :meth:`load`
+    reads an absent or corrupt file, or one a different
+    :data:`~repro.constants.PARSER_VERSION` wrote, as empty, and drops
+    each entry :meth:`coerce` rejects, so one bad entry only loses its
+    skip.  :meth:`save` writes atomically and durably, and only when the
+    document differs from the one on disk.
+    """
+
+    #: The document key the entries sit under.
+    section: ClassVar[str]
+
+    def __init__(self) -> None:
+        self.entries: dict[str, EntryT] = {}
+        #: SHA-256 of the file as last read or written (``None``: absent or
+        #: unreadable) — a digest, so a large ledger is not held twice.
+        self.digest: bytes | None = None
+
+    @staticmethod
+    def coerce(key: str, raw: Any) -> EntryT:
+        """One stored entry as a typed fact.
+
+        Raises:
+            KeyError, TypeError, ValueError, DatasetError: the entry is
+                malformed.
+        """
+        raise NotImplementedError
+
+    @classmethod
+    def load(cls: type[LedgerT], path: Path) -> LedgerT:
+        """Read a ledger, tolerating absence, corruption, and version skew."""
+        ledger = cls()
+        try:
+            data = path.read_bytes()
+            ledger.digest = hashlib.sha256(data).digest()
+            document = json.loads(data.decode("utf-8"))
+        except (OSError, ValueError):
+            return ledger
+        if not isinstance(document, dict):
+            return ledger
+        if document.get("parser_version") != PARSER_VERSION:
+            logger.info(
+                "%s has parser version %r (current %r); discarding it",
+                path,
+                document.get("parser_version"),
+                PARSER_VERSION,
+            )
+            return ledger
+        raw_entries = document.get(cls.section, {})
+        if not isinstance(raw_entries, dict):
+            return ledger
+        for key, raw in raw_entries.items():
+            try:
+                ledger.entries[key] = cls.coerce(key, raw)
+            except (KeyError, TypeError, ValueError, DatasetError):
+                continue
+        return ledger
+
+    def save(self, path: Path) -> bool:
+        """Write the ledger if its document changed; whether it wrote.
+
+        Write-aside + fsync + ``os.replace`` (via
+        :func:`atomic_write_bytes`), so a mid-write kill leaves either the
+        previous file or the new one.  An unchanged document leaves the
+        file, and so its identity, alone.
+        """
+        document = {
+            "parser_version": PARSER_VERSION,
+            self.section: {key: asdict(entry) for key, entry in self.entries.items()},
+        }
+        data = json.dumps(document, sort_keys=True).encode("utf-8")
+        digest = hashlib.sha256(data).digest()
+        if digest == self.digest:
+            return False
+        atomic_write_bytes(path, data)
+        self.digest = digest
+        return True
+
+
 @dataclass(frozen=True, slots=True)
 class SnapshotRef:
     """A reference to one stored snapshot file.
@@ -147,7 +237,7 @@ class DatasetStore:
     :mod:`repro.dataset.engine` owns the manifest, :mod:`repro.dataset.ingest`
     the journal, and :mod:`repro.dataset.shards` the shard manifest and
     compaction; the store only names their paths and enumerates shard
-    members.
+    members (both manifests are :class:`Ledger` files).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -213,23 +303,8 @@ class DatasetStore:
     def iter_refs(self, map_name: MapName, kind: str) -> Iterator[SnapshotRef]:
         """All stored snapshots of one map and kind, in timestamp order."""
         base = self.root / map_name.value / kind
-        if not base.exists():
-            return
-        refs: list[SnapshotRef] = []
-        for path in base.rglob(f"*.{kind}"):
-            match = _FILE_PATTERN.match(path.name)
-            if match is None or match.group("map") != map_name.value:
-                continue
-            refs.append(
-                SnapshotRef(
-                    map_name=map_name,
-                    timestamp=parse_timestamp(match.group("stamp")),
-                    kind=kind,
-                    path=path,
-                )
-            )
-        refs.sort(key=lambda ref: ref.timestamp)
-        yield from refs
+        if base.exists():
+            yield from _sorted_refs(map_name, kind, base.rglob(f"*.{kind}"))
 
     def timestamps(self, map_name: MapName, kind: str = "svg") -> list[datetime]:
         """Sorted snapshot timestamps of one map."""
@@ -307,23 +382,29 @@ class DatasetStore:
     ) -> Iterator[SnapshotRef]:
         """One shard's snapshots in timestamp order — an O(shard) listing."""
         day_dir = self.shard_day_dir(map_name, kind, key)
-        if not day_dir.exists():
-            return
-        refs: list[SnapshotRef] = []
-        for path in day_dir.glob(f"*.{kind}"):
-            match = _FILE_PATTERN.match(path.name)
-            if match is None or match.group("map") != map_name.value:
-                continue
-            refs.append(
-                SnapshotRef(
-                    map_name=map_name,
-                    timestamp=parse_timestamp(match.group("stamp")),
-                    kind=kind,
-                    path=path,
-                )
+        if day_dir.exists():
+            yield from _sorted_refs(map_name, kind, day_dir.glob(f"*.{kind}"))
+
+
+def _sorted_refs(
+    map_name: MapName, kind: str, paths: Iterable[Path]
+) -> list[SnapshotRef]:
+    """The snapshot files of one map among *paths*, in timestamp order."""
+    refs: list[SnapshotRef] = []
+    for path in paths:
+        match = _FILE_PATTERN.match(path.name)
+        if match is None or match.group("map") != map_name.value:
+            continue
+        refs.append(
+            SnapshotRef(
+                map_name=map_name,
+                timestamp=parse_timestamp(match.group("stamp")),
+                kind=kind,
+                path=path,
             )
-        refs.sort(key=lambda ref: ref.timestamp)
-        yield from refs
+        )
+    refs.sort(key=lambda ref: ref.timestamp)
+    return refs
 
 
 #: The 2.x name of the sharded store, which is now the only one.

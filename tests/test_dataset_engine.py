@@ -17,7 +17,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from repro.constants import MapName
+from repro.constants import PARSER_VERSION, MapName
 from repro.dataset import engine as engine_module
 from repro.dataset import ingest as ingest_module
 from repro.dataset import workers as workers_module
@@ -283,7 +283,7 @@ class TestManifest:
         assert len(calls) == 6
         # The fresh run stamps the current version back.
         saved = json.loads(path.read_text(encoding="utf-8"))
-        assert saved["parser_version"] == engine_module.PARSER_VERSION
+        assert saved["parser_version"] == PARSER_VERSION
 
     def test_edited_svg_reprocessed_alone(self, processed_store, monkeypatch, reference_svg):
         edited_at = T0  # a healthy file
@@ -382,10 +382,11 @@ class TestManifestRoundTrip:
             sha256="cd", size=4, mtime_ns=9, failure="MalformedSvgError"
         )
         path = tmp_path / "manifest.json"
-        manifest.save(path)
+        assert manifest.save(path)
         loaded = Manifest.load(path)
         assert loaded.entries == manifest.entries
-        assert loaded.parser_version == manifest.parser_version
+        assert json.loads(path.read_text(encoding="utf-8"))["parser_version"] == PARSER_VERSION
+        assert not loaded.save(path)  # an unchanged document is not rewritten
 
     def test_missing_file_is_empty(self, tmp_path):
         assert Manifest.load(tmp_path / "absent.json").entries == {}

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli.main import main as cli_main
 from repro.constants import MapName
 from repro.dataset import index as index_module
-from repro.dataset import shards as shards_module
+from repro.dataset import store as store_module
 from repro.dataset import workers as workers_module
 from repro.dataset.index import INDEX_MAGIC, SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import _rebuild, iter_snapshots, latest_snapshot, load_all
@@ -251,7 +251,7 @@ class TestFreshness:
 
     def test_parser_version_skew_not_fresh(self, store, monkeypatch):
         with monkeypatch.context() as patch:
-            for module in (index_module, shards_module):
+            for module in (index_module, store_module):
                 patch.setattr(module, "PARSER_VERSION", PARSER_VERSION + 1)
             compact_map_shards(store, MAP)
         assert SnapshotIndex.load(index_file(store)).parser_version == PARSER_VERSION + 1

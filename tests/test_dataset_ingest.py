@@ -21,7 +21,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+import zlib
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -29,8 +30,10 @@ import pytest
 
 from repro.constants import MapName
 from repro.dataset import ingest
+from repro.dataset import shards as shards_module
 from repro.dataset import workers as workers_module
-from repro.dataset.engine import Manifest
+from repro.dataset.engine import Manifest, ManifestEntry
+from repro.dataset.handles import read_generation
 from repro.dataset.ingest import (
     IngestConfig,
     IngestDaemon,
@@ -73,10 +76,7 @@ def yaml_tree(store) -> dict[str, bytes]:
 RECORD = JournalRecord(
     map_value="asia-pacific",
     stamp="20220912T000000Z",
-    sha256="ab" * 32,
-    size=123,
-    mtime_ns=456,
-    yaml_bytes=789,
+    entry=ManifestEntry(sha256="ab" * 32, size=123, mtime_ns=456, yaml_bytes=789),
 )
 
 
@@ -86,10 +86,9 @@ class TestJournal:
         failed = JournalRecord(
             map_value="asia-pacific",
             stamp="20220912T000500Z",
-            sha256="cd" * 32,
-            size=5,
-            mtime_ns=6,
-            failure="MalformedSvgError",
+            entry=ManifestEntry(
+                sha256="cd" * 32, size=5, mtime_ns=6, failure="MalformedSvgError"
+            ),
         )
         journal.append(RECORD)
         journal.append(failed)
@@ -132,18 +131,29 @@ class TestJournal:
         journal.clear()  # idempotent on a missing file
 
     def test_entry_conversion(self):
-        entry = RECORD.to_entry()
-        assert (entry.sha256, entry.size, entry.mtime_ns) == (
-            RECORD.sha256,
-            RECORD.size,
-            RECORD.mtime_ns,
+        """A journal payload is its manifest entry's fields plus map and stamp."""
+        payload = json.loads(RECORD.to_json())
+        assert (payload.pop("map"), payload.pop("stamp")) == (
+            RECORD.map_value,
+            RECORD.stamp,
         )
+        assert payload == asdict(RECORD.entry)
+        assert ManifestEntry.coerce(payload) == RECORD.entry
 
-    def test_payload_shape_errors_are_typed(self):
-        with pytest.raises(JournalError):
-            JournalRecord.from_payload(["not", "a", "dict"])
-        with pytest.raises(JournalError):
-            JournalRecord.from_payload({"map": "x"})
+    @staticmethod
+    def frame(payload: bytes) -> bytes:
+        return b"%08x %s\n" % (zlib.crc32(payload), payload)
+
+    def test_payload_shape_errors_are_typed(self, tmp_path):
+        """A sound frame carrying a malformed payload is a damaged frame."""
+        path = tmp_path / "j.wal"
+        good = self.frame(RECORD.to_json().encode("utf-8"))
+        for payload in (b'["not", "a", "dict"]', b'{"map": "x"}', b'"text"'):
+            path.write_bytes(good + self.frame(payload))
+            assert IngestJournal(path).replay() == ([RECORD], 1)  # a torn tail
+            path.write_bytes(self.frame(payload) + good)
+            with pytest.raises(JournalError):
+                IngestJournal(path).replay()
 
 
 class TestConfig:
@@ -444,17 +454,7 @@ class TestKillAndResume:
         del document["entries"][stamp]
         manifest_path.write_text(json.dumps(document), encoding="utf-8")
         journal = IngestJournal(store.journal_path(MAP))
-        journal.append(
-            JournalRecord(
-                map_value=MAP.value,
-                stamp=stamp,
-                sha256=raw["sha256"],
-                size=raw["size"],
-                mtime_ns=raw["mtime_ns"],
-                yaml_bytes=raw.get("yaml_bytes"),
-                failure=raw.get("failure"),
-            )
-        )
+        journal.append(JournalRecord(MAP.value, stamp, ManifestEntry.coerce(raw)))
         journal.close()
         stats = resume_ingest(store)
         assert stats.replayed == 1
@@ -578,3 +578,53 @@ class TestIndexFromTheParse:
 
         assert cli_main(["index", "build", str(tmp_path), "--rebuild"]) == 0
         assert self.shard_indexes(store) == from_the_parse
+
+
+class TestReadGeneration:
+    """A run moves a map's read generation only when one of its shards changes."""
+
+    OTHER = MapName.WORLD
+    CONFIG = IngestConfig(workers=1)
+
+    @pytest.fixture()
+    def store(self, tmp_path, apac_svg):
+        store = DatasetStore(tmp_path)
+        for map_name in (MAP, self.OTHER):
+            for index in range(3):
+                store.write(map_name, T0 + timedelta(hours=14 * index), "svg", apac_svg)
+        IngestDaemon(store, self.CONFIG).run([MAP, self.OTHER])
+        return store
+
+    def tokens(self, store) -> dict:
+        return {
+            map_name: read_generation(store, map_name) for map_name in (MAP, self.OTHER)
+        }
+
+    def test_a_run_with_nothing_pending_keeps_every_token(self, store):
+        before = self.tokens(store)
+        assert None not in before.values()
+        stats = IngestDaemon(store, self.CONFIG).run([MAP, self.OTHER])
+        assert stats.ingested == 0
+        assert self.tokens(store) == before
+
+    def test_an_ingesting_run_moves_only_its_maps_token_once(
+        self, store, apac_svg, monkeypatch
+    ):
+        """Each compaction's token is recorded; only the one that built moves it."""
+        tokens = {map_name: [token] for map_name, token in self.tokens(store).items()}
+        compact = shards_module.compact_map_shards
+
+        def observed(store, map_name, **options):
+            stats = compact(store, map_name, **options)
+            tokens[map_name].append(read_generation(store, map_name))
+            return stats
+
+        monkeypatch.setattr(shards_module, "compact_map_shards", observed)
+        store.write(MAP, T0 + timedelta(hours=42), "svg", apac_svg)
+        assert IngestDaemon(store, self.CONFIG).run([MAP, self.OTHER]).processed == 1
+        moves = {
+            map_name: sum(old != new for old, new in zip(seen, seen[1:]))
+            for map_name, seen in tokens.items()
+        }
+        assert moves == {MAP: 1, self.OTHER: 0}
+        assert len(tokens[MAP]) == 3  # the checkpoint's pass and the closing one

@@ -8,6 +8,7 @@ YAML object path returns over the same tree.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sys
@@ -19,8 +20,8 @@ import pytest
 
 from repro.constants import MapName
 from repro.dataset import index as index_module
-from repro.dataset import shards as shards_module
-from repro.dataset.handles import resolve_read_handle
+from repro.dataset import store as store_module
+from repro.dataset.handles import read_generation, resolve_read_handle
 from repro.dataset.loader import iter_snapshots, latest_snapshot, load_all
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.query import ScanPredicate
@@ -121,7 +122,7 @@ class TestCompaction:
         assert stats.removed == ["2022-09-12"]
         assert not store.shard_index_path(MAP, "2022-09-12").parent.exists()
         manifest = ShardManifest.load(store.shards_manifest_path(MAP))
-        assert "2022-09-12" not in manifest.shards
+        assert "2022-09-12" not in manifest.entries
 
     def test_only_restricts_the_walk(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
@@ -164,6 +165,64 @@ class TestCompaction:
         assert stats.skipped == []
 
 
+class TestGeneration:
+    """The shard manifest, the map's read generation, moves only with a shard."""
+
+    def test_a_pass_that_changes_nothing_keeps_the_generation(
+        self, tmp_path, reference_yaml
+    ):
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        token = read_generation(store, MAP)
+        assert compact_map_shards(store, MAP).built == []
+        assert compact_map_shards(store, MAP, only=["2022-09-13"]).built == []
+        assert read_generation(store, MAP) == token
+        store.write(MAP, T0 + timedelta(days=9), "yaml", reference_yaml)
+        assert compact_map_shards(store, MAP).built == ["2022-09-21"]
+        assert read_generation(store, MAP) != token
+
+    @pytest.mark.parametrize(
+        "mangle, rebuilt",
+        [
+            (lambda document: "{not json", list(DAYS)),
+            (lambda document: json.dumps({**document, "shards": []}), list(DAYS)),
+            (
+                lambda document: json.dumps(
+                    {**document, "shards": {**document["shards"], "2022-09-13": [1]}}
+                ),
+                [DAYS[1]],
+            ),
+            (
+                lambda document: json.dumps(
+                    {
+                        **document,
+                        "shards": {
+                            **document["shards"],
+                            "2022-09-14": {
+                                **document["shards"]["2022-09-14"],
+                                "rows": "big",
+                            },
+                        },
+                    }
+                ),
+                [DAYS[2]],
+            ),
+        ],
+        ids=["not-json", "shards-list", "entry-list", "rows-string"],
+    )
+    def test_a_damaged_manifest_rebuilds_only_what_it_lost(
+        self, tmp_path, reference_yaml, mangle, rebuilt
+    ):
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        path = store.shards_manifest_path(MAP)
+        path.write_text(mangle(json.loads(path.read_text(encoding="utf-8"))))
+        assert verify_shards(store, MAP) is None
+        stats = compact_map_shards(store, MAP)
+        assert stats.built == [day.strftime("%Y-%m-%d") for day in rebuilt]
+        assert verify_shards(store, MAP) is not None
+
+
 class TestFreshness:
     def test_fresh_after_compaction(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
@@ -189,7 +248,7 @@ class TestFreshness:
     ):
         store = build_corpus(tmp_path, reference_yaml)
         with monkeypatch.context() as patch:
-            for module in (index_module, shards_module):
+            for module in (index_module, store_module):
                 patch.setattr(module, "PARSER_VERSION", -1)
             compact_map_shards(store, MAP)
         assert verify_shards(store, MAP) is None

@@ -31,6 +31,7 @@ import numpy
 import pytest
 
 from repro.constants import MapName
+from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.shards import ShardedMappedIndex, compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
@@ -434,6 +435,39 @@ class TestCaching:
             store.write(MAP, new_day, "yaml", reference_yaml)
             compact_map_shards(store, MAP, only=["2022-09-15"])
             assert five_requests() == {"hit": 4.0, "miss": 1.0}
+            client.close()
+
+    def test_a_run_that_changes_nothing_keeps_the_pin_and_the_cache(
+        self, tmp_path, reference_yaml
+    ):
+        store = build_corpus(tmp_path, reference_yaml)
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            path = f"/v1/maps/{MAP.value}/evolution"
+
+            def counters() -> dict[str, float]:
+                text = client.get("/metrics")[2].decode("utf-8")
+                found = re.findall(
+                    r'^repro_server_(hotswaps_total\{map="asia-pacific"\}|'
+                    r'cache_total\{endpoint="evolution",outcome="(?:hit|miss)"\}) (\S+)$',
+                    text,
+                    re.MULTILINE,
+                )
+                return {name: float(value) for name, value in found}
+
+            client.get(path)  # pins the generation and caches the body
+            before = counters()
+            assert IngestDaemon(store, IngestConfig(workers=1)).run([MAP]).ingested == 0
+            client.get(path)
+            after = counters()
+            moved = {
+                name: after.get(name, 0.0) - before.get(name, 0.0)
+                for name in after.keys() | before.keys()
+            }
+            # One more cache hit; no miss, no hot-swap.
+            assert {name: delta for name, delta in moved.items() if delta} == {
+                'cache_total{endpoint="evolution",outcome="hit"}': 1.0
+            }
             client.close()
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.constants import MapName
+from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.processor import process_svg_bytes
 from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
@@ -172,6 +173,13 @@ class TestWatcherUnits:
         store, watcher = watcher
         watcher.poll_now()
         watcher.poll_now()
+        watcher.poll_now()
+        assert watcher.current(MAP).id == 1
+
+    def test_a_run_that_changes_nothing_emits_nothing(self, watcher):
+        store, watcher = watcher
+        watcher.poll_now()
+        assert IngestDaemon(store, IngestConfig(workers=1)).run([MAP]).ingested == 0
         watcher.poll_now()
         assert watcher.current(MAP).id == 1
 
