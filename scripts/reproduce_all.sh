@@ -22,14 +22,15 @@ python3 -m pytest tests/ -q
 echo "== 1b/4 concurrency suites under the lock sanitizer =="
 # The same server/feed/ingest/shard tests, re-run with every
 # repro-package lock instrumented: the run fails on any lock-order
-# inversion or same-lock re-entry observed at runtime.  The shard tests
-# race ShardedMappedIndex._open_lock, the one lock outside the server
-# and telemetry.  The overhead line is informational — see
+# inversion or same-lock re-entry observed at runtime (the sanitizer is
+# tests/lock_sanitizer.py).  The shard tests race
+# ShardedMappedIndex._open_lock, the one lock outside the server and
+# telemetry.  The overhead line is informational — see
 # docs/static-analysis.md for the measured numbers.
 python3 -m pytest tests/test_server.py tests/test_server_feed.py \
     tests/test_dataset_ingest.py tests/test_dataset_shards.py -q --repro-tsan
 python3 - <<'PY'
-from repro.devtools.sanitizer import measure_overhead
+from tests.lock_sanitizer import measure_overhead
 
 numbers = measure_overhead(iterations=20_000)
 print(

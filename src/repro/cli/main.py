@@ -13,7 +13,7 @@ Subcommands::
     render     render one snapshot SVG to stdout or a file
     upgrade    replay the Figure 6 case study
     metrics    render a saved telemetry snapshot (Prometheus or JSON)
-    check      run the project's static-analysis rule pack (REP002–REP011)
+    check      run the project's static-analysis rule pack (REP002–REP009)
 
 ``process``, ``index build``, and ``export`` accept ``--metrics-out PATH``
 to dump the run's telemetry registry as a JSON snapshot, which ``metrics``

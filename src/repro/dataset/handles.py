@@ -40,10 +40,13 @@ def resolve_read_handle(
 ) -> ReadHandle | None:
     """Open one map's query engine, but only if every shard is fresh.
 
-    A map that was never compacted (no shard manifest) gets ``None``.
-    Otherwise the shard manifest is verified against the live tree
-    (skippable via ``require_fresh=False`` for serving layers that poll
-    generation tokens themselves) and its shard list handed to a *lazy*
+    A map that was never compacted (no shard manifest) gets ``None``, and
+    so does one whose manifest was not read whole (unparseable, another
+    parser version, or a dropped entry): such a map is unavailable until
+    the next compaction, never served as empty or partial.  Otherwise the
+    shard manifest is verified against the live tree (skippable via
+    ``require_fresh=False`` for serving layers that poll generation
+    tokens themselves) and its shard list handed to a *lazy*
     :class:`~repro.dataset.shards.ShardedMappedIndex` — no shard file is
     mapped until a query's time window actually reaches it.  An unsound
     shard therefore surfaces at first touch as
@@ -57,7 +60,10 @@ def resolve_read_handle(
         if entries is None:
             return None
     else:
-        entries = sorted(ShardManifest.load(manifest_path).entries.items())
+        manifest = ShardManifest.load(manifest_path)
+        if not manifest.whole:
+            return None
+        entries = sorted(manifest.entries.items())
     shards = [
         (key, store.shard_index_path(map_name, key), entry.rows)
         for key, entry in entries

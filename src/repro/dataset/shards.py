@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import shutil
 import threading
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ from repro.constants import PARSER_VERSION, MapName
 from repro.dataset.index import IndexBuildStats, build_index
 from repro.dataset.store import DatasetStore, Ledger, SnapshotRef, parse_shard_key
 from repro.dataset.workers import OrderedPool, lend_pool
-from repro.errors import SchemaError, SnapshotIndexError
+from repro.errors import DatasetError, SchemaError, SnapshotIndexError
 from repro.telemetry import get_registry
 
 if TYPE_CHECKING:
@@ -210,6 +211,23 @@ def _build_shard(
     return entry, stats, errors
 
 
+def _shard_dirs(store: DatasetStore, map_name: MapName) -> set[str]:
+    """Keys of the shard directories on disk, whatever the manifest holds."""
+    try:
+        with os.scandir(store.shards_root(map_name)) as listing:
+            names = [entry.name for entry in listing if entry.is_dir()]
+    except OSError:
+        return set()
+    keys = set()
+    for name in names:
+        try:
+            parse_shard_key(name)
+        except DatasetError:
+            continue
+        keys.add(name)
+    return keys
+
+
 def compact_map_shards(
     store: DatasetStore,
     map_name: MapName,
@@ -226,7 +244,9 @@ def compact_map_shards(
     only shards whose fingerprint or pinned index generation changed.
     Steady-state ingestion therefore pays for one shard per tick, however
     large the archive behind it has grown.  Shards whose last YAML file
-    vanished are removed, index directory and manifest entry both.
+    vanished are removed, index directory and manifest entry both: the
+    sweep lists ``shards/`` itself, so a directory the manifest no longer
+    names (after ``rebuild``, or a damaged manifest) goes too.
 
     The shard manifest is rewritten only when its document changes: a
     shard built or removed, or a version skew or ``rebuild`` that reset
@@ -298,8 +318,9 @@ def compact_map_shards(
             stats.reused += build_stats.reused
 
     if only is None:
-        for key in sorted(set(manifest.entries) - set(live_keys)):
-            del manifest.entries[key]
+        built_keys = set(manifest.entries) | _shard_dirs(store, map_name)
+        for key in sorted(built_keys - set(live_keys)):
+            manifest.entries.pop(key, None)
             shutil.rmtree(
                 store.shard_index_path(map_name, key).parent, ignore_errors=True
             )
@@ -332,8 +353,8 @@ def verify_shards(
 
     One directory walk plus one ``stat()`` per file, no reads.  Any skew
     (missing shard, extra shard, changed fingerprint, replaced index
-    file, parser-version mismatch) reports unfresh: each shard must pass
-    :meth:`ShardEntry.pins`.
+    file, a manifest not read whole) reports unfresh: each shard must
+    pass :meth:`ShardEntry.pins`.
     """
     cache = get_registry().counter(
         "repro_shard_cache_total",
@@ -341,12 +362,16 @@ def verify_shards(
     )
     manifest = ShardManifest.load(store.shards_manifest_path(map_name))
     live_keys = store.shard_keys(map_name, "yaml")
-    fresh = set(live_keys) == set(manifest.entries) and all(
-        manifest.entries[key].pins(
-            shard_fingerprint(list(store.iter_shard_refs(map_name, "yaml", key))),
-            store.shard_index_path(map_name, key),
+    fresh = (
+        manifest.whole
+        and set(live_keys) == set(manifest.entries)
+        and all(
+            manifest.entries[key].pins(
+                shard_fingerprint(list(store.iter_shard_refs(map_name, "yaml", key))),
+                store.shard_index_path(map_name, key),
+            )
+            for key in live_keys
         )
-        for key in live_keys
     )
     cache.inc(1, map=map_name.value, outcome="hit" if fresh else "miss")
     return [(key, manifest.entries[key]) for key in live_keys] if fresh else None

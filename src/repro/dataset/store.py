@@ -130,7 +130,8 @@ class Ledger(Generic[EntryT]):
     reads an absent or corrupt file, or one a different
     :data:`~repro.constants.PARSER_VERSION` wrote, as empty, and drops
     each entry :meth:`coerce` rejects, so one bad entry only loses its
-    skip.  :meth:`save` writes atomically and durably, and only when the
+    skip; :attr:`whole` tells a reader which of those it got.
+    :meth:`save` writes atomically and durably, and only when the
     document differs from the one on disk.
     """
 
@@ -142,6 +143,10 @@ class Ledger(Generic[EntryT]):
         #: SHA-256 of the file as last read or written (``None``: absent or
         #: unreadable) — a digest, so a large ledger is not held twice.
         self.digest: bytes | None = None
+        #: Whether :meth:`load` read an existing file whole: it parsed, had
+        #: the current parser version and an object section, and no entry
+        #: was dropped.  ``False`` for an absent file.
+        self.whole = False
 
     @staticmethod
     def coerce(key: str, raw: Any) -> EntryT:
@@ -173,7 +178,7 @@ class Ledger(Generic[EntryT]):
                 PARSER_VERSION,
             )
             return ledger
-        raw_entries = document.get(cls.section, {})
+        raw_entries = document.get(cls.section)
         if not isinstance(raw_entries, dict):
             return ledger
         for key, raw in raw_entries.items():
@@ -181,6 +186,7 @@ class Ledger(Generic[EntryT]):
                 ledger.entries[key] = cls.coerce(key, raw)
             except (KeyError, TypeError, ValueError, DatasetError):
                 continue
+        ledger.whole = len(ledger.entries) == len(raw_entries)
         return ledger
 
     def save(self, path: Path) -> bool:

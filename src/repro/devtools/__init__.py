@@ -4,13 +4,12 @@ An AST-based invariant linter for the invariants general-purpose tools
 cannot know, each spanning the whole package: telemetry naming +
 documentation (REP002), determinism of the byte-identical modules
 (REP003), the typed :mod:`repro.errors` hierarchy (REP005), public-API
-drift (REP006), mutable defaults (REP007), and the concurrency
-contracts — ``guarded-by`` lock discipline (REP009) and an acyclic
-lock-order graph (REP011).  REP001 and REP010 are retired ids; REP004,
-REP008 and REP012 are retired into the tier-1 tests of the one seam
-each guarded.  The static rules' runtime twin, an opt-in
-instrumented-lock sanitizer, lives in :mod:`repro.devtools.sanitizer`
-(``REPRO_TSAN=1`` / ``pytest --repro-tsan``).
+drift (REP006), mutable defaults (REP007), and the ``guarded-by`` lock
+discipline (REP009).  REP001 and REP010 are retired ids; REP004, REP008,
+REP011 and REP012 are retired into the tier-1 tests of the one seam
+each guarded.  The runtime lock sanitizer is test tooling and lives in
+the test tree (``tests/lock_sanitizer.py``, run by ``pytest
+--repro-tsan`` or ``REPRO_TSAN=1``).
 
 Run it as ``repro-weather check`` (exit 0 clean / 1 findings /
 2 internal error), or programmatically::

@@ -8,20 +8,19 @@
 | REP006 | ``repro.__all__`` matches the committed ``api_surface.json``   |
 | REP007 | no mutable default arguments                                   |
 | REP009 | declared shared attributes only touched under their lock       |
-| REP011 | the package-wide static lock-order graph is acyclic            |
 
 ``REP000`` (unused suppression or stale ``guarded-by`` declaration) and
 ``REP999`` (unparseable file) are engine-reserved ids.  ``REP001`` and
 ``REP010`` are retired with the code they policed; ``REP004``,
-``REP008`` and ``REP012`` are retired into the tier-1 tests of the one
-seam each guarded.  Retired ids are never reused.  Each rule documents
-its rationale, examples, and suppression syntax in
+``REP008``, ``REP011`` and ``REP012`` are retired into the tier-1 tests
+of the one seam each guarded.  Retired ids are never reused.  Each rule
+documents its rationale, examples, and suppression syntax in
 ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
-from repro.devtools.concurrency import GuardedByRule, LockOrderRule
+from repro.devtools.concurrency import GuardedByRule
 from repro.devtools.engine import Rule
 from repro.devtools.rules.api_surface import ApiSurfaceRule
 from repro.devtools.rules.defaults import MutableDefaultRule
@@ -33,7 +32,6 @@ __all__ = [
     "ApiSurfaceRule",
     "DeterminismRule",
     "GuardedByRule",
-    "LockOrderRule",
     "MutableDefaultRule",
     "TelemetryNameRule",
     "TypedRaiseRule",
@@ -50,5 +48,4 @@ def default_rules() -> list[Rule]:
         ApiSurfaceRule(),
         MutableDefaultRule(),
         GuardedByRule(),
-        LockOrderRule(),
     ]

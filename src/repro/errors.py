@@ -186,13 +186,13 @@ class StaticAnalysisError(ReproError):
 class ConcurrencyError(ReproError):
     """The runtime lock sanitizer observed a broken locking invariant.
 
-    Raised only in the opt-in instrumented-lock mode
-    (:func:`repro.devtools.sanitizer.install_sanitizer`) when a thread
-    re-acquires a non-reentrant lock it already holds — turning what
-    would be a silent deadlock into an immediate, attributable failure.
-    Lock-order inversions and long-held locks are reported as findings
-    instead of raised, since the offending thread is not the one that
-    would hang.
+    Raised only in the opt-in instrumented-lock mode of the test tree's
+    sanitizer (``tests/lock_sanitizer.py``, installed by ``pytest
+    --repro-tsan``) when a thread re-acquires a non-reentrant lock it
+    already holds — turning what would be a silent deadlock into an
+    immediate, attributable failure.  Lock-order inversions and
+    long-held locks are reported as findings instead of raised, since
+    the offending thread is not the one that would hang.
     """
 
 

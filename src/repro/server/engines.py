@@ -75,8 +75,10 @@ class EngineCache:
             SnapshotNotFoundError: the map has no snapshots and no index
                 (never raised while a previously-pinned generation can
                 still serve).
-            SnapshotIndexError: the map has snapshots but was never
-                compacted (a 2.x dataset before its first ``index build``).
+            SnapshotIndexError: the map has snapshots but no shard index
+                it can serve: never compacted (a 2.x dataset before its
+                first ``index build``), or a shard manifest that was not
+                read whole (damaged, or another parser version's).
         """
         token = read_generation(self._store, map_name)
         with self._lock:
@@ -93,8 +95,8 @@ class EngineCache:
                     return pinned
                 if self._store.shard_keys(map_name):
                     raise SnapshotIndexError(
-                        f"map {map_name.value!r} has snapshots but no shard "
-                        f"index; build one with `repro-weather index build`"
+                        f"map {map_name.value!r} has snapshots but no readable "
+                        f"shard index; build one with `repro-weather index build`"
                     )
                 raise SnapshotNotFoundError(
                     f"no queryable index for map {map_name.value!r}; "

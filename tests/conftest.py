@@ -5,7 +5,7 @@ snapshots) are session-scoped: the simulator is deterministic, so sharing
 it across tests loses nothing.
 
 ``pytest --repro-tsan`` (or ``REPRO_TSAN=1``) installs the instrumented
-lock mode from :mod:`repro.devtools.sanitizer` for the whole session:
+lock mode from :mod:`tests.lock_sanitizer` for the whole session:
 every ``threading.Lock``/``RLock`` constructed inside the ``repro``
 package records acquisition order, and the run **fails** if any test
 provokes a lock-order inversion or a same-lock re-entry — turning
@@ -44,7 +44,7 @@ def pytest_configure(config: pytest.Config) -> None:
     ) not in ("", "0")
     config.stash[_TSAN_KEY] = enabled
     if enabled:
-        from repro.devtools.sanitizer import install_sanitizer
+        from tests.lock_sanitizer import install_sanitizer
 
         install_sanitizer()
 
@@ -52,7 +52,7 @@ def pytest_configure(config: pytest.Config) -> None:
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
     if not session.config.stash.get(_TSAN_KEY, False):
         return
-    from repro.devtools.sanitizer import active_sanitizer
+    from tests.lock_sanitizer import active_sanitizer
 
     sanitizer = active_sanitizer()
     if sanitizer is None:  # a test uninstalled it; nothing left to report
@@ -68,7 +68,7 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
 def pytest_unconfigure(config: pytest.Config) -> None:
     if not config.stash.get(_TSAN_KEY, False):
         return
-    from repro.devtools.sanitizer import uninstall_sanitizer
+    from tests.lock_sanitizer import uninstall_sanitizer
 
     uninstall_sanitizer()
 

@@ -124,6 +124,35 @@ class TestCompaction:
         manifest = ShardManifest.load(store.shards_manifest_path(MAP))
         assert "2022-09-12" not in manifest.entries
 
+    def test_a_rebuild_sweeps_a_removed_day(self, tmp_path, reference_yaml):
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        for ref in list(store.iter_shard_refs(MAP, "yaml", "2022-09-12")):
+            ref.path.unlink()
+        stats = compact_map_shards(store, MAP, rebuild=True)
+        assert stats.removed == ["2022-09-12"]
+        assert sorted(path.name for path in store.shards_root(MAP).iterdir()) == [
+            "2022-09-13",
+            "2022-09-14",
+            "manifest.json",
+        ]
+        assert compact_map_shards(store, MAP).removed == []
+
+    def test_a_directory_the_manifest_lost_is_swept(self, tmp_path, reference_yaml):
+        store = build_corpus(tmp_path, reference_yaml)
+        compact_map_shards(store, MAP)
+        for ref in list(store.iter_shard_refs(MAP, "yaml", "2022-09-12")):
+            ref.path.unlink()
+        path = store.shards_manifest_path(MAP)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["shards"]["2022-09-12"]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        (store.shards_root(MAP) / "notes").mkdir()  # not a shard key: left alone
+        stats = compact_map_shards(store, MAP)
+        assert stats.removed == ["2022-09-12"]
+        assert not store.shard_index_path(MAP, "2022-09-12").parent.exists()
+        assert (store.shards_root(MAP) / "notes").is_dir()
+
     def test_only_restricts_the_walk(self, tmp_path, reference_yaml):
         store = build_corpus(tmp_path, reference_yaml)
         compact_map_shards(store, MAP)

@@ -1,19 +1,23 @@
-"""Tests for the REP009 and REP011 concurrency rule pack.
+"""Tests for the lock invariants: REP009 and the no-nesting rule.
 
-Each rule gets minimal positive/negative fixtures laid out as a
-throwaway ``src/repro`` tree (the same harness as the core lint tests):
+REP009 gets minimal positive/negative fixtures laid out as a throwaway
+``src/repro`` tree (the same harness as the core lint tests):
 guarded-by discipline with its constructor and locked-by-caller escape
-hatches, the REP000 staleness ratchet on guarded-by annotations, a
-genuine two-function lock-order cycle, and a noqa marker silencing a
-concurrency finding.
+hatches, the REP000 staleness ratchet on guarded-by annotations, and a
+noqa marker silencing a concurrency finding.  The lock-nesting scan runs
+over the real ``src/repro`` and over seeded trees, among them a
+two-function lock-order cycle.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.devtools import CheckConfig, CheckResult, run_checks
 from repro.devtools.engine import UNUSED_SUPPRESSION_RULE
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -161,8 +165,64 @@ LOCK_PAIR = (
 )
 
 
-class TestRep011LockOrder:
-    def test_opposite_nesting_orders_are_a_cycle(self, tmp_path):
+def _is_lock(expr: ast.expr) -> bool:
+    """Whether a ``with`` item names a lock: terminal name ``lock`` or ``*_lock``."""
+    if isinstance(expr, ast.Attribute):
+        name = expr.attr
+    elif isinstance(expr, ast.Name):
+        name = expr.id
+    else:
+        return False
+    return name == "lock" or name.endswith("_lock")
+
+
+def lock_acquisitions(root: Path) -> tuple[int, list[str]]:
+    """Every ``with <lock>:`` under ``root``, and each one nested in another.
+
+    Returns the acquisition count and, per nested acquisition,
+    ``path:line: inner inside outer``.  ``with a_lock, b_lock:`` takes
+    ``b_lock`` while holding ``a_lock``, so it nests too.
+    """
+    count = 0
+    nested: list[str] = []
+    for path in sorted(root.rglob("*.py")):
+        relpath = path.relative_to(root).as_posix()
+
+        def visit(node: ast.AST, held: str | None) -> None:
+            nonlocal count
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    if not _is_lock(item.context_expr):
+                        continue
+                    count += 1
+                    lock = ast.unparse(item.context_expr)
+                    if held is not None:
+                        nested.append(
+                            f"{relpath}:{item.context_expr.lineno}: "
+                            f"{lock} inside {held}"
+                        )
+                    held = lock
+            for child in ast.iter_child_nodes(node):
+                visit(child, held)
+
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return count, nested
+
+
+class TestNoLockNesting:
+    """No ``with <lock>:`` nests lexically inside another in ``src/repro``.
+
+    With no nesting there is no static lock order to keep acyclic; the
+    runtime sanitizer (``--repro-tsan``) watches the orders that calls
+    across modules take.
+    """
+
+    def test_src_nests_no_lock_acquisition(self):
+        count, nested = lock_acquisitions(PACKAGE)
+        assert count > 0, "the scan found no lock acquisition at all"
+        assert nested == []
+
+    def test_opposite_nesting_orders_are_found(self, tmp_path):
         root = make_tree(
             tmp_path,
             {
@@ -179,11 +239,14 @@ class TestRep011LockOrder:
                 )
             },
         )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP011"]
-        assert "lock-order cycle" in result.findings[0].message
+        count, nested = lock_acquisitions(root / "src" / "repro")
+        assert count == 4
+        assert nested == [
+            "analysis/locks.py:6: b_lock inside a_lock",
+            "analysis/locks.py:10: a_lock inside b_lock",
+        ]
 
-    def test_consistent_nesting_is_clean(self, tmp_path):
+    def test_nesting_in_one_order_is_found(self, tmp_path):
         root = make_tree(
             tmp_path,
             {
@@ -199,9 +262,13 @@ class TestRep011LockOrder:
                 )
             },
         )
-        assert check_tree(root).ok
+        _, nested = lock_acquisitions(root / "src" / "repro")
+        assert nested == [
+            "analysis/locks.py:6: b_lock inside a_lock",
+            "analysis/locks.py:9: b_lock inside a_lock",
+        ]
 
-    def test_cross_module_cycle_found(self, tmp_path):
+    def test_nesting_found_in_every_module(self, tmp_path):
         root = make_tree(
             tmp_path,
             {
@@ -212,7 +279,7 @@ class TestRep011LockOrder:
                     "        with b_lock:\n"
                     "            pass\n"
                 ),
-                "analysis/two.py": (
+                "server/two.py": (
                     "from repro.analysis.one import a_lock, b_lock\n"
                     "def go():\n"
                     "    with b_lock:\n"
@@ -221,13 +288,13 @@ class TestRep011LockOrder:
                 ),
             },
         )
-        # Lexical node naming is per-module, so the cross-module order is
-        # only a cycle when the names collapse to the same nodes — here
-        # they do not; the single-module probe above is the binding one.
-        # What this asserts: alien modules never crash the graph pass.
-        assert isinstance(check_tree(root).ok, bool)
+        _, nested = lock_acquisitions(root / "src" / "repro")
+        assert nested == [
+            "analysis/one.py:6: b_lock inside a_lock",
+            "server/two.py:4: a_lock inside b_lock",
+        ]
 
-    def test_self_locks_in_distinct_classes_never_alias(self, tmp_path):
+    def test_attribute_locks_are_found_by_terminal_name(self, tmp_path):
         root = make_tree(
             tmp_path,
             {
@@ -235,19 +302,17 @@ class TestRep011LockOrder:
                     "class A:\n"
                     "    def go(self, other):\n"
                     "        with self._lock:\n"
-                    "            with other.b_lock:\n"
+                    "            with other.lock:\n"
                     "                pass\n"
-                    "class B:\n"
-                    "    def go(self, other):\n"
-                    "        with other.b_lock:\n"
-                    "            with self._lock:\n"
+                    "        with self._lock:\n"
+                    "            with self._clock:\n"
                     "                pass\n"
                 )
             },
         )
-        # A._lock → other.b_lock and other.b_lock → B._lock share no
-        # reversed pair: no cycle, no finding.
-        assert check_tree(root).ok
+        count, nested = lock_acquisitions(root / "src" / "repro")
+        assert count == 3  # ``_clock`` is not ``*_lock``
+        assert nested == ["analysis/classes.py:4: other.lock inside self._lock"]
 
 
 class TestNoqaInteraction:

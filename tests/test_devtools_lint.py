@@ -464,11 +464,11 @@ class TestEngineAndReporters:
         # Schema v2 carries the rule catalogue: id → one-line summary.
         assert payload["rules"]["REP007"]
         assert set(payload["counts"]) <= set(payload["rules"])
-        for rule_id in ("REP000", "REP009", "REP011"):
+        for rule_id in ("REP000", "REP009"):
             assert rule_id in payload["rules"]
         # retired with the code they policed or into the tier-1 test of
         # their one seam, and never reused
-        for rule_id in ("REP001", "REP004", "REP008", "REP010", "REP012"):
+        for rule_id in ("REP001", "REP004", "REP008", "REP010", "REP011", "REP012"):
             assert rule_id not in payload["rules"]
         assert payload["suppressions_used"] == 0
         (finding,) = payload["findings"]

@@ -1,4 +1,4 @@
-"""Tests for the runtime lock sanitizer (repro.devtools.sanitizer).
+"""Tests for the runtime lock sanitizer (tests/lock_sanitizer.py).
 
 The detectors are driven on private :class:`LockSanitizer` instances —
 a genuine two-thread lock-order inversion, same-lock re-entry raising
@@ -17,16 +17,14 @@ import time
 
 import pytest
 
-from repro.devtools.sanitizer import (
+from repro.errors import ConcurrencyError
+from tests.lock_sanitizer import (
     LockSanitizer,
-    SanitizerConfig,
     active_sanitizer,
     install_sanitizer,
-    is_installed,
     measure_overhead,
     uninstall_sanitizer,
 )
-from repro.errors import ConcurrencyError
 
 
 def run_thread(target) -> None:
@@ -135,8 +133,9 @@ class TestReentryDetector:
 
 
 class TestLongHoldDetector:
-    def test_slow_hold_warns_but_does_not_fail(self):
-        sanitizer = LockSanitizer(SanitizerConfig(long_hold_ms=1.0))
+    def test_slow_hold_warns_but_does_not_fail(self, monkeypatch):
+        monkeypatch.setattr("tests.lock_sanitizer.LONG_HOLD_MS", 1.0)
+        sanitizer = LockSanitizer()
         lock = sanitizer.wrap("slow")
         with lock:
             time.sleep(0.01)
@@ -145,22 +144,18 @@ class TestLongHoldDetector:
         assert not finding.fatal
         assert sanitizer.report.fatal() == []
 
-    def test_fast_hold_is_silent(self):
-        sanitizer = LockSanitizer(SanitizerConfig(long_hold_ms=1000.0))
+    def test_fast_hold_is_silent(self, monkeypatch):
+        monkeypatch.setattr("tests.lock_sanitizer.LONG_HOLD_MS", 1000.0)
+        sanitizer = LockSanitizer()
         with sanitizer.wrap("fast"):
             pass
         assert sanitizer.report.findings() == []
-
-    def test_config_rejects_nonpositive_threshold(self):
-        with pytest.raises(ConcurrencyError):
-            SanitizerConfig(long_hold_ms=0)
 
 
 class TestGlobalInstall:
     def test_scopes_instrumentation_to_repro_modules(self):
         sanitizer = install_sanitizer()
         try:
-            assert is_installed()
             assert active_sanitizer() is sanitizer
             assert install_sanitizer() is sanitizer  # idempotent
 
@@ -183,7 +178,7 @@ class TestGlobalInstall:
                 pass
         finally:
             uninstall_sanitizer()
-        assert not is_installed()
+        assert active_sanitizer() is None
         assert threading.Lock is not None and not hasattr(
             threading.Lock(), "seq"
         )

@@ -12,7 +12,10 @@ The serving contracts pinned here, end to end over a real
 * concurrent readers never see a 5xx while compaction hot-swaps the
   engine under them;
 * a windowed request opens only the day-shards its window overlaps
-  (the shard-prune satellite, asserted through the HTTP layer).
+  (the shard-prune satellite, asserted through the HTTP layer);
+* a damaged or version-skewed shard manifest makes its map answer 503
+  ``index_unavailable`` (never an empty or partial map) until the next
+  ``index build``, while an already-pinned engine keeps serving.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from urllib.parse import quote
 import numpy
 import pytest
 
+from repro.cli.main import main as cli_main
 from repro.constants import MapName
 from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.processor import process_svg_bytes
@@ -551,6 +555,89 @@ class TestShardPruning:
             assert isinstance(pinned.handle, ShardedMappedIndex)
             snapshot_keys = pinned.handle.opened_shard_keys
             assert snapshot_keys == ["2022-09-13"]
+            client.close()
+
+
+def _with_rows(document: dict, key: str, rows: object) -> dict:
+    shards = dict(document["shards"])
+    shards[key] = {**shards[key], "rows": rows}
+    return {**document, "shards": shards}
+
+
+#: Ways a shard manifest can be unreadable as a whole, each a rewrite of
+#: the parsed document to the file's new text.
+MANIFEST_DAMAGE = {
+    "skew": lambda document: json.dumps({**document, "parser_version": 1}),
+    "not-json": lambda document: "{not json",
+    "shards-list": lambda document: json.dumps({**document, "shards": []}),
+    "rows-string": lambda document: json.dumps(
+        _with_rows(document, "2022-09-13", "big")
+    ),
+}
+
+
+class TestDamagedManifest:
+    """A damaged or skewed shard manifest makes its map unavailable, not empty."""
+
+    OTHER = MapName.WORLD
+
+    @pytest.fixture()
+    def store(self, tmp_path, reference_yaml):
+        store = build_corpus(tmp_path, reference_yaml)
+        for day in DAYS:
+            store.write(self.OTHER, day, "yaml", reference_yaml)
+        compact_map_shards(store, self.OTHER)
+        return store
+
+    @staticmethod
+    def paths(map_name):
+        return [
+            f"/v1/maps/{map_name.value}/{endpoint}"
+            for endpoint in ("snapshot", "evolution", "imbalance")
+        ]
+
+    @staticmethod
+    def damage(store, mangle):
+        path = store.shards_manifest_path(MAP)
+        path.write_text(mangle(json.loads(path.read_text(encoding="utf-8"))))
+
+    def bodies(self, client, map_name):
+        found = []
+        for path in self.paths(map_name):
+            status, _, body = client.get(path)
+            assert status == 200, body.decode("utf-8", "replace")
+            found.append(body)
+        return found
+
+    @pytest.mark.parametrize(
+        "mangle", list(MANIFEST_DAMAGE.values()), ids=list(MANIFEST_DAMAGE)
+    )
+    def test_the_damaged_map_is_503_until_index_build(self, store, mangle):
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            intact = self.bodies(client, MAP)
+            client.close()
+        self.damage(store, mangle)
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            for path in self.paths(MAP):
+                error = client.get_json(path, expect=503)["error"]
+                assert error["code"] == "index_unavailable"
+            self.bodies(client, self.OTHER)
+            assert cli_main(["index", "build", str(store.root)]) == 0
+            assert self.bodies(client, MAP) == intact
+            client.close()
+
+    def test_a_pinned_engine_keeps_serving_across_the_damage(self, store):
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            snapshot, *_ = self.paths(MAP)
+            status, _, pinned = client.get(snapshot)
+            assert status == 200
+            self.damage(store, MANIFEST_DAMAGE["skew"])
+            # evolution and imbalance were never cached: they scan the pin.
+            assert self.bodies(client, MAP)[0] == pinned
+            assert server.engines.pinned(MAP) is not None
             client.close()
 
 
