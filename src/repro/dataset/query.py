@@ -31,9 +31,7 @@ runs over one plain buffered read of the file.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from importlib import import_module
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -41,17 +39,8 @@ from typing import Any, Iterator
 
 import numpy
 
-try:  # pragma: no cover - exercised only on mmap-less platforms
-    _mmap: Any = import_module("mmap")
-except ImportError:  # pragma: no cover
-    _mmap = None
-
-from repro.dataset.index import (
-    IndexLayout,
-    _epoch,
-    parse_index_layout,
-    verify_index,
-)
+from repro.constants import MapName
+from repro.dataset.index import IndexFile, _epoch, open_index
 from repro.errors import QueryError, SnapshotIndexError, StaleIndexError
 from repro.telemetry import get_registry
 
@@ -170,9 +159,10 @@ class LinkRecord:
 class MappedIndex:
     """One map's ``index.bin`` served as zero-copy column views.
 
-    The one reader of built index files: the server's scans, the
-    vectorised accessors in :mod:`repro.analysis.columnar` and the
-    loaders' snapshot reconstruction all run over it.  Columns carry the
+    The reader of built index files: the server's scans, the vectorised
+    accessors in :mod:`repro.analysis.columnar` and the loaders' snapshot
+    reconstruction all run over it.  It lays numpy views over an
+    :class:`~repro.dataset.index.IndexFile`'s buffer; columns carry the
     same attribute names as the builder,
     :class:`~repro.dataset.index.SnapshotIndex`.
     """
@@ -192,20 +182,12 @@ class MappedIndex:
     link_a_loads: Any
     link_b_loads: Any
 
-    def __init__(
-        self,
-        buffer: Any,
-        layout: IndexLayout,
-        *,
-        path: Path | None = None,
-        generation: tuple[int, int, int] | None = None,
-        mapped: bool = False,
-    ) -> None:
-        self._buffer = buffer
-        self._layout = layout
-        self.path = path
-        self.generation = generation
-        self.mapped = mapped
+    def __init__(self, file: IndexFile) -> None:
+        self._file = file
+        layout = file.layout
+        self.path = file.path
+        self.generation = file.generation
+        self.mapped = file.mapped
         self.map_name = layout.map_name
         self.parser_version = layout.parser_version
         self.names = layout.names
@@ -220,7 +202,7 @@ class MappedIndex:
                 self,
                 attribute,
                 numpy.frombuffer(
-                    buffer,
+                    file.buffer,
                     dtype=numpy.dtype(spec.typecode),
                     count=spec.count,
                     offset=spec.offset,
@@ -230,61 +212,29 @@ class MappedIndex:
     # -- opening -----------------------------------------------------------
 
     @classmethod
-    def open(cls, path: Path) -> "MappedIndex":
-        """Map (or, fallback, read) one ``index.bin`` into an engine.
+    def open(cls, path: Path, map_name: MapName) -> "MappedIndex":
+        """Open one of ``map_name``'s ``index.bin`` files as an engine.
 
-        Hosts without a working ``mmap`` get one buffered read of the
-        file instead; the engine behaves identically over either.  Only
-        the structural layout is checked here; :meth:`verify` is the
-        full pass over the columns.
+        The file comes through :func:`repro.dataset.index.open_index`,
+        which maps it (or, without a working ``mmap``, reads it once) and
+        trusts only this host's byte order, ``map_name`` and the current
+        parser version; the engine behaves identically over a mapping or
+        a read.  :meth:`verify` is the full pass over the columns.
 
         Raises:
-            SnapshotIndexError: unreadable file, malformed layout, or a
-                file whose byte order is not this host's — a
-                foreign-endian index cannot be viewed zero-copy and must
-                be rebuilt.
+            SnapshotIndexError: unreadable file, malformed layout, or one
+                the trust rule refuses.
         """
-        buffer: Any
-        try:
-            with path.open("rb") as handle:
-                stat = os.fstat(handle.fileno())
-                generation = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-                mapped = False
-                if _mmap is not None and stat.st_size > 0:
-                    try:
-                        buffer = _mmap.mmap(
-                            handle.fileno(), 0, access=_mmap.ACCESS_READ
-                        )
-                        mapped = True
-                    except (OSError, ValueError, OverflowError):
-                        buffer = handle.read()
-                else:
-                    buffer = handle.read()
-        except OSError as exc:
-            raise SnapshotIndexError(f"cannot read index {path}: {exc}") from exc
-        try:
-            layout = parse_index_layout(buffer, source=str(path))
-            if layout.byteorder != sys_byteorder():
-                raise SnapshotIndexError(
-                    f"index {path} was written on a {layout.byteorder}-endian "
-                    f"host; zero-copy mapping needs native byte order — "
-                    f"rebuild the index on this host"
-                )
-        except SnapshotIndexError:
-            if mapped:
-                buffer.close()
-            raise
+        file = open_index(path, map_name)
         get_registry().counter(
             "repro_query_opens_total",
             "Query-engine opens by data source (mmap vs buffered read)",
         ).inc(
             1,
-            map=layout.map_name.value,
-            source="mmap" if mapped else "buffered",
+            map=map_name.value,
+            source="mmap" if file.mapped else "buffered",
         )
-        return cls(
-            buffer, layout, path=path, generation=generation, mapped=mapped
-        )
+        return cls(file)
 
     def verify(self) -> None:
         """Check the trailing SHA-256 and the column cross-checks.
@@ -296,19 +246,10 @@ class MappedIndex:
 
         Raises:
             SnapshotIndexError: checksum mismatch or inconsistent
-                columns (see :func:`repro.dataset.index.verify_index`).
+                columns (see :meth:`repro.dataset.index.IndexFile.verify`).
         """
         self._require_open()
-        view = memoryview(self._buffer)
-        verify_index(
-            self._buffer,
-            self._layout,
-            {
-                spec.attribute: view[spec.offset : spec.end].cast(spec.typecode)
-                for spec in self._layout.columns.values()
-            },
-            source=str(self.path) if self.path is not None else "index",
-        )
+        self._file.verify()
 
     def close(self) -> None:
         """Drop the column views and close the mapping.
@@ -321,17 +262,10 @@ class MappedIndex:
         if self.closed:
             return
         self.closed = True
-        for attribute in self._layout.columns:
+        for attribute in self._file.layout.columns:
             setattr(self, attribute, None)
         self._link_offsets = None
-        buffer, self._buffer = self._buffer, None
-        if self.mapped and buffer is not None:
-            try:
-                buffer.close()
-            except BufferError:
-                # Exported numpy views still reference the map; the
-                # mapping is released when they go.
-                pass
+        self._file.close()
 
     def __enter__(self) -> "MappedIndex":
         return self
@@ -488,13 +422,6 @@ class MappedIndex:
             if predicate.max_load is not None:
                 mask &= peak <= predicate.max_load
         return numpy.flatnonzero(mask).astype(numpy.int64) + lo
-
-
-def sys_byteorder() -> str:
-    """This host's byte order (separated out for monkeypatched tests)."""
-    import sys
-
-    return sys.byteorder
 
 
 @dataclass(frozen=True)

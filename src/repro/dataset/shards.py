@@ -54,7 +54,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.constants import PARSER_VERSION, MapName
+from repro.constants import MapName
 from repro.dataset.index import IndexBuildStats, build_index
 from repro.dataset.store import DatasetStore, Ledger, SnapshotRef, parse_shard_key
 from repro.dataset.workers import OrderedPool, lend_pool
@@ -472,19 +472,7 @@ class ShardedMappedIndex:
             if slot.engine is None:
                 from repro.dataset.query import MappedIndex
 
-                opened = MappedIndex.open(slot.path)
-                if (
-                    opened.map_name != self.map_name
-                    or opened.parser_version != PARSER_VERSION
-                ):
-                    mismatch = (
-                        f"shard {slot.key} index {slot.path} belongs to "
-                        f"{opened.map_name.value} parser v{opened.parser_version}, "
-                        f"not {self.map_name.value} parser v{PARSER_VERSION}"
-                    )
-                    opened.close()
-                    raise SnapshotIndexError(mismatch)
-                slot.engine = opened
+                slot.engine = MappedIndex.open(slot.path, self.map_name)
             return slot.engine
 
     def _require_open(self) -> None:

@@ -16,6 +16,9 @@ stats the token (one ``stat()``, no reads) and:
 * reopen failed (mid-checkpoint skew, manifest being rewritten) → keep
   serving the pinned generation.  An ingest checkpoint must never turn
   into a reader's 500; a slightly stale answer is the correct trade.
+  The token that failed is remembered: a token names one atomically
+  written manifest, so until it changes every request serves the pin
+  (or the same typed error) without reading the manifest again.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ class EngineCache:
         self._store = store
         self._lock = threading.Lock()
         self._pinned: dict[MapName, PinnedEngine] = {}  # repro: guarded-by[_lock]
+        #: Per map, the generation token whose manifest last failed to open.
+        self._refused: dict[MapName, GenerationToken] = {}  # repro: guarded-by[_lock]
 
     @property
     def store(self) -> DatasetStore:
@@ -87,10 +92,14 @@ class EngineCache:
                 # Token vanished mid-checkpoint, or another thread
                 # already swapped: the pin is the best truth available.
                 return pinned
-            handle = resolve_read_handle(
-                self._store, map_name, require_fresh=False
-            )
+            handle = None
+            if token is None or self._refused.get(map_name) != token:
+                handle = resolve_read_handle(
+                    self._store, map_name, require_fresh=False
+                )
             if handle is None:
+                if token is not None:
+                    self._refused[map_name] = token
                 if pinned is not None:
                     return pinned
                 if self._store.shard_keys(map_name):
@@ -102,6 +111,7 @@ class EngineCache:
                     f"no queryable index for map {map_name.value!r}; "
                     f"build one with `repro-weather index build`"
                 )
+            self._refused.pop(map_name, None)
             if pinned is not None:
                 get_registry().counter(
                     "repro_server_hotswaps_total",

@@ -17,7 +17,7 @@ from repro.analysis.imbalance import collect_imbalances
 from repro.analysis.infrastructure import evolution_from_snapshots
 from repro.analysis.loads import collect_load_samples
 from repro.constants import MapName
-from repro.dataset import query as query_module
+from repro.dataset import index as index_module
 from repro.dataset.index import SnapshotIndex, build_index
 from repro.dataset.loader import load_all
 from repro.dataset.query import MappedIndex, ScanPredicate
@@ -83,8 +83,8 @@ def index(request, store, built):
     """
     with pytest.MonkeyPatch.context() as patch:
         if request.param == "heap":
-            patch.setattr(query_module, "_mmap", None)
-        engine = MappedIndex.open(store.root / "index.bin")
+            patch.setattr(index_module, "_mmap", None)
+        engine = MappedIndex.open(store.root / "index.bin", MAP)
     assert engine.mapped is (request.param == "mapped")
     yield engine
     engine.close()
@@ -168,7 +168,7 @@ class TestEmptyIndex:
     def test_all_accessors_tolerate_empty(self, tmp_path):
         path = tmp_path / "index.bin"
         SnapshotIndex(MAP).save(path)
-        with MappedIndex.open(path) as engine:
+        with MappedIndex.open(path, MAP) as engine:
             assert engine.scan().directed_loads() == []
             assert imbalance_samples(engine).all_values == []
             with pytest.raises(AnalysisError):

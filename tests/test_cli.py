@@ -363,9 +363,9 @@ class TestQueryCommand:
         assert all("fra-r1" in line for line in lines[1:])
 
     def test_no_mmap_runs_buffered(self, indexed_dataset, capsys, monkeypatch):
-        from repro.dataset import query
+        from repro.dataset import index
 
-        monkeypatch.setattr(query, "_mmap", None)
+        monkeypatch.setattr(index, "_mmap", None)
         assert main(["query", str(indexed_dataset)]) == 0
         assert "buffered source" in capsys.readouterr().out
 

@@ -11,15 +11,14 @@ rebuild and detects the supersession as :class:`StaleIndexError`.
 
 from __future__ import annotations
 
-import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from repro.constants import MapName
-from repro.dataset.index import SnapshotIndex, build_index, parse_index_layout
+from repro.dataset.index import IndexFile, SnapshotIndex, build_index, parse_index_layout
 from repro.dataset.loader import load_all
-from repro.dataset import query as query_module
+from repro.dataset import index as index_module
 from repro.dataset.handles import resolve_read_handle
 from repro.dataset.query import MappedIndex, ScanPredicate
 from repro.dataset.shards import compact_map_shards
@@ -33,6 +32,7 @@ from repro.errors import (
 from repro.telemetry import MetricsRegistry, use_registry
 from repro.topology.model import Link, LinkEnd, MapSnapshot, Node
 from repro.yamlio.serialize import snapshot_to_yaml
+from tests.test_dataset_index import FOREIGN, write_foreign_endian
 
 T0 = datetime(2022, 3, 6, 22, 0, tzinfo=timezone.utc)
 MAP = MapName.EUROPE
@@ -47,8 +47,8 @@ SOURCES = ("mmap", "no-mmap")
 def _open(path, source, monkeypatch):
     with monkeypatch.context() as patch:
         if source == "no-mmap":
-            patch.setattr(query_module, "_mmap", None)
-        engine = MappedIndex.open(path)
+            patch.setattr(index_module, "_mmap", None)
+        engine = MappedIndex.open(path, MAP)
     assert engine.mapped is (source == "mmap")
     return engine
 
@@ -137,8 +137,9 @@ def index_file(store: DatasetStore):
     return store.root / "index.bin"
 
 
-def build(store: DatasetStore) -> None:
-    build_index(MAP, list(store.iter_refs(MAP, "yaml")), index_file(store))
+def build(store: DatasetStore, rebuild: bool = False) -> SnapshotIndex:
+    refs = list(store.iter_refs(MAP, "yaml"))
+    return build_index(MAP, refs, index_file(store), rebuild=rebuild)[0]
 
 
 @pytest.fixture()
@@ -204,7 +205,7 @@ class TestBackendsAgree:
     """The mapped and the buffered engine are the same data."""
 
     def test_columns_identical_to_loaded_index(self, store, monkeypatch):
-        reference = SnapshotIndex.load(index_file(store))
+        reference = build(store, rebuild=True)  # every twin decoded again
         for source in SOURCES:
             with _open(index_file(store), source, monkeypatch) as engine:
                 assert engine.names == reference.names
@@ -344,7 +345,7 @@ class TestPredicatePushdown:
 
 class TestLifecycle:
     def test_open_engine_survives_incremental_rebuild(self, store):
-        engine = MappedIndex.open(index_file(store))
+        engine = MappedIndex.open(index_file(store), MAP)
         assert len(engine) == FILES
         when = T0 + timedelta(hours=FILES)
         store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, FILES)))
@@ -356,12 +357,12 @@ class TestLifecycle:
             engine.check_generation()
         engine.close()
         # Reopening serves the new generation.
-        with MappedIndex.open(index_file(store)) as fresh:
+        with MappedIndex.open(index_file(store), MAP) as fresh:
             assert len(fresh) == FILES + 1
             fresh.check_generation()
 
     def test_vanished_file_is_stale(self, store):
-        with MappedIndex.open(index_file(store)) as engine:
+        with MappedIndex.open(index_file(store), MAP) as engine:
             index_file(store).unlink()
             with pytest.raises(StaleIndexError):
                 engine.check_generation()
@@ -372,15 +373,15 @@ class TestLifecycle:
     def test_buffer_opened_engine_has_no_generation(self, store):
         buffer = index_file(store).read_bytes()
         layout = parse_index_layout(buffer, source="memory")
-        engine = MappedIndex(buffer, layout)
+        engine = MappedIndex(IndexFile(buffer, layout))
         assert len(engine.scan()) > 0
         with pytest.raises(QueryError):
             engine.check_generation()
 
     def test_no_mmap_fallback_is_equivalent(self, store, monkeypatch):
-        mapped = MappedIndex.open(index_file(store))
-        monkeypatch.setattr(query_module, "_mmap", None)
-        buffered = MappedIndex.open(index_file(store))
+        mapped = MappedIndex.open(index_file(store), MAP)
+        monkeypatch.setattr(index_module, "_mmap", None)
+        buffered = MappedIndex.open(index_file(store), MAP)
         try:
             assert mapped.mapped is True
             assert buffered.mapped is False
@@ -391,13 +392,13 @@ class TestLifecycle:
             buffered.close()
 
     def test_missing_mmap_module_falls_back(self, store, monkeypatch):
-        monkeypatch.setattr(query_module, "_mmap", None)
-        with MappedIndex.open(index_file(store)) as engine:
+        monkeypatch.setattr(index_module, "_mmap", None)
+        with MappedIndex.open(index_file(store), MAP) as engine:
             assert engine.mapped is False
             assert len(engine) == FILES
 
     def test_closed_engine_refuses_scans(self, store):
-        engine = MappedIndex.open(index_file(store))
+        engine = MappedIndex.open(index_file(store), MAP)
         engine.close()
         assert engine.closed
         with pytest.raises(QueryError):
@@ -407,18 +408,17 @@ class TestLifecycle:
         engine.close()  # idempotent
 
     def test_context_manager_closes(self, store):
-        with MappedIndex.open(index_file(store)) as engine:
+        with MappedIndex.open(index_file(store), MAP) as engine:
             assert not engine.closed
         assert engine.closed
 
-    def test_foreign_endian_index_rejected(self, store, monkeypatch):
-        other = "big" if sys.byteorder == "little" else "little"
-        monkeypatch.setattr(query_module, "sys_byteorder", lambda: other)
-        with pytest.raises(SnapshotIndexError, match="endian"):
-            MappedIndex.open(index_file(store))
+    def test_foreign_endian_index_rejected(self, store):
+        write_foreign_endian(index_file(store))
+        with pytest.raises(SnapshotIndexError, match=f"is {FOREIGN}-endian"):
+            MappedIndex.open(index_file(store), MAP)
 
     def test_verify_accepts_an_intact_file(self, store):
-        with MappedIndex.open(index_file(store)) as engine:
+        with MappedIndex.open(index_file(store), MAP) as engine:
             engine.verify()
             assert len(engine) == FILES
 
@@ -427,13 +427,13 @@ class TestLifecycle:
         raw = bytearray(path.read_bytes())
         raw[-33] ^= 0xFF  # last payload byte, before the trailing digest
         path.write_bytes(bytes(raw))
-        with MappedIndex.open(path) as engine:
+        with MappedIndex.open(path, MAP) as engine:
             with pytest.raises(SnapshotIndexError, match="checksum"):
                 engine.verify()
 
     def test_missing_file_is_a_snapshot_index_error(self, tmp_path):
         with pytest.raises(SnapshotIndexError):
-            MappedIndex.open(tmp_path / "absent.bin")
+            MappedIndex.open(tmp_path / "absent.bin", MAP)
 
 
 class TestOpenQuery:
@@ -475,7 +475,7 @@ class TestTelemetry:
     def test_scan_counters_and_span(self, store, snapshots):
         registry = MetricsRegistry()
         with use_registry(registry):
-            engine = MappedIndex.open(index_file(store))
+            engine = MappedIndex.open(index_file(store), MAP)
             result = engine.scan(ScanPredicate(node="fra-r1"))
             engine.close()
         assert registry.get("repro_query_opens_total").value(

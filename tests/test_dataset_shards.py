@@ -504,9 +504,9 @@ class TestCloseRacesFirstOpen:
         for attempt in range(20):
             opened = []
 
-            def slow_open(path, _real=real_open, _opened=opened):
+            def slow_open(path, map_name, _real=real_open, _opened=opened):
                 time.sleep(0.001)  # widen the window between check and map
-                engine = _real(path)
+                engine = _real(path, map_name)
                 _opened.append((path, engine))
                 return engine
 

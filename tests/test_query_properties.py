@@ -140,7 +140,7 @@ def test_scan_equals_object_path(case):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "index.bin"
         index.save(path)
-        with MappedIndex.open(path) as engine:
+        with MappedIndex.open(path, series[0].map_name) as engine:
             got = scan_records(engine, predicate)
     assert got == expected
 
@@ -156,7 +156,7 @@ def test_full_scan_is_every_link_occurrence(case):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "index.bin"
         index.save(path)
-        with MappedIndex.open(path) as engine:
+        with MappedIndex.open(path, series[0].map_name) as engine:
             result = engine.scan()
             assert len(result) == sum(len(s.links) for s in series)
             assert scan_records(engine, ScanPredicate()) == expected

@@ -37,7 +37,7 @@ from repro.cli.main import main as cli_main
 from repro.constants import MapName
 from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.processor import process_svg_bytes
-from repro.dataset.shards import ShardedMappedIndex, compact_map_shards
+from repro.dataset.shards import ShardManifest, ShardedMappedIndex, compact_map_shards
 from repro.dataset.store import ShardedDatasetStore
 from repro.errors import ServerError
 from repro.server import AppState, ServeOptions, create_server, match_route, serve
@@ -638,6 +638,33 @@ class TestDamagedManifest:
             # evolution and imbalance were never cached: they scan the pin.
             assert self.bodies(client, MAP)[0] == pinned
             assert server.engines.pinned(MAP) is not None
+            client.close()
+
+    @pytest.mark.parametrize("pin", [True, False], ids=["pinned", "unpinned"])
+    def test_a_damaged_manifest_is_read_once_per_generation(self, store, monkeypatch, pin):
+        loads = []
+        load = ShardManifest.load.__func__
+
+        def spy(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(ShardManifest, "load", classmethod(spy))
+        snapshot, *_ = self.paths(MAP)
+        with running_server(store) as server:
+            client = Client(server.server_address[1])
+            status, _, intact = client.get(snapshot)
+            assert status == 200
+            if not pin:
+                server.engines.invalidate(MAP)
+            self.damage(store, MANIFEST_DAMAGE["skew"])
+            loads.clear()
+            for _ in range(20):
+                status, _, body = client.get(snapshot)
+                assert (status, body) == (200, intact) if pin else status == 503
+            assert len(loads) == 1
+            assert cli_main(["index", "build", str(store.root)]) == 0
+            assert client.get(snapshot)[::2] == (200, intact)
             client.close()
 
 
