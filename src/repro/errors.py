@@ -117,6 +117,15 @@ class StaleIndexError(SnapshotIndexError):
     """
 
 
+class IndexSkewError(SnapshotIndexError):
+    """An intact ``index.bin`` written for another host byte order, map or
+    parser version.
+
+    Not damage: a parser bump makes every shard's previous generation
+    one of these, and the builder re-decodes it from its twins.
+    """
+
+
 class QueryError(DatasetError, ValueError):
     """An invalid scan request to the zero-copy query engine.
 
