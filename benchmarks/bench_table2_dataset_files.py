@@ -27,7 +27,7 @@ from conftest import print_header
 from repro.constants import MapName, REFERENCE_DATE, TABLE2_PAPER, TABLE2_PAPER_TOTAL
 from repro.dataset.collector import SimulatedCollector
 from repro.dataset.corruption import CorruptionInjector
-from repro.dataset.processor import process_map
+from repro.dataset.ingest import IngestDaemon
 from repro.dataset.store import DatasetStore
 from repro.dataset.summary import build_table2, format_table2
 
@@ -48,10 +48,7 @@ def test_table2_collection_and_processing(benchmark, simulator, tmp_path_factory
     collect_stats = collector.collect(start, REFERENCE_DATE)
 
     def process_all():
-        return {
-            map_name: process_map(store, map_name, overwrite=True)
-            for map_name in simulator.map_names
-        }
+        return IngestDaemon(store).run(simulator.map_names, rebuild=True).per_map
 
     processing = benchmark.pedantic(process_all, rounds=1, iterations=1)
     rows = build_table2(store, processing)

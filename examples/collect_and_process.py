@@ -14,7 +14,7 @@ from datetime import timedelta
 from repro import BackboneSimulator, REFERENCE_DATE, MapName
 from repro.dataset.catalog import DatasetCatalog
 from repro.dataset.collector import SimulatedCollector
-from repro.dataset.processor import process_map
+from repro.dataset.engine import process_map_parallel
 from repro.dataset.store import DatasetStore
 from repro.dataset.summary import build_table1, build_table2, format_table1, format_table2
 from repro.yamlio.deserialize import snapshot_from_yaml
@@ -35,7 +35,7 @@ def main() -> None:
 
         print("\nprocessing SVG → YAML ...")
         for map_name in simulator.map_names:
-            result = process_map(store, map_name)
+            result = process_map_parallel(store, map_name)
             print(f"  {map_name.value:<15} processed {result.processed:>3}, "
                   f"unprocessed {result.unprocessed}")
 

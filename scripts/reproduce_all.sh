@@ -83,20 +83,20 @@ repro-weather generate "$DATASET" \
     --start 2022-09-11T23:00:00 --end 2022-09-12T00:00:00
 rm -rf "$SERIAL"
 cp -a "$DATASET" "$SERIAL"
-repro-weather process "$DATASET" --workers auto \
+repro-weather ingest run "$DATASET" --workers auto \
     --metrics-out "$ARTIFACTS/metrics.json"
-# One writer, one state: plain (serial) `process` over a copy of the same
-# SVGs writes the same YAML tree and the same manifest, and the ingest
-# daemon finds nothing left to parse in either dataset.
-repro-weather process "$SERIAL"
+# One writer, one state: a one-worker (in-process) run over a copy of the
+# same SVGs writes the same YAML tree and the same manifest, and a second
+# run finds nothing left to parse in either dataset.
+repro-weather ingest run "$SERIAL" --workers 1
 for MAP in europe world north-america asia-pacific; do
     diff -r "$SERIAL/$MAP/yaml" "$DATASET/$MAP/yaml"
     cmp "$SERIAL/$MAP/manifest.json" "$DATASET/$MAP/manifest.json"
 done
 for DIR in "$DATASET" "$SERIAL"; do
-    repro-weather ingest run "$DIR" | tee "$ARTIFACTS/ingest-after-process.txt"
-    if ! grep -q '^ingested 0 files' "$ARTIFACTS/ingest-after-process.txt"; then
-        echo "FAIL: ingest run re-parsed files that process had written in $DIR" >&2
+    repro-weather ingest run "$DIR" | tee "$ARTIFACTS/ingest-second-run.txt"
+    if ! grep -q '^ingested 0 files' "$ARTIFACTS/ingest-second-run.txt"; then
+        echo "FAIL: a second ingest run re-parsed files in $DIR" >&2
         exit 1
     fi
 done

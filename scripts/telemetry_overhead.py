@@ -2,9 +2,9 @@
 """What the telemetry subsystem costs serial SVG → YAML processing.
 
 Renders a small corpus of asia-pacific SVGs, then processes it serially
-(``process_map(..., overwrite=True)``: one in-process ingest-daemon run
-that ignores the manifest, writes every twin and rebuilds the shard
-indexes) from an empty YAML tree under a live
+(``process_map_parallel(..., workers=1, overwrite=True)``: one in-process
+ingest-daemon run that ignores the manifest, writes every twin and
+rebuilds the shard indexes) from an empty YAML tree under a live
 ``MetricsRegistry`` and under the no-op ``NullRegistry``, in many short
 blocks of two alternating pairs: live, null, then null, live.  A run is
 timed in CPU seconds of this process, and a block's overhead is its two
@@ -36,7 +36,7 @@ from time import process_time
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.constants import REFERENCE_DATE, SNAPSHOT_INTERVAL, MapName  # noqa: E402
-from repro.dataset.processor import process_map  # noqa: E402
+from repro.dataset.engine import process_map_parallel  # noqa: E402
 from repro.dataset.store import DatasetStore  # noqa: E402
 from repro.layout.renderer import MapRenderer  # noqa: E402
 from repro.simulation.network import BackboneSimulator  # noqa: E402
@@ -62,7 +62,7 @@ def process_once(store: DatasetStore, sink: MetricsRegistry) -> tuple[float, str
     shutil.rmtree(store.root / MAP.value / "yaml", ignore_errors=True)
     with use_registry(sink):
         started = process_time()
-        process_map(store, MAP, overwrite=True)
+        process_map_parallel(store, MAP, workers=1, overwrite=True)
         seconds = process_time() - started
     digest = hashlib.sha256()
     for ref in store.iter_refs(MAP, "yaml"):

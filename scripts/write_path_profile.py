@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write-path throughput: the ingest daemon with one and two workers, and ``process``.
+"""Write-path throughput: the ingest daemon with one and two workers.
 
 Generates one corpus of europe SVGs (96 files by default: 8 hours at the
 paper's 5-minute cadence from 2021-03-01), then, on a fresh copy of it
@@ -10,9 +10,7 @@ per run and in a fresh interpreter:
   time (parse, write, fsync, checkpoint compaction), the daemon's peak
   RSS (its own ``VmHWM``) and its pool workers' peak RSS (the largest
   ``ru_maxrss`` among reaped children; a forked worker counts the pages
-  it shares with the daemon);
-* ``process`` — ``repro-weather process`` with its serial default:
-  wall time of the whole command, interpreter start-up included.
+  it shares with the daemon).
 
 Every ``--src`` tree is timed over the same corpus, in alternating order,
 so two checkouts (say, a change and its parent) compare like with like;
@@ -34,7 +32,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 START = "2021-03-01T00:00:00+00:00"
@@ -66,23 +63,18 @@ def generate(root: Path, hours: int) -> None:
          "--start", START, "--end", end, "--map", "europe"],
         check=True,
         capture_output=True,
-        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        env={"PYTHONPATH": str(SRC), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
 
 def run_once(src: Path, corpus: Path, case: str) -> dict[str, float]:
     """One ``case`` over a fresh copy of ``corpus`` with ``src``'s code."""
-    env = {"PYTHONPATH": str(src), "PATH": ""}
+    # No bytecode written into the timed trees: a later comparison of
+    # them would pit cached imports against cold ones.
+    env = {"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir) / "corpus"
         shutil.copytree(corpus, root)
-        if case == "process":
-            started = perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "repro.cli.main", "process", str(root)],
-                check=True, capture_output=True, env=env,
-            )
-            return {"wall_s": perf_counter() - started}
         completed = subprocess.run(
             [sys.executable, "-c", _INGEST, str(root), case[-1]],
             check=True, capture_output=True, text=True, env=env,
@@ -103,7 +95,7 @@ def main() -> int:
         generate(corpus, args.hours)
         for repeat in range(args.repeats):
             order = sources if repeat % 2 == 0 else sources[::-1]
-            cases = ("ingest-w1", "ingest-w2", "process")
+            cases = ("ingest-w1", "ingest-w2")
             for case in cases if repeat % 2 == 0 else cases[::-1]:
                 for src in order:
                     samples.setdefault((str(src), case), []).append(

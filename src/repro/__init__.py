@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: name → defining module for every lazily exported public name.
 _EXPORTS: dict[str, str] = {
@@ -70,7 +70,6 @@ _EXPORTS: dict[str, str] = {
     "load_all": "repro.dataset.loader",
     "iter_snapshots": "repro.dataset.loader",
     "latest_snapshot": "repro.dataset.loader",
-    "process_map": "repro.dataset.processor",
     "process_svg_bytes": "repro.dataset.processor",
     "process_map_parallel": "repro.dataset.engine",
     "validate_dataset": "repro.dataset.validate",
@@ -89,7 +88,6 @@ _EXPORTS: dict[str, str] = {
     # ingestion daemon
     "IngestConfig": "repro.dataset.ingest",
     "IngestDaemon": "repro.dataset.ingest",
-    "resume_ingest": "repro.dataset.ingest",
     # yaml twins
     "snapshot_from_yaml": "repro.yamlio.deserialize",
     "snapshot_to_yaml": "repro.yamlio.serialize",

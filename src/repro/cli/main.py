@@ -3,8 +3,8 @@
 Subcommands::
 
     generate   simulate a collection campaign into a dataset directory
-    process    run the SVG→YAML extraction over a dataset directory
-    ingest     run/resume the crash-safe ingestion daemon, or show its status
+    ingest     run the SVG→YAML extraction (the crash-safe ingestion
+               daemon), or show its status
     index      build or inspect the columnar snapshot index
     query      zero-copy scans over the index (time range, node, link, load)
     serve      run the cached HTTP read API over a dataset directory
@@ -15,7 +15,7 @@ Subcommands::
     metrics    render a saved telemetry snapshot (Prometheus or JSON)
     check      run the project's static-analysis rule pack (REP002–REP009)
 
-``process``, ``index build``, and ``export`` accept ``--metrics-out PATH``
+``ingest run``, ``index build``, and ``export`` accept ``--metrics-out PATH``
 to dump the run's telemetry registry as a JSON snapshot, which ``metrics``
 renders back in either exposition format.
 """
@@ -111,37 +111,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_process(args: argparse.Namespace) -> int:
-    """Run SVG→YAML extraction over a dataset directory: one daemon run."""
-    from repro.dataset.engine import process_all_parallel
-    from repro.parsing.pipeline import ParseOptions
-
-    store = open_store(args.dataset)
-    results = process_all_parallel(
-        store,
-        workers=1 if args.workers is None else args.workers,
-        strict=args.strict,
-        overwrite=args.overwrite,
-        options=ParseOptions(fast_path=args.fast_path),
-    )
-    for map_name, stats in results.items():
-        if stats.total == 0:
-            continue
-        causes = ", ".join(f"{k}:{v}" for k, v in stats.failure_causes.items())
-        print(
-            f"{map_name.value:<15} processed {stats.processed:>6} "
-            f"unprocessed {stats.unprocessed:>4} {('(' + causes + ')') if causes else ''}"
-        )
-    _maybe_write_metrics(args)
-    return 0
-
-
-def _ingest_config(args: argparse.Namespace):
-    """Build an :class:`~repro.dataset.ingest.IngestConfig` from CLI flags."""
-    from repro.dataset.ingest import IngestConfig
+def cmd_ingest_run(args: argparse.Namespace) -> int:
+    """Run the crash-safe ingestion daemon over a dataset directory."""
+    from repro.dataset.ingest import IngestConfig, IngestDaemon
     from repro.dataset.workers import resolve_workers
 
-    return IngestConfig(
+    store = open_store(args.dataset)
+    store.mark()
+    config = IngestConfig(
         workers=resolve_workers(args.workers),
         checkpoint_every=args.checkpoint_every,
         fsync_every=args.fsync_every,
@@ -149,9 +126,8 @@ def _ingest_config(args: argparse.Namespace):
         strict=args.strict,
         update_index=not args.no_index,
     )
-
-
-def _print_ingest_stats(stats) -> None:
+    maps = [args.map] if args.map else None
+    stats = IngestDaemon(store, config).run(maps, rebuild=args.overwrite)
     print(
         f"ingested {stats.ingested} files "
         f"({stats.processed} processed, {stats.failed} failed, "
@@ -161,35 +137,6 @@ def _print_ingest_stats(stats) -> None:
     if stats.recovery_seconds > 0:
         print(f"  recovery {stats.recovery_seconds:.3f} s, "
               f"{stats.checkpoints} checkpoints")
-
-
-def cmd_ingest_run(args: argparse.Namespace) -> int:
-    """Run the crash-safe ingestion daemon over a dataset directory."""
-    from repro.dataset.ingest import IngestDaemon
-
-    store = open_store(args.dataset)
-    store.mark()
-    maps = [args.map] if args.map else None
-    daemon = IngestDaemon(store, _ingest_config(args))
-    stats = daemon.run(maps)
-    _print_ingest_stats(stats)
-    _maybe_write_metrics(args)
-    return 0
-
-
-def cmd_ingest_resume(args: argparse.Namespace) -> int:
-    """Resume an interrupted ingestion run (replays the journal first)."""
-    from repro.dataset.ingest import resume_ingest
-    from repro.errors import IngestError
-
-    store = open_store(args.dataset)
-    maps = [args.map] if args.map else None
-    try:
-        stats = resume_ingest(store, _ingest_config(args), maps)
-    except IngestError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    _print_ingest_stats(stats)
     _maybe_write_metrics(args)
     return 0
 
@@ -242,7 +189,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     # One pool, opened on first need, for every map's shards.
     with lend_pool(args.workers) as pool:
         for map_name in [args.map] if args.map else list(MapName):
-            if not any(True for _ in store.iter_refs(map_name, "yaml")):
+            if not store.shard_keys(map_name, "yaml"):
                 continue
             shard_stats = compact_map_shards(
                 store,
@@ -276,7 +223,7 @@ def cmd_index_status(args: argparse.Namespace) -> int:
     all_fresh = True
     shown = 0
     for map_name in [args.map] if args.map else list(MapName):
-        has_yaml = any(True for _ in store.iter_refs(map_name, "yaml"))
+        has_yaml = bool(store.shard_keys(map_name, "yaml"))
         manifest = ShardManifest.load(store.shards_manifest_path(map_name))
         if not has_yaml and not manifest.entries:
             continue
@@ -809,87 +756,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(generate)
     generate.set_defaults(handler=cmd_generate)
 
-    process = subparsers.add_parser("process", help="SVG → YAML extraction")
-    process.add_argument("dataset", help="dataset directory")
-    process.add_argument("--strict", action="store_true")
-    process.add_argument(
-        "--workers",
-        type=_workers_argument,
-        default=None,
-        help="parse processes feeding the ingest daemon's single writer "
-        "(default: in-process; 0 or 'auto' means one per CPU core)",
+    ingest = subparsers.add_parser(
+        "ingest", help="SVG → YAML extraction: the crash-safe ingestion daemon"
     )
-    process.add_argument(
+    ingest_sub = ingest.add_subparsers(dest="ingest_command", required=True)
+    ingest_run = ingest_sub.add_parser(
+        "run", help="ingest everything pending (recovers first if needed)"
+    )
+    ingest_run.add_argument("dataset", help="dataset directory")
+    ingest_run.add_argument("--map", type=_map_argument, default=None)
+    ingest_run.add_argument(
+        "--workers", type=_workers_argument, default=2,
+        help="parse processes feeding the single writer; a map whose "
+        "pending files make one batch parses in-process (default 2; 0 or "
+        "'auto' means one per CPU core)",
+    )
+    ingest_run.add_argument(
+        "--checkpoint-every", type=_positive_argument, default=512,
+        help="files between manifest folds + shard compactions (default 512)",
+    )
+    ingest_run.add_argument(
+        "--fsync-every", type=_positive_argument, default=64,
+        help="files between YAML/journal durability batches (default 64)",
+    )
+    ingest_run.add_argument(
+        "--max-files", type=_positive_argument, default=None,
+        help="stop after ingesting this many files (for paced runs)",
+    )
+    ingest_run.add_argument("--strict", action="store_true")
+    ingest_run.add_argument(
         "--overwrite",
         action="store_true",
         help="ignore the incremental manifest: re-process every file and "
         "rebuild the shard indexes",
     )
-    process.add_argument(
-        "--no-fast-path",
-        dest="fast_path",
-        action="store_false",
-        help="force the faithful DOM parse instead of the fused streaming "
-        "pass (identical output; for timing comparisons and debugging)",
+    ingest_run.add_argument(
+        "--no-index",
+        action="store_true",
+        help="skip index maintenance entirely (compact later with "
+        "`index build`)",
     )
-    process.add_argument(
+    ingest_run.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
         help="write the run's telemetry as a JSON snapshot to this path",
     )
-    process.set_defaults(handler=cmd_process)
-
-    ingest = subparsers.add_parser(
-        "ingest", help="run or resume the crash-safe ingestion daemon"
-    )
-    ingest_sub = ingest.add_subparsers(dest="ingest_command", required=True)
-
-    def _add_ingest_knobs(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("dataset", help="dataset directory")
-        sub.add_argument("--map", type=_map_argument, default=None)
-        sub.add_argument(
-            "--workers", type=_workers_argument, default=2,
-            help="parse processes feeding the single writer; a map whose "
-            "pending files make one batch parses in-process (default 2; 0 or "
-            "'auto' means one per CPU core)",
-        )
-        sub.add_argument(
-            "--checkpoint-every", type=_positive_argument, default=512,
-            help="files between manifest folds + shard compactions (default 512)",
-        )
-        sub.add_argument(
-            "--fsync-every", type=_positive_argument, default=64,
-            help="files between YAML/journal durability batches (default 64)",
-        )
-        sub.add_argument(
-            "--max-files", type=_positive_argument, default=None,
-            help="stop after ingesting this many files (for paced runs)",
-        )
-        sub.add_argument("--strict", action="store_true")
-        sub.add_argument(
-            "--no-index",
-            action="store_true",
-            help="skip index maintenance entirely (compact later with "
-            "`index build`)",
-        )
-        sub.add_argument(
-            "--metrics-out",
-            default=None,
-            metavar="PATH",
-            help="write the run's telemetry as a JSON snapshot to this path",
-        )
-
-    ingest_run = ingest_sub.add_parser(
-        "run", help="ingest everything pending (recovers first if needed)"
-    )
-    _add_ingest_knobs(ingest_run)
     ingest_run.set_defaults(handler=cmd_ingest_run)
-    ingest_resume = ingest_sub.add_parser(
-        "resume", help="resume an interrupted run (requires prior state)"
-    )
-    _add_ingest_knobs(ingest_resume)
-    ingest_resume.set_defaults(handler=cmd_ingest_resume)
     ingest_status = ingest_sub.add_parser(
         "status", help="show the daemon's last published status"
     )

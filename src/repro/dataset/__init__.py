@@ -13,7 +13,8 @@ package provides:
 * :mod:`repro.dataset.processor` — per-file SVG→YAML extraction with the
   paper's unprocessable-file accounting,
 * :mod:`repro.dataset.engine` — the per-map ``manifest.json`` skip cache
-  and the bulk entry points, each one ingest-daemon run,
+  and :func:`~repro.dataset.engine.process_map_parallel`, the one bulk
+  call (an ingest-daemon run),
 * :mod:`repro.dataset.ingest` — the ingestion daemon, the only YAML
   writer: in-process or pooled parsing, a write-ahead journal,
   crash-safe resume,
@@ -57,10 +58,8 @@ _EXPORTS: dict[str, str] = {
     "CollectionStats": "repro.dataset.collector",
     "SimulatedCollector": "repro.dataset.collector",
     "ProcessingStats": "repro.dataset.processor",
-    "process_map": "repro.dataset.processor",
     "process_svg_bytes": "repro.dataset.processor",
     "Manifest": "repro.dataset.engine",
-    "process_all_parallel": "repro.dataset.engine",
     "process_map_parallel": "repro.dataset.engine",
     "IndexBuildStats": "repro.dataset.index",
     "SnapshotIndex": "repro.dataset.index",

@@ -1,10 +1,12 @@
-"""The incremental manifest and the bulk entry points over the ingest daemon.
+"""The incremental manifest, the parse batches and the one bulk call.
 
 The paper's central workload is embarrassingly parallel: 542,049 collected
 SVG files extracted into 541,813 YAML snapshots (Table 2), every file
 independent of every other.  One writer produces every YAML twin: the
-:class:`~repro.dataset.ingest.IngestDaemon`.  This module holds what the
-daemon and its bulk callers share:
+:class:`~repro.dataset.ingest.IngestDaemon`, reached from the shell as
+``repro-weather ingest run`` and from Python as
+:func:`process_map_parallel` (or the daemon itself).  This module holds
+what the daemon and that call share:
 
 * **Incremental manifest** — a per-map ``manifest.json`` in the
   :class:`~repro.dataset.store.DatasetStore` records, per processed SVG,
@@ -13,19 +15,18 @@ daemon and its bulk callers share:
   Re-runs skip unchanged files with one dict lookup and one ``stat()`` on
   the SVG — no per-file ``exists()``/``stat()`` round-trips on the YAML
   twin — while still reporting the same stats the original run did.
-  ``overwrite=True`` and :data:`~repro.constants.PARSER_VERSION`
-  bumps invalidate the whole manifest; an edited SVG invalidates just its
-  own entry.
+  A rebuild (``ingest run --overwrite``) and
+  :data:`~repro.constants.PARSER_VERSION` bumps invalidate the whole
+  manifest; an edited SVG invalidates just its own entry.
 
 * **Balanced batches** — :func:`_batches` cuts the pending SVGs into
   equal batches of at most :data:`DEFAULT_CHUNK_SIZE`, one per worker per
-  round, which is how the daemon feeds its parse pool.
+  round, which is how the daemon feeds its parse pool of
+  :data:`DEFAULT_WORKERS` workers unless asked otherwise.
 
-* **Bulk entry points** — :func:`process_map_parallel` and
-  :func:`process_all_parallel` (and the serial
-  :func:`~repro.dataset.processor.process_map`) are each one daemon run,
-  so ``repro-weather process`` and ``repro-weather ingest run`` leave the
-  same YAML tree, manifest, shard indexes and Table 2 counts.
+* **The bulk call** — :func:`process_map_parallel` is one daemon run over
+  one map, so it leaves the YAML tree, manifest, shard indexes and
+  Table 2 counts that ``ingest run`` leaves.
 """
 
 from __future__ import annotations
@@ -36,23 +37,15 @@ from typing import Any, Sequence
 from repro.constants import MapName
 from repro.dataset.processor import ProcessingStats
 from repro.dataset.store import DatasetStore, Ledger, SnapshotRef
-from repro.dataset.workers import (
-    AUTO_WORKERS,
-    contiguous_batches,
-    default_workers,
-    resolve_workers,
-)
+from repro.dataset.workers import contiguous_batches, resolve_workers
 from repro.errors import DatasetError
-from repro.parsing.pipeline import ParseOptions
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
+    "DEFAULT_WORKERS",
     "Manifest",
     "ManifestEntry",
-    "default_workers",
-    "process_all_parallel",
     "process_map_parallel",
-    "resolve_workers",
 ]
 
 #: The most SVGs one parse batch carries; amortises pickling and dispatch
@@ -60,6 +53,9 @@ __all__ = [
 #: batches run in a pool is the pool's call: a lone batch, or any batch
 #: of a one-worker run, parses in-process.
 DEFAULT_CHUNK_SIZE = 16
+
+#: The parse pool's width when a run does not ask for one.
+DEFAULT_WORKERS = 2
 
 
 @dataclass(slots=True)
@@ -142,97 +138,36 @@ def _skip_from_manifest(stats: ProcessingStats, entry: ManifestEntry) -> None:
         stats.yaml_bytes += entry.yaml_bytes or 0
 
 
-def _daemon_run(
-    store: DatasetStore,
-    maps: Sequence[MapName],
-    workers: int | str | None,
-    chunk_size: int,
-    strict: bool,
-    *,
-    rebuild: bool,
-    update_index: bool,
-    options: ParseOptions | None,
-) -> dict[MapName, ProcessingStats]:
-    """One :class:`~repro.dataset.ingest.IngestDaemon` run; its Table 2 rows."""
-    from repro.dataset.ingest import IngestConfig, IngestDaemon
-
-    config = IngestConfig(
-        workers=resolve_workers(workers, default=AUTO_WORKERS),
-        chunk_size=chunk_size,
-        strict=strict,
-        update_index=update_index,
-        options=options,
-    )
-    per_map = IngestDaemon(store, config).run(maps, rebuild=rebuild).per_map
-    return {map_name: per_map[map_name] for map_name in maps}
-
-
 def process_map_parallel(
     store: DatasetStore,
     map_name: MapName,
-    workers: int | str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    strict: bool = False,
+    *,
+    workers: int | str = DEFAULT_WORKERS,
     overwrite: bool = False,
-    update_index: bool = True,
-    options: ParseOptions | None = None,
 ) -> ProcessingStats:
     """Process one map's SVGs into YAML twins: one ingest-daemon run.
 
-    The run is :class:`~repro.dataset.ingest.IngestDaemon`'s, so the YAML
-    tree, the manifest and the :class:`ProcessingStats` are the ones
-    ``repro-weather ingest run`` leaves, whatever ``workers`` is.
+    ``IngestDaemon(store, IngestConfig(workers=...)).run([map_name])``,
+    so the YAML tree, the manifest, the shard indexes and the
+    :class:`ProcessingStats` are the ones ``repro-weather ingest run``
+    leaves, whatever ``workers`` is.  Batch size, strict checks, index
+    maintenance and parse options are
+    :class:`~repro.dataset.ingest.IngestConfig` fields.
 
     Args:
         store: dataset directory to read SVGs from and write YAMLs into.
         map_name: which map to process.
-        workers: worker process count; ``None``/``"auto"``/``0`` mean one
-            per core.  Requests resolve through
-            :func:`~repro.dataset.workers.resolve_workers`; the daemon
-            parses in-process when one worker is left or the map's
-            pending files make one batch.
-        chunk_size: most SVGs per parse batch; the pending files are cut
-            into equal batches, one per worker per round.
-        strict: apply the whole-map sanity checks strictly.
+        workers: parse pool width (``0``/``"auto"``: one per core),
+            resolved through :func:`~repro.dataset.workers.resolve_workers`;
+            the daemon parses in-process when one worker is left or the
+            map's pending files make one batch.
         overwrite: ignore the manifest, re-process every file and rebuild
             the map's shard indexes from scratch.
-        update_index: compact the map's per-day shard indexes as the run
-            goes (only changed shards are rebuilt).
-        options: parse configuration shared by every file.
 
     Returns:
         Per-map counts mirroring a Table 2 row.
     """
-    return _daemon_run(
-        store,
-        [map_name],
-        workers,
-        chunk_size,
-        strict,
-        rebuild=overwrite,
-        update_index=update_index,
-        options=options,
-    )[map_name]
+    from repro.dataset.ingest import IngestConfig, IngestDaemon
 
-
-def process_all_parallel(
-    store: DatasetStore,
-    maps: Sequence[MapName] | None = None,
-    workers: int | str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    strict: bool = False,
-    overwrite: bool = False,
-    update_index: bool = True,
-    options: ParseOptions | None = None,
-) -> dict[MapName, ProcessingStats]:
-    """:func:`process_map_parallel` over several maps: one daemon run."""
-    return _daemon_run(
-        store,
-        list(maps) if maps is not None else list(MapName),
-        workers,
-        chunk_size,
-        strict,
-        rebuild=overwrite,
-        update_index=update_index,
-        options=options,
-    )
+    daemon = IngestDaemon(store, IngestConfig(workers=resolve_workers(workers)))
+    return daemon.run([map_name], rebuild=overwrite).per_map[map_name]

@@ -6,8 +6,8 @@ reboots, OOM kills, power loss — and the CAIDA longitudinal-collection
 line of work is blunt about why that matters: the asset is the unbroken
 series, so recovery must resume exactly, not approximately.
 :class:`IngestDaemon` writes every YAML twin the system has — ``ingest
-run``, ``process`` and the bulk entry points of
-:mod:`repro.dataset.engine` are all daemon runs — with three guarantees:
+run`` and :func:`~repro.dataset.engine.process_map_parallel` are both
+daemon runs — with three guarantees:
 
 * **Bounded memory** — a map's pending SVGs are cut into balanced
   batches of at most ``chunk_size`` files, one per worker per round.
@@ -65,6 +65,7 @@ from repro.constants import MapName
 from repro.dataset import shards
 from repro.dataset.engine import (
     DEFAULT_CHUNK_SIZE,
+    DEFAULT_WORKERS,
     Manifest,
     ManifestEntry,
     _batches,
@@ -98,7 +99,6 @@ __all__ = [
     "IngestStats",
     "JournalRecord",
     "read_ingest_status",
-    "resume_ingest",
     "status_path",
 ]
 
@@ -259,7 +259,7 @@ class IngestConfig:
     durability batches inside a checkpoint interval.
     """
 
-    workers: int = 2
+    workers: int = DEFAULT_WORKERS
     chunk_size: int = DEFAULT_CHUNK_SIZE
     checkpoint_every: int = 512
     fsync_every: int = 64
@@ -283,7 +283,7 @@ class IngestConfig:
 
 @dataclass
 class IngestStats:
-    """What one :class:`IngestDaemon` run (or resume) did."""
+    """What one :class:`IngestDaemon` run did."""
 
     processed: int = 0
     failed: int = 0
@@ -732,26 +732,3 @@ class IngestDaemon:
             durable=False,
         )
 
-
-def resume_ingest(
-    store: DatasetStore,
-    config: IngestConfig | None = None,
-    maps: Sequence[MapName] | None = None,
-) -> IngestStats:
-    """Resume an interrupted ingestion run; refuses a dataset with no state.
-
-    ``run()`` on a fresh :class:`IngestDaemon` already *is* the resume
-    path — this wrapper just makes "there was nothing to resume" a typed
-    error instead of silently starting from scratch, which is what the
-    ``ingest resume`` CLI wants.
-    """
-    targets = list(maps) if maps is not None else list(MapName)
-    has_state = any(
-        store.manifest_path(map_name).exists() or store.journal_path(map_name).exists()
-        for map_name in targets
-    )
-    if not has_state:
-        raise IngestError(
-            f"nothing to resume under {store.root}: no manifest and no journal"
-        )
-    return IngestDaemon(store, config).run(targets)

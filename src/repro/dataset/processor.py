@@ -22,7 +22,6 @@ value that dies with the run.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -30,7 +29,6 @@ from time import perf_counter
 
 from repro.constants import MapName
 from repro.errors import ParseError, StatsMergeError, SvgError
-from repro.dataset.store import DatasetStore
 from repro.parsing.pipeline import (
     ParseOptions,
     StageTimings,
@@ -39,8 +37,6 @@ from repro.parsing.pipeline import (
 )
 from repro.telemetry import get_registry
 from repro.yamlio.serialize import snapshot_to_yaml
-
-logger = logging.getLogger(__name__)
 
 
 def file_metrics(registry=None):
@@ -153,49 +149,3 @@ def process_svg_bytes(
     files.inc(1, map=map_name.value, outcome="processed")
     return ProcessOutcome(yaml_text=text)
 
-
-def process_map(
-    store: DatasetStore,
-    map_name: MapName,
-    strict: bool = False,
-    overwrite: bool = False,
-    workers: int | str | None = None,
-    options: ParseOptions | None = None,
-) -> ProcessingStats:
-    """Process every stored SVG of one map into its YAML twin.
-
-    One :class:`~repro.dataset.ingest.IngestDaemon` run, through
-    :func:`repro.dataset.engine.process_map_parallel`: the YAML twins, the
-    incremental manifest and the shard indexes it leaves are the same for
-    every ``workers`` value.
-
-    Args:
-        store: dataset directory to read SVGs from and write YAMLs into.
-        map_name: which map to process.
-        strict: apply the whole-map sanity checks strictly (a failed check
-            counts the file as unprocessed).
-        overwrite: ignore the manifest and re-process every file.
-        workers: parse worker processes.  ``None`` or ``1`` parses
-            in-process; ``0`` or ``"auto"`` means one worker per CPU core.
-        options: parse configuration shared by every file.
-
-    Returns:
-        Per-map counts mirroring a Table 2 row.
-    """
-    from repro.dataset.engine import process_map_parallel
-
-    stats = process_map_parallel(
-        store,
-        map_name,
-        workers=1 if workers is None else workers,
-        strict=strict,
-        overwrite=overwrite,
-        options=options,
-    )
-    logger.info(
-        "processed %s: %d ok, %d unprocessable",
-        map_name.value,
-        stats.processed,
-        stats.unprocessed,
-    )
-    return stats

@@ -40,14 +40,22 @@ class TestParser:
                 build_parser().parse_args([*command, "--sharded"])
 
     def test_process_workers_args(self):
-        args = build_parser().parse_args(["process", "/tmp/x"])
-        assert args.workers is None
+        args = build_parser().parse_args(["ingest", "run", "/tmp/x"])
+        assert args.workers == 2
         assert args.overwrite is False
         args = build_parser().parse_args(
-            ["process", "/tmp/x", "--workers", "4", "--overwrite"]
+            ["ingest", "run", "/tmp/x", "--workers", "4", "--overwrite"]
         )
         assert args.workers == 4
         assert args.overwrite is True
+
+    def test_removed_write_commands_are_usage_errors(self, capsys):
+        # 7.0.0: ``ingest run`` is the one command that writes YAML twins.
+        for argv in (["process", "/tmp/x"], ["ingest", "resume", "/tmp/x"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_export_workers_args(self):
         # 4.0.0 removed ``export --workers``: the series loads serially or
@@ -62,15 +70,15 @@ class TestParser:
 
     def test_workers_must_be_int(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["process", "/tmp/x", "--workers", "many"])
+            build_parser().parse_args(["ingest", "run", "/tmp/x", "--workers", "many"])
 
     def test_negative_workers_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["process", "/tmp/x", "--workers", "-1"])
+            build_parser().parse_args(["ingest", "run", "/tmp/x", "--workers", "-1"])
 
     def test_metrics_out_flags(self):
         args = build_parser().parse_args(
-            ["process", "/tmp/x", "--metrics-out", "/tmp/m.json"]
+            ["ingest", "run", "/tmp/x", "--metrics-out", "/tmp/m.json"]
         )
         assert args.metrics_out == "/tmp/m.json"
         args = build_parser().parse_args(["index", "build", "/tmp/x"])
@@ -83,7 +91,7 @@ class TestParser:
         assert args.format == "json"
 
     def test_workers_accepts_auto(self):
-        args = build_parser().parse_args(["process", "/tmp/x", "--workers", "auto"])
+        args = build_parser().parse_args(["ingest", "run", "/tmp/x", "--workers", "auto"])
         assert args.workers == "auto"
 
     def test_index_build_args(self):
@@ -97,7 +105,7 @@ class TestParser:
         assert args.rebuild is True
         assert args.workers == "auto"
 
-    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize(
         "flag, value, parsed",
         [
@@ -165,11 +173,11 @@ class TestPipelineCommands:
         assert (dataset_dir / "layout.json").exists()
 
     def test_process(self, dataset_dir, capsys):
-        code = main(["process", str(dataset_dir)])
+        code = main(["ingest", "run", str(dataset_dir)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "asia-pacific" in out
-        assert list(dataset_dir.rglob("*.yaml"))
+        assert capsys.readouterr().out.startswith("ingested ")
+        svgs = len(list(dataset_dir.rglob("*.svg")))
+        assert len(list(dataset_dir.rglob("*.yaml"))) == svgs
 
     def test_catalog(self, dataset_dir, capsys):
         code = main(["catalog", str(dataset_dir)])
@@ -179,7 +187,7 @@ class TestPipelineCommands:
         assert "5-minute resolution" in out
 
     def test_tables(self, dataset_dir, capsys):
-        main(["process", str(dataset_dir)])
+        main(["ingest", "run", str(dataset_dir)])
         capsys.readouterr()
         code = main(["tables", str(dataset_dir)])
         assert code == 0
@@ -188,14 +196,16 @@ class TestPipelineCommands:
         assert "# SVGs" in out
 
     def test_process_with_workers(self, dataset_dir, capsys):
-        code = main(["process", str(dataset_dir), "--workers", "2", "--overwrite"])
+        code = main(
+            ["ingest", "run", str(dataset_dir), "--workers", "2", "--overwrite"]
+        )
         assert code == 0
-        assert "asia-pacific" in capsys.readouterr().out
+        assert "0 skipped" in capsys.readouterr().out
         # The engine path leaves its incremental manifest behind.
         assert (dataset_dir / "asia-pacific" / "manifest.json").exists()
 
     def test_index_build_and_status(self, dataset_dir, capsys):
-        main(["process", str(dataset_dir)])
+        main(["ingest", "run", str(dataset_dir)])
         capsys.readouterr()
         code = main(["index", "build", str(dataset_dir)])
         assert code == 0
@@ -209,7 +219,7 @@ class TestPipelineCommands:
         assert "fresh" in capsys.readouterr().out
 
     def test_index_status_stale_exits_nonzero(self, dataset_dir, capsys):
-        main(["process", str(dataset_dir)])
+        main(["ingest", "run", str(dataset_dir)])
         main(["index", "build", str(dataset_dir)])
         capsys.readouterr()
         shard = next((dataset_dir / "asia-pacific" / "shards").glob("*/index.bin"))
@@ -223,7 +233,7 @@ class TestPipelineCommands:
         assert code == 1
 
     def test_export_series(self, dataset_dir, tmp_path, capsys):
-        main(["process", str(dataset_dir)])
+        main(["ingest", "run", str(dataset_dir)])
         capsys.readouterr()
         target = tmp_path / "series"
         code = main(
@@ -244,6 +254,95 @@ class TestPipelineCommands:
         assert "wrote" in capsys.readouterr().out
 
 
+class TestIngestRunCommand:
+    """``ingest run`` is the one write command: ``--overwrite`` rebuilds."""
+
+    @pytest.fixture()
+    def ingested(self, tmp_path):
+        root = tmp_path / "ds"
+        assert main(
+            [
+                "generate", str(root),
+                "--start", "2022-09-11T23:45:00",
+                "--end", "2022-09-12T00:00:00",
+                "--map", "asia-pacific",
+            ]
+        ) == 0
+        assert main(["ingest", "run", str(root), "--workers", "1"]) == 0
+        return root
+
+    @staticmethod
+    def twins(root):
+        """Every YAML twin's bytes, by relative path."""
+        return {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*.yaml"))
+        }
+
+    def test_overwrite_reparses_every_file_and_rebuilds_the_shards(
+        self, ingested, monkeypatch, capsys
+    ):
+        from repro.dataset import ingest as ingest_module
+        from repro.dataset import shards as shards_module
+
+        before = self.twins(ingested)
+        assert before
+        parsed, compactions = [], []
+        process = ingest_module.process_svg_bytes
+        compact = shards_module.compact_map_shards
+
+        def counting_process(data, map_name, timestamp, *args, **kwargs):
+            parsed.append(timestamp)
+            return process(data, map_name, timestamp, *args, **kwargs)
+
+        def recording_compact(store, map_name, **kwargs):
+            compactions.append((map_name.value, kwargs.get("rebuild", False)))
+            return compact(store, map_name, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "process_svg_bytes", counting_process)
+        monkeypatch.setattr(shards_module, "compact_map_shards", recording_compact)
+        assert main(["ingest", "run", str(ingested), "--workers", "1"]) == 0
+        assert parsed == []
+        compactions.clear()
+        capsys.readouterr()
+        assert main(
+            ["ingest", "run", str(ingested), "--workers", "1", "--overwrite"]
+        ) == 0
+        svgs = list(ingested.rglob("*.svg"))
+        assert len(parsed) == len(svgs) > 0
+        assert compactions == [("asia-pacific", True)]
+        assert capsys.readouterr().out.startswith(f"ingested {len(svgs)} files")
+        assert self.twins(ingested) == before
+        # The rebuilt shards index the rewritten twins.
+        assert main(["index", "status", str(ingested)]) == 0
+        assert "fresh" in capsys.readouterr().out
+
+    def test_index_commands_do_not_list_every_twin(self, ingested, monkeypatch, capsys):
+        import re
+
+        from repro.dataset.store import DatasetStore
+
+        def outputs():
+            runs = []
+            for argv in (["index", "build", str(ingested)], ["index", "status", str(ingested)]):
+                code = main(argv)
+                captured = capsys.readouterr()
+                # The build line ends with its wall time, which varies.
+                out = re.sub(r"in \d+\.\d+ s", "in - s", captured.out)
+                runs.append((code, out, captured.err))
+            return runs
+
+        capsys.readouterr()
+        expected = outputs()
+        assert [code for code, _, _ in expected] == [0, 0]
+
+        def forbidden(self, map_name, kind):
+            raise AssertionError("an emptiness test must not list every twin")
+
+        monkeypatch.setattr(DatasetStore, "iter_refs", forbidden)
+        assert outputs() == expected
+
+
 class TestMetricsCommand:
     def test_process_metrics_out_then_render(self, tmp_path, capsys):
         """The acceptance path: --metrics-out, then ``metrics --format prom``."""
@@ -258,7 +357,7 @@ class TestMetricsCommand:
         ) == 0
         metrics_path = tmp_path / "m.json"
         assert main(
-            ["process", str(root), "--metrics-out", str(metrics_path)]
+            ["ingest", "run", str(root), "--metrics-out", str(metrics_path)]
         ) == 0
         assert metrics_path.exists()
         capsys.readouterr()

@@ -24,7 +24,7 @@ class TestAnalyze:
             )
             == 0
         )
-        assert main(["process", str(root)]) == 0
+        assert main(["ingest", "run", str(root)]) == 0
         return root
 
     def test_analyze_output(self, dataset_dir, capsys):

@@ -22,7 +22,7 @@ def crawled(tmp_path_factory):
         ]
     )
     assert code == 0
-    assert main(["process", str(root)]) == 0
+    assert main(["ingest", "run", str(root)]) == 0
     return root
 
 

@@ -13,7 +13,7 @@ from repro.dataset.catalog import DatasetCatalog
 from repro.dataset.collector import SimulatedCollector
 from repro.dataset.corruption import CorruptionInjector
 from repro.dataset.gaps import AvailabilityModel
-from repro.dataset.processor import process_map
+from repro.dataset.engine import process_map_parallel
 from repro.dataset.store import DatasetStore
 from repro.dataset.summary import build_table2, format_table2
 from repro.yamlio.deserialize import snapshot_from_yaml
@@ -34,7 +34,7 @@ def collected(tmp_path_factory, simulator):
         corruption=CorruptionInjector(seed=simulator.config.seed, rate=0.0),
     )
     stats = collector.collect(START, END, maps=[MapName.ASIA_PACIFIC])
-    processing = process_map(store, MapName.ASIA_PACIFIC)
+    processing = process_map_parallel(store, MapName.ASIA_PACIFIC, workers=1)
     return store, stats, processing
 
 
@@ -86,7 +86,7 @@ class TestProcessing:
 
     def test_reprocess_skips_existing(self, collected):
         store, _, _ = collected
-        again = process_map(store, MapName.ASIA_PACIFIC)
+        again = process_map_parallel(store, MapName.ASIA_PACIFIC, workers=1)
         assert again.processed > 0
         assert again.unprocessed == 0
 
@@ -99,7 +99,7 @@ class TestProcessing:
             corruption=CorruptionInjector(seed=simulator.config.seed, rate=1.0),
         )
         collector.collect(START, START + timedelta(minutes=15), maps=[MapName.WORLD])
-        stats = process_map(store, MapName.WORLD)
+        stats = process_map_parallel(store, MapName.WORLD, workers=1)
         assert stats.unprocessed == stats.total > 0
         assert sum(stats.failure_causes.values()) == stats.unprocessed
 
@@ -143,9 +143,10 @@ class TestLogging:
             corruption=CorruptionInjector(seed=simulator.config.seed, rate=0.0),
         )
         collector.collect(START, START + timedelta(minutes=10), maps=[MapName.WORLD])
-        with caplog.at_level(logging.INFO, logger="repro.dataset.processor"):
-            process_map(store, MapName.WORLD)
-        assert any("processed world" in record.message for record in caplog.records)
+        with caplog.at_level(logging.INFO, logger="repro.dataset.ingest"):
+            stats = process_map_parallel(store, MapName.WORLD, workers=1)
+        summary = f"ingested {stats.total} files ({stats.unprocessed} failed"
+        assert any(record.message.startswith(summary) for record in caplog.records)
 
     def test_processor_warns_on_unprocessable(self, tmp_path, simulator, caplog):
         import logging
@@ -153,6 +154,6 @@ class TestLogging:
         store = DatasetStore(tmp_path)
         store.write(MapName.WORLD, START, "svg", "<svg broken")
         with caplog.at_level(logging.WARNING, logger="repro.dataset.processor"):
-            stats = process_map(store, MapName.WORLD)
+            stats = process_map_parallel(store, MapName.WORLD, workers=1)
         assert stats.unprocessed == 1
         assert any("unprocessable" in record.message for record in caplog.records)

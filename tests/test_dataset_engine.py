@@ -1,11 +1,12 @@
-"""Tests for the bulk entry points, all of them ingest-daemon runs.
+"""Tests for the bulk call and the manifest, all ingest-daemon runs.
 
-The contract under test: every way of writing YAML twins — ``process``,
-``process --workers N``, ``ingest run`` with any worker count — leaves
-the same YAML tree, manifest and ``ProcessingStats`` (including failure
-causes), while the manifest makes warm re-runs skip unchanged files and
-invalidate cleanly on overwrite, parser-version bumps, and edited SVGs.
-Whether parsing runs in a process pool depends only on the input size.
+The contract under test: both ways of writing YAML twins —
+``process_map_parallel`` and ``IngestDaemon.run`` (``ingest run``), with
+any worker count — leave the same YAML tree, manifest and
+``ProcessingStats`` (including failure causes), while the manifest makes
+warm re-runs skip unchanged files and invalidate cleanly on overwrite,
+parser-version bumps, and edited SVGs.  Whether parsing runs in a
+process pool depends only on the input size.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.constants import PARSER_VERSION, MapName
 from repro.dataset import engine as engine_module
 from repro.dataset import ingest as ingest_module
 from repro.dataset import workers as workers_module
-from repro.dataset.engine import Manifest, process_all_parallel, process_map_parallel
+from repro.dataset.engine import Manifest, process_map_parallel
 from repro.dataset.ingest import IngestConfig, IngestDaemon
-from repro.dataset.processor import process_map, process_svg_bytes
+from repro.dataset.processor import process_svg_bytes
 from repro.dataset.store import DatasetStore
 from repro.errors import IngestError
 from repro.layout.renderer import MapRenderer
@@ -71,17 +72,32 @@ class TestSerialParallelEquivalence:
     def test_identical_yaml_and_stats(self, tmp_path, reference_svg):
         serial_store = build_corpus(tmp_path / "serial", reference_svg)
         parallel_store = build_corpus(tmp_path / "parallel", reference_svg)
-        serial = process_map(serial_store, MAP)
-        parallel = process_map_parallel(parallel_store, MAP, workers=2, chunk_size=2)
+        serial = process_map_parallel(serial_store, MAP, workers=1)
+        parallel = IngestDaemon(parallel_store, IngestConfig(workers=2, chunk_size=2)).run(
+            [MAP]
+        ).per_map[MAP]
         assert serial.unprocessed == len(CORRUPT_AT)
         assert_stats_equal(serial, parallel)
         assert yaml_tree(serial_store) == yaml_tree(parallel_store)
 
-    def test_process_map_workers_delegates_to_engine(self, tmp_path, reference_svg):
+    def test_process_map_workers_delegates_to_engine(
+        self, tmp_path, reference_svg, monkeypatch
+    ):
+        # Two workers even on a one-core host, where they would collapse to one.
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
+        widths = []
+        init = IngestDaemon.__init__
+
+        def recording(self, store, config=None):
+            widths.append(config.workers)
+            init(self, store, config)
+
+        monkeypatch.setattr(IngestDaemon, "__init__", recording)
         store = build_corpus(tmp_path, reference_svg)
-        stats = process_map(store, MAP, workers=2)
+        stats = process_map_parallel(store, MAP)
         assert stats.processed == stats.total - len(CORRUPT_AT)
-        # The delegation went through the engine: the manifest exists.
+        # One daemon run, as wide as the daemon's own default.
+        assert widths == [IngestConfig().workers]
         assert store.manifest_path(MAP).exists()
 
 
@@ -106,7 +122,7 @@ class TestBalancedBatches:
         monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
         serial_store = build_corpus(tmp_path / "serial", reference_svg, files)
         parallel_store = build_corpus(tmp_path / "parallel", reference_svg, files)
-        serial = process_map(serial_store, MAP)
+        serial = process_map_parallel(serial_store, MAP, workers=1)
         registry = MetricsRegistry()
         with use_registry(registry):
             parallel = process_map_parallel(parallel_store, MAP, workers=2)
@@ -124,7 +140,9 @@ class TestWorkersOne:
         store = build_corpus(tmp_path / "engine", reference_svg)
         baseline_store = build_corpus(tmp_path / "baseline", reference_svg)
         stats = process_map_parallel(store, MAP, workers=1)
-        baseline = process_map(baseline_store, MAP)
+        baseline = IngestDaemon(baseline_store, IngestConfig(workers=1)).run(
+            [MAP]
+        ).per_map[MAP]
         assert_stats_equal(stats, baseline)
         assert yaml_tree(store) == yaml_tree(baseline_store)
 
@@ -135,12 +153,13 @@ class TestWorkersOne:
         with pytest.raises(DatasetError):
             process_map_parallel(store, MAP, workers=-1)
         with pytest.raises(DatasetError):
-            process_map_parallel(store, MAP, chunk_size=0)
+            IngestConfig(chunk_size=0)
 
 
 class TestOneWriter:
-    """``process``, ``process --workers 2`` and ``ingest run`` with one or
-    two workers are one writer: the same twins, manifest and Table 2 rows."""
+    """``process_map_parallel`` and ``IngestDaemon.run`` (``ingest run``),
+    each with one or two workers, are one writer: the same twins, manifest
+    and Table 2 rows."""
 
     MAPS = (MapName.ASIA_PACIFIC, MapName.WORLD)
 
@@ -158,10 +177,12 @@ class TestOneWriter:
                 data = "<svg broken" if index == 3 else svg
                 source.write(map_name, T0 + timedelta(minutes=5 * index), "svg", data)
         runs = {
-            "process": lambda store: {m: process_map(store, m) for m in self.MAPS},
-            "process-workers-2": lambda store: process_all_parallel(
-                store, self.MAPS, workers=2
-            ),
+            "process-map": lambda store: {
+                m: process_map_parallel(store, m, workers=1) for m in self.MAPS
+            },
+            "process-map-workers-2": lambda store: {
+                m: process_map_parallel(store, m, workers=2) for m in self.MAPS
+            },
             "ingest-run": lambda store: IngestDaemon(store, IngestConfig(workers=1))
             .run(self.MAPS)
             .per_map,
@@ -185,10 +206,10 @@ class TestOneWriter:
                 },
                 [store.manifest_path(map_name).read_bytes() for map_name in self.MAPS],
             )
-        rows = states["process"][0]
+        rows = states["process-map"][0]
         assert [(row.processed, row.unprocessed) for row in rows] == [(19, 1), (5, 1)]
         for name, state in states.items():
-            assert state == states["process"], name
+            assert state == states["process-map"], name
 
 
 class TestPoolingDependsOnInputSize:
@@ -360,7 +381,7 @@ class TestIndexMaintenance:
 
     def test_update_index_disabled(self, tmp_path, reference_svg):
         store = build_corpus(tmp_path, reference_svg)
-        process_map_parallel(store, MAP, workers=1, update_index=False)
+        IngestDaemon(store, IngestConfig(workers=1, update_index=False)).run([MAP])
         assert not store.shards_root(MAP).exists()
 
     def test_warm_rerun_keeps_index_fresh(self, tmp_path, reference_svg):

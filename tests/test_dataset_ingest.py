@@ -32,7 +32,7 @@ from repro.constants import MapName
 from repro.dataset import ingest
 from repro.dataset import shards as shards_module
 from repro.dataset import workers as workers_module
-from repro.dataset.engine import Manifest, ManifestEntry
+from repro.dataset.engine import Manifest, ManifestEntry, process_map_parallel
 from repro.dataset.handles import read_generation
 from repro.dataset.ingest import (
     IngestConfig,
@@ -40,10 +40,9 @@ from repro.dataset.ingest import (
     IngestJournal,
     JournalRecord,
     read_ingest_status,
-    resume_ingest,
     status_path,
 )
-from repro.dataset.processor import process_map, process_svg_bytes
+from repro.dataset.processor import process_svg_bytes
 from repro.dataset.shards import verify_shards
 from repro.dataset.store import (
     DatasetStore,
@@ -174,7 +173,7 @@ class TestDaemonRuns:
     def test_matches_serial_processor_byte_for_byte(self, tmp_path, apac_svg):
         serial = build_corpus(DatasetStore(tmp_path / "serial"), apac_svg)
         daemon_store = build_corpus(DatasetStore(tmp_path / "daemon"), apac_svg)
-        process_map(serial, MAP)
+        process_map_parallel(serial, MAP, workers=1)
         stats = IngestDaemon(daemon_store, IngestConfig(workers=2)).run([MAP])
         assert stats.processed == 6 and stats.failed == 0
         assert yaml_tree(daemon_store) == yaml_tree(serial)
@@ -303,14 +302,11 @@ class TestDaemonRuns:
 
 
 class TestResume:
-    def test_resume_requires_prior_state(self, tmp_path):
-        with pytest.raises(IngestError):
-            resume_ingest(DatasetStore(tmp_path))
-
     def test_resume_continues_after_clean_stop(self, tmp_path, apac_svg):
         store = build_corpus(DatasetStore(tmp_path), apac_svg)
         IngestDaemon(store, IngestConfig(max_files=2)).run([MAP])
-        stats = resume_ingest(store)
+        # A later run is the resume: it picks up where the paced one stopped.
+        stats = IngestDaemon(store).run()
         assert stats.processed == 4 and stats.skipped == 2
 
 
@@ -416,7 +412,7 @@ class TestKillAndResume:
 
         monkeypatch.setattr(ingest, "process_svg_bytes", recording_parse)
         # In-process, so every parse is recorded here.
-        stats = resume_ingest(victim, IngestConfig(workers=1))
+        stats = IngestDaemon(victim, IngestConfig(workers=1)).run()
         # Resume re-parses exactly the files the disk did not prove durable.
         assert sorted(parsed) == sorted(stamps - durable)
         assert stats.ingested == files - len(durable)
@@ -456,7 +452,7 @@ class TestKillAndResume:
         journal = IngestJournal(store.journal_path(MAP))
         journal.append(JournalRecord(MAP.value, stamp, ManifestEntry.coerce(raw)))
         journal.close()
-        stats = resume_ingest(store)
+        stats = IngestDaemon(store).run()
         assert stats.replayed == 1
         assert stats.ingested == 0  # replay made re-parsing unnecessary
         assert stats.skipped == 2

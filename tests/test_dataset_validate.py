@@ -8,7 +8,7 @@ from repro.cli.main import main
 from repro.constants import MapName, REFERENCE_DATE
 from repro.dataset.collector import SimulatedCollector
 from repro.dataset.corruption import CorruptionInjector
-from repro.dataset.processor import process_map
+from repro.dataset.engine import process_map_parallel
 from repro.dataset.store import DatasetStore
 from repro.dataset.validate import validate_dataset, validate_map
 
@@ -23,7 +23,7 @@ def clean_dataset(tmp_path, simulator):
     )
     start = REFERENCE_DATE - timedelta(minutes=30)
     collector.collect(start, REFERENCE_DATE, maps=[MapName.WORLD])
-    process_map(store, MapName.WORLD)
+    process_map_parallel(store, MapName.WORLD, workers=1)
     return store
 
 

@@ -79,7 +79,7 @@ class TestWebsiteCorruptionPath:
         crawler into the store and surfaces in processing accounting."""
         from repro.dataset.corruption import CorruptionInjector
         from repro.dataset.gaps import AvailabilityModel, CollectionSegment
-        from repro.dataset.processor import process_map
+        from repro.dataset.engine import process_map_parallel
         from repro.dataset.store import DatasetStore
         from repro.website.site import WeathermapWebsite
         from repro.website.webcollector import PollingCollector
@@ -103,7 +103,7 @@ class TestWebsiteCorruptionPath:
             site, store, availability=availability, backfill=False
         )
         collector.run(NOON, NOON + timedelta(minutes=15), maps=[MapName.WORLD])
-        stats = process_map(store, MapName.WORLD)
+        stats = process_map_parallel(store, MapName.WORLD, workers=1)
         assert stats.total == 3
         assert stats.unprocessed == 3
 

@@ -17,7 +17,7 @@ from repro.constants import MapName
 from repro.dataset.corruption import CorruptionInjector
 from repro.dataset.gaps import AvailabilityModel, CollectionSegment
 from repro.dataset.loader import load_all
-from repro.dataset.processor import process_map
+from repro.dataset.engine import process_map_parallel
 from repro.dataset.store import DatasetStore
 from repro.website.site import WeathermapWebsite
 from repro.website.webcollector import PollingCollector
@@ -48,7 +48,7 @@ def pipeline_outputs(tmp_path_factory, simulator):
     )
     collector = PollingCollector(site, store, availability=availability, backfill=False)
     collector.run(START, END, maps=[MAP])
-    stats = process_map(store, MAP)
+    stats = process_map_parallel(store, MAP, workers=1)
     assert stats.unprocessed == 0
 
     loaded = load_all(store, MAP)

@@ -15,8 +15,9 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.constants import LABEL_DISTANCE_THRESHOLD, MapName
-from repro.dataset.engine import process_all_parallel, process_map_parallel
-from repro.dataset.processor import process_map, process_svg_bytes
+from repro.dataset.engine import process_map_parallel
+from repro.dataset.ingest import IngestConfig, IngestDaemon
+from repro.dataset.processor import process_svg_bytes
 from repro.dataset.store import DatasetStore
 from repro.dataset.validate import validate_dataset, validate_map
 from repro.layout.renderer import MapRenderer
@@ -30,6 +31,9 @@ from repro.telemetry import MetricsRegistry, NullRegistry, use_registry
 
 T0 = datetime(2022, 9, 12, tzinfo=timezone.utc)
 MAP = MapName.ASIA_PACIFIC
+
+#: An in-process run that leaves the shard indexes alone.
+UNINDEXED = IngestConfig(workers=1, update_index=False)
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +99,9 @@ class TestRemovedKeywords:
         store = build_corpus(tmp_path, svg)
         for call in (
             lambda: process_svg_bytes(svg.encode(), MAP, T0, fast_path=False),
-            lambda: process_map(store, MAP, fast_path=False),
             lambda: process_map_parallel(store, MAP, workers=1, fast_path=False),
-            lambda: process_all_parallel(store, [MAP], workers=1, fast_path=False),
+            lambda: IngestConfig(workers=1, fast_path=False),
+            lambda: IngestDaemon(store, IngestConfig(workers=1)).run([MAP], fast_path=False),
             lambda: validate_map(store, MAP, fast_path=False),
             lambda: validate_dataset(store, fast_path=False),
         ):
@@ -112,9 +116,9 @@ class TestByteIdenticalOutputs:
         store_a = build_corpus(tmp_path / "a", svg)
         store_b = build_corpus(tmp_path / "b", svg)
         with use_registry(MetricsRegistry()):
-            process_map(store_a, MAP)
+            process_map_parallel(store_a, MAP, workers=1)
         with use_registry(NullRegistry()):
-            process_map(store_b, MAP)
+            process_map_parallel(store_b, MAP, workers=1)
         assert yaml_tree(store_a) == yaml_tree(store_b)
 
 
@@ -126,11 +130,11 @@ class TestTelemetryTotals:
         store_parallel = build_corpus(tmp_path / "parallel", svg, files=6)
         serial, parallel = MetricsRegistry(), MetricsRegistry()
         with use_registry(serial):
-            process_map(store_serial, MAP)
+            process_map_parallel(store_serial, MAP, workers=1)
         with use_registry(parallel):
-            process_map_parallel(
-                store_parallel, MAP, workers=2, chunk_size=2, update_index=False
-            )
+            IngestDaemon(
+                store_parallel, IngestConfig(workers=2, chunk_size=2, update_index=False)
+            ).run([MAP])
         for name in ("repro_files_total", "repro_failures_total",
                      "repro_yaml_bytes_total"):
             assert parallel.get(name).series() == serial.get(name).series(), name
@@ -145,10 +149,10 @@ class TestTelemetryTotals:
 
     def test_manifest_hits_counted_on_warm_rerun(self, svg, tmp_path):
         store = build_corpus(tmp_path, svg, files=4)
-        process_map_parallel(store, MAP, workers=1, update_index=False)
+        IngestDaemon(store, UNINDEXED).run([MAP])
         registry = MetricsRegistry()
         with use_registry(registry):
-            process_map_parallel(store, MAP, workers=1, update_index=False)
+            IngestDaemon(store, UNINDEXED).run([MAP])
         lookups = registry.get("repro_manifest_lookups_total")
         assert lookups.value(map=MAP.value, outcome="hit") == 4
         assert lookups.value(map=MAP.value, outcome="miss") == 0
@@ -159,7 +163,7 @@ class TestTelemetryTotals:
         from repro.dataset.shards import compact_map_shards, verify_shards
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
-        process_map_parallel(store, MAP, workers=1, update_index=False)
+        IngestDaemon(store, UNINDEXED).run([MAP])
         registry = MetricsRegistry()
         with use_registry(registry):
             assert verify_shards(store, MAP) is None  # no index yet -> miss
@@ -177,7 +181,7 @@ class TestTelemetryTotals:
         from repro.dataset.shards import compact_map_shards
 
         store = build_corpus(tmp_path, svg, files=3, corrupt=False)
-        process_map(store, MAP)
+        process_map_parallel(store, MAP, workers=1)
         registry = MetricsRegistry()
         with use_registry(registry):
             yaml_loaded = load_all(store, MAP, use_index=False)

@@ -9,7 +9,7 @@ from repro.charts.svgchart import ChartRenderer, Series
 from repro.constants import MapName, REFERENCE_DATE
 from repro.dataset.collector import SimulatedCollector
 from repro.dataset.corruption import CorruptionInjector
-from repro.dataset.processor import process_map
+from repro.dataset.engine import process_map_parallel
 from repro.dataset.shards import compact_map_shards
 from repro.dataset.store import DatasetStore, ShardedDatasetStore
 from repro.reports.builder import ReportBuilder, build_report
@@ -27,7 +27,7 @@ def processed_dataset(tmp_path_factory, simulator):
     )
     start = REFERENCE_DATE - timedelta(minutes=30)
     collector.collect(start, REFERENCE_DATE, maps=[MapName.ASIA_PACIFIC])
-    process_map(store, MapName.ASIA_PACIFIC)
+    process_map_parallel(store, MapName.ASIA_PACIFIC, workers=1)
     return root
 
 
