@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Aggregate static-analysis gate: invariant linter + ruff + mypy + budget.
+"""Aggregate static-analysis gate: invariant tests + budget + ruff + mypy.
 
 Drives every static check the repository defines, in order:
 
-1. the project-native invariant linter (``repro-weather check``,
-   rules REP002–REP009) — always available, always fatal on findings,
-   with per-rule finding counts;
+1. the invariant tests, one tier-1 module per REP rule
+   (``tests/test_rep0*.py``, run with pytest) — always available,
+   always fatal on a failure;
 2. the ``# type: ignore`` budget — the count under ``src/repro`` may
    only decrease; the ceiling lives in ``pyproject.toml`` under
    ``[tool.repro.devtools] type-ignore-budget``;
@@ -33,7 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 #: Packages mypy must pass in strict mode (grown over time; never shrunk).
-#: ``tests.lock_sanitizer`` resolves from the repository root, mypy's
+#: The ``tests.*`` modules resolve from the repository root, mypy's
 #: working directory.
 MYPY_STRICT_TARGETS = (
     "repro.geometry",
@@ -41,8 +41,8 @@ MYPY_STRICT_TARGETS = (
     "repro.parsing",
     "repro.dataset.workers",
     "repro.dataset.query",
-    "repro.devtools.concurrency",
     "tests.lock_sanitizer",
+    "tests.test_rep009_guarded_by",
 )
 
 
@@ -50,34 +50,24 @@ def _heading(title: str) -> None:
     print(f"-- {title}")
 
 
-def run_invariant_linter(json_path: str | None = None) -> bool:
-    """The project's own rule pack; fatal on any finding."""
-    sys.path.insert(0, str(SRC))
-    try:
-        from repro.devtools import (
-            default_config,
-            render_human,
-            render_json,
-            run_checks,
-        )
-
-        result = run_checks(default_config(root=REPO_ROOT))
-    except Exception as exc:  # pragma: no cover - defensive surface
-        print(f"invariant linter failed to run: {exc}", file=sys.stderr)
+def run_invariant_tests() -> bool:
+    """The REP rules' tier-1 tests; fatal on any failure."""
+    modules = sorted(
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in (REPO_ROOT / "tests").glob("test_rep0*.py")
+    )
+    if not modules:
+        print("no tests/test_rep0*.py module found", file=sys.stderr)
         return False
-    print(render_human(result))
-    counts: dict[str, int] = {}
-    for finding in result.findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    if counts:
-        per_rule = ", ".join(
-            f"{rule}={count}" for rule, count in sorted(counts.items())
-        )
-        print(f"findings by rule: {per_rule}")
-    if json_path is not None:
-        Path(json_path).write_text(render_json(result) + "\n", encoding="utf-8")
-        print(f"json report written to {json_path}")
-    return result.ok
+    pythonpath = os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", *modules],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    return completed.returncode == 0
 
 
 def type_ignore_budget() -> int:
@@ -157,22 +147,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-external",
         action="store_true",
-        help="run only the project-native checks (linter + budget), "
-        "never ruff/mypy",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the linter's machine-readable report "
-        "(schema v2, with per-rule counts) to PATH",
+        help="run only the project-native checks (invariant tests + "
+        "budget), never ruff/mypy",
     )
     args = parser.parse_args(argv)
 
     failed: list[str] = []
-    _heading("invariant linter (repro-weather check)")
-    if not run_invariant_linter(args.json):
-        failed.append("invariant linter")
+    _heading("invariant tests (tests/test_rep0*.py)")
+    if not run_invariant_tests():
+        failed.append("invariant tests")
     _heading("type-ignore budget")
     if not run_type_ignore_budget():
         failed.append("type-ignore budget")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: name → defining module for every lazily exported public name.
 _EXPORTS: dict[str, str] = {

@@ -13,7 +13,6 @@ Subcommands::
     render     render one snapshot SVG to stdout or a file
     upgrade    replay the Figure 6 case study
     metrics    render a saved telemetry snapshot (Prometheus or JSON)
-    check      run the project's static-analysis rule pack (REP002–REP009)
 
 ``ingest run``, ``index build``, and ``export`` accept ``--metrics-out PATH``
 to dump the run's telemetry registry as a JSON snapshot, which ``metrics``
@@ -707,38 +706,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    """Run the project-native static-analysis rule pack.
-
-    Exit codes: 0 clean, 1 findings, 2 the checker itself failed.
-    """
-    import traceback
-
-    from repro.devtools import (
-        default_config,
-        render_human,
-        render_json,
-        run_checks,
-    )
-
-    try:
-        config = default_config(
-            root=Path(args.root) if args.root else None,
-            update_api_snapshot=args.update_api_snapshot,
-        )
-        result = run_checks(config)
-    except Exception as exc:
-        traceback.print_exception(exc)
-        return 2
-    if args.update_api_snapshot and config.api_snapshot is not None:
-        print(f"wrote {config.api_snapshot}", file=sys.stderr)
-    if args.format == "json":
-        sys.stdout.write(render_json(result))
-    else:
-        print(render_human(result))
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -1023,29 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument("--output", default=None, help="write here instead of stdout")
     metrics.set_defaults(handler=cmd_metrics)
-
-    check = subparsers.add_parser(
-        "check", help="run the project's static-analysis rule pack"
-    )
-    check.add_argument(
-        "--root",
-        default=None,
-        help="repository root (default: discovered from the working "
-        "directory or the installed package)",
-    )
-    check.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
-    check.add_argument(
-        "--update-api-snapshot",
-        action="store_true",
-        help="rewrite api_surface.json from the current repro.__all__ "
-        "instead of diffing against it (REP006)",
-    )
-    check.set_defaults(handler=cmd_check)
 
     report = subparsers.add_parser(
         "report", help="write a markdown + charts report for a dataset"

@@ -307,10 +307,11 @@ class DatasetStore:
             ) from exc
 
     def iter_refs(self, map_name: MapName, kind: str) -> Iterator[SnapshotRef]:
-        """All stored snapshots of one map and kind, in timestamp order."""
-        base = self.root / map_name.value / kind
-        if base.exists():
-            yield from _sorted_refs(map_name, kind, base.rglob(f"*.{kind}"))
+        """All stored snapshots of one map and kind, in timestamp order:
+        each day shard's listing, day by day.  A file outside its
+        ``YYYY/MM/DD`` directory is not listed."""
+        for key in self.shard_keys(map_name, kind):
+            yield from self.iter_shard_refs(map_name, kind, key)
 
     def timestamps(self, map_name: MapName, kind: str = "svg") -> list[datetime]:
         """Sorted snapshot timestamps of one map."""

@@ -183,15 +183,6 @@ class CliUsageError(ReproError, ArgumentTypeError):
     """
 
 
-class StaticAnalysisError(ReproError):
-    """The :mod:`repro.devtools` checker cannot run at all.
-
-    Raised for setup problems — an undiscoverable repository root, an
-    unreadable rule input — never for rule findings, which are reported
-    as data so the CLI can render them and exit 1.
-    """
-
-
 class ConcurrencyError(ReproError):
     """The runtime lock sanitizer observed a broken locking invariant.
 

@@ -1,7 +1,7 @@
 """The runtime lock sanitizer: instrumented locks for the repro package.
 
 Test tooling, kept beside the tests it serves (pytest does not collect
-it).  REP009 (:mod:`repro.devtools.concurrency`) checks the lock
+it).  REP009 (``tests/test_rep009_guarded_by.py``) checks the lock
 discipline the source *declares*; this module checks the discipline the
 process *executes*.  In the opt-in instrumented mode (``REPRO_TSAN=1``
 or ``pytest --repro-tsan``) every ``threading.Lock`` / ``threading.RLock``

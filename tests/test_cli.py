@@ -57,6 +57,14 @@ class TestParser:
             assert exit_info.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_check_command_is_a_usage_error(self, capsys):
+        # 8.0.0: the REP rules are tier-1 tests (tests/test_rep0*.py).
+        for argv in (["check"], ["check", "--update-api-snapshot"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'check'" in capsys.readouterr().err
+
     def test_export_workers_args(self):
         # 4.0.0 removed ``export --workers``: the series loads serially or
         # from the shard indexes.

@@ -103,3 +103,26 @@ class TestIteration:
         junk = tmp_path / "europe" / "svg" / "2022" / "09" / "12" / "junk.svg"
         junk.write_text("not a snapshot")
         assert len(store.timestamps(MapName.EUROPE)) == 3
+
+    def test_refs_sorted_across_day_and_month_directories(self, tmp_path):
+        from datetime import timedelta
+
+        store = DatasetStore(tmp_path)
+        stamps = [WHEN + timedelta(days=days) for days in (25, 0, 19, 18)]
+        for stamp in stamps:
+            store.write(MapName.EUROPE, stamp, "svg", "<svg/>")
+        refs = list(store.iter_refs(MapName.EUROPE, "svg"))
+        assert [ref.timestamp for ref in refs] == sorted(stamps)
+
+    def test_files_outside_their_day_directory_not_listed(self, tmp_path):
+        from datetime import timedelta
+
+        store = DatasetStore(tmp_path)
+        expected = self._populate(store)
+        name = f"europe-{format_timestamp(WHEN + timedelta(days=1))}.svg"
+        for parent in ("", "2022", "2022/09", "2022/09/13/extra"):
+            stray_dir = tmp_path / "europe" / "svg" / parent
+            stray_dir.mkdir(parents=True, exist_ok=True)
+            (stray_dir / name).write_text("<svg/>")
+        assert store.timestamps(MapName.EUROPE) == expected
+        assert store.shard_keys(MapName.EUROPE, "svg") == ["2022-09-12"]

@@ -1,12 +1,9 @@
-"""Tests for the lock invariants: REP009 and the no-nesting rule.
+"""The no-nesting lock invariant.
 
-REP009 gets minimal positive/negative fixtures laid out as a throwaway
-``src/repro`` tree (the same harness as the core lint tests):
-guarded-by discipline with its constructor and locked-by-caller escape
-hatches, the REP000 staleness ratchet on guarded-by annotations, and a
-noqa marker silencing a concurrency finding.  The lock-nesting scan runs
-over the real ``src/repro`` and over seeded trees, among them a
-two-function lock-order cycle.
+No ``with <lock>:`` nests lexically inside another in ``src/repro``.
+The scan runs over the real package and over seeded throwaway trees,
+among them a two-function lock-order cycle.  The guarded-by discipline
+is ``tests/test_rep009_guarded_by.py``.
 """
 
 from __future__ import annotations
@@ -14,149 +11,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.devtools import CheckConfig, CheckResult, run_checks
-from repro.devtools.engine import UNUSED_SUPPRESSION_RULE
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-
-def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
-    """Lay ``files`` (paths relative to src/repro) out as a package tree."""
-    root = tmp_path / "proj"
-    package = root / "src" / "repro"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("", encoding="utf-8")
-    for relpath, text in files.items():
-        target = package / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
-        init = target.parent / "__init__.py"
-        if not init.exists():
-            init.write_text("", encoding="utf-8")
-    return root
-
-
-def check_tree(root: Path) -> CheckResult:
-    return run_checks(
-        CheckConfig(root=root, src_roots=(root / "src" / "repro",))
-    )
-
-
-def rules_found(result: CheckResult) -> list[str]:
-    return [finding.rule for finding in result.findings]
-
-
-GUARDED_STATE = (
-    "import threading\n"
-    "class Box:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "        self._items = {}  # repro: guarded-by[_lock]\n"
-)
-
-
-class TestRep009GuardedBy:
-    def test_unguarded_read_and_write_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": GUARDED_STATE
-                + (
-                    "    def get(self, key):\n"
-                    "        return self._items.get(key)\n"
-                    "    def clear(self):\n"
-                    "        self._items = {}\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == ["REP009", "REP009"]
-        assert "read outside" in result.findings[0].message
-        assert "mutated outside" in result.findings[1].message
-
-    def test_locked_access_and_constructor_are_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": GUARDED_STATE
-                + (
-                    "    def get(self, key):\n"
-                    "        with self._lock:\n"
-                    "            return self._items.get(key)\n"
-                    "    def put(self, key, value):\n"
-                    "        with self._lock:\n"
-                    "            self._items[key] = value\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-    def test_locked_by_caller_helper_is_clean(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": GUARDED_STATE
-                + (
-                    "    def sweep(self):\n"
-                    "        with self._lock:\n"
-                    "            self._drop('a')\n"
-                    "    def _drop(self, key):"
-                    "  # repro: locked-by-caller[_lock]\n"
-                    "        self._items.pop(key, None)\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-    def test_wrong_lock_is_still_a_finding(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": GUARDED_STATE
-                + (
-                    "    def get(self, key):\n"
-                    "        with self._other_lock:\n"
-                    "            return self._items.get(key)\n"
-                )
-            },
-        )
-        assert rules_found(check_tree(root)) == ["REP009"]
-
-    def test_outside_threaded_scope_not_policed(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "analysis/state.py": GUARDED_STATE
-                + (
-                    "    def get(self, key):\n"
-                    "        return self._items.get(key)\n"
-                )
-            },
-        )
-        assert check_tree(root).ok
-
-
-class TestRep000GuardedByStaleness:
-    def test_unused_declaration_reported(self, tmp_path):
-        root = make_tree(tmp_path, {"server/state.py": GUARDED_STATE})
-        result = check_tree(root)
-        assert rules_found(result) == [UNUSED_SUPPRESSION_RULE]
-        assert "unused guarded-by[_lock]" in result.findings[0].message
-
-    def test_dangling_directive_reported(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": (
-                    "def helper():  # repro: guarded-by[_lock]\n"
-                    "    return 1\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert rules_found(result) == [UNUSED_SUPPRESSION_RULE]
-        assert "dangling guarded-by" in result.findings[0].message
-
+from tests.source_scan import PACKAGE, write_package
 
 LOCK_PAIR = (
     "import threading\n"
@@ -223,7 +78,7 @@ class TestNoLockNesting:
         assert nested == []
 
     def test_opposite_nesting_orders_are_found(self, tmp_path):
-        root = make_tree(
+        package = write_package(
             tmp_path,
             {
                 "analysis/locks.py": LOCK_PAIR
@@ -239,7 +94,7 @@ class TestNoLockNesting:
                 )
             },
         )
-        count, nested = lock_acquisitions(root / "src" / "repro")
+        count, nested = lock_acquisitions(package)
         assert count == 4
         assert nested == [
             "analysis/locks.py:6: b_lock inside a_lock",
@@ -247,7 +102,7 @@ class TestNoLockNesting:
         ]
 
     def test_nesting_in_one_order_is_found(self, tmp_path):
-        root = make_tree(
+        package = write_package(
             tmp_path,
             {
                 "analysis/locks.py": LOCK_PAIR
@@ -262,14 +117,14 @@ class TestNoLockNesting:
                 )
             },
         )
-        _, nested = lock_acquisitions(root / "src" / "repro")
+        _, nested = lock_acquisitions(package)
         assert nested == [
             "analysis/locks.py:6: b_lock inside a_lock",
             "analysis/locks.py:9: b_lock inside a_lock",
         ]
 
     def test_nesting_found_in_every_module(self, tmp_path):
-        root = make_tree(
+        package = write_package(
             tmp_path,
             {
                 "analysis/one.py": LOCK_PAIR
@@ -288,14 +143,14 @@ class TestNoLockNesting:
                 ),
             },
         )
-        _, nested = lock_acquisitions(root / "src" / "repro")
+        _, nested = lock_acquisitions(package)
         assert nested == [
             "analysis/one.py:6: b_lock inside a_lock",
             "server/two.py:4: a_lock inside b_lock",
         ]
 
     def test_attribute_locks_are_found_by_terminal_name(self, tmp_path):
-        root = make_tree(
+        package = write_package(
             tmp_path,
             {
                 "analysis/classes.py": (
@@ -310,23 +165,7 @@ class TestNoLockNesting:
                 )
             },
         )
-        count, nested = lock_acquisitions(root / "src" / "repro")
+        count, nested = lock_acquisitions(package)
         assert count == 3  # ``_clock`` is not ``*_lock``
         assert nested == ["analysis/classes.py:4: other.lock inside self._lock"]
 
-
-class TestNoqaInteraction:
-    def test_noqa_suppresses_concurrency_findings(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "server/state.py": GUARDED_STATE
-                + (
-                    "    def get(self, key):\n"
-                    "        return self._items.get(key)  # repro: noqa[REP009]\n"
-                )
-            },
-        )
-        result = check_tree(root)
-        assert result.ok
-        assert result.suppressions_used == 1
