@@ -9,14 +9,17 @@ stage over both maps: ``compact_map_shards`` with ``workers=1`` and
 ``workers=2``; ``load_all(..., use_index=False)`` (the YAML tier); and,
 on an archive compacted beforehand (untimed), ``load_all`` and
 ``latest_snapshot`` from the shard indexes, each as the first read in a
-fresh process and again warm.  The ``carry`` stage times the steady-state
+fresh process and again warm.  The ``carry`` stages time the steady-state
 carry-over: on an archive compacted beforehand in another process, a fresh
-process adds two twins to asia-pacific's first day and compacts again
-(that shard carries 48 rows over and decodes 2), and reports how far the
-compaction raised its peak RSS (``VmHWM``, Linux only).  It prints the
-median and quartiles of each with the host's ``cpu_count``, for
-``compact`` the median's cost per twin (``median_ms_per_row``, over the
-archive's 204 rows), and for ``carry`` the median ``VmHWM`` delta.
+process adds two twins to one asia-pacific day and compacts again, and
+reports how far the compaction raised its peak RSS (``VmHWM``, Linux
+only).  ``carry`` adds them to the archive's first day (the shard carries
+48 rows over and decodes 2); ``carry-full-day`` to a fifth day of 286
+twins written beside the archive, which they fill to the paper's 288
+snapshots a day.  It prints the median and quartiles of each with the
+host's ``cpu_count``, for ``compact`` the median's cost per twin
+(``median_ms_per_row``, over the archive's 204 rows), and for the
+``carry`` stages the rows carried and the median ``VmHWM`` delta.
 
 Every ``--src`` tree is timed over the same archive files, in alternating
 order, so two checkouts (say, a change and its parent) compare like with
@@ -47,9 +50,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ARCHIVE = (("asia-pacific", 16, 4, 48), ("world", 4, 1, 12))
 #: YAML twins in the archive: the rows a ``compact`` stage indexes.
 ROWS = sum(days * per_day for _, _, days, per_day in ARCHIVE)
+#: carry stage -> (asia-pacific day after REFERENCE_DATE, rows it carries).
+CARRY = {"carry": (0, 48), "carry-full-day": (4, 286)}
 
 #: Times one STAGE of ROOT's maps with WORKERS; prints the seconds, and
-#: for ``carry`` the compaction's VmHWM delta in KiB.
+#: for a ``carry`` stage (DAY, CARRIED) the compaction's VmHWM delta in KiB.
 _TIMED = """
 import sys
 from pathlib import Path
@@ -70,18 +75,19 @@ def hwm_kib():
             return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
     except (OSError, StopIteration):
         return 0
-if stage == "carry":
+if stage.startswith("carry"):
     import repro.yamlio.deserialize  # the decoder's imports stay out of the delta
     apac = MapName("asia-pacific")
+    day, carried = int(sys.argv[4]), int(sys.argv[5])
     text = store.path_for(apac, REFERENCE_DATE, "yaml").read_text()
-    for slot in (48, 49):
-        when = REFERENCE_DATE + slot * SNAPSHOT_INTERVAL
+    for slot in (carried, carried + 1):
+        when = REFERENCE_DATE + (day * 288 + slot) * SNAPSHOT_INTERVAL
         store.write(apac, when, "yaml", text.replace(REFERENCE_DATE.isoformat(), when.isoformat()))
     maps = [apac]
     before = hwm_kib()
 def read():
     for map_name in maps:
-        if stage in ("compact", "carry"):
+        if stage == "compact" or stage.startswith("carry"):
             compact_map_shards(store, map_name, workers=workers)
         elif stage == "yaml-load":
             load_all(store, map_name, use_index=False)
@@ -98,9 +104,9 @@ with use_registry(MetricsRegistry()) as registry:
 if stage.startswith("index-"):
     loaded = registry.get("repro_snapshots_loaded_total")
     assert all(loaded.value(map=m.value, source="yaml") == 0 for m in maps), stage
-if stage == "carry":
+if stage.startswith("carry"):
     rows = registry.get("repro_index_rows_total")
-    assert rows.value(map=apac.value, outcome="reused") == 48, stage
+    assert rows.value(map=apac.value, outcome="reused") == carried, stage
     print(seconds, hwm_kib() - before)
 else:
     print(seconds)
@@ -112,6 +118,7 @@ else:
 STAGES = {
     "compact": (1, 2),
     "carry": (1,),
+    "carry-full-day": (1,),
     "yaml-load": (1,),
     "index-load": (1,),
     "index-load-warm": (1,),
@@ -153,16 +160,35 @@ def write_archive(root: Path, seed: int) -> None:
             store.write(map_name, when, "yaml", text)
 
 
+def write_full_day(archive: Path, root: Path) -> None:
+    """A copy of ``archive`` plus the ``carry-full-day`` stage's day: its
+    asia-pacific twins, the first day's over again, in 286 slots."""
+    from repro.constants import REFERENCE_DATE, SNAPSHOT_INTERVAL, MapName
+    from repro.dataset.store import ShardedDatasetStore
+
+    shutil.copytree(archive, root)
+    store = ShardedDatasetStore(root)
+    apac = MapName("asia-pacific")
+    day, carried = CARRY["carry-full-day"]
+    _, _, _, per_day = ARCHIVE[0]
+    for slot in range(carried):
+        source = REFERENCE_DATE + (slot % per_day) * SNAPSHOT_INTERVAL
+        when = REFERENCE_DATE + (day * 288 + slot) * SNAPSHOT_INTERVAL
+        text = store.path_for(apac, source, "yaml").read_text()
+        store.write(apac, when, "yaml", text.replace(source.isoformat(), when.isoformat()))
+
+
 def time_once(
     src: Path, archive: Path, pycache: Path, workers: int, stage: str
 ) -> list[float]:
     """One ``stage`` over a fresh copy of ``archive`` with ``src``'s code,
-    its bytecode under ``pycache``: its seconds, and for ``carry`` its
-    VmHWM delta in KiB."""
+    its bytecode under ``pycache``: its seconds, and for a ``carry`` stage
+    its VmHWM delta in KiB."""
 
     def child(root: Path, stage: str) -> list[float]:
+        carry = [str(value) for value in CARRY.get(stage, ())]
         completed = subprocess.run(
-            [sys.executable, "-c", _TIMED, str(root), str(workers), stage],
+            [sys.executable, "-c", _TIMED, str(root), str(workers), stage, *carry],
             capture_output=True,
             text=True,
             check=True,
@@ -173,7 +199,7 @@ def time_once(
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir) / "archive"
         shutil.copytree(archive, root)
-        if stage == "carry":
+        if stage in CARRY:
             child(root, "compact")  # the previous generation, built elsewhere
         return child(root, stage)
 
@@ -186,16 +212,18 @@ def main() -> int:
     args = parser.parse_args()
     sources = [path.resolve() for path in args.src or [SRC]]
     with tempfile.TemporaryDirectory() as workdir:
-        archive = Path(workdir) / "archive"
+        archive, full_day = Path(workdir) / "archive", Path(workdir) / "full-day"
         write_archive(archive, args.seed)
+        write_full_day(archive, full_day)
         times: dict[tuple[str, str, int], list[list[float]]] = {}
         for repeat in range(args.repeats):
             order = sources if repeat % 2 == 0 else sources[::-1]
             for src in order:
                 for stage in STAGES:
                     for workers in STAGES[stage]:
+                        root = full_day if stage == "carry-full-day" else archive
                         measured = time_once(
-                            src, archive, Path(workdir) / "pycache", workers, stage
+                            src, root, Path(workdir) / "pycache", workers, stage
                         )
                         times.setdefault((str(src), stage, workers), []).append(measured)
     for (src, stage, workers), runs in times.items():
@@ -206,7 +234,8 @@ def main() -> int:
         }
         if stage == "compact":
             row["median_ms_per_row"] = round(median * 1000 / ROWS, 3)
-        if stage == "carry":
+        if stage in CARRY:
+            row["rows_carried"] = CARRY[stage][1]
             row["median_ms"] = round(median * 1000, 2)
             hwm = statistics.median(run[1] for run in runs)
             row["median_hwm_delta_mib"] = round(hwm / 1024, 2)

@@ -52,10 +52,11 @@ is exact — :func:`repro.dataset.loader.load_all` returns equal
 :class:`SnapshotIndex` is the in-heap builder the ingest daemon runs
 without numpy.  Every built file is opened one way, :func:`open_index`:
 it maps the file and trusts it only in this host's byte order, for the
-expected map and at the current ``PARSER_VERSION``.  The builder carries
-a previous generation's rows over from that mapping; the loaders and the
-server read through :class:`~repro.dataset.query.MappedIndex`, which lays
-numpy views over it.  Both check integrity through :meth:`IndexFile.verify`.
+expected map and at the current ``PARSER_VERSION``.  The builder streams
+a previous generation's unchanged rows from that mapping into the new
+file, a chunk at a time; the loaders and the server read through
+:class:`~repro.dataset.query.MappedIndex`, which lays numpy views over
+it.  Both check integrity through :meth:`IndexFile.verify`.
 
 :func:`build_index` is incremental the same way the engine's
 ``manifest.json`` is — unchanged rows are carried over wholesale, only
@@ -84,13 +85,14 @@ import os
 import struct
 import sys
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import import_module
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.constants import LOAD_MAX, LOAD_MIN, PARSER_VERSION, MapName
 from repro.dataset.store import SnapshotRef, atomic_write_bytes
@@ -110,6 +112,9 @@ INDEX_FORMAT_VERSION = 1
 
 _PREFIX = struct.Struct("<4sII")  # magic, format version, header byte length
 _DIGEST_BYTES = 32
+#: Bytes a pass over a mapped file hashes, checks or copies per step.
+_CHUNK_BYTES = 1 << 18
+_DONTNEED = getattr(_mmap, "MADV_DONTNEED", None)
 
 #: (column attribute, array typecode) in file order.
 _COLUMNS: tuple[tuple[str, str], ...] = (
@@ -128,6 +133,16 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
     ("link_a_loads", "d"),
     ("link_b_loads", "d"),
 )
+#: Each per-element column's section: 0 routers, 1 peerings, 2 links.
+_SECTIONS = {
+    "router_ids": 0,
+    "peering_ids": 1,
+    **{attribute: 2 for attribute, _ in _COLUMNS[8:]},
+}
+#: The per-row columns: one element per snapshot.
+_ROW_COLUMNS = tuple(attribute for attribute, _ in _COLUMNS[:6])
+#: One run of rows' elements: ``(source, starts, ends)``, see ``SnapshotIndex._write``.
+_Run = tuple["IndexFile | None", Sequence[int], Sequence[int]]
 
 
 def _epoch(when: datetime) -> int:
@@ -288,11 +303,12 @@ class IndexFile:
             }
         self._offsets: tuple[list[int], ...] | None = None
 
-    def verify(self) -> None:
+    def verify(self, *, release: bool = False) -> None:
         """Check the trailing SHA-256 and the column cross-checks: one full
         pass, which :func:`build_index` makes before every carry-over and
         the loaders (:meth:`repro.dataset.query.MappedIndex.verify`) before
-        reading a shard.
+        reading a shard.  The checksum and the id bounds read the file in
+        :meth:`chunks`; ``release`` drops the mapping's pages after each.
 
         Raises:
             SnapshotIndexError: checksum mismatch, section lengths that
@@ -301,12 +317,13 @@ class IndexFile:
         """
         # Views are released before raising, so a caller can still close an
         # mmap buffer on its error path.
+        digest = hashlib.sha256()
+        for chunk in self.chunks(0, self.layout.payload_length, release=release):
+            digest.update(chunk)
         with memoryview(self.buffer) as view:
-            with view[: self.layout.payload_length] as payload:
-                digest = hashlib.sha256(payload).digest()
             with view[self.layout.payload_length :] as trailer:
                 recorded = bytes(trailer)
-        if digest != recorded:
+        if digest.digest() != recorded:
             raise SnapshotIndexError(f"index {self.path or 'index'} fails its checksum")
         columns = self.columns
         timestamps = columns["timestamps"]
@@ -334,28 +351,50 @@ class IndexFile:
             ("link_a_labels", labels),
             ("link_b_labels", labels),
         ):
-            column = columns[attribute]
-            if len(column) and max(column) >= bound:
+            count = len(columns[attribute])
+            if any(
+                max(ids) >= bound
+                for ids in self.column_chunks(attribute, 0, count, release=release)
+            ):
                 raise SnapshotIndexError("interned id out of table bounds")
         if any(b < a for a, b in zip(timestamps, timestamps[1:])):
             raise SnapshotIndexError("timestamp column is not sorted")
 
-    def row_bounds(self, row: int) -> tuple[int, int, int, int, int, int]:
-        """One row's ``[start, end)`` in the router, peering and link columns."""
+    def chunks(self, start: int, end: int, *, release: bool = False) -> Iterator[memoryview]:
+        """The file's bytes ``[start, end)`` as views of at most
+        ``_CHUNK_BYTES``.  With ``release``, a mapping drops its resident
+        pages (``MADV_DONTNEED``, where ``mmap`` has it) each time the
+        caller asks for the next chunk, so a pass over the file keeps about
+        one chunk resident; a page read again faults back from the page
+        cache.  The whole mapping is released, not just the chunk: a fault
+        also maps the chunk's neighbours.
+        """
+        with memoryview(self.buffer) as view:
+            for offset in range(start, end, _CHUNK_BYTES):
+                with view[offset : min(end, offset + _CHUNK_BYTES)] as chunk:
+                    yield chunk
+                if release and self.mapped and _DONTNEED is not None:
+                    with suppress(OSError):  # advice only
+                        self.buffer.madvise(_DONTNEED)
+
+    def column_chunks(
+        self, attribute: str, start: int, end: int, *, release: bool = False
+    ) -> Iterator[memoryview]:
+        """Elements ``[start, end)`` of one column as typed :meth:`chunks`."""
+        spec = self.layout.columns[attribute]
+        offset, size = spec.offset, spec.itemsize
+        for chunk in self.chunks(offset + start * size, offset + end * size, release=release):
+            with chunk.cast(spec.typecode) as typed:
+                yield typed
+
+    def row_bounds(self, row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One row's starts and ends in the router, peering and link columns."""
         if self._offsets is None:
             self._offsets = tuple(
                 [0, *accumulate(self.columns[attribute])]
                 for attribute in ("router_counts", "peering_counts", "link_counts")
             )
-        routers, peerings, links = self._offsets
-        return (
-            routers[row],
-            routers[row + 1],
-            peerings[row],
-            peerings[row + 1],
-            links[row],
-            links[row + 1],
-        )
+        return tuple(o[row] for o in self._offsets), tuple(o[row + 1] for o in self._offsets)
 
     def close(self) -> None:
         """Release the column views and close the mapping.
@@ -449,7 +488,12 @@ class SkippedSource:
 
 
 class SnapshotIndex:
-    """One map's snapshot series in columnar, interned form."""
+    """One map's snapshot series in columnar, interned form.
+
+    The index :func:`build_index` returns holds every row's per-row
+    columns but only the elements of the rows it decoded: a carried row's
+    went from the previous file straight into the new one.
+    """
 
     timestamps: array
     source_sizes: array
@@ -497,7 +541,7 @@ class SnapshotIndex:
     def adopt_tables(self, other: IndexLayout) -> None:
         """Take a built file's string tables (prefix-compatible ids).
 
-        Required before :meth:`append_row_from` so the donor's ids stay
+        Required before carrying the file's rows over, so their ids stay
         valid verbatim; only callable on an empty index.
         """
         if len(self) or self.names or self.labels:
@@ -560,33 +604,6 @@ class SnapshotIndex:
         del self.labels[labels:]
         return True
 
-    def append_row_from(self, other: IndexFile, row: int) -> None:
-        """Copy one row of a built file into this index, ids verbatim.
-
-        Needs the string tables adopted from ``other.layout``: the reuse
-        path for an unchanged row of a previous generation, byte copies
-        out of the file's column views with no YAML and no hashing.
-        """
-        columns = other.columns
-        r0, r1, p0, p1, l0, l1 = other.row_bounds(row)
-        self.timestamps.append(columns["timestamps"][row])
-        self.source_sizes.append(columns["source_sizes"][row])
-        self.source_mtimes.append(columns["source_mtimes"][row])
-        self.router_counts.append(r1 - r0)
-        self.peering_counts.append(p1 - p0)
-        self.link_counts.append(l1 - l0)
-        for attribute, start, end in (
-            ("router_ids", r0, r1),
-            ("peering_ids", p0, p1),
-            ("link_a_nodes", l0, l1),
-            ("link_a_labels", l0, l1),
-            ("link_b_nodes", l0, l1),
-            ("link_b_labels", l0, l1),
-            ("link_a_loads", l0, l1),
-            ("link_b_loads", l0, l1),
-        ):
-            getattr(self, attribute).frombytes(columns[attribute][start:end].cast("B"))
-
     # -- reading -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -611,16 +628,35 @@ class SnapshotIndex:
 
     def save(self, path: Path) -> int:
         """Write the index atomically; returns the byte count."""
+        return self._write(path, [(None, (0, 0, 0), self._section_ends())])
+
+    def _section_ends(self) -> tuple[int, int, int]:
+        """The router, peering and link element columns' lengths."""
+        return len(self.router_ids), len(self.peering_ids), len(self.link_a_nodes)
+
+    def _write(self, path: Path, runs: Sequence[_Run]) -> int:
+        """Write this index's rows atomically: the per-row columns from the
+        heap, each section's elements from ``runs`` in order.  A run is
+        ``(source, starts, ends)``, the router, peering and link elements'
+        ``[start, end)`` in ``source``'s columns, ``None`` meaning this
+        index's own.  A built file's spans are read in chunks whose pages
+        are released once written and hashed."""
+        spans = {
+            attribute: [(source, starts[section], ends[section]) for source, starts, ends in runs]
+            for attribute, section in _SECTIONS.items()
+        }
+        counts = {
+            attribute: sum(end - start for _, start, end in spans[attribute])
+            if attribute in spans else len(self)
+            for attribute, _ in _COLUMNS
+        }
         header = {
             "map": self.map_name.value,
             "parser_version": self.parser_version,
             "byteorder": sys.byteorder,
             "names": self.names,
             "labels": self.labels,
-            "counts": {
-                attribute: len(getattr(self, attribute))
-                for attribute, _ in _COLUMNS
-            },
+            "counts": counts,
             "skipped": [
                 [epoch, entry.size, entry.mtime_ns, entry.message]
                 for epoch, entry in sorted(self.skipped.items())
@@ -628,26 +664,28 @@ class SnapshotIndex:
             "fingerprint": self.source_fingerprint(),
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        # The columns are written from byte views of the arrays, so no
-        # copy of the payload is ever made.
-        parts: list[bytes | memoryview] = [
-            _PREFIX.pack(INDEX_MAGIC, INDEX_FORMAT_VERSION, len(header_bytes)),
-            header_bytes,
-        ]
-        parts += [memoryview(getattr(self, attribute)).cast("B") for attribute, _ in _COLUMNS]
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part)
-        parts.append(digest.digest())
-        try:
-            # Write-aside + fsync + replace: a mid-write kill leaves either
-            # the previous index generation or the new one, never a
-            # truncated file.
-            return atomic_write_bytes(path, parts)
-        finally:
-            for part in parts:
-                if isinstance(part, memoryview):
-                    part.release()  # the arrays can grow again
+
+        def columns() -> Iterator[bytes | memoryview]:
+            # Byte views of the arrays and the file: the payload is never copied.
+            for attribute, _ in _COLUMNS:
+                column = getattr(self, attribute)
+                for source, start, end in spans.get(attribute, [(None, 0, len(self))]):
+                    if source is None:
+                        yield memoryview(column)[start:end]
+                    else:
+                        yield from source.column_chunks(attribute, start, end, release=True)
+
+        def pieces() -> Iterator[bytes | memoryview]:
+            digest = hashlib.sha256()
+            prefix = _PREFIX.pack(INDEX_MAGIC, INDEX_FORMAT_VERSION, len(header_bytes))
+            for piece in chain([prefix, header_bytes], columns()):
+                digest.update(piece)
+                yield piece
+            yield digest.digest()
+
+        # Write-aside + fsync + replace: a mid-write kill leaves either the
+        # previous index generation or the new one, never a truncated file.
+        return atomic_write_bytes(path, pieces())
 
 
 # ---------------------------------------------------------------------------
@@ -836,11 +874,14 @@ def build_index(
     opened and verified through :func:`open_index`, without touching the
     YAML; new and modified files are decoded in time order, straight into
     the new index's columns (``_TwinDecoder``); rows whose source vanished
-    are dropped.  An existing index :func:`open_index` refuses — damaged,
-    foreign-endian, another map's or another ``PARSER_VERSION``'s — is
-    ignored and every twin read, so the bytes written are those of
-    ``rebuild=True``.  The build runs in the calling process: shard
-    compaction fans out by shard, one build per pool task.
+    are dropped.  Carried rows are never copied into the heap: each run of
+    them is written as slices of the previous file's columns, a chunk at a
+    time, so the build holds the per-row columns, the decoded rows and
+    about one chunk of the mapping.  An existing index :func:`open_index`
+    refuses — damaged, foreign-endian, another map's or another
+    ``PARSER_VERSION``'s — is ignored and every twin read, so the bytes
+    written are those of ``rebuild=True``.  The build runs in the calling
+    process: shard compaction fans out by shard, one build per pool task.
 
     Args:
         refs: the source universe to index, in time order; shard
@@ -853,7 +894,9 @@ def build_index(
             errors propagate.
 
     Returns:
-        The saved index and the build accounting.
+        The saved index — every row's per-row columns, the string tables
+        and the decoded rows' elements; a carried row's elements stay in
+        the file — and the build accounting.
     """
     registry = get_registry()
     rows_counter = registry.counter(
@@ -873,7 +916,7 @@ def build_index(
                 map=map_name.value,
             ):
                 previous = open_index(index_path, map_name)
-                previous.verify()
+                previous.verify(release=True)
         except IndexSkewError as exc:
             logger.info("re-decoding %s from its twins: %s", map_name.value, exc)
         except SnapshotIndexError as exc:
@@ -890,6 +933,15 @@ def build_index(
         previous_rows = {
             epoch: row for row, epoch in enumerate(previous.columns["timestamps"])
         }
+    # The new generation's element spans in row order: a carried row's stay
+    # in the mapping, a decoded row's go into ``index`` (source ``None``).
+    runs: list[_Run] = []
+
+    def extend(source: IndexFile | None, starts: Sequence[int], ends: Sequence[int]) -> None:
+        if runs and runs[-1][0] is source and runs[-1][2] == starts:
+            runs[-1] = (source, runs[-1][1], ends)  # the row continues the run
+        else:
+            runs.append((source, starts, ends))
 
     # One pass in ref (time) order: reuse an unchanged row, or read the file.
     decoder: _TwinDecoder | None = None
@@ -906,7 +958,9 @@ def build_index(
                 previous.columns["source_sizes"][row] == size
                 and previous.columns["source_mtimes"][row] == mtime_ns
             ):
-                index.append_row_from(previous, row)
+                for attribute in _ROW_COLUMNS:
+                    getattr(index, attribute).append(previous.columns[attribute][row])
+                extend(previous, *previous.row_bounds(row))
                 stats.reused += 1
                 continue
             skip = previous.layout.skipped.get(key) if previous is not None else None
@@ -918,12 +972,14 @@ def build_index(
                 from repro.yamlio import deserialize
 
                 decoder = _TwinDecoder(index)
+            starts = index._section_ends()
             try:
                 decoded = decoder.append(ref.path, key, size, mtime_ns)
             except SchemaError as exc:
                 snapshot, message = None, str(exc)
             else:
                 if decoded:
+                    extend(None, starts, index._section_ends())
                     stats.parsed += 1
                     continue
                 snapshot, message = deserialize.try_read_snapshot(ref.path)
@@ -938,13 +994,15 @@ def build_index(
             # The file name's stamp is authoritative over the document's own.
             snapshot.timestamp = _when(key)
             index.append_snapshot(snapshot, size, mtime_ns)
+            extend(None, starts, index._section_ends())
             stats.parsed += 1
+        stats.removed = max(0, len(previous_rows) - stats.reused)
+        stats.bytes_written = index._write(index_path, runs)
     finally:
         if previous is not None:
-            # Unmapped before the new generation replaces the file.
+            # Unmapped once the new generation, streamed partly out of it,
+            # has replaced the file.
             previous.close()
-    stats.removed = max(0, len(previous_rows) - stats.reused)
-    stats.bytes_written = index.save(index_path)
     build_seconds.observe(perf_counter() - build_started, map=map_name.value)
     for outcome in ("parsed", "reused", "unreadable", "removed"):
         rows_counter.inc(getattr(stats, outcome), map=map_name.value, outcome=outcome)

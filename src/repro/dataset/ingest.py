@@ -16,7 +16,10 @@ daemon runs — with three guarantees:
   per worker in flight, applied in submission order; the pool runs a
   lone batch (every one-file live tick) or a one-worker run in the
   calling thread, and forks only for more.  Either way the calling
-  thread is the only writer, and peak RSS is flat in corpus size.
+  thread is the only writer.  Peak RSS is flat in corpus size and in
+  day size: a batch holds its own files, and a checkpoint's compaction
+  holds the rows it decodes plus about one 256 KiB chunk of the
+  day-shard it streams over, however many rows that shard carries.
 
 * **Crash-safe resume** — every ingested file is recorded in an
   append-only write-ahead journal (one CRC-32-framed JSON line per

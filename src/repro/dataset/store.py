@@ -27,7 +27,7 @@ import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, ClassVar, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, ClassVar, Generic, Iterable, Iterator, TypeVar
 
 from repro.constants import PARSER_VERSION, MapName
 from repro.errors import DatasetError, SnapshotNotFoundError
@@ -88,29 +88,32 @@ def fsync_directory(path: Path) -> None:
 
 
 def atomic_write_bytes(
-    path: Path, data: bytes | Sequence[bytes | memoryview], *, durable: bool = True
+    path: Path, data: bytes | Iterable[bytes | memoryview], *, durable: bool = True
 ) -> int:
     """Write *data* so readers never observe a partial file.
 
-    *data* is the file's bytes, or its pieces in order (byte-format
-    views need no copy to be joined first).  The bytes land in a sibling
-    temp file which is fsync'd and then ``os.replace``'d over *path*;
-    with ``durable`` the parent directory entry is flushed too, so a
-    mid-write kill leaves either the old file or the new one — never a
-    truncated hybrid.
+    *data* is the file's bytes, or its pieces in order: buffer views need
+    no copy to be joined first, and an iterator's pieces are written as
+    it makes them.  The bytes land in a sibling temp file which is
+    fsync'd and then ``os.replace``'d over *path*; with ``durable`` the
+    parent directory entry is flushed too, so a mid-write kill leaves
+    either the old file or the new one — never a truncated hybrid.
+    Returns the byte count.
     """
     pieces = [data] if isinstance(data, bytes) else data
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_name(path.name + ".tmp")
+    written = 0
     with open(scratch, "wb") as handle:
-        handle.writelines(pieces)
+        for piece in pieces:
+            written += handle.write(piece)
         handle.flush()
         if durable:
             os.fsync(handle.fileno())
     os.replace(scratch, path)
     if durable:
         fsync_directory(path.parent)
-    return sum(len(piece) for piece in pieces)
+    return written
 
 
 def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> int:

@@ -20,8 +20,10 @@ import logging
 import os
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from contextlib import closing
+from copy import copy
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -29,13 +31,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli.main import main as cli_main
-from repro.constants import MapName
+from repro.constants import REFERENCE_DATE, MapName
 from repro.dataset import index as index_module
 from repro.dataset import store as store_module
 from repro.dataset import workers as workers_module
 from repro.dataset.handles import resolve_read_handle
 from repro.dataset.index import (
     INDEX_MAGIC,
+    IndexBuildStats,
     SnapshotIndex,
     build_index,
     open_index,
@@ -44,7 +47,7 @@ from repro.dataset.index import (
 from repro.dataset.loader import _rebuild, iter_snapshots, latest_snapshot, load_all
 from repro.dataset.query import MappedIndex
 from repro.dataset.shards import compact_map_shards, verify_shards
-from repro.dataset.store import DatasetStore
+from repro.dataset.store import DatasetStore, SnapshotRef
 from repro.dataset.workers import default_workers, resolve_workers
 from repro.errors import DatasetError, SchemaError, SnapshotIndexError
 from repro.parsing.pipeline import PARSER_VERSION
@@ -440,6 +443,129 @@ class TestIncremental:
         assert [record.levelno for record in caplog.records if "unusable" in record.message] == [
             logging.WARNING
         ]
+
+
+# ---------------------------------------------------------------------------
+# Carry-over: runs of the previous file around the decoded rows
+# ---------------------------------------------------------------------------
+
+
+def _with_new_router(when: datetime, load: float) -> MapSnapshot:
+    """A twin naming a router and a label the day's tables lack so far."""
+    snapshot = _snapshot(when, load)
+    snapshot.add_node(Node.from_name("lon-r9"))
+    snapshot.add_link(Link(LinkEnd("lon-r9", "#7", load), LinkEnd("fra-r1", "#3", 2.0)))
+    return snapshot
+
+
+def _ignore(ref, exc) -> None:
+    """An ``on_error`` that keeps unreadable twins as skipped sources."""
+
+
+class TestCarryOverRuns:
+    """A carried build writes runs of the previous file's columns around
+    the rows it decodes; whatever splits the runs, its ``index.bin`` is
+    the one ``rebuild=True`` writes, byte for byte."""
+
+    @pytest.fixture()
+    def day(self, tmp_path) -> DatasetStore:
+        """12 twins 10 minutes apart and an unreadable one, built once."""
+        store = DatasetStore(tmp_path)
+        for i in range(12):
+            when = T0 + timedelta(minutes=10 * i)
+            store.write(MAP, when, "yaml", snapshot_to_yaml(_snapshot(when, float(i))))
+        store.write(MAP, T0 + timedelta(minutes=65), "yaml", "map: [\n")
+        _, stats = build(store, on_error=_ignore)
+        assert (stats.parsed, stats.unreadable) == (12, 1)
+        return store
+
+    def rewrite(self, store: DatasetStore, minutes: int, load: float) -> None:
+        path = store.path_for(MAP, T0 + timedelta(minutes=minutes), "yaml")
+        path.write_text(snapshot_to_yaml(_snapshot(T0 + timedelta(minutes=minutes), load)))
+        os.utime(path, ns=(1, 1))
+
+    def assert_rebuild_bytes(self, store: DatasetStore) -> IndexBuildStats:
+        _, stats = build(store, on_error=_ignore)
+        carried = index_file(store).read_bytes()
+        assert stats.bytes_written == len(carried)
+        build(store, rebuild=True, on_error=_ignore)
+        assert carried == index_file(store).read_bytes()
+        return stats
+
+    def test_new_modified_and_removed_twins_mid_day(self, day):
+        when = T0 + timedelta(minutes=35)
+        day.write(MAP, when, "yaml", snapshot_to_yaml(_with_new_router(when, 3.5)))
+        self.rewrite(day, 70, 77.0)
+        day.path_for(MAP, T0 + timedelta(minutes=90), "yaml").unlink()
+        stats = self.assert_rebuild_bytes(day)
+        assert (stats.reused, stats.parsed, stats.unreadable) == (10, 2, 1)
+
+    def test_first_and_last_rows_decoded(self, day):
+        self.rewrite(day, 0, 1.25)
+        self.rewrite(day, 110, 2.5)
+        when = T0 + timedelta(minutes=115)
+        day.write(MAP, when, "yaml", snapshot_to_yaml(_with_new_router(when, 9.0)))
+        stats = self.assert_rebuild_bytes(day)
+        assert (stats.reused, stats.parsed) == (10, 3)
+
+    def test_every_row_carried(self, day):
+        stats = self.assert_rebuild_bytes(day)
+        assert (stats.reused, stats.parsed, stats.unreadable) == (12, 0, 1)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[:-1],
+            lambda data: data[:100] + bytes([data[100] ^ 0xFF]) + data[101:],
+        ],
+        ids=["truncated", "flipped"],
+    )
+    def test_refused_previous_generation(self, day, damage):
+        when = T0 + timedelta(minutes=35)
+        day.write(MAP, when, "yaml", snapshot_to_yaml(_with_new_router(when, 3.5)))
+        path = index_file(day)
+        path.write_bytes(damage(path.read_bytes()))
+        assert_rejected(path)
+        stats = self.assert_rebuild_bytes(day)
+        assert (stats.reused, stats.parsed) == (0, 13)
+
+
+class TestCarryOverMemory:
+    """A carried row's elements go from the previous file to the new one,
+    never into the heap: decoding two twins beside N carried europe rows
+    keeps the build's heap transient under one bound, for N = 24 or 240."""
+
+    @pytest.mark.parametrize("carried", [24, 240])
+    def test_heap_transient_is_flat_in_rows_carried(self, tmp_path, europe_reference, carried):
+        text = snapshot_to_yaml(europe_reference)
+        previous = SnapshotIndex(MapName.EUROPE)
+        refs = []
+        for slot in range(carried + 2):
+            when = T0 + timedelta(minutes=5 * slot)
+            path = tmp_path / f"{slot}.yaml"
+            refs.append(SnapshotRef(MapName.EUROPE, when, "yaml", path))
+            if slot in (carried // 2, carried + 1):  # a new twin mid-day, one at the end
+                path.write_text(text.replace(REFERENCE_DATE.isoformat(), when.isoformat()))
+                continue
+            path.write_text("carried")  # stat'd, never read
+            stat = path.stat()
+            row = copy(europe_reference)
+            row.timestamp = when
+            previous.append_snapshot(row, stat.st_size, stat.st_mtime_ns)
+        index_path = tmp_path / "index.bin"
+        previous.save(index_path)
+        del previous
+        assert index_path.stat().st_size > carried * 24_000
+
+        tracemalloc.start()
+        try:
+            index, stats = build_index(MapName.EUROPE, refs, index_path)
+            del index  # what it returns counts too
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (stats.reused, stats.parsed) == (carried, 2)
+        assert peak - kept < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -312,10 +312,27 @@ class TestResume:
 
 KILL_SCRIPT = """
 import sys
+import time
+from pathlib import Path
 from repro.constants import MapName
 from repro.dataset.ingest import IngestConfig, IngestDaemon
 from repro.dataset.store import open_store
 
+parsed = IngestDaemon._parsed
+
+def parsed_then_wait(self, map_name, batches):
+    # Once the writer has applied batches of at least 3 files, announce it
+    # (argv[3]) and wait to be killed: the kill lands mid-run however fast
+    # the host parses, in-process or pooled.
+    written = 0
+    for results in parsed(self, map_name, batches):
+        yield results
+        written += len(results)
+        if written >= 3:
+            Path(sys.argv[3]).touch()
+            time.sleep(3600)
+
+IngestDaemon._parsed = parsed_then_wait
 store = open_store(sys.argv[1])
 config = IngestConfig(
     workers=int(sys.argv[2]), chunk_size=2, fsync_every=1, checkpoint_every=3
@@ -355,10 +372,11 @@ class TestKillAndResume:
         build_corpus(victim, apac_svg, files=files)
 
         env = dict(os.environ, PYTHONPATH=str(SRC))
+        mid_run = tmp_path / "mid-run"
         # Its own process group, so the cleanup below can reach any pool
         # worker a failed run leaves behind.
         process = subprocess.Popen(
-            [sys.executable, "-c", KILL_SCRIPT, str(victim_root), str(workers)],
+            [sys.executable, "-c", KILL_SCRIPT, str(victim_root), str(workers), str(mid_run)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -367,8 +385,7 @@ class TestKillAndResume:
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                done = sum(1 for _ in victim.iter_refs(MAP, "yaml"))
-                if done >= 3:
+                if mid_run.exists():
                     break
                 if process.poll() is not None:
                     pytest.fail("daemon finished before it could be killed")
